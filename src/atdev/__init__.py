@@ -14,7 +14,7 @@ from .data import (BinScheme, CurveKind, Dataset, EffectCurve, center,
 from .dependence import (CorrelationMatrix, DependenceModel, corr_matrix,
                          fit_dependence)
 from .effects import (DEFAULT_BINS, EffectMatrix, ace, ale, atdev,
-                      effect_matrix, le_curve, marginal, pdp)
+                      atdev_terms, effect_matrix, le_curve, marginal, pdp)
 from .errors import (AtdevError, DataError, ModelError, NoOracleError,
                      NumericalError, UsageError)
 from .gradients import (DerivativeField, GradientTable, check_gradient,
@@ -38,9 +38,10 @@ __all__ = [
     "FitReport", "GradientTable", "ImportanceReport", "MlpModel",
     "ModelError", "NoOracleError", "NumericalError", "OracleCurve",
     "OracleParams", "Predictor", "SimSpec", "UsageError", "ace", "ale",
-    "atdev", "atdev_importance", "build_report", "catalog_model", "center",
-    "check_gradient", "corr_matrix", "custom_model", "dgsm", "effect_matrix",
-    "fit_dependence", "fit_mlp", "generate", "gradient_table", "le_curve",
+    "atdev", "atdev_importance", "atdev_terms", "build_report",
+    "catalog_model", "center", "check_gradient", "corr_matrix",
+    "custom_model", "dgsm", "effect_matrix", "fit_dependence", "fit_mlp",
+    "generate", "gradient_table", "le_curve",
     "load_csv", "marginal", "oracle", "params_from_data",
     "partial_derivatives", "pdp", "quantile_bins", "save_csv",
     "signal_model", "theoretical_r2", "total_derivatives", "wrap_external",

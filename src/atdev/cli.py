@@ -24,7 +24,7 @@ from . import io as aio
 from . import svg as asvg
 from .data import CurveKind, Dataset, center, load_csv, quantile_bins, save_csv
 from .dependence import DEPENDENCE_KINDS, corr_matrix, fit_dependence
-from .effects import ace, ale, atdev, effect_matrix, le_curve, marginal, pdp
+from .effects import atdev_terms, effect_matrix, le_curve, marginal, pdp
 from .errors import AtdevError, DataError, ModelError, NumericalError, UsageError
 from .gradients import gradient_table
 from .importance import build_report
@@ -80,13 +80,21 @@ class RunConfig:
 
 
 class _Emitter:
-    """Writes command outputs and tears down everything it wrote when a
-    command dies halfway."""
+    """Writes command outputs. Used as a context manager, it tears down
+    everything it wrote when the body raises."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.written: list[Path] = []
         out_dir.mkdir(parents=True, exist_ok=True)
+
+    def __enter__(self) -> _Emitter:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            for path in self.written:
+                path.unlink(missing_ok=True)
 
     def json(self, name: str, payload: dict) -> Path:
         path = aio.write_json(self.out_dir / name, payload)
@@ -103,10 +111,6 @@ class _Emitter:
         save_csv(d, path)
         self.written.append(path)
         return path
-
-    def discard_all(self):
-        for path in self.written:
-            path.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +230,7 @@ def _cmd_simulate(args) -> int:
         rho=float(_pick(args, config, "rho", 0.0)),
         model=_pick(args, config, "bn_model", "additive_linear"),
     )
-    em = _Emitter(_pick_out_dir(args, config))
-    try:
+    with _Emitter(_pick_out_dir(args, config)) as em:
         d = generate(spec)
         em.dataset(f"{spec.case}.csv", d)
         cm = corr_matrix(d)
@@ -245,9 +248,6 @@ def _cmd_simulate(args) -> int:
             "correlation": {"names": list(cm.names),
                             "values": cm.values.tolist()},
         })
-    except BaseException:
-        em.discard_all()
-        raise
     return EXIT_OK
 
 
@@ -282,13 +282,9 @@ def _cmd_fit_mlp(args) -> int:
         learning_rate=float(_pick(args, config, "learning_rate", 1e-2)),
         batch_size=int(_pick(args, config, "batch_size", 256)),
     )
-    em = _Emitter(_pick_out_dir(args, config))
-    try:
+    with _Emitter(_pick_out_dir(args, config)) as em:
         em.json("mlp_weights.json", model.to_dict())
         em.json("mlp_fit.json", {"schema": aio.SCHEMA, **report.to_dict()})
-    except BaseException:
-        em.discard_all()
-        raise
     print(f"validation R^2 = {report.valid_r2:.4f} "
           f"({report.epochs_run} epochs)")
     return EXIT_OK
@@ -304,8 +300,7 @@ def _cmd_effects(args) -> int:
     cfg = _run_config(args)
     d = _load_dataset(cfg)
     model = _build_model(cfg, d)
-    em = _Emitter(cfg.out_dir)
-    try:
+    with _Emitter(cfg.out_dir) as em:
         table = gradient_table(model, d, h=cfg.fd_step)
         for j in _selected_columns(cfg, d):
             name = d.names[j]
@@ -314,13 +309,12 @@ def _cmd_effects(args) -> int:
             pd_c = pdp(model, d, j, bins=scheme)
             mg_c = marginal(model, d, j, bins=scheme,
                             smooth=cfg.smooth_marginal)
-            ale_c = ale(model, d, j, bins=scheme, derivs=table)
-            ace_cs = [ace(model, d, k, j, dep, bins=scheme, derivs=table)
-                      for k in range(d.p) if k != j]
-            tot_c = atdev(model, d, j, dep=dep, bins=scheme, table=table)
+            terms, tot_c = atdev_terms(model, d, j, dep=dep, bins=scheme,
+                                       table=table)
+            ale_c = terms.pop(j)
             le_c = le_curve(model, d, j, j, bins=scheme, derivs=table)
 
-            curves = [pd_c, mg_c, ale_c, *ace_cs, tot_c, le_c]
+            curves = [pd_c, mg_c, ale_c, *terms, tot_c, le_c]
             out = [_maybe_center(c, cfg) for c in curves]
             em.text(f"curves_{name}.csv", aio.curves_to_csv(out))
             em.json(f"curves_{name}.json", {
@@ -348,9 +342,6 @@ def _cmd_effects(args) -> int:
                 em.text(f"overlay_pd_marginal_ale_{name}.svg",
                         asvg.curve_chart([pd_cc, mg_cc, ale_cc],
                                          ["pd", "marginal", "ale"], title=name))
-    except BaseException:
-        em.discard_all()
-        raise
     return EXIT_OK
 
 
@@ -379,8 +370,7 @@ def _cmd_matrix(args) -> int:
     kind = CurveKind(args.kind)
     d = _load_dataset(cfg)
     model = _build_model(cfg, d)
-    em = _Emitter(cfg.out_dir)
-    try:
+    with _Emitter(cfg.out_dir) as em:
         table = gradient_table(model, d, h=cfg.fd_step)
         matrix = effect_matrix(model, d, kind, k_bins=cfg.k_bins,
                                dependence=cfg.dependence, table=table)
@@ -395,9 +385,6 @@ def _cmd_matrix(args) -> int:
         if cfg.svg:
             em.text(f"{stem}.svg",
                     asvg.matrix_chart(matrix, title=kind.value))
-    except BaseException:
-        em.discard_all()
-        raise
     return EXIT_OK
 
 
@@ -405,10 +392,10 @@ def _cmd_heatmap(args) -> int:
     cfg = _run_config(args)
     d = _load_dataset(cfg)
     model = _build_model(cfg, d)
-    em = _Emitter(cfg.out_dir)
-    try:
+    with _Emitter(cfg.out_dir) as em:
         report = build_report(model, d, k_bins=cfg.k_bins,
-                              dependence=cfg.dependence)
+                              dependence=cfg.dependence,
+                              table=gradient_table(model, d, h=cfg.fd_step))
         vmax = float(report.v.max())
         shades = report.v / vmax if vmax > 0 else report.v
         comp = aio.HeatMapData(names=report.names, values=shades,
@@ -433,9 +420,6 @@ def _cmd_heatmap(args) -> int:
             em.text("derivative_energy_bars.svg",
                     asvg.bar_chart(list(report.names), report.dgsm,
                                    title="mean squared derivative"))
-    except BaseException:
-        em.discard_all()
-        raise
     return EXIT_OK
 
 
@@ -443,15 +427,12 @@ def _cmd_importance(args) -> int:
     cfg = _run_config(args)
     d = _load_dataset(cfg)
     model = _build_model(cfg, d)
-    em = _Emitter(cfg.out_dir)
-    try:
+    with _Emitter(cfg.out_dir) as em:
         report = build_report(model, d, k_bins=cfg.k_bins,
-                              dependence=cfg.dependence)
+                              dependence=cfg.dependence,
+                              table=gradient_table(model, d, h=cfg.fd_step))
         em.json("importance.json", aio.report_to_dict(report))
         em.text("importance.csv", aio.report_to_csv(report))
-    except BaseException:
-        em.discard_all()
-        raise
     return EXIT_OK
 
 

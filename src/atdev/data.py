@@ -133,9 +133,6 @@ class BinScheme:
         idx = np.searchsorted(self.edges, x, side="right") - 1
         return np.clip(idx, 0, self.k - 1)
 
-    def members(self, b: int) -> np.ndarray:
-        return np.flatnonzero(self.bin_of == b)
-
 
 @dataclass(frozen=True)
 class EffectCurve:

@@ -64,16 +64,22 @@ class DependenceModel:
     edges: np.ndarray | None = None          # local_linear only
     bin_slopes: np.ndarray | None = None     # (k_bins x p), local_linear only
 
+    def slopes_at(self, x: np.ndarray | float) -> np.ndarray:
+        """dm_k/dx_j for every column k at x_j values, one row per value
+        (N x p); the own column is exactly 1."""
+        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        if self.kind == "linear":
+            s = np.broadcast_to(self.slopes, (len(x), self.p)).copy()
+        else:
+            b = np.clip(np.searchsorted(self.edges, x, side="right") - 1,
+                        0, len(self.bin_slopes) - 1)
+            s = self.bin_slopes[b]
+        s[:, self.j] = 1.0
+        return s
+
     def slope_at(self, k: int, x: np.ndarray | float) -> np.ndarray:
         """dm_k/dx_j evaluated at x_j values (own column: slope 1)."""
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        if k == self.j:
-            return np.ones_like(x)
-        if self.kind == "linear":
-            return np.full_like(x, self.slopes[k])
-        b = np.clip(np.searchsorted(self.edges, x, side="right") - 1,
-                    0, len(self.bin_slopes) - 1)
-        return self.bin_slopes[b, k]
+        return self.slopes_at(x)[:, k]
 
     def beta(self, k: int) -> float:
         return float(self.slopes[k])

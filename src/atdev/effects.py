@@ -11,6 +11,14 @@ Six curves over a shared quantile-bin grid of the variable of interest:
 - ``atdev``: ale plus all ace terms, the total-derivative effect.
 - ``le_curve``: per-bin mean of a partial derivative, not integrated.
 
+The four derivative curves are one quantity. For anchor j, with the
+gradient table G (N x p) and the dependence slopes S[:, k] = dm_k/dx_j
+(S[:, j] = 1), the kernel ``_binned`` takes the per-bin means of G * S
+over the x_j bins, K x p in one call. Column k integrated along the bins
+is ale (k = j) or ace through x_k; atdev is their sum; le_curve is a
+column of the bin means of G alone, not integrated. ``effect_matrix``
+is that kernel run once per anchor.
+
 Integration is a cumulative midpoint rule from the observed minimum: the
 value at a bin midpoint is the full-width sum over earlier bins plus half
 the current bin's contribution, so a unit-slope model reproduces the
@@ -37,6 +45,7 @@ __all__ = [
     "ale",
     "ace",
     "atdev",
+    "atdev_terms",
     "le_curve",
     "effect_matrix",
 ]
@@ -52,27 +61,52 @@ def _scheme(d: Dataset, j: int, bins: BinScheme | None) -> BinScheme:
     return bins
 
 
-def _bin_means(values: np.ndarray, scheme: BinScheme) -> np.ndarray:
-    sums = np.bincount(scheme.bin_of, weights=values, minlength=scheme.k)
-    return sums / scheme.counts
-
-
-def _integrate(means: np.ndarray, scheme: BinScheme) -> np.ndarray:
+def _binned(g: np.ndarray, scheme: BinScheme, slopes: np.ndarray | None = None,
+            integrate: bool = True) -> np.ndarray:
+    """The one estimator behind every derivative curve: per-bin means,
+    over the anchor's bins, of each column of the integrand g * slopes
+    (slopes default to 1), as a K x m array. With ``integrate`` each
+    column is accumulated along the bins by the midpoint rule."""
+    # Column by column: a whole N x m integrand costs more to allocate
+    # than the per-column loop costs to run.
+    sums = np.column_stack([
+        np.bincount(scheme.bin_of, minlength=scheme.k,
+                    weights=g[:, c] if slopes is None else g[:, c] * slopes[:, c])
+        for c in range(g.shape[1])])
+    means = sums / scheme.counts[:, None]
+    if not integrate:
+        return means
     # Accumulate mean*width from the first edge; midpoint value backs off
     # half of the current bin's full-width contribution.
-    contrib = means * scheme.widths
-    return np.cumsum(contrib) - contrib / 2.0
+    contrib = means * scheme.widths[:, None]
+    return np.cumsum(contrib, axis=0) - contrib / 2.0
 
 
-def _field_values(model: Predictor, d: Dataset, k: int,
-                  derivs: DerivativeField | GradientTable | None) -> np.ndarray:
+def _derivatives(model: Predictor, d: Dataset, k: int,
+                 derivs: DerivativeField | GradientTable | None) -> np.ndarray:
+    """d f / d x_k at every row, as an N x 1 column."""
     if derivs is None:
-        return partial_derivatives(model, d, k).values
+        derivs = partial_derivatives(model, d, k)
     if isinstance(derivs, GradientTable):
-        return derivs.values[:, k]
+        return derivs.values[:, k:k + 1]
     if derivs.j != k:
         raise DataError(f"derivative field is for column {derivs.j}, expected {k}")
-    return derivs.values
+    return derivs.values[:, None]
+
+
+def _slopes(dep: DependenceModel, d: Dataset, j: int) -> np.ndarray:
+    if dep.j != j:
+        raise DataError(f"dependence model anchored at {dep.j}, expected {j}")
+    return dep.slopes_at(d.column(j))
+
+
+def _curve(kind: CurveKind, j: int, scheme: BinScheme, values: np.ndarray,
+           k: int | None = None) -> EffectCurve:
+    # A contiguous copy: centering takes a dot product, which rounds
+    # differently on a strided column view.
+    return EffectCurve(kind=kind, j=j, k=None if k == j else k,
+                       grid=scheme.midpoints, values=np.ascontiguousarray(values),
+                       counts=scheme.counts.astype(np.float64))
 
 
 def pdp(model: Predictor, d: Dataset, j: int, bins: BinScheme | None = None,
@@ -119,12 +153,11 @@ def marginal(model: Predictor, d: Dataset, j: int,
         per_row = np.asarray(d.response, dtype=np.float64)
     else:
         per_row = model.predict(d.matrix())
-    values = _bin_means(per_row, scheme)
+    values = _binned(per_row[:, None], scheme, integrate=False)[:, 0]
     if smooth > 0:
         values = _local_quadratic(scheme.midpoints, values,
                                   scheme.counts.astype(np.float64), smooth)
-    return EffectCurve(kind=CurveKind.MARGINAL, j=j, grid=scheme.midpoints,
-                       values=values, counts=scheme.counts.astype(np.float64))
+    return _curve(CurveKind.MARGINAL, j, scheme, values)
 
 
 def _local_quadratic(grid: np.ndarray, values: np.ndarray, counts: np.ndarray,
@@ -155,11 +188,8 @@ def ale(model: Predictor, d: Dataset, j: int, bins: BinScheme | None = None,
     """Own-effect curve: per-bin mean of d f / d x_j over member rows,
     accumulated from the observed minimum. Uncentered."""
     scheme = _scheme(d, j, bins)
-    g = _field_values(model, d, j, derivs)
-    means = _bin_means(g, scheme)
-    return EffectCurve(kind=CurveKind.ALE, j=j, grid=scheme.midpoints,
-                       values=_integrate(means, scheme),
-                       counts=scheme.counts.astype(np.float64))
+    acc = _binned(_derivatives(model, d, j, derivs), scheme)
+    return _curve(CurveKind.ALE, j, scheme, acc[:, 0])
 
 
 def ace(model: Predictor, d: Dataset, k: int, j: int, dep: DependenceModel,
@@ -170,15 +200,30 @@ def ace(model: Predictor, d: Dataset, k: int, j: int, dep: DependenceModel,
     (d f / d x_k) * (d m_k / d x_j), accumulated as in ale."""
     if k == j:
         raise DataError("cross effect needs k != j")
-    if dep.j != j:
-        raise DataError(f"dependence model anchored at {dep.j}, expected {j}")
+    slopes = _slopes(dep, d, j)[:, k:k + 1]
     scheme = _scheme(d, j, bins)
-    g = _field_values(model, d, k, derivs)
-    integrand = g * dep.slope_at(k, d.column(j))
-    means = _bin_means(integrand, scheme)
-    return EffectCurve(kind=CurveKind.ACE, j=j, k=k, grid=scheme.midpoints,
-                       values=_integrate(means, scheme),
-                       counts=scheme.counts.astype(np.float64))
+    acc = _binned(_derivatives(model, d, k, derivs), scheme, slopes)
+    return _curve(CurveKind.ACE, j, scheme, acc[:, 0], k)
+
+
+def atdev_terms(model: Predictor, d: Dataset, j: int,
+                dep: DependenceModel | None = None,
+                bins: BinScheme | None = None,
+                table: GradientTable | None = None
+                ) -> tuple[list[EffectCurve], EffectCurve]:
+    """The total-derivative effect and its terms from one kernel call:
+    ``terms[k]`` is the ale curve for k = j and the ace curve through x_k
+    otherwise; the total is their pointwise sum. Uncentered."""
+    scheme = _scheme(d, j, bins)
+    if dep is None:
+        dep = fit_dependence(d, j)
+    slopes = _slopes(dep, d, j)
+    if table is None:
+        table = gradient_table(model, d)
+    acc = _binned(table.values, scheme, slopes)
+    terms = [_curve(CurveKind.ALE if k == j else CurveKind.ACE, j, scheme,
+                    acc[:, k], k) for k in range(d.p)]
+    return terms, _curve(CurveKind.ATDEV, j, scheme, acc.sum(axis=1))
 
 
 def atdev(model: Predictor, d: Dataset, j: int,
@@ -187,17 +232,7 @@ def atdev(model: Predictor, d: Dataset, j: int,
           table: GradientTable | None = None) -> EffectCurve:
     """Total-derivative effect: ale plus the ace term of every other
     variable, on the shared grid."""
-    scheme = _scheme(d, j, bins)
-    if dep is None:
-        dep = fit_dependence(d, j)
-    if table is None:
-        table = gradient_table(model, d)
-    total = ale(model, d, j, bins=scheme, derivs=table).values.copy()
-    for k in range(d.p):
-        if k != j:
-            total += ace(model, d, k, j, dep, bins=scheme, derivs=table).values
-    return EffectCurve(kind=CurveKind.ATDEV, j=j, grid=scheme.midpoints,
-                       values=total, counts=scheme.counts.astype(np.float64))
+    return atdev_terms(model, d, j, dep=dep, bins=bins, table=table)[1]
 
 
 def le_curve(model: Predictor, d: Dataset, k: int, j: int,
@@ -207,11 +242,9 @@ def le_curve(model: Predictor, d: Dataset, k: int, j: int,
     the derivative scale (no integration). k = j is the own-derivative
     profile; k != j reads out interactions and transferred effects."""
     scheme = _scheme(d, j, bins)
-    g = _field_values(model, d, k, derivs)
+    means = _binned(_derivatives(model, d, k, derivs), scheme, integrate=False)
     kind = CurveKind.LE if k == j else CurveKind.LE_CROSS
-    return EffectCurve(kind=kind, j=j, k=None if k == j else k,
-                       grid=scheme.midpoints, values=_bin_means(g, scheme),
-                       counts=scheme.counts.astype(np.float64))
+    return _curve(kind, j, scheme, means[:, 0], k)
 
 
 @dataclass(frozen=True)
@@ -220,15 +253,18 @@ class EffectMatrix:
 
     For the total-derivative kind the diagonal holds own effects (ale)
     and cell (i, j) holds the cross effect of x_j through x_i; ``totals``
-    caches each column's pointwise sum. For the local-effects kind the
-    cells are conditional mean derivatives and ``totals`` is None.
+    caches each column's centered atdev curve, the pointwise sum of its
+    cells. For the local-effects kind the cells are conditional mean
+    derivatives and ``totals`` is None. ``schemes`` holds the per-column
+    bins when the matrix was estimated here, and is empty when it was
+    read back from a file.
     """
 
     kind: CurveKind
     names: tuple[str, ...]
     cells: tuple[tuple[EffectCurve | None, ...], ...]  # [row i][col j]
-    schemes: tuple[BinScheme, ...]
     totals: tuple[EffectCurve, ...] | None = None
+    schemes: tuple[BinScheme, ...] = ()
 
     @property
     def p(self) -> int:
@@ -248,8 +284,9 @@ def effect_matrix(model: Predictor, d: Dataset, kind: CurveKind | str = CurveKin
                   deps: list[DependenceModel] | None = None,
                   schemes: list[BinScheme] | None = None,
                   table: GradientTable | None = None) -> EffectMatrix:
-    """Build all p^2 curves. One gradient pass is shared by every cell;
-    per-column dependence fits may be supplied or are fitted here."""
+    """Build all p^2 curves, one kernel call per column. One gradient pass
+    is shared by every cell; per-column dependence fits may be supplied or
+    are fitted here."""
     kind = CurveKind(kind)
     if kind not in (CurveKind.ATDEV, CurveKind.LE):
         raise DataError(f"matrix kind must be ATDEV or LE, got {kind.value}")
@@ -263,24 +300,18 @@ def effect_matrix(model: Predictor, d: Dataset, kind: CurveKind | str = CurveKin
 
     columns: list[list[EffectCurve]] = []
     totals: list[EffectCurve] = []
-    for j in range(p):
-        scheme = schemes[j]
-        col: list[EffectCurve] = []
-        for i in range(p):
-            if kind is CurveKind.ATDEV:
-                cell = ale(model, d, j, bins=scheme, derivs=table) if i == j \
-                    else ace(model, d, i, j, deps[j], bins=scheme, derivs=table)
-            else:
-                cell = le_curve(model, d, i, j, bins=scheme, derivs=table)
-            col.append(center(cell))
-        columns.append(col)
+    for j, scheme in enumerate(schemes):
         if kind is CurveKind.ATDEV:
-            summed = np.sum([c.values for c in col], axis=0)
-            totals.append(EffectCurve(
-                kind=CurveKind.ATDEV, j=j, grid=scheme.midpoints, values=summed,
-                counts=scheme.counts.astype(np.float64), centered=True))
+            col, total = atdev_terms(model, d, j, dep=deps[j], bins=scheme,
+                                     table=table)
+            totals.append(center(total))
+        else:
+            means = _binned(table.values, scheme, integrate=False)
+            col = [_curve(CurveKind.LE if i == j else CurveKind.LE_CROSS, j,
+                          scheme, means[:, i], i) for i in range(p)]
+        columns.append([center(c) for c in col])
 
     cells = tuple(tuple(columns[j][i] for j in range(p)) for i in range(p))
     return EffectMatrix(kind=kind, names=tuple(d.names), cells=cells,
-                        schemes=tuple(schemes),
-                        totals=tuple(totals) if kind is CurveKind.ATDEV else None)
+                        totals=tuple(totals) if kind is CurveKind.ATDEV else None,
+                        schemes=tuple(schemes))

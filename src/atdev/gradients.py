@@ -75,7 +75,9 @@ def fd_step(x: np.ndarray, j: int) -> float:
     return max(1e-4 * float(np.std(x[:, j])), 1e-8)
 
 
-def _fd_column(model: Predictor, x: np.ndarray, j: int, h: float) -> np.ndarray:
+def _fd_column(model: Predictor, x: np.ndarray, j: int,
+               h: float | np.ndarray) -> np.ndarray:
+    """Central differences along column j; ``h`` is one step or one per row."""
     up = x.copy()
     dn = x.copy()
     up[:, j] += h
@@ -130,18 +132,14 @@ def total_derivatives(model: Predictor, d: Dataset | np.ndarray, j: int,
                       table: GradientTable | None = None) -> np.ndarray:
     """Total derivative along the dependence structure anchored at j:
     own partial plus every cross partial weighted by the conditional-mean
-    slope dm_k/dx_j at that row's x_j."""
+    slope dm_k/dx_j at that row's x_j. This is the row sum of the
+    integrand G * S that the binned curve estimators average."""
     x = _rows(d)
     if dep.j != j:
         raise DataError(f"dependence model anchored at {dep.j}, expected {j}")
     if table is None:
         table = gradient_table(model, d)
-    xj = x[:, j]
-    out = table.values[:, j].copy()
-    for k in range(x.shape[1]):
-        if k != j:
-            out += table.values[:, k] * dep.slope_at(k, xj)
-    return out
+    return (table.values * dep.slopes_at(x[:, j])).sum(axis=1)
 
 
 def check_gradient(model: Predictor, d: Dataset | np.ndarray, rows: int = 100,
@@ -163,12 +161,7 @@ def check_gradient(model: Predictor, d: Dataset | np.ndarray, rows: int = 100,
     analytic = model.gradient(xs)
     worst = 0.0
     for j in range(x.shape[1]):
-        h = 1e-5 * (1.0 + np.abs(xs[:, j]))
-        up = xs.copy()
-        dn = xs.copy()
-        up[:, j] += h
-        dn[:, j] -= h
-        fd = (model.predict(up) - model.predict(dn)) / (2.0 * h)
+        fd = _fd_column(model, xs, j, 1e-5 * (1.0 + np.abs(xs[:, j])))
         a = analytic[:, j]
         rel = np.abs(a - fd) / np.maximum.reduce(
             [np.abs(a), np.abs(fd), np.full_like(fd, 1e-6)])

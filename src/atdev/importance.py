@@ -86,13 +86,13 @@ class ImportanceReport:
 
 def build_report(model: Predictor, d: Dataset, k_bins: int = DEFAULT_BINS,
                  dependence: str = "linear",
-                 em: EffectMatrix | None = None) -> ImportanceReport:
+                 table: GradientTable | None = None) -> ImportanceReport:
     """Effect-matrix variances and derivative energies from one shared
-    gradient pass."""
-    table = gradient_table(model, d)
-    if em is None:
-        em = effect_matrix(model, d, CurveKind.ATDEV, k_bins=k_bins,
-                           dependence=dependence, table=table)
+    gradient pass (built here unless supplied)."""
+    if table is None:
+        table = gradient_table(model, d)
+    em = effect_matrix(model, d, CurveKind.ATDEV, k_bins=k_bins,
+                       dependence=dependence, table=table)
     v, v_plus = atdev_importance(em)
     return ImportanceReport(names=tuple(d.names), v=v, v_plus=v_plus,
                             dgsm=dgsm(model, d, table=table))

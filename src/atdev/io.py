@@ -20,6 +20,7 @@ import numpy as np
 
 from .data import CurveKind, EffectCurve
 from .dependence import CorrelationMatrix
+from .effects import EffectMatrix
 from .errors import DataError
 from .importance import ImportanceReport
 
@@ -29,7 +30,6 @@ __all__ = [
     "SCHEMA",
     "BarData",
     "HeatMapData",
-    "MatrixBundle",
     "bars_to_dict",
     "bars_from_dict",
     "write_json",
@@ -157,33 +157,14 @@ def curves_from_csv(text: str) -> list[EffectCurve]:
 
 
 # ---------------------------------------------------------------------------
-# Effect matrix bundles
+# Effect matrices
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatrixBundle:
-    """File-level form of an effect matrix: the centered cell curves and
-    (for the total-derivative kind) the column totals."""
-
-    kind: CurveKind
-    names: tuple[str, ...]
-    cells: tuple[tuple[EffectCurve | None, ...], ...]
-    totals: tuple[EffectCurve, ...] | None = None
-
-    @property
-    def p(self) -> int:
-        return len(self.names)
-
-    def cell(self, i: int, j: int) -> EffectCurve | None:
-        return self.cells[i][j]
-
-
-def matrix_to_dict(em, scatter: list | None = None,
+def matrix_to_dict(em: EffectMatrix, scatter: list | None = None,
                    histograms: list | None = None) -> dict:
-    """Serialize an effect matrix (or bundle). Optional LE extras ride
-    along: per-cell raw derivative scatters and per-variable derivative
-    histograms."""
+    """Serialize an effect matrix. Optional LE extras ride along: per-cell
+    raw derivative scatters and per-variable derivative histograms."""
     payload = {
         "schema": SCHEMA,
         "kind": em.kind.value,
@@ -200,7 +181,9 @@ def matrix_to_dict(em, scatter: list | None = None,
     return payload
 
 
-def matrix_from_dict(payload: dict) -> MatrixBundle:
+def matrix_from_dict(payload: dict) -> EffectMatrix:
+    """Rebuild the matrix's centered cells and totals; the bin schemes are
+    not serialized, so ``schemes`` comes back empty."""
     try:
         names = tuple(payload["names"])
         cells = tuple(
@@ -209,7 +192,7 @@ def matrix_from_dict(payload: dict) -> MatrixBundle:
         totals = payload.get("totals")
     except KeyError as exc:
         raise DataError(f"bad matrix payload: {exc}") from exc
-    return MatrixBundle(
+    return EffectMatrix(
         kind=CurveKind(payload["kind"]), names=names, cells=cells,
         totals=None if totals is None
         else tuple(curve_from_dict(t) for t in totals))

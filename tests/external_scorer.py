@@ -8,6 +8,7 @@ the parent's protocol-error handling.
 Modes:
   sum       response is the row sum (default)
   poly3     x1 + x2 + x1*x2 on the first two inputs
+  cube      x1**3 + x2, curved along x1 so the difference step shows
   short     row sums but one line short
   garbage   row sums with one non-numeric line
   nan       emits nan for every row
@@ -33,6 +34,8 @@ def main() -> int:
 
     if mode == "poly3":
         values = [r[0] + r[1] + r[0] * r[1] for r in rows]
+    elif mode == "cube":
+        values = [r[0] ** 3 + r[1] for r in rows]
     else:
         values = [sum(r) for r in rows]
 

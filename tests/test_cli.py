@@ -9,7 +9,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from atdev import SimSpec, generate, load_csv, save_csv
+from atdev import Dataset, SimSpec, generate, load_csv, save_csv
+import atdev.io
 from atdev.cli import main
 from atdev.io import curve_from_dict, matrix_from_dict, read_json, \
     report_from_dict
@@ -299,6 +300,57 @@ class TestExitCodes:
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
         assert not list(out.glob("*.json")) and not list(out.glob("*.csv"))
+
+
+class TestFdStep:
+    @pytest.mark.parametrize("command, stem, field", [
+        ("importance", "importance.json", "dgsm"),
+        ("heatmap", "derivative_energy_bars.json", "values"),
+    ])
+    def test_step_reaches_derivative_energy(self, data622, tmp_path,
+                                            command, stem, field):
+        cmd = f"{shlex.quote(sys.executable)} {shlex.quote(str(SCORER))} cube"
+        energy = {}
+        for tag, extra in (("auto", []), ("half", ["--fd-step", "0.5"])):
+            out = tmp_path / tag
+            rc = main([command, "--data", data622, "--response", "y",
+                       "--external-cmd", cmd, "--out-dir", str(out),
+                       "--k-bins", "10", *extra])
+            assert rc == 0
+            energy[tag] = np.asarray(read_json(out / stem)[field])
+        x1 = load_csv(data622, has_response=True, response_name="y").column(0)
+        # Central differences of x^3 over +-h read 3 x^2 + h^2.
+        assert abs(energy["auto"][0] - np.mean((3 * x1 ** 2) ** 2)) < 1e-6
+        assert abs(energy["half"][0]
+                   - np.mean((3 * x1 ** 2 + 0.25) ** 2)) < 1e-9
+
+
+class TestRollback:
+    def test_failure_after_writes_removes_them(self, tmp_path, monkeypatch,
+                                               capsys):
+        d = generate(SimSpec(case="interaction_622", n=1_000, seed=3))
+        flat = Dataset(names=list(d.names),
+                       columns=[d.column(0), np.full(d.n, 0.5), d.column(2)],
+                       response=d.response)
+        path = tmp_path / "flat.csv"
+        save_csv(flat, path)
+        written = []
+        real_write = atdev.io.write_text_atomic
+
+        def spy(target, text):
+            written.append(target.name)
+            return real_write(target, text)
+
+        monkeypatch.setattr(atdev.io, "write_text_atomic", spy)
+        out = tmp_path / "rolled_back"
+        rc = main(["effects", "--data", str(path), "--response", "y",
+                   "--model-id", "case_622", "--out-dir", str(out),
+                   "--k-bins", "10"])
+        assert rc == 2
+        assert "constant column" in capsys.readouterr().err
+        assert "curves_x1.csv" in written and "curves_x1.json" in written
+        for pattern in ("*.json", "*.csv", "*.tmp"):
+            assert not list(out.glob(pattern))
 
 
 class TestDeterminism:
