@@ -178,7 +178,8 @@ def quantile_bins(d: Dataset, j: int, k: int) -> BinScheme:
 
     Duplicate edges produced by ties are merged (reducing the bin count),
     and any residual empty bin is merged into its right neighbour, so
-    every surviving bin has at least one member.
+    every surviving bin has at least one member. A column whose values
+    fill fewer than two bins, such as a 0/1 indicator, is rejected.
     """
     if k < 2:
         raise DataError("bin count must be >= 2")
@@ -190,6 +191,12 @@ def quantile_bins(d: Dataset, j: int, k: int) -> BinScheme:
     if len(edges) < 2:
         raise DataError(f"degenerate variable {d.names[j]!r}: constant column")
     edges, bin_of, counts = _merge_empty(edges, x)
+    if len(counts) < 2:
+        # One bin holds no difference to accumulate: every derivative
+        # curve would be a single point and its variance a silent 0.
+        raise DataError(
+            f"variable {d.names[j]!r} cannot be binned: its values fill "
+            f"only {len(counts)} quantile bin, at least 2 are needed")
     return BinScheme(j=j, edges=edges, bin_of=bin_of, counts=counts)
 
 
@@ -228,24 +235,10 @@ def load_csv(path: str | Path, has_response: bool = False,
         header = [h.strip() for h in header]
         if len(set(header)) != len(header):
             raise DataError(f"{path}: duplicate column names in header")
-        ncol = len(header)
-        raw: list[list[float]] = [[] for _ in range(ncol)]
-        for rownum, row in enumerate(reader, start=2):
-            if len(row) != ncol:
-                raise DataError(f"{path}: row {rownum} has {len(row)} cells, expected {ncol}")
-            for colnum, cell in enumerate(row):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {rownum}, column {header[colnum]!r}: "
-                        f"cannot parse {cell!r}") from None
-                if not math.isfinite(v):
-                    raise DataError(
-                        f"{path}: row {rownum}, column {header[colnum]!r}: "
-                        f"non-finite value {cell!r}")
-                raw[colnum].append(v)
-    columns = [np.asarray(c, dtype=np.float64) for c in raw]
+        # A quoted header cell may span lines, which skiprows=1 would miss.
+        columns = _fast_columns(path, len(header)) if reader.line_num == 1 else None
+        if columns is None:
+            columns = _parse_cells(path, reader, header)
     response = None
     if has_response:
         name = response_name if response_name is not None else header[-1]
@@ -255,6 +248,58 @@ def load_csv(path: str | Path, has_response: bool = False,
         response = columns.pop(ridx)
         header = header[:ridx] + header[ridx + 1:]
     return Dataset(names=header, columns=columns, response=response)
+
+
+def _fast_columns(path: Path, ncol: int) -> list[np.ndarray] | None:
+    """The body below a one-line header parsed by np.loadtxt, or None
+    when it needs the cell-by-cell parser: it is empty, fails to parse,
+    or holds a row of another width, a blank line (which np.loadtxt
+    skips and the CSV reader reports as a short row) or a non-finite
+    value."""
+    rows = _count_lines(path) - 1
+    if rows < 1:
+        return None
+    try:
+        body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
+                          comments=None)
+    except ValueError:
+        return None
+    if body.shape != (rows, ncol) or not np.all(np.isfinite(body)):
+        return None
+    return list(np.ascontiguousarray(body.T))
+
+
+def _count_lines(path: Path) -> int:
+    """Number of lines, counting an unterminated last line."""
+    count, last = 0, b""
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            count += block.count(b"\n")
+            last = block
+    return count + (1 if last and not last.endswith(b"\n") else 0)
+
+
+def _parse_cells(path: Path, reader, header: list[str]) -> list[np.ndarray]:
+    """Cell-by-cell parse of the remaining rows, naming the row and
+    column of the first cell that is not a finite number."""
+    ncol = len(header)
+    raw: list[list[float]] = [[] for _ in range(ncol)]
+    for rownum, row in enumerate(reader, start=2):
+        if len(row) != ncol:
+            raise DataError(f"{path}: row {rownum} has {len(row)} cells, expected {ncol}")
+        for colnum, cell in enumerate(row):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"{path}: row {rownum}, column {header[colnum]!r}: "
+                    f"cannot parse {cell!r}") from None
+            if not math.isfinite(v):
+                raise DataError(
+                    f"{path}: row {rownum}, column {header[colnum]!r}: "
+                    f"non-finite value {cell!r}")
+            raw[colnum].append(v)
+    return [np.asarray(c, dtype=np.float64) for c in raw]
 
 
 def save_csv(d: Dataset, path: str | Path, response_name: str = "y") -> None:

@@ -113,7 +113,9 @@ def pdp(model: Predictor, d: Dataset, j: int, bins: BinScheme | None = None,
         grid: np.ndarray | None = None) -> EffectCurve:
     """Average prediction as column j sweeps the grid (default: the bin
     midpoints) while every other column keeps its observed values. Scores
-    synthetic rows, so correlated data gets extrapolated."""
+    synthetic rows, so correlated data gets extrapolated. Polynomial
+    models compute it exactly in one pass; other backends score the
+    whole dataset once per grid value."""
     scheme = _scheme(d, j, bins)
     if grid is None:
         grid = scheme.midpoints
@@ -124,11 +126,7 @@ def pdp(model: Predictor, d: Dataset, j: int, bins: BinScheme | None = None,
         if np.any(grid < lo) or np.any(grid > hi):
             raise DataError("pdp grid extends beyond the observed range")
         counts = np.ones(len(grid))
-    x = d.matrix()
-    values = np.empty(len(grid))
-    for g, z in enumerate(grid):
-        x[:, j] = z
-        values[g] = float(np.mean(model.predict(x)))
+    values = model.partial_dependence(d.matrix(), j, grid)
     return EffectCurve(kind=CurveKind.PD, j=j, grid=grid, values=values,
                        counts=counts)
 

@@ -50,6 +50,23 @@ class Predictor:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         raise ModelError("backend has no analytic gradient")
 
+    def partial_dependence(self, x: np.ndarray, j: int,
+                           grid: np.ndarray) -> np.ndarray:
+        """Mean prediction over the rows of x with column j set to each
+        grid value in turn. This default scores every row once per grid
+        value; backends with a closed form override it. Column j of x is
+        overwritten during the sweep and restored afterwards."""
+        x = np.asarray(x, dtype=np.float64)
+        observed = x[:, j].copy()
+        values = np.empty(len(grid))
+        try:
+            for g, z in enumerate(grid):
+                x[:, j] = z
+                values[g] = float(np.mean(self.predict(x)))
+        finally:
+            x[:, j] = observed
+        return values
+
     def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.p:
@@ -108,6 +125,26 @@ class AnalyticModel(Predictor):
                         t *= x[:, m] ** b
                 g[:, j] += t
         return g
+
+    def partial_dependence(self, x: np.ndarray, j: int,
+                           grid: np.ndarray) -> np.ndarray:
+        """Exact in one pass over the rows: as a polynomial in x_j,
+        f = sum_a x_j^a c_a(x_-j), so the sweep average at z is
+        sum_a z^a mean(c_a)."""
+        x = self._check_input(x)
+        grid = np.asarray(grid, dtype=np.float64)
+        c: dict[int, float] = {}
+        for coef, powers in self.terms:
+            rest = 1.0
+            for m, b in powers.items():
+                if m != j:
+                    rest = rest * x[:, m] ** b
+            a = powers.get(j, 0)
+            c[a] = c.get(a, 0.0) + coef * float(np.mean(rest))
+        values = np.zeros(len(grid))
+        for a in sorted(c):
+            values += c[a] * grid ** a
+        return values
 
     def scaled(self, c: float) -> "AnalyticModel":
         """Same polynomial with every coefficient multiplied by c."""

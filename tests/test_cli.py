@@ -290,6 +290,24 @@ class TestExitCodes:
                      "--model-id", "case_61", "--out-dir", out]) == 2
         capsys.readouterr()
 
+    def test_indicator_column_rejected(self, tmp_path, capsys):
+        rng = np.random.default_rng(2)
+        a = rng.normal(size=1_000)
+        # 505 zeros: no quantile edge falls between the levels.
+        b = rng.permutation(np.r_[np.zeros(505), np.ones(495)])
+        path = tmp_path / "flag.csv"
+        save_csv(Dataset(names=["a", "b"], columns=[a, b],
+                         response=a * b + 2 * b), path)
+        out = tmp_path / "never"
+        # f = a b + 2 b: a single bin for b would report v_+b = 0.
+        rc = main(["importance", "--data", str(path), "--response", "y",
+                   "--model-id", "custom", "--terms",
+                   '[[1.0, {"0": 1, "1": 1}], [2.0, {"1": 1}]]',
+                   "--out-dir", str(out)])
+        assert rc == 2
+        assert "'b' cannot be binned" in capsys.readouterr().err
+        assert not list(out.glob("*.json")) and not list(out.glob("*.csv"))
+
     def test_numerical_failure_leaves_no_files(self, data622, tmp_path,
                                                capsys):
         out = tmp_path / "broken"

@@ -110,6 +110,46 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv(tmp_path / "absent.csv")
 
+    # Fifty good rows (file rows 2-51) come first. The numpy parse turns
+    # each body down as a whole; the cell parser still names the first
+    # bad cell with the message it always gave.
+    @pytest.mark.parametrize("body, message", [
+        ("nan,2\n3,4\n", "row 52, column 'x1': non-finite value 'nan'"),
+        ("1,2\n3,1e400\n", "row 53, column 'x2': non-finite value '1e400'"),
+        ("1,2\n3,4\n5\n", "row 54 has 1 cells, expected 2"),
+        ("1,2\n\n3,4\n", "row 53 has 0 cells, expected 2"),
+        ("1,2\n3,4\n\n", "row 54 has 0 cells, expected 2"),
+        ("1,2\n3,4 # note\n", "row 53, column 'x2': cannot parse '4 # note'"),
+        ('1,"2"\n3,4,\n', "row 53 has 3 cells, expected 2"),
+    ])
+    def test_bad_body_reports_the_first_bad_cell(self, tmp_path, body, message):
+        f = tmp_path / "t.csv"
+        f.write_text("x1,x2\n" + "0.5,0.25\n" * 50 + body)
+        with pytest.raises(DataError) as exc:
+            load_csv(f)
+        assert str(exc.value) == f"{f}: {message}"
+
+    def test_crlf_and_unterminated_last_line(self, tmp_path):
+        f = tmp_path / "t.csv"
+        f.write_bytes(b"a,b\r\n1,2\r\n3,4")
+        d = load_csv(f)
+        assert np.array_equal(d.column(0), [1.0, 3.0])
+        assert np.array_equal(d.column(1), [2.0, 4.0])
+
+    def test_extreme_doubles_round_trip_bit_exactly(self, tmp_path):
+        rng = np.random.default_rng(11)
+        bits = rng.integers(0, 2**63, size=(3, 2_000), dtype=np.uint64)
+        cols = bits.view(np.float64)
+        cols = np.where(np.isfinite(cols), cols, 1.0)
+        cols[0, :4] = [5e-324, -0.0, 2.2250738585072014e-308, 1.7976931348623157e308]
+        d = Dataset(names=["a", "b"], columns=[cols[0], cols[1]],
+                    response=cols[2])
+        f = tmp_path / "x.csv"
+        save_csv(d, f)
+        back = load_csv(f, has_response=True)
+        for a, b in zip([*back.columns, back.response], cols):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
     def test_generated_data_round_trips_bit_exactly(self, tmp_path):
         d = generate(SimSpec(case="interaction_622", n=500, seed=3))
         f = tmp_path / "sim.csv"
@@ -156,6 +196,22 @@ class TestQuantileBins:
         d = Dataset(names=["x"], columns=[np.ones(10)])
         with pytest.raises(DataError):
             quantile_bins(d, 0, 4)
+
+    def test_indicator_column_rejected(self):
+        # With 505 zeros in 1000 rows no quantile edge falls between the
+        # levels, so the 0/1 column fills one bin: no derivative curve
+        # can be accumulated over it.
+        x = np.r_[np.zeros(505), np.ones(495)]
+        d = Dataset(names=["a", "flag"], columns=[np.arange(1_000.0), x])
+        with pytest.raises(DataError) as exc:
+            quantile_bins(d, 1, 100)
+        assert "'flag'" in str(exc.value)
+
+    def test_three_levels_still_bin(self):
+        d = Dataset(names=["x"], columns=[np.array([0.0, 1.0, 2.0] * 10)])
+        s = quantile_bins(d, 0, 100)
+        assert s.k == 3
+        assert np.array_equal(s.counts, [10, 10, 10])
 
     def test_too_few_bins_rejected(self):
         d = Dataset(names=["x"], columns=[np.arange(5.0)])

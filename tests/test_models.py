@@ -10,7 +10,7 @@ from atdev import SimSpec, catalog_model, custom_model, fit_mlp, generate, wrap_
 from atdev.data import Dataset
 from atdev.errors import DataError, ModelError, NumericalError
 from atdev.gradients import check_gradient
-from atdev.models import CATALOG_IDS, MlpModel
+from atdev.models import CATALOG_IDS, MlpModel, Predictor
 from helpers import take
 
 
@@ -89,6 +89,54 @@ class TestAnalytic:
                 else catalog_model(mid)
             out = m.predict(np.zeros((3, m.p)))
             assert out.shape == (3,) and np.all(np.isfinite(out))
+
+
+class TestPartialDependence:
+    def test_polynomial_closed_form_matches_the_sweep(self):
+        m = catalog_model("case_623")
+        x = np.random.default_rng(3).uniform(-1.0, 1.0, (2_000, 5))
+        grid = np.linspace(-1.0, 1.0, 9)
+        for j in range(5):
+            exact = m.partial_dependence(x, j, grid)
+            swept = Predictor.partial_dependence(m, x, j, grid)
+            assert np.max(np.abs(exact - swept)) < 1e-12
+
+    def test_polynomial_checks_its_input(self):
+        m = catalog_model("multiplicative")
+        with pytest.raises(ModelError):
+            m.partial_dependence(np.zeros((3, 3)), 0, np.zeros(2))
+        with pytest.raises(NumericalError):
+            m.partial_dependence(rows((1.0, np.nan)), 0, np.zeros(2))
+
+    def test_sweep_scores_once_per_grid_value(self, scorer_path, monkeypatch):
+        ext = wrap_external([sys.executable, scorer_path, "sum"], p=2)
+        spawns = []
+        real = ext._score_batch
+        monkeypatch.setattr(ext, "_score_batch",
+                            lambda x: spawns.append(len(x)) or real(x))
+        x = rows((1.0, 2.0), (3.0, 4.0))
+        values = ext.partial_dependence(x, 0, np.array([0.0, 10.0, 20.0]))
+        assert spawns == [2, 2, 2]
+        assert np.array_equal(values, [3.0, 13.0, 23.0])
+        assert np.array_equal(x, rows((1.0, 2.0), (3.0, 4.0)))
+
+    def test_sweep_restores_the_column_when_scoring_fails(self, scorer_path,
+                                                          monkeypatch):
+        ext = wrap_external([sys.executable, scorer_path, "sum"], p=2)
+        calls = []
+
+        def fail_second(x):
+            calls.append(x[0, 0])
+            if len(calls) == 2:
+                raise ModelError("scorer died")
+            return x.sum(axis=1)
+
+        monkeypatch.setattr(ext, "_score_batch", fail_second)
+        x = rows((1.0, 2.0), (3.0, 4.0))
+        with pytest.raises(ModelError):
+            ext.partial_dependence(x, 0, np.array([0.0, 10.0, 20.0]))
+        assert calls == [0.0, 10.0]
+        assert np.array_equal(x, rows((1.0, 2.0), (3.0, 4.0)))
 
 
 class TestMlp:
