@@ -17,8 +17,7 @@ from .effects import (DEFAULT_BINS, EffectMatrix, ace, ale, atdev,
                       atdev_terms, effect_matrix, le_curve, marginal, pdp)
 from .errors import (AtdevError, DataError, ModelError, NoOracleError,
                      NumericalError, UsageError)
-from .gradients import (DerivativeField, GradientTable, check_gradient,
-                        gradient_table, partial_derivatives,
+from .gradients import (GradientTable, check_gradient, gradient_table,
                         total_derivatives)
 from .importance import (ImportanceReport, atdev_importance, build_report,
                          dgsm)
@@ -34,7 +33,7 @@ __all__ = [
     "AnalyticModel", "AtdevError", "BinScheme", "CASES", "CATALOG_IDS",
     "CorrelationMatrix",
     "CurveKind", "DEFAULT_BINS", "DataError", "Dataset", "DependenceModel",
-    "DerivativeField", "EffectCurve", "EffectMatrix", "ExternalModel",
+    "EffectCurve", "EffectMatrix", "ExternalModel",
     "FitReport", "GradientTable", "ImportanceReport", "MlpModel",
     "ModelError", "NoOracleError", "NumericalError", "OracleCurve",
     "OracleParams", "Predictor", "SimSpec", "UsageError", "ace", "ale",
@@ -43,6 +42,6 @@ __all__ = [
     "custom_model", "dgsm", "effect_matrix", "fit_dependence", "fit_mlp",
     "generate", "gradient_table", "le_curve",
     "load_csv", "marginal", "oracle", "params_from_data",
-    "partial_derivatives", "pdp", "quantile_bins", "save_csv",
+    "pdp", "quantile_bins", "save_csv",
     "signal_model", "theoretical_r2", "total_derivatives", "wrap_external",
 ]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shlex
 import sys
@@ -73,6 +74,13 @@ class RunConfig:
                 "--mlp-weights or --external-cmd")
         if self.k_bins < 2:
             raise UsageError("--k-bins must be >= 2")
+        if self.fd_step is not None:
+            try:
+                self.fd_step = float(self.fd_step)
+            except (TypeError, ValueError):
+                self.fd_step = math.nan  # rejected just below
+            if not (math.isfinite(self.fd_step) and self.fd_step > 0):
+                raise UsageError("--fd-step must be a positive finite number")
         if self.dependence not in DEPENDENCE_KINDS:
             raise UsageError(f"--dependence must be one of {DEPENDENCE_KINDS}")
         if self.smooth_marginal < 0:
@@ -312,7 +320,7 @@ def _cmd_effects(args) -> int:
             terms, tot_c = atdev_terms(model, d, j, dep=dep, bins=scheme,
                                        table=table)
             ale_c = terms.pop(j)
-            le_c = le_curve(model, d, j, j, bins=scheme, derivs=table)
+            le_c = le_curve(model, d, j, j, bins=scheme, table=table)
 
             curves = [pd_c, mg_c, ale_c, *terms, tot_c, le_c]
             out = [_maybe_center(c, cfg) for c in curves]

@@ -27,6 +27,7 @@ __all__ = [
     "load_csv",
     "save_csv",
     "quantile_bins",
+    "bin_index",
     "center",
 ]
 
@@ -130,8 +131,15 @@ class BinScheme:
     def assign(self, x: np.ndarray) -> np.ndarray:
         """Bin index for arbitrary values; values outside the edge range
         are clamped into the first/last bin."""
-        idx = np.searchsorted(self.edges, x, side="right") - 1
-        return np.clip(idx, 0, self.k - 1)
+        return bin_index(self.edges, x)
+
+
+def bin_index(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Index of the half-open bin ``[e_i, e_{i+1})`` holding each value,
+    the last bin closed; values outside the edges are clamped into the
+    first/last bin."""
+    return np.clip(np.searchsorted(edges, x, side="right") - 1,
+                   0, len(edges) - 2)
 
 
 @dataclass(frozen=True)
@@ -184,8 +192,6 @@ def quantile_bins(d: Dataset, j: int, k: int) -> BinScheme:
     if k < 2:
         raise DataError("bin count must be >= 2")
     x = d.column(j)
-    if len(np.unique(x)) < 2:
-        raise DataError(f"degenerate variable {d.names[j]!r}: constant column")
     edges = np.quantile(x, np.linspace(0.0, 1.0, k + 1))
     edges = np.unique(edges)  # sorted, exact duplicates merged
     if len(edges) < 2:
@@ -201,18 +207,16 @@ def quantile_bins(d: Dataset, j: int, k: int) -> BinScheme:
 
 
 def _merge_empty(edges: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Drop the right edge of any empty bin (rightward merge; leftward for
-    # the last bin) until every bin has a member.
-    while True:
-        nbins = len(edges) - 1
-        bin_of = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, nbins - 1)
-        counts = np.bincount(bin_of, minlength=nbins)
-        empty = np.flatnonzero(counts == 0)
-        if len(empty) == 0:
-            return edges, bin_of, counts.astype(np.int64)
-        b = empty[0]
-        drop = b + 1 if b + 1 < len(edges) - 1 else b
-        edges = np.delete(edges, drop)
+    # Merge every empty bin into its right neighbour: keep the first edge
+    # and the right edge of each non-empty bin, and renumber the rows.
+    # The first and last bins hold the minimum and the maximum, so
+    # neither is ever empty.
+    bin_of = bin_index(edges, x)
+    counts = np.bincount(bin_of, minlength=len(edges) - 1)
+    full = counts > 0
+    renumber = np.cumsum(full) - 1
+    return (np.r_[edges[0], edges[1:][full]], renumber[bin_of],
+            counts[full].astype(np.int64))
 
 
 def load_csv(path: str | Path, has_response: bool = False,

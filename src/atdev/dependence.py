@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, quantile_bins
+from .data import Dataset, bin_index, quantile_bins
 from .errors import DataError
 
 __all__ = [
@@ -71,9 +71,7 @@ class DependenceModel:
         if self.kind == "linear":
             s = np.broadcast_to(self.slopes, (len(x), self.p)).copy()
         else:
-            b = np.clip(np.searchsorted(self.edges, x, side="right") - 1,
-                        0, len(self.bin_slopes) - 1)
-            s = self.bin_slopes[b]
+            s = self.bin_slopes[bin_index(self.edges, x)]
         s[:, self.j] = 1.0
         return s
 
@@ -121,9 +119,8 @@ def fit_dependence(d: Dataset, j: int, kind: str = "linear",
                                resid_vars=resid_vars)
 
     scheme = quantile_bins(d, j, bins)
-    kb = scheme.k
-    bin_of = scheme.assign(xj)
-    counts = np.bincount(bin_of, minlength=kb).astype(np.float64)
+    kb, bin_of = scheme.k, scheme.bin_of
+    counts = scheme.counts.astype(np.float64)
     # Knot abscissa is the bin mean of x_j (not the midpoint) so that on
     # exactly linear data every difference quotient reproduces the global
     # OLS slope to machine precision.

@@ -17,7 +17,8 @@ gradient table G (N x p) and the dependence slopes S[:, k] = dm_k/dx_j
 over the x_j bins, K x p in one call. Column k integrated along the bins
 is ale (k = j) or ace through x_k; atdev is their sum; le_curve is a
 column of the bin means of G alone, not integrated. ``effect_matrix``
-is that kernel run once per anchor.
+is that kernel run once per anchor. Every one of them reads G from its
+``table`` argument and builds it when that is omitted.
 
 Integration is a cumulative midpoint rule from the observed minimum: the
 value at a bin midpoint is the full-width sum over earlier bins plus half
@@ -34,7 +35,7 @@ import numpy as np
 from .data import BinScheme, CurveKind, Dataset, EffectCurve, center, quantile_bins
 from .dependence import DependenceModel, fit_dependence
 from .errors import DataError
-from .gradients import DerivativeField, GradientTable, gradient_table, partial_derivatives
+from .gradients import GradientTable, gradient_table
 from .models import Predictor
 
 __all__ = [
@@ -80,18 +81,6 @@ def _binned(g: np.ndarray, scheme: BinScheme, slopes: np.ndarray | None = None,
     # half of the current bin's full-width contribution.
     contrib = means * scheme.widths[:, None]
     return np.cumsum(contrib, axis=0) - contrib / 2.0
-
-
-def _derivatives(model: Predictor, d: Dataset, k: int,
-                 derivs: DerivativeField | GradientTable | None) -> np.ndarray:
-    """d f / d x_k at every row, as an N x 1 column."""
-    if derivs is None:
-        derivs = partial_derivatives(model, d, k)
-    if isinstance(derivs, GradientTable):
-        return derivs.values[:, k:k + 1]
-    if derivs.j != k:
-        raise DataError(f"derivative field is for column {derivs.j}, expected {k}")
-    return derivs.values[:, None]
 
 
 def _slopes(dep: DependenceModel, d: Dataset, j: int) -> np.ndarray:
@@ -182,17 +171,19 @@ def _local_quadratic(grid: np.ndarray, values: np.ndarray, counts: np.ndarray,
 
 
 def ale(model: Predictor, d: Dataset, j: int, bins: BinScheme | None = None,
-        derivs: DerivativeField | GradientTable | None = None) -> EffectCurve:
+        table: GradientTable | None = None) -> EffectCurve:
     """Own-effect curve: per-bin mean of d f / d x_j over member rows,
     accumulated from the observed minimum. Uncentered."""
     scheme = _scheme(d, j, bins)
-    acc = _binned(_derivatives(model, d, j, derivs), scheme)
+    if table is None:
+        table = gradient_table(model, d)
+    acc = _binned(table.values[:, j:j + 1], scheme)
     return _curve(CurveKind.ALE, j, scheme, acc[:, 0])
 
 
 def ace(model: Predictor, d: Dataset, k: int, j: int, dep: DependenceModel,
         bins: BinScheme | None = None,
-        derivs: DerivativeField | GradientTable | None = None) -> EffectCurve:
+        table: GradientTable | None = None) -> EffectCurve:
     """Cross-effect curve: the part of x_j's effect transmitted through
     the dependent variable x_k. Per-bin mean of
     (d f / d x_k) * (d m_k / d x_j), accumulated as in ale."""
@@ -200,7 +191,9 @@ def ace(model: Predictor, d: Dataset, k: int, j: int, dep: DependenceModel,
         raise DataError("cross effect needs k != j")
     slopes = _slopes(dep, d, j)[:, k:k + 1]
     scheme = _scheme(d, j, bins)
-    acc = _binned(_derivatives(model, d, k, derivs), scheme, slopes)
+    if table is None:
+        table = gradient_table(model, d)
+    acc = _binned(table.values[:, k:k + 1], scheme, slopes)
     return _curve(CurveKind.ACE, j, scheme, acc[:, 0], k)
 
 
@@ -235,12 +228,14 @@ def atdev(model: Predictor, d: Dataset, j: int,
 
 def le_curve(model: Predictor, d: Dataset, k: int, j: int,
              bins: BinScheme | None = None,
-             derivs: DerivativeField | GradientTable | None = None) -> EffectCurve:
+             table: GradientTable | None = None) -> EffectCurve:
     """Per-bin mean of d f / d x_k conditioned on x_j bins, reported on
     the derivative scale (no integration). k = j is the own-derivative
     profile; k != j reads out interactions and transferred effects."""
     scheme = _scheme(d, j, bins)
-    means = _binned(_derivatives(model, d, k, derivs), scheme, integrate=False)
+    if table is None:
+        table = gradient_table(model, d)
+    means = _binned(table.values[:, k:k + 1], scheme, integrate=False)
     kind = CurveKind.LE if k == j else CurveKind.LE_CROSS
     return _curve(kind, j, scheme, means[:, 0], k)
 

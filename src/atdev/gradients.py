@@ -18,9 +18,7 @@ from .errors import DataError, NumericalError
 from .models import Predictor
 
 __all__ = [
-    "DerivativeField",
     "GradientTable",
-    "partial_derivatives",
     "gradient_table",
     "total_derivatives",
     "fd_step",
@@ -35,19 +33,6 @@ def _rows(d: Dataset | np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DerivativeField:
-    """d f / d x_j at every observed row."""
-
-    j: int
-    values: np.ndarray
-    method: str  # "analytic" or "central_fd"
-    step: float | None = None  # h used when method is central_fd
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class GradientTable:
     """All p partials at the observed rows, one column per variable.
 
@@ -56,17 +41,8 @@ class GradientTable:
     """
 
     values: np.ndarray  # N x p
-    method: str
-    steps: np.ndarray | None = None
-
-    def field(self, j: int) -> DerivativeField:
-        return DerivativeField(
-            j=j, values=self.values[:, j], method=self.method,
-            step=None if self.steps is None else float(self.steps[j]))
-
-    @property
-    def p(self) -> int:
-        return self.values.shape[1]
+    method: str  # "analytic" or "central_fd"
+    steps: np.ndarray | None = None  # per-column h when method is central_fd
 
 
 def fd_step(x: np.ndarray, j: int) -> float:
@@ -87,25 +63,6 @@ def _fd_column(model: Predictor, x: np.ndarray, j: int,
         bad = int(np.flatnonzero(~np.isfinite(d))[0])
         raise NumericalError(f"non-finite derivative at row {bad}, column {j}")
     return d
-
-
-def partial_derivatives(model: Predictor, d: Dataset | np.ndarray, j: int,
-                        h: float | None = None) -> DerivativeField:
-    """d f / d x_j at every row, analytic when the backend has it, else
-    central differences (f(x + h e_j) - f(x - h e_j)) / 2h."""
-    x = _rows(d)
-    if not (0 <= j < x.shape[1]):
-        raise DataError(f"column index {j} out of range for p={x.shape[1]}")
-    if model.has_analytic_gradient:
-        g = model.gradient(x)[:, j]
-        if not np.all(np.isfinite(g)):
-            bad = int(np.flatnonzero(~np.isfinite(g))[0])
-            raise NumericalError(f"non-finite derivative at row {bad}, column {j}")
-        return DerivativeField(j=j, values=g, method="analytic")
-    if h is None:
-        h = fd_step(x, j)
-    return DerivativeField(j=j, values=_fd_column(model, x, j, h),
-                           method="central_fd", step=h)
 
 
 def gradient_table(model: Predictor, d: Dataset | np.ndarray,

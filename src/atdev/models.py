@@ -259,7 +259,7 @@ class MlpModel(Predictor):
     @staticmethod
     def from_dict(payload: dict) -> "MlpModel":
         try:
-            return MlpModel(
+            model = MlpModel(
                 w1=np.asarray(payload["w1"], dtype=np.float64),
                 b1=np.asarray(payload["b1"], dtype=np.float64),
                 w2=np.asarray(payload["w2"], dtype=np.float64),
@@ -267,6 +267,19 @@ class MlpModel(Predictor):
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"bad weights payload: {exc}") from exc
+        w1 = model.w1
+        if w1.ndim != 2 or min(w1.shape) < 1:
+            raise ModelError(f"bad weights payload: w1 has shape {w1.shape}, "
+                             f"expected H x p with H, p >= 1")
+        for name in ("b1", "w2"):
+            shape = getattr(model, name).shape
+            if shape != (model.hidden,):
+                raise ModelError(f"bad weights payload: {name} has shape "
+                                 f"{shape}, expected ({model.hidden},)")
+        if not all(np.all(np.isfinite(w)) for w in
+                   (model.w1, model.b1, model.w2, model.b2)):
+            raise ModelError("bad weights payload: non-finite weight")
+        return model
 
     def save(self, path: str | Path) -> None:
         path = Path(path)

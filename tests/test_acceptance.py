@@ -75,9 +75,9 @@ def test_a01_bivariate_normal_curves_match_closed_forms():
                     # through the smoother into the fit window
                     CurveKind.MARGINAL: marginal(model, d, j, bins=scheme),
                     CurveKind.ALE: ale(model, d, j, bins=scheme,
-                                       derivs=table),
+                                       table=table),
                     CurveKind.ACE: ace(model, d, 1 - j, j, dep, bins=scheme,
-                                       derivs=table),
+                                       table=table),
                     CurveKind.ATDEV: total_curve(model, d, j, dep=dep,
                                                  bins=scheme, table=table),
                 }
@@ -149,7 +149,7 @@ def test_a03_additive_case_ale_agrees_with_sweep_curve(d621):
     worst = 0.0
     for j in range(3):
         scheme = quantile_bins(d621, j, 100)
-        own = ale(model, d621, j, bins=scheme, derivs=table)
+        own = ale(model, d621, j, bins=scheme, table=table)
         sweep = pdp(model, d621, j, bins=scheme)
         worst = max(worst, max_gap(own, sweep))
         assert max_gap(own, sweep) < 0.05, f"x{j + 1}"
@@ -169,7 +169,7 @@ def test_a04_independent_data_collapses_all_estimators(d61):
         mask = inner_mask(d61.column(j), scheme.midpoints)
         trio = [pdp(model, d61, j, bins=scheme),
                 marginal(model, d61, j, bins=scheme, smooth=SMOOTH),
-                ale(model, d61, j, bins=scheme, derivs=table)]
+                ale(model, d61, j, bins=scheme, table=table)]
         for a in range(3):
             for b in range(a + 1, 3):
                 gap = max_gap(trio[a], trio[b], mask)
@@ -178,7 +178,7 @@ def test_a04_independent_data_collapses_all_estimators(d61):
         for k in range(5):
             if k == j:
                 continue
-            cross = ace(model, d61, k, j, dep, bins=scheme, derivs=table)
+            cross = ace(model, d61, k, j, dep, bins=scheme, table=table)
             amp = uncentered_max(cross)
             worst_ace = max(worst_ace, amp)
             assert amp < 0.02, f"cross x{k + 1} on x{j + 1}: {amp:.4f}"

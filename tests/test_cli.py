@@ -220,6 +220,18 @@ class TestFitMlp:
         assert rc == 0
         assert (fx / "curves_x1.json").exists()
 
+    def test_malformed_weights_exit_2(self, data61, tmp_path, capsys):
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({
+            "w1": np.ones((4, 5)).tolist(), "b1": [0.0, 0.0, 0.0],
+            "w2": [1.0, 1.0, 1.0, 1.0], "b2": 0.0}))
+        rc = main(["importance", "--data", data61, "--response", "y",
+                   "--mlp-weights", str(weights),
+                   "--out-dir", str(tmp_path / "never"), "--k-bins", "10"])
+        assert rc == 2
+        assert "bad weights payload: b1 has shape (3,)" in \
+            capsys.readouterr().err
+
     def test_bad_valid_frac(self, data61, tmp_path):
         rc = main(["fit-mlp", "--data", data61, "--out-dir", str(tmp_path),
                    "--valid-frac", "1.5"])
@@ -341,6 +353,28 @@ class TestFdStep:
         assert abs(energy["auto"][0] - np.mean((3 * x1 ** 2) ** 2)) < 1e-6
         assert abs(energy["half"][0]
                    - np.mean((3 * x1 ** 2 + 0.25) ** 2)) < 1e-9
+
+
+    @pytest.mark.parametrize("flag, config", [
+        (["--fd-step", "0"], {}),
+        (["--fd-step", "nan"], {}),
+        (["--fd-step", "inf"], {}),
+        ([], {"fd_step": -1}),
+        ([], {"fd_step": "small"}),
+    ])
+    def test_step_must_be_positive_finite(self, data622, tmp_path, capsys,
+                                          flag, config):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        cmd = f"{shlex.quote(sys.executable)} {shlex.quote(str(SCORER))} cube"
+        out = tmp_path / "never"
+        rc = main(["effects", "--config", str(cfg), "--data", data622,
+                   "--response", "y", "--external-cmd", cmd,
+                   "--out-dir", str(out), "--k-bins", "10", *flag])
+        assert rc == 1
+        assert "--fd-step must be a positive finite number" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRollback:

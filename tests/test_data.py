@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atdev import SimSpec, center, generate, load_csv, quantile_bins, save_csv
 from atdev.data import CurveKind, Dataset, EffectCurve
@@ -176,6 +178,15 @@ class TestQuantileBins:
         assert s.k == 2
         assert np.array_equal(s.counts, [3, 1])
 
+    def test_empty_bin_merges_into_right_neighbour(self):
+        # Edges 0, 5/6, 1, 7/6, 2: no value lies in [5/6, 1), so that
+        # bin's right edge goes and it joins [1, 7/6).
+        x = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 2.0])
+        s = quantile_bins(Dataset(names=["x"], columns=[x]), 0, 6)
+        assert np.allclose(s.edges, [0.0, 5 / 6, 7 / 6, 2.0])
+        assert np.array_equal(s.counts, [1, 4, 1])
+        assert np.array_equal(s.bin_of, [0, 1, 1, 1, 1, 2])
+
     def test_uniform_counts_stay_balanced(self):
         rng = np.random.default_rng(0)
         d = Dataset(names=["x"], columns=[rng.uniform(-1, 1, 100_000)])
@@ -217,6 +228,24 @@ class TestQuantileBins:
         d = Dataset(names=["x"], columns=[np.arange(5.0)])
         with pytest.raises(DataError):
             quantile_bins(d, 0, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=2, max_size=80),
+           st.integers(2, 40))
+    def test_tied_columns_fill_every_bin(self, values, k):
+        # Integer levels force tied quantile edges and empty bins.
+        x = np.asarray(values, dtype=np.float64)
+        d = Dataset(names=["x"], columns=[x])
+        try:
+            s = quantile_bins(d, 0, k)
+        except DataError as exc:
+            assert "constant column" in str(exc) or "only 1" in str(exc)
+            return
+        assert np.all(np.diff(s.edges) > 0)
+        assert s.edges[0] == x.min() and s.edges[-1] == x.max()
+        assert np.all(s.counts >= 1) and int(s.counts.sum()) == len(x)
+        assert np.array_equal(s.bin_of, s.assign(x))
+        assert np.array_equal(s.counts, np.bincount(s.bin_of, minlength=s.k))
 
     def test_assign_clamps_out_of_range(self):
         d = Dataset(names=["x"], columns=[np.array([0.0, 1.0, 2.0, 3.0])])

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from atdev import (SimSpec, catalog_model, check_gradient, custom_model,
-                   fit_dependence, generate, gradient_table,
-                   partial_derivatives, total_derivatives)
+                   fit_dependence, generate, gradient_table, total_derivatives)
 from atdev.data import Dataset
 from atdev.dependence import DependenceModel
 from atdev.errors import DataError, NumericalError
@@ -35,55 +34,42 @@ class TestPartials:
     def test_linear_model_constant_gradient(self):
         m = catalog_model("additive_linear", coeffs=[2.0, 5.0])
         d = uniform_dataset(2)
-        f = partial_derivatives(m, d, 0)
-        assert f.method == "analytic"
-        assert np.all(f.values == 2.0)
+        t = gradient_table(m, d)
+        assert t.method == "analytic"
+        assert np.all(t.values[:, 0] == 2.0)
 
     def test_product_gradient_is_other_coordinate(self):
         m = catalog_model("multiplicative")
-        f = partial_derivatives(m, np.array([[0.5, -0.2]]), 0)
-        assert np.isclose(f.values[0], -0.2)
+        f = gradient_table(m, np.array([[0.5, -0.2]])).values[:, 0]
+        assert np.isclose(f[0], -0.2)
 
     def test_cubic_term_analytic(self):
         m = catalog_model("case_623")
         d = uniform_dataset(5, seed=3)
-        f = partial_derivatives(m, d, 2)
+        f = gradient_table(m, d).values[:, 2]
         want = 6.0 * d.column(2) ** 2 - 1.5
-        assert np.max(np.abs(f.values - want)) < 1e-10
+        assert np.max(np.abs(f - want)) < 1e-10
 
     def test_cubic_term_finite_differences(self):
         m = ScoreOnly(catalog_model("case_623"))
         d = uniform_dataset(5, seed=3)
-        f = partial_derivatives(m, d, 2)
-        assert f.method == "central_fd" and f.step is not None
+        t = gradient_table(m, d)
+        assert t.method == "central_fd" and t.steps is not None
         want = 6.0 * d.column(2) ** 2 - 1.5
-        assert np.max(np.abs(f.values - want)) < 1e-6
-
-    def test_column_out_of_range(self):
-        m = catalog_model("multiplicative")
-        with pytest.raises(DataError):
-            partial_derivatives(m, uniform_dataset(2), 2)
+        assert np.max(np.abs(t.values[:, 2] - want)) < 1e-6
 
     def test_linearity_in_the_model(self):
         d = uniform_dataset(2, seed=5)
         f = custom_model(2, [(1.0, {0: 2})])
         g = custom_model(2, [(1.0, {0: 1, 1: 1})])
         combo = custom_model(2, [(3.0, {0: 2}), (-2.0, {0: 1, 1: 1})])
-        df = partial_derivatives(f, d, 0).values
-        dg = partial_derivatives(g, d, 0).values
-        dc = partial_derivatives(combo, d, 0).values
+        df = gradient_table(f, d).values[:, 0]
+        dg = gradient_table(g, d).values[:, 0]
+        dc = gradient_table(combo, d).values[:, 0]
         assert np.allclose(dc, 3.0 * df - 2.0 * dg, atol=1e-12)
 
 
 class TestGradientTable:
-    def test_analytic_matches_per_column(self):
-        m = catalog_model("case_61")
-        d = uniform_dataset(5, seed=1)
-        t = gradient_table(m, d)
-        for j in range(5):
-            assert np.array_equal(t.field(j).values,
-                                  partial_derivatives(m, d, j).values)
-
     def test_fd_table_exact_for_quadratics(self):
         # Central differences have no error on polynomials of degree 2.
         inner = catalog_model("quad_plus_interaction")
@@ -108,7 +94,7 @@ class TestTotals:
                               slopes=np.array([1.0, 0, 0, 0, 0.0]),
                               intercepts=np.zeros(5))
         total = total_derivatives(m, d, 0, dep)
-        own = partial_derivatives(m, d, 0).values
+        own = gradient_table(m, d).values[:, 0]
         assert np.array_equal(total, own)
 
     def test_exact_linear_dependence_shifts_slope(self):

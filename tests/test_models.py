@@ -195,6 +195,22 @@ class TestMlp:
         x = train.matrix()[:50]
         assert np.array_equal(back.predict(x), model.predict(x))
 
+    @pytest.mark.parametrize("change, message", [
+        ({"w1": [1.0, 2.0]}, "w1 has shape (2,)"),
+        ({"w1": [[]]}, "w1 has shape (1, 0)"),
+        ({"b1": [0.0, 0.0, 0.0]}, "b1 has shape (3,)"),
+        ({"w2": [[1.0, 1.0, 1.0, 1.0]]}, "w2 has shape (1, 4)"),
+        ({"w1": [[1.0, float("nan")]] * 4}, "non-finite weight"),
+        ({"b2": float("inf")}, "non-finite weight"),
+    ])
+    def test_malformed_weights_rejected(self, change, message):
+        payload = {"w1": np.ones((4, 2)).tolist(), "b1": [0.0] * 4,
+                   "w2": [1.0] * 4, "b2": 0.5}
+        assert MlpModel.from_dict(payload).p == 2
+        with pytest.raises(ModelError) as exc:
+            MlpModel.from_dict({**payload, **change})
+        assert f"bad weights payload: {message}" in str(exc.value)
+
     def test_bad_weights_file(self, tmp_path):
         bad = tmp_path / "w.json"
         bad.write_text("{not json")

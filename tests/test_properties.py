@@ -64,10 +64,10 @@ def test_matrix_cells_are_centered_standalone_curves(problem):
         scheme = em.schemes[j]
         dep = fit_dependence(d, j, kind)
         for i in range(d.p):
-            own = ale(model, d, j, bins=scheme, derivs=table) if i == j \
-                else ace(model, d, i, j, dep, bins=scheme, derivs=table)
+            own = ale(model, d, j, bins=scheme, table=table) if i == j \
+                else ace(model, d, i, j, dep, bins=scheme, table=table)
             assert close(em.cell(i, j).values, center(own).values)
-            local = le_curve(model, d, i, j, bins=scheme, derivs=table)
+            local = le_curve(model, d, i, j, bins=scheme, table=table)
             assert close(le.cell(i, j).values, center(local).values)
 
 
