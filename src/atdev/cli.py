@@ -151,6 +151,24 @@ def _pick(args: argparse.Namespace, config: dict, name: str, default=None):
     return default
 
 
+def _pick_int(args, config, name: str, default: int) -> int:
+    """Like ``_pick``, but the value must be an integer (a JSON bool or
+    2.7 is not one)."""
+    v = _pick(args, config, name, default)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise UsageError(f"{name!r} must be an integer, got {v!r}")
+    return v
+
+
+def _pick_bool(args, config, name: str, default: bool) -> bool:
+    """Like ``_pick``, but the value must be true or false (the string
+    "false" is not)."""
+    v = _pick(args, config, name, default)
+    if not isinstance(v, bool):
+        raise UsageError(f"{name!r} must be true or false, got {v!r}")
+    return v
+
+
 def _pick_out_dir(args, config) -> Path:
     v = _pick(args, config, "out_dir")
     if v is None:
@@ -171,14 +189,14 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         terms=_pick(args, config, "terms"),
         mlp_weights=_pick(args, config, "mlp_weights"),
         external_cmd=_pick(args, config, "external_cmd"),
-        k_bins=int(_pick(args, config, "k_bins", 100)),
+        k_bins=_pick_int(args, config, "k_bins", 100),
         fd_step=_pick(args, config, "fd_step"),
         dependence=_pick(args, config, "dependence", "linear"),
         out_dir=_pick_out_dir(args, config),
-        center=bool(_pick(args, config, "center", True)),
-        seed=int(_pick(args, config, "seed", 0)),
-        smooth_marginal=int(_pick(args, config, "smooth_marginal", 0)),
-        svg=bool(_pick(args, config, "svg", False)),
+        center=_pick_bool(args, config, "center", True),
+        seed=_pick_int(args, config, "seed", 0),
+        smooth_marginal=_pick_int(args, config, "smooth_marginal", 0),
+        svg=_pick_bool(args, config, "svg", False),
         columns=_pick(args, config, "columns"),
     )
 
@@ -230,9 +248,9 @@ def _cmd_simulate(args) -> int:
         raise UsageError("--case is required")
     spec = SimSpec(
         case=case,
-        n=int(_pick(args, config, "n", 100_000)),
+        n=_pick_int(args, config, "n", 100_000),
         noise_sd=float(_pick(args, config, "noise_sd", 0.1)),
-        seed=int(_pick(args, config, "seed", 0)),
+        seed=_pick_int(args, config, "seed", 0),
         mean=tuple(_pick(args, config, "mean", (0.0, 0.0))),
         sigma=tuple(_pick(args, config, "sigma", (1.0, 1.0))),
         rho=float(_pick(args, config, "rho", 0.0)),
@@ -266,7 +284,7 @@ def _cmd_fit_mlp(args) -> int:
         raise UsageError("--data is required")
     response = _pick(args, config, "response", "y")
     full = load_csv(data, has_response=True, response_name=response)
-    seed = int(_pick(args, config, "seed", 0))
+    seed = _pick_int(args, config, "seed", 0)
     valid_frac = float(_pick(args, config, "valid_frac", 0.1))
     if not (0.0 < valid_frac < 1.0):
         raise UsageError("--valid-frac must be in (0, 1)")
@@ -283,12 +301,12 @@ def _cmd_fit_mlp(args) -> int:
 
     model, report = fit_mlp(
         _slice(tr), _slice(va),
-        hidden=int(_pick(args, config, "hidden", 40)),
-        max_epochs=int(_pick(args, config, "max_epochs", 600)),
-        patience=int(_pick(args, config, "patience", 20)),
+        hidden=_pick_int(args, config, "hidden", 40),
+        max_epochs=_pick_int(args, config, "max_epochs", 600),
+        patience=_pick_int(args, config, "patience", 20),
         seed=seed,
         learning_rate=float(_pick(args, config, "learning_rate", 1e-2)),
-        batch_size=int(_pick(args, config, "batch_size", 256)),
+        batch_size=_pick_int(args, config, "batch_size", 256),
     )
     with _Emitter(_pick_out_dir(args, config)) as em:
         em.json("mlp_weights.json", model.to_dict())

@@ -53,12 +53,14 @@ def fd_step(x: np.ndarray, j: int) -> float:
 
 def _fd_column(model: Predictor, x: np.ndarray, j: int,
                h: float | np.ndarray) -> np.ndarray:
-    """Central differences along column j; ``h`` is one step or one per row."""
-    up = x.copy()
-    dn = x.copy()
-    up[:, j] += h
-    dn[:, j] -= h
-    d = (model.predict(up) - model.predict(dn)) / (2.0 * h)
+    """Central differences along column j; ``h`` is one step or one per row.
+    The up and down probes are scored together in one 2N-row call."""
+    n = len(x)
+    probes = np.concatenate([x, x])
+    probes[:n, j] += h
+    probes[n:, j] -= h
+    f = model.predict(probes)
+    d = (f[:n] - f[n:]) / (2.0 * h)
     if not np.all(np.isfinite(d)):
         bad = int(np.flatnonzero(~np.isfinite(d))[0])
         raise NumericalError(f"non-finite derivative at row {bad}, column {j}")
@@ -67,8 +69,9 @@ def _fd_column(model: Predictor, x: np.ndarray, j: int,
 
 def gradient_table(model: Predictor, d: Dataset | np.ndarray,
                    h: float | None = None) -> GradientTable:
-    """All partials at once; finite differences cost 2p scoring passes.
-    ``h`` overrides the automatic per-column step (FD path only)."""
+    """All partials at once; finite differences cost p scoring calls of
+    2N rows each. ``h`` overrides the automatic per-column step (FD path
+    only)."""
     x = _rows(d)
     if model.has_analytic_gradient:
         g = model.gradient(x)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import subprocess
+import tempfile
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,6 +37,12 @@ __all__ = [
 ]
 
 
+# Rows per stacked ``predict`` call in the generic partial-dependence
+# sweep: 32768 rows of p=5 float64 are 1.3 MB, so memory stays flat while
+# an external scorer is spawned once per several grid values.
+PD_ROW_BUDGET = 32_768
+
+
 class Predictor:
     """Scoring interface: ``predict`` on an N x p matrix returns N finite
     values; backends with ``has_analytic_gradient`` also implement
@@ -53,18 +60,21 @@ class Predictor:
     def partial_dependence(self, x: np.ndarray, j: int,
                            grid: np.ndarray) -> np.ndarray:
         """Mean prediction over the rows of x with column j set to each
-        grid value in turn. This default scores every row once per grid
-        value; backends with a closed form override it. Column j of x is
-        overwritten during the sweep and restored afterwards."""
+        grid value in turn. This default stacks copies of x, one per grid
+        value, into ``predict`` calls of at most ``PD_ROW_BUDGET`` rows
+        (at least one grid value per call); backends with a closed form
+        override it. x itself is never written."""
         x = np.asarray(x, dtype=np.float64)
-        observed = x[:, j].copy()
+        grid = np.asarray(grid, dtype=np.float64)
+        n = len(x)
+        per_call = max(1, PD_ROW_BUDGET // max(n, 1))
         values = np.empty(len(grid))
-        try:
-            for g, z in enumerate(grid):
-                x[:, j] = z
-                values[g] = float(np.mean(self.predict(x)))
-        finally:
-            x[:, j] = observed
+        for s in range(0, len(grid), per_call):
+            block = grid[s:s + per_call]
+            tile = np.tile(x, (len(block), 1))
+            tile[:, j] = np.repeat(block, n)
+            values[s:s + len(block)] = (
+                self.predict(tile).reshape(len(block), n).mean(axis=1))
         return values
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
@@ -453,9 +463,12 @@ class ExternalModel(Predictor):
     """Scores rows through a child process, one spawn per batch.
 
     Wire format: a header line ``N p``, then N rows of p space-separated
-    decimals on stdin; the child must answer with exactly N lines of one
-    decimal each and exit 0. Anything else is a protocol error. Calls are
-    serialized with a lock so the facade is thread-safe.
+    decimals (Python ``repr`` of each float64) on stdin; the child must
+    answer with exactly N lines of one decimal each and exit 0. Anything
+    else, output that is not UTF-8 text included, is a protocol error.
+    The request is streamed through a temporary file, so the child's
+    stdin is a regular file rather than a pipe. Calls are serialized with
+    a lock so the facade is thread-safe.
     """
 
     has_analytic_gradient = False
@@ -478,37 +491,67 @@ class ExternalModel(Predictor):
         return np.concatenate(chunks) if chunks else np.empty(0)
 
     def _score_batch(self, x: np.ndarray) -> np.ndarray:
-        lines = [f"{len(x)} {self.p}"]
-        lines.extend(" ".join(repr(float(v)) for v in row) for row in x)
-        payload = "\n".join(lines) + "\n"
-        try:
-            proc = subprocess.run(
-                self.cmd, input=payload, capture_output=True, text=True,
-                timeout=600)
-        except FileNotFoundError as exc:
-            raise ModelError(f"cannot spawn external scorer {self.cmd[0]!r}: {exc}") from exc
-        except subprocess.TimeoutExpired as exc:
-            raise ModelError(f"external scorer timed out: {self.cmd}") from exc
-        if proc.returncode != 0:
-            raise ModelError(
-                f"external scorer exited {proc.returncode}: {proc.stderr.strip()[:500]}")
-        out = proc.stdout.split()
-        if len(out) != len(x):
-            raise ModelError(
-                f"external scorer protocol error: expected {len(x)} values, "
-                f"got {len(out)}")
-        values = np.empty(len(x))
-        for i, tok in enumerate(out):
+        with tempfile.TemporaryFile() as stdin:
+            _write_rows(stdin, x)
+            stdin.seek(0)
             try:
-                values[i] = float(tok)
-            except ValueError:
-                raise ModelError(
-                    f"external scorer protocol error: row {i} is not a "
-                    f"number: {tok!r}") from None
+                proc = subprocess.run(self.cmd, stdin=stdin,
+                                      capture_output=True, timeout=600)
+            except FileNotFoundError as exc:
+                raise ModelError(f"cannot spawn external scorer {self.cmd[0]!r}: {exc}") from exc
+            except subprocess.TimeoutExpired as exc:
+                raise ModelError(f"external scorer timed out: {self.cmd}") from exc
+        if proc.returncode != 0:
+            stderr = proc.stderr.decode(errors="replace")
+            raise ModelError(
+                f"external scorer exited {proc.returncode}: {stderr.strip()[:500]}")
+        values = _parse_scores(proc.stdout, len(x))
         if not np.all(np.isfinite(values)):
             bad = int(np.flatnonzero(~np.isfinite(values))[0])
             raise NumericalError(f"external scorer returned non-finite value at row {bad}")
         return values
+
+
+# Rows formatted per ``%`` operation on the wire; bounds the size of the
+# intermediate string.
+_WIRE_ROWS = 4096
+
+
+def _write_rows(f, x: np.ndarray) -> None:
+    """Write the request (header, then one line of ``repr`` decimals per
+    row) to the binary file f, a block of rows per format operation."""
+    n, p = x.shape
+    f.write(f"{n} {p}\n".encode())
+    row = " ".join(["%r"] * p) + "\n"
+    for s in range(0, n, _WIRE_ROWS):
+        block = x[s:s + _WIRE_ROWS]
+        f.write(((row * len(block)) % tuple(block.ravel().tolist())).encode())
+
+
+def _parse_scores(stdout: bytes, n: int) -> np.ndarray:
+    """The n scores in a scorer's answer. One vectorized parse; when it
+    fails or counts wrong, a token-by-token pass names the first problem.
+    Bytes that are not UTF-8 stay in their token and fail it."""
+    try:
+        values = np.array(stdout.split(), dtype=np.float64)
+        if len(values) == n:
+            return values
+    except ValueError:
+        pass
+    out = stdout.decode(errors="replace").split()
+    if len(out) != n:
+        raise ModelError(
+            f"external scorer protocol error: expected {n} values, "
+            f"got {len(out)}")
+    values = np.empty(n)
+    for i, tok in enumerate(out):
+        try:
+            values[i] = float(tok)
+        except ValueError:
+            raise ModelError(
+                f"external scorer protocol error: row {i} is not a "
+                f"number: {tok!r}") from None
+    return values
 
 
 def wrap_external(cmd: list[str], p: int, batch_size: int = 100_000) -> ExternalModel:

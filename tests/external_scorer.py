@@ -12,6 +12,7 @@ Modes:
   short     row sums but one line short
   garbage   row sums with one non-numeric line
   nan       emits nan for every row
+  binary    one line of the bytes ff fe (not UTF-8) per row
   fail      exits nonzero without scoring
 """
 
@@ -46,6 +47,9 @@ def main() -> int:
         out[len(out) // 2] = "not-a-number"
     elif mode == "nan":
         out = ["nan"] * len(out)
+    elif mode == "binary":
+        sys.stdout.buffer.write(b"\xff\xfe\n" * len(out))
+        return 0
     sys.stdout.write("\n".join(out))
     if out:
         sys.stdout.write("\n")

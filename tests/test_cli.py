@@ -268,6 +268,39 @@ class TestConfigPrecedence:
         assert (target / "indep_61.csv").exists()
 
 
+    @pytest.mark.parametrize("config, message", [
+        ({"k_bins": "many"}, "'k_bins' must be an integer, got 'many'"),
+        ({"k_bins": 2.7}, "'k_bins' must be an integer, got 2.7"),
+        ({"k_bins": True}, "'k_bins' must be an integer, got True"),
+        ({"seed": "x"}, "'seed' must be an integer, got 'x'"),
+        ({"smooth_marginal": 1.5},
+         "'smooth_marginal' must be an integer, got 1.5"),
+        ({"center": "false"}, "'center' must be true or false, got 'false'"),
+        ({"center": 0}, "'center' must be true or false, got 0"),
+        ({"svg": "yes"}, "'svg' must be true or false, got 'yes'"),
+    ])
+    def test_config_values_must_have_their_type(self, data622, tmp_path,
+                                                 capsys, config, message):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"data": data622, "response": "y",
+                                   "model_id": "case_622", **config}))
+        out = tmp_path / "never"
+        rc = main(["effects", "--config", str(cfg), "--out-dir", str(out)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_booleans_take_effect(self, data622, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"center": False, "svg": True,
+                                   "k_bins": 12, "columns": ["x1"]}))
+        out = tmp_path / "fx"
+        assert run_effects(data622, out, "--config", str(cfg)) == 0
+        payload = read_json(out / "curves_x1.json")
+        assert all(c["centered"] is False for c in payload["curves"])
+        assert (out / "overlay_total_marginal_x1.svg").exists()
+
+
 class TestExitCodes:
     def test_usage_errors(self, data622, tmp_path, capsys):
         out = str(tmp_path / "never")
@@ -329,6 +362,17 @@ class TestExitCodes:
                    "--k-bins", "10"])
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
+        assert not list(out.glob("*.json")) and not list(out.glob("*.csv"))
+
+
+    def test_non_utf8_scorer_output_exits_2(self, data622, tmp_path, capsys):
+        out = tmp_path / "broken"
+        cmd = f"{shlex.quote(sys.executable)} {shlex.quote(str(SCORER))} binary"
+        rc = main(["effects", "--data", data622, "--response", "y",
+                   "--external-cmd", cmd, "--out-dir", str(out),
+                   "--k-bins", "10"])
+        assert rc == 2
+        assert "external scorer protocol error" in capsys.readouterr().err
         assert not list(out.glob("*.json")) and not list(out.glob("*.csv"))
 
 

@@ -1,16 +1,20 @@
 """Predictor backends: polynomial catalog, trained network, external
 scoring process."""
 
+import io
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atdev import SimSpec, catalog_model, custom_model, fit_mlp, generate, wrap_external
 from atdev.data import Dataset
 from atdev.errors import DataError, ModelError, NumericalError
-from atdev.gradients import check_gradient
-from atdev.models import CATALOG_IDS, MlpModel, Predictor
+from atdev.gradients import check_gradient, fd_step, gradient_table
+from atdev.models import (CATALOG_IDS, PD_ROW_BUDGET, MlpModel, Predictor,
+                          _parse_scores, _write_rows)
 from helpers import take
 
 
@@ -108,35 +112,50 @@ class TestPartialDependence:
         with pytest.raises(NumericalError):
             m.partial_dependence(rows((1.0, np.nan)), 0, np.zeros(2))
 
-    def test_sweep_scores_once_per_grid_value(self, scorer_path, monkeypatch):
+    def test_sweep_stacks_grid_values_under_the_row_budget(
+            self, scorer_path, monkeypatch):
+        assert PD_ROW_BUDGET == 32_768
         ext = wrap_external([sys.executable, scorer_path, "sum"], p=2)
-        spawns = []
+        seen = []
         real = ext._score_batch
         monkeypatch.setattr(ext, "_score_batch",
-                            lambda x: spawns.append(len(x)) or real(x))
-        x = rows((1.0, 2.0), (3.0, 4.0))
-        values = ext.partial_dependence(x, 0, np.array([0.0, 10.0, 20.0]))
-        assert spawns == [2, 2, 2]
-        assert np.array_equal(values, [3.0, 13.0, 23.0])
-        assert np.array_equal(x, rows((1.0, 2.0), (3.0, 4.0)))
+                            lambda x: seen.append(len(x)) or real(x))
+        for n, k, spawns in [
+            (8_192, 3, [24_576]),  # N K below R: one call
+            (8_192, 4, [32_768]),  # N K at R: one full call
+            (8_192, 5, [32_768, 8_192]),  # above R: the last call is not full
+            (10_000, 4, [30_000, 10_000]),  # R is not a multiple of N
+            (40_000, 2, [40_000, 40_000]),  # N above R: one grid value a call
+        ]:
+            seen.clear()
+            x = np.column_stack([np.arange(n) * 0.5, np.arange(n) % 4])
+            before = x.copy()
+            grid = np.arange(k) * 10.0 - 3.0
+            values = ext.partial_dependence(x, 0, grid)
+            assert seen == spawns
+            # Column 1 cycles 0, 1, 2, 3: every row mean is z + 1.5 exactly.
+            assert np.array_equal(values, grid + 1.5)
+            assert x.tobytes() == before.tobytes()
 
-    def test_sweep_restores_the_column_when_scoring_fails(self, scorer_path,
-                                                          monkeypatch):
+    def test_sweep_leaves_x_untouched_when_scoring_fails(self, scorer_path,
+                                                         monkeypatch):
         ext = wrap_external([sys.executable, scorer_path, "sum"], p=2)
         calls = []
 
         def fail_second(x):
-            calls.append(x[0, 0])
+            calls.append((len(x), x[0, 0], x[-1, 0]))
             if len(calls) == 2:
                 raise ModelError("scorer died")
             return x.sum(axis=1)
 
         monkeypatch.setattr(ext, "_score_batch", fail_second)
-        x = rows((1.0, 2.0), (3.0, 4.0))
-        with pytest.raises(ModelError):
-            ext.partial_dependence(x, 0, np.array([0.0, 10.0, 20.0]))
-        assert calls == [0.0, 10.0]
-        assert np.array_equal(x, rows((1.0, 2.0), (3.0, 4.0)))
+        x = np.column_stack([np.linspace(-1.0, 1.0, 8_192), np.ones(8_192)])
+        before = x.copy()
+        with pytest.raises(ModelError, match="scorer died"):
+            ext.partial_dependence(x, 0, np.array([0.0, 10.0, 20.0, 30.0,
+                                                   40.0]))
+        assert calls == [(32_768, 0.0, 30.0), (8_192, 40.0, 40.0)]
+        assert x.tobytes() == before.tobytes()
 
 
 class TestMlp:
@@ -271,3 +290,97 @@ class TestExternal:
     def test_empty_command_rejected(self):
         with pytest.raises(ModelError):
             wrap_external([], p=2)
+
+    def test_garbled_line_names_row_and_token(self, scorer_path):
+        ext = wrap_external([sys.executable, scorer_path, "garbage"], p=2)
+        with pytest.raises(ModelError) as exc:
+            ext.predict(np.zeros((5, 2)))
+        assert str(exc.value) == ("external scorer protocol error: row 2 is "
+                                  "not a number: 'not-a-number'")
+
+    def test_non_utf8_output_is_protocol_error(self, scorer_path):
+        ext = wrap_external([sys.executable, scorer_path, "binary"], p=2)
+        with pytest.raises(ModelError) as exc:
+            ext.predict(np.zeros((3, 2)))
+        assert "protocol error: row 0 is not a number" in str(exc.value)
+
+    def test_fd_probes_share_one_call(self, scorer_path, monkeypatch):
+        ext = wrap_external([sys.executable, scorer_path, "cube"], p=3)
+        x = np.random.default_rng(2).uniform(-1.0, 1.0, (50, 3))
+        steps = [fd_step(x, j) for j in range(3)]
+        separate = []
+        for j, h in enumerate(steps):
+            up, dn = x.copy(), x.copy()
+            up[:, j] += h
+            dn[:, j] -= h
+            separate.append((ext.predict(up) - ext.predict(dn)) / (2.0 * h))
+        seen = []
+        real = ext._score_batch
+        monkeypatch.setattr(ext, "_score_batch",
+                            lambda x: seen.append(len(x)) or real(x))
+        table = gradient_table(ext, x)
+        assert seen == [100, 100, 100]
+        assert np.array_equal(table.values, np.column_stack(separate))
+
+
+def per_cell_writer(x: np.ndarray) -> bytes:
+    """The request as the original per-cell ``repr`` writer built it."""
+    lines = [f"{len(x)} {x.shape[1]}"]
+    lines.extend(" ".join(repr(float(v)) for v in row) for row in x)
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestWire:
+    EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, 1e16, 1e-5, 0.1,
+                -1.7976931348623157e308, -5e-324, 2.0 ** 53 + 2, 1 / 3]
+
+    def test_encoder_matches_per_cell_repr(self):
+        x = np.array(self.EXTREMES).reshape(-1, 2)
+        buf = io.BytesIO()
+        _write_rows(buf, x)
+        assert buf.getvalue() == per_cell_writer(x)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 9_000), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_encoder_matches_per_cell_repr_on_random_bits(self, n, p, seed):
+        # Blocks of rows span the encoder's block size.
+        bits = np.random.default_rng(seed).integers(0, 2**64, (n, p),
+                                                    dtype=np.uint64)
+        x = bits.view(np.float64)
+        x = np.where(np.isfinite(x), x, 1.5)
+        buf = io.BytesIO()
+        _write_rows(buf, x)
+        assert buf.getvalue() == per_cell_writer(x)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False), max_size=400),
+           st.sampled_from([b"\n", b" ", b"\r\n"]))
+    def test_vector_parse_equals_per_token_float(self, values, sep):
+        tokens = [repr(v).encode() for v in values]
+        tokens += [b"1_000", b"inf", b"-inf", b"1e400", b"-0.0", b"+7"]
+        stdout = sep.join(tokens) + b"\n"
+        loop = np.array([float(tok) for tok in stdout.decode().split()])
+        assert _parse_scores(stdout, len(tokens)).tobytes() == loop.tobytes()
+
+    def test_tokens_only_float_accepts_still_parse(self):
+        # Non-ASCII digits and separators fail the vectorized parse; the
+        # token pass reads them as the text protocol always did.
+        stdout = "1.5\n\u0661\u0662\u00a0\n-0.0\n".encode()
+        assert _parse_scores(stdout, 3).tolist() == [1.5, 12.0, -0.0]
+
+    def test_round_trip_through_the_scorer_is_bit_exact(self, scorer_path):
+        # With p = 1 the sum scorer echoes each value back as 0 + v,
+        # which turns -0.0 into 0.0.
+        bits = np.random.default_rng(11).integers(0, 2**64, 3_000,
+                                                  dtype=np.uint64)
+        x = bits.view(np.float64)
+        x = np.where(np.isfinite(x), x, 0.25)
+        x[:len(self.EXTREMES)] = self.EXTREMES
+        ext = wrap_external([sys.executable, scorer_path, "sum"], p=1)
+        assert ext.predict(x[:, None]).tobytes() == (0.0 + x).tobytes()
+
+    def test_non_finite_answer_is_numerical_error(self):
+        with pytest.raises(NumericalError, match="row 1"):
+            wrap_external([sys.executable, "-c",
+                           "import sys; sys.stdin.read(); print('1.0 1e400')"],
+                          p=1).predict(np.zeros((2, 1)))

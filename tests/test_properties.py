@@ -2,12 +2,13 @@
 polynomial models and random correlated data."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atdev import (CurveKind, Dataset, ace, ale, atdev, build_report, center,
                    custom_model, effect_matrix, fit_dependence, gradient_table,
                    le_curve, marginal, pdp, quantile_bins, total_derivatives)
+from atdev.models import PD_ROW_BUDGET, MlpModel, Predictor
 
 TOL = 1e-12
 
@@ -112,6 +113,29 @@ def test_pdp_matches_predict_sweep(problem, data):
     xj = d.column(j)
     grid = np.linspace(xj.min(), xj.max(), 7)
     assert close(pdp(model, d, j, bins=scheme, grid=grid).values,
+                 predict_sweep(model, d, j, grid))
+
+
+@settings(max_examples=30, deadline=None)
+@example(PD_ROW_BUDGET + 1, 3, 1, True, 0)
+@example(PD_ROW_BUDGET // 8, 8, 2, False, 1)
+@given(st.integers(1, 2 * PD_ROW_BUDGET + 7), st.integers(1, 40),
+       st.integers(0, 2), st.booleans(), st.integers(0, 2**32 - 1))
+def test_stacked_pd_matches_predict_sweep(n, k, j, network, seed):
+    """The generic stacked sweep equals one predict call per grid value,
+    whether a call holds many grid values (N below the row budget) or
+    one (N above it)."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, (n, 3))
+    if network:
+        model = MlpModel(w1=rng.normal(size=(6, 3)), b1=rng.normal(size=6),
+                         w2=rng.normal(size=6), b2=float(rng.normal()))
+    else:
+        model = custom_model(3, [(1.0, {0: 1, 1: 2}), (-0.5, {2: 3}),
+                                 (0.25, {})])
+    grid = rng.uniform(-1.0, 1.0, k)
+    d = Dataset(names=["x1", "x2", "x3"], columns=[x[:, i] for i in range(3)])
+    assert close(Predictor.partial_dependence(model, x, j, grid),
                  predict_sweep(model, d, j, grid))
 
 
