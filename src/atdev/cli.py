@@ -160,6 +160,30 @@ def _pick_int(args, config, name: str, default: int) -> int:
     return v
 
 
+def _is_number(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+def _pick_float(args, config, name: str, default: float) -> float:
+    """Like ``_pick``, but the value must be a finite number (a JSON bool
+    or the string "0.5" is not one)."""
+    v = _pick(args, config, name, default)
+    if not _is_number(v):
+        raise UsageError(f"{name!r} must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _pick_pair(args, config, name: str,
+               default: tuple[float, float]) -> tuple[float, float]:
+    """Like ``_pick``, but the value must be two finite numbers."""
+    v = _pick(args, config, name, default)
+    if not (isinstance(v, (list, tuple)) and len(v) == 2
+            and all(map(_is_number, v))):
+        raise UsageError(f"{name!r} must be two finite numbers, got {v!r}")
+    return float(v[0]), float(v[1])
+
+
 def _pick_bool(args, config, name: str, default: bool) -> bool:
     """Like ``_pick``, but the value must be true or false (the string
     "false" is not)."""
@@ -249,11 +273,11 @@ def _cmd_simulate(args) -> int:
     spec = SimSpec(
         case=case,
         n=_pick_int(args, config, "n", 100_000),
-        noise_sd=float(_pick(args, config, "noise_sd", 0.1)),
+        noise_sd=_pick_float(args, config, "noise_sd", 0.1),
         seed=_pick_int(args, config, "seed", 0),
-        mean=tuple(_pick(args, config, "mean", (0.0, 0.0))),
-        sigma=tuple(_pick(args, config, "sigma", (1.0, 1.0))),
-        rho=float(_pick(args, config, "rho", 0.0)),
+        mean=_pick_pair(args, config, "mean", (0.0, 0.0)),
+        sigma=_pick_pair(args, config, "sigma", (1.0, 1.0)),
+        rho=_pick_float(args, config, "rho", 0.0),
         model=_pick(args, config, "bn_model", "additive_linear"),
     )
     with _Emitter(_pick_out_dir(args, config)) as em:
@@ -285,7 +309,7 @@ def _cmd_fit_mlp(args) -> int:
     response = _pick(args, config, "response", "y")
     full = load_csv(data, has_response=True, response_name=response)
     seed = _pick_int(args, config, "seed", 0)
-    valid_frac = float(_pick(args, config, "valid_frac", 0.1))
+    valid_frac = _pick_float(args, config, "valid_frac", 0.1)
     if not (0.0 < valid_frac < 1.0):
         raise UsageError("--valid-frac must be in (0, 1)")
     n_valid = max(1, int(round(full.n * valid_frac)))
@@ -305,7 +329,7 @@ def _cmd_fit_mlp(args) -> int:
         max_epochs=_pick_int(args, config, "max_epochs", 600),
         patience=_pick_int(args, config, "patience", 20),
         seed=seed,
-        learning_rate=float(_pick(args, config, "learning_rate", 1e-2)),
+        learning_rate=_pick_float(args, config, "learning_rate", 1e-2),
         batch_size=_pick_int(args, config, "batch_size", 256),
     )
     with _Emitter(_pick_out_dir(args, config)) as em:
@@ -391,9 +415,19 @@ def _le_extras(d, table, cap: int, seed: int):
     return scatter, histograms
 
 
+_MATRIX_KINDS = ("ATDEV", "LE")
+
+
 def _cmd_matrix(args) -> int:
     cfg = _run_config(args)
-    kind = CurveKind(args.kind)
+    config = _read_config(args.config)
+    kind = _pick(args, config, "kind", "ATDEV")
+    if kind not in _MATRIX_KINDS:
+        raise UsageError(f"'kind' must be one of {_MATRIX_KINDS}, got {kind!r}")
+    kind = CurveKind(kind)
+    scatter_cap = _pick_int(args, config, "scatter_cap", 5000)
+    if scatter_cap < 0:
+        raise UsageError("--scatter-cap must be >= 0")
     d = _load_dataset(cfg)
     model = _build_model(cfg, d)
     with _Emitter(cfg.out_dir) as em:
@@ -403,7 +437,7 @@ def _cmd_matrix(args) -> int:
         scatter = histograms = None
         if kind is CurveKind.LE:
             scatter, histograms = _le_extras(
-                d, table, cap=int(args.scatter_cap), seed=cfg.seed)
+                d, table, cap=scatter_cap, seed=cfg.seed)
         stem = f"matrix_{kind.value.lower()}"
         em.json(f"{stem}.json",
                 aio.matrix_to_dict(matrix, scatter=scatter,
@@ -542,10 +576,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("matrix", help="p x p effect matrix data")
     _add_run(sp)
-    sp.add_argument("--kind", choices=["ATDEV", "LE"], default="ATDEV")
+    sp.add_argument("--kind", choices=_MATRIX_KINDS)
     sp.add_argument("--scatter-cap", dest="scatter_cap", type=int,
-                    default=5000,
-                    help="max raw points per LE cell")
+                    help="max raw points per LE cell (default 5000)")
     sp.set_defaults(func=_cmd_matrix)
 
     sp = sub.add_parser("heatmap",

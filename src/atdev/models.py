@@ -12,10 +12,14 @@ from __future__ import annotations
 
 import json
 import os
+import select
 import subprocess
 import tempfile
 import threading
+import time
+from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -458,6 +462,11 @@ def fit_mlp(train: Dataset, valid: Dataset, hidden: int = 40,
 # External scoring process
 # ---------------------------------------------------------------------------
 
+# Scorers one call keeps running at once: the next request is written and
+# its scorer started while the previous answer is awaited and parsed.
+_IN_FLIGHT = 2
+_TIMEOUT_S = 600
+
 
 class ExternalModel(Predictor):
     """Scores rows through a child process, one spawn per batch.
@@ -466,9 +475,11 @@ class ExternalModel(Predictor):
     decimals (Python ``repr`` of each float64) on stdin; the child must
     answer with exactly N lines of one decimal each and exit 0. Anything
     else, output that is not UTF-8 text included, is a protocol error.
-    The request is streamed through a temporary file, so the child's
-    stdin is a regular file rather than a pipe. Calls are serialized with
-    a lock so the facade is thread-safe.
+    The request, the answer and the child's stderr all pass through
+    temporary files, so no child blocks on a full pipe. Calls are
+    serialized with a lock so the facade is thread-safe, but one call may
+    have two children running: the next batch's scorer starts while the
+    previous one's answer is awaited.
     """
 
     has_analytic_gradient = False
@@ -485,31 +496,139 @@ class ExternalModel(Predictor):
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = self._check_input(x)
+        batches = [x[s:s + self.batch_size]
+                   for s in range(0, len(x), self.batch_size)]
+        spawns = ((None, len(b), partial(_write_rows, x=b)) for b in batches)
         with self._lock:
-            chunks = [self._score_batch(x[s:s + self.batch_size])
-                      for s in range(0, len(x), self.batch_size)]
+            chunks = [scores for _, scores in self._scores(spawns)]
         return np.concatenate(chunks) if chunks else np.empty(0)
 
-    def _score_batch(self, x: np.ndarray) -> np.ndarray:
-        with tempfile.TemporaryFile() as stdin:
-            _write_rows(stdin, x)
-            stdin.seek(0)
+    def partial_dependence(self, x: np.ndarray, j: int,
+                           grid: np.ndarray) -> np.ndarray:
+        """The base-class sweep, spawn for spawn and byte for byte, without
+        its tiles: each cell of x is formatted once per call, and each grid
+        value's rows are one join of those pieces around its decimal."""
+        x = self._check_input(x)
+        grid = np.asarray(grid, dtype=np.float64)
+        if not np.all(np.isfinite(grid)):
+            raise NumericalError("non-finite value in model input")
+        n = len(x)
+        if n == 0:
+            return super().partial_dependence(x, j, grid)
+        j = range(self.p)[j]
+        pieces = _row_pieces(x, j)
+        per_call = max(1, PD_ROW_BUDGET // n)
+        b = self.batch_size
+
+        def spawns():
+            # The base class's predict calls: per_call grid values a call,
+            # each call split into batch_size rows a spawn.
+            for s in range(0, len(grid), per_call):
+                block = grid[s:s + per_call].tolist()
+                rows = len(block) * n
+                for r in range(0, rows, b):
+                    end = min(r + b, rows)
+                    yield ((s, len(block), end == rows), end - r,
+                           partial(_write_swept, pieces=pieces, p=self.p,
+                                   block=block, rows=(r, end)))
+
+        values = np.empty(len(grid))
+        parts = []
+        with self._lock:
+            for (s, k, last), scores in self._scores(spawns()):
+                parts.append(scores)
+                if last:
+                    values[s:s + k] = (np.concatenate(parts)
+                                       .reshape(k, n).mean(axis=1))
+                    parts = []
+        return values
+
+    def _scores(self, spawns):
+        """Score each ``(tag, rows, write)`` request in order, yielding
+        ``(tag, scores)``. Up to ``_IN_FLIGHT`` scorers run at once; when
+        one fails, the others are killed and reaped before the error
+        propagates."""
+        running: deque[tuple[object, _Scorer]] = deque()
+        try:
+            for tag, rows, write in spawns:
+                if len(running) == _IN_FLIGHT:
+                    done, child = running.popleft()
+                    yield done, child.scores()
+                running.append((tag, _Scorer(self.cmd, rows, write)))
+            while running:
+                done, child = running.popleft()
+                yield done, child.scores()
+        finally:
+            for _, child in running:
+                child.close()
+
+
+class _Scorer:
+    """One scorer process on one request of ``rows`` rows."""
+
+    def __init__(self, cmd: list[str], rows: int, write):
+        self.cmd, self.rows, self.proc = cmd, rows, None
+        self.stdout = tempfile.TemporaryFile()
+        self.stderr = tempfile.TemporaryFile()
+        try:
+            with tempfile.TemporaryFile() as stdin:
+                write(stdin)
+                stdin.seek(0)
+                self.proc = subprocess.Popen(cmd, stdin=stdin, stdout=self.stdout,
+                                             stderr=self.stderr)
+        except FileNotFoundError as exc:
+            self.close()
+            raise ModelError(f"cannot spawn external scorer {cmd[0]!r}: {exc}") from exc
+        except BaseException:
+            self.close()
+            raise
+        self.deadline = time.monotonic() + _TIMEOUT_S
+
+    def scores(self) -> np.ndarray:
+        """Wait for the scorer and parse its answer; the files are closed
+        and the child reaped whatever happens."""
+        try:
             try:
-                proc = subprocess.run(self.cmd, stdin=stdin,
-                                      capture_output=True, timeout=600)
-            except FileNotFoundError as exc:
-                raise ModelError(f"cannot spawn external scorer {self.cmd[0]!r}: {exc}") from exc
+                _wait(self.proc, max(0.0, self.deadline - time.monotonic()))
             except subprocess.TimeoutExpired as exc:
                 raise ModelError(f"external scorer timed out: {self.cmd}") from exc
-        if proc.returncode != 0:
-            stderr = proc.stderr.decode(errors="replace")
-            raise ModelError(
-                f"external scorer exited {proc.returncode}: {stderr.strip()[:500]}")
-        values = _parse_scores(proc.stdout, len(x))
+            if self.proc.returncode != 0:
+                self.stderr.seek(0)
+                stderr = self.stderr.read().decode(errors="replace")
+                raise ModelError(f"external scorer exited {self.proc.returncode}: "
+                                 f"{stderr.strip()[:500]}")
+            self.stdout.seek(0)
+            values = _parse_scores(self.stdout.read(), self.rows)
+        finally:
+            self.close()
         if not np.all(np.isfinite(values)):
             bad = int(np.flatnonzero(~np.isfinite(values))[0])
             raise NumericalError(f"external scorer returned non-finite value at row {bad}")
         return values
+
+    def close(self) -> None:
+        if self.proc is not None and self.proc.returncode is None:
+            self.proc.kill()
+            self.proc.wait()
+        self.stdout.close()
+        self.stderr.close()
+
+
+def _wait(proc: subprocess.Popen, timeout: float) -> None:
+    """``proc.wait(timeout)``, woken by the child's exit through a pidfd
+    where the platform has one: Popen's own timed wait polls, and sleeps
+    up to 50 ms between looks."""
+    try:
+        fd = os.pidfd_open(proc.pid)
+    except (AttributeError, OSError):
+        proc.wait(timeout)
+        return
+    try:
+        if not select.select([fd], [], [], timeout)[0]:
+            raise subprocess.TimeoutExpired(proc.args, timeout)
+    finally:
+        os.close(fd)
+    proc.wait()
 
 
 # Rows formatted per ``%`` operation on the wire; bounds the size of the
@@ -526,6 +645,41 @@ def _write_rows(f, x: np.ndarray) -> None:
     for s in range(0, n, _WIRE_ROWS):
         block = x[s:s + _WIRE_ROWS]
         f.write(((row * len(block)) % tuple(block.ravel().tolist())).encode())
+
+
+def _row_pieces(x: np.ndarray, j: int) -> list[bytes]:
+    """``[pre_0, suf_0 + pre_1, ..., suf_{N-1}]``, where pre_i and suf_i
+    are the request text of row i before and after column j (suf_i ends
+    the line), so ``v.join(pieces)`` is the body of x with column j set to
+    the decimal v. Every cell outside column j is formatted once."""
+    n, p = x.shape
+    rest = np.delete(x, j, axis=1)
+    row = " ".join(["%r"] * j + ["\0"] + ["%r"] * (p - 1 - j)) + "\n"
+    pieces = [b""]
+    for s in range(0, n, _WIRE_ROWS):
+        block = rest[s:s + _WIRE_ROWS]
+        head, *tail = ((row * len(block)) % tuple(block.ravel().tolist())
+                       ).encode().split(b"\0")
+        pieces[-1] += head
+        pieces.extend(tail)
+    return pieces
+
+
+def _write_swept(f, pieces: list[bytes], p: int, block: list[float],
+                 rows: tuple[int, int]) -> None:
+    """Write rows [r0, r1) of x tiled once per grid value in ``block``,
+    column j set to that value, as ``_write_rows`` writes the tile."""
+    r0, r1 = rows
+    n = len(pieces) - 1
+    f.write(f"{r1 - r0} {p}\n".encode())
+    for g in range(r0 // n, (r1 - 1) // n + 1):
+        i0, i1 = max(r0 - g * n, 0), min(r1 - g * n, n)
+        # Trim the edge pieces to rows i0 .. i1 - 1: pre_i0 follows the
+        # newline of suf_{i0-1}, and suf_{i1-1} ends at its own newline.
+        first = pieces[i0].rpartition(b"\n")[2]
+        last = pieces[i1][:pieces[i1].index(b"\n") + 1]
+        f.write(repr(block[g]).encode().join(
+            [first, *pieces[i0 + 1:i1], last]))
 
 
 def _parse_scores(stdout: bytes, n: int) -> np.ndarray:

@@ -5,6 +5,9 @@ space-separated numbers from stdin and answers with one number per row.
 The first argument picks the rule; the deliberately broken modes exercise
 the parent's protocol-error handling.
 
+Prefixed with ``record DIR``, any mode first saves the request bytes to
+DIR/<pid>.req, so tests see exactly what each spawn was sent.
+
 Modes:
   sum       response is the row sum (default)
   poly3     x1 + x2 + x1*x2 on the first two inputs
@@ -14,20 +17,39 @@ Modes:
   nan       emits nan for every row
   binary    one line of the bytes ff fe (not UTF-8) per row
   fail      exits nonzero without scoring
+  failat V  row sums, but exits like fail when the first cell is V
 """
 
+import os
 import sys
 
 
+def record(directory: str, request: bytes) -> None:
+    """Save the request under the scorer's pid; the rename makes a file
+    appear only once it is whole."""
+    path = os.path.join(directory, f"{os.getpid()}.req")
+    with open(path + ".tmp", "wb") as fh:
+        fh.write(request)
+    os.replace(path + ".tmp", path)
+
+
 def main() -> int:
-    mode = sys.argv[1] if len(sys.argv) > 1 else "sum"
+    args = sys.argv[1:]
+    request = sys.stdin.buffer.read()
+    if args[:1] == ["record"]:
+        record(args[1], request)
+        args = args[2:]
+    mode = args[0] if args else "sum"
     if mode == "fail":
         print("refusing to score", file=sys.stderr)
         return 9
-    header = sys.stdin.readline().split()
+    lines = request.decode().split("\n")
+    header = lines[0].split()
     n, p = int(header[0]), int(header[1])
-    rows = [[float(tok) for tok in sys.stdin.readline().split()]
-            for _ in range(n)]
+    rows = [[float(tok) for tok in line.split()] for line in lines[1:n + 1]]
+    if mode == "failat" and rows and rows[0][0] == float(args[1]):
+        print("refusing to score", file=sys.stderr)
+        return 9
     for row in rows:
         if len(row) != p:
             print("bad row width", file=sys.stderr)

@@ -290,6 +290,72 @@ class TestConfigPrecedence:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, config, message", [
+        ("simulate", {"rho": "abc"}, "'rho' must be a finite number, got 'abc'"),
+        ("simulate", {"noise_sd": True},
+         "'noise_sd' must be a finite number, got True"),
+        ("simulate", {"rho": 1e400}, "'rho' must be a finite number, got inf"),
+        ("simulate", {"mean": 5}, "'mean' must be two finite numbers, got 5"),
+        ("simulate", {"mean": [0.0, 1.0, 2.0]},
+         "'mean' must be two finite numbers, got [0.0, 1.0, 2.0]"),
+        ("simulate", {"sigma": [1.0, "x"]},
+         "'sigma' must be two finite numbers, got [1.0, 'x']"),
+        ("fit-mlp", {"valid_frac": "0.2"},
+         "'valid_frac' must be a finite number, got '0.2'"),
+        ("fit-mlp", {"learning_rate": None},
+         "'learning_rate' must be a finite number, got None"),
+    ])
+    def test_config_floats_must_be_finite_numbers(self, data622, tmp_path,
+                                                  capsys, command, config,
+                                                  message):
+        cfg = tmp_path / "run.json"
+        base = ({"case": "bivariate_normal", "n": 50} if command == "simulate"
+                else {"data": data622, "response": "y"})
+        cfg.write_text(json.dumps({**base, **config}))
+        out = tmp_path / "never"
+        assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_reads_floats_from_config_and_flags(self, tmp_path):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"case": "bivariate_normal", "n": 50,
+                                   "rho": 0.5, "mean": [1, 2],
+                                   "sigma": [1.0, 3.0]}))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg), "--rho", "-0.25",
+                     "--out-dir", str(out)]) == 0
+        meta = read_json(out / "bivariate_normal.meta.json")
+        assert (meta["rho"], meta["mean"], meta["sigma"]) == (
+            -0.25, [1.0, 2.0], [1.0, 3.0])
+
+    def test_matrix_reads_kind_and_scatter_cap_from_config(self, data622,
+                                                           tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"kind": "LE", "scatter_cap": 40}))
+        out = tmp_path / "mx"
+        argv = ["matrix", "--data", data622, "--response", "y",
+                "--model-id", "case_622", "--k-bins", "10",
+                "--config", str(cfg), "--out-dir", str(out)]
+        assert main(argv) == 0
+        assert not (out / "matrix_atdev.json").exists()
+        payload = read_json(out / "matrix_le.json")
+        assert all(len(cell["x"]) == 40 for cell in payload["scatter"])
+        # Flags still win over the file.
+        assert main(argv + ["--kind", "ATDEV"]) == 0
+        assert (out / "matrix_atdev.json").exists()
+        for config, message in [
+            ({"kind": "le"}, "'kind' must be one of ('ATDEV', 'LE'), got 'le'"),
+            ({"scatter_cap": "many"},
+             "'scatter_cap' must be an integer, got 'many'"),
+            ({"scatter_cap": -1}, "--scatter-cap must be >= 0"),
+        ]:
+            cfg.write_text(json.dumps(config))
+            capsys.readouterr()
+            assert main(argv[:-1] + [str(tmp_path / "never")]) == 1
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
     def test_config_booleans_take_effect(self, data622, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"center": False, "svg": True,

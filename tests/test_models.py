@@ -2,7 +2,9 @@
 scoring process."""
 
 import io
+import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,13 +115,8 @@ class TestPartialDependence:
             m.partial_dependence(rows((1.0, np.nan)), 0, np.zeros(2))
 
     def test_sweep_stacks_grid_values_under_the_row_budget(
-            self, scorer_path, monkeypatch):
+            self, scorer_path, tmp_path):
         assert PD_ROW_BUDGET == 32_768
-        ext = wrap_external([sys.executable, scorer_path, "sum"], p=2)
-        seen = []
-        real = ext._score_batch
-        monkeypatch.setattr(ext, "_score_batch",
-                            lambda x: seen.append(len(x)) or real(x))
         for n, k, spawns in [
             (8_192, 3, [24_576]),  # N K below R: one call
             (8_192, 4, [32_768]),  # N K at R: one full call
@@ -127,35 +124,81 @@ class TestPartialDependence:
             (10_000, 4, [30_000, 10_000]),  # R is not a multiple of N
             (40_000, 2, [40_000, 40_000]),  # N above R: one grid value a call
         ]:
-            seen.clear()
+            log = tmp_path / f"{n}x{k}"
+            log.mkdir()
+            ext = recording_scorer(scorer_path, log, p=2)
             x = np.column_stack([np.arange(n) * 0.5, np.arange(n) % 4])
             before = x.copy()
             grid = np.arange(k) * 10.0 - 3.0
             values = ext.partial_dependence(x, 0, grid)
-            assert seen == spawns
+            tiles = tiled_sweep(x, 0, grid)
+            assert [len(t) for t in tiles] == spawns
+            assert recorded(log) == sorted(per_cell_writer(t) for t in tiles)
             # Column 1 cycles 0, 1, 2, 3: every row mean is z + 1.5 exactly.
             assert np.array_equal(values, grid + 1.5)
             assert x.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("j", [0, 2, 4])
+    def test_sweep_requests_equal_the_tiled_requests(self, scorer_path,
+                                                     tmp_path, j):
+        # N = 20 rows over a batch size of 7: spawns cut through rows of
+        # one grid value and across the boundary between two.
+        x = np.random.default_rng(j).uniform(-1.0, 1.0, (20, 5))
+        x[3] = TestWire.EXTREMES[:5]
+        grid = np.array([-0.0, 0.1, 1e16])
+        tiled = Predictor.partial_dependence(
+            wrap_external([sys.executable, scorer_path, "sum"], p=5,
+                          batch_size=7), x, j, grid)
+        ext = recording_scorer(scorer_path, tmp_path, p=5, batch_size=7)
+        values = ext.partial_dependence(x, j, grid)
+        tiles = tiled_sweep(x, j, grid, batch_size=7)
+        assert [len(t) for t in tiles] == [7] * 8 + [4]
+        assert recorded(tmp_path) == sorted(per_cell_writer(t) for t in tiles)
+        assert values.tobytes() == tiled.tobytes()
+
     def test_sweep_leaves_x_untouched_when_scoring_fails(self, scorer_path,
-                                                         monkeypatch):
-        ext = wrap_external([sys.executable, scorer_path, "sum"], p=2)
-        calls = []
-
-        def fail_second(x):
-            calls.append((len(x), x[0, 0], x[-1, 0]))
-            if len(calls) == 2:
-                raise ModelError("scorer died")
-            return x.sum(axis=1)
-
-        monkeypatch.setattr(ext, "_score_batch", fail_second)
+                                                         tmp_path):
+        ext = recording_scorer(scorer_path, tmp_path, p=2,
+                               mode=("failat", "40.0"))
         x = np.column_stack([np.linspace(-1.0, 1.0, 8_192), np.ones(8_192)])
         before = x.copy()
-        with pytest.raises(ModelError, match="scorer died"):
+        with pytest.raises(ModelError, match="scorer exited 9: refusing"):
             ext.partial_dependence(x, 0, np.array([0.0, 10.0, 20.0, 30.0,
                                                    40.0]))
-        assert calls == [(32_768, 0.0, 30.0), (8_192, 40.0, 40.0)]
+        calls = sorted((len(t), t[0, 0], t[-1, 0])
+                       for t in map(parse_request, recorded(tmp_path)))
+        assert calls == [(8_192, 40.0, 40.0), (32_768, 0.0, 30.0)]
         assert x.tobytes() == before.tobytes()
+
+    def test_failure_mid_sweep_reaps_every_scorer(self, scorer_path,
+                                                   tmp_path):
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("open descriptors are listed under /proc/self/fd")
+        # Four calls of two grid values each; the second call fails.
+        ext = recording_scorer(scorer_path, tmp_path, p=2,
+                               mode=("failat", "20.0"))
+        x = np.column_stack([np.zeros(16_384), np.ones(16_384)])
+        fds = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(ModelError) as exc:
+            ext.partial_dependence(x, 0, np.arange(8) * 10.0)
+        assert str(exc.value) == "external scorer exited 9: refusing to score"
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+        # No child is left, running or unreaped.
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        # The third call may have started before the second failed; the
+        # fourth never did.
+        firsts = {parse_request(r)[0, 0] for r in recorded(tmp_path)}
+        assert {0.0, 20.0} <= firsts <= {0.0, 20.0, 40.0}
+
+    def test_non_finite_grid_is_rejected_before_any_spawn(self, scorer_path,
+                                                          tmp_path):
+        ext = recording_scorer(scorer_path, tmp_path, p=2)
+        x = np.ones((10, 2))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NumericalError):
+                ext.partial_dependence(x, 1, np.array([0.0, 1.0, bad]))
+        assert recorded(tmp_path) == []
 
 
 class TestMlp:
@@ -304,22 +347,22 @@ class TestExternal:
             ext.predict(np.zeros((3, 2)))
         assert "protocol error: row 0 is not a number" in str(exc.value)
 
-    def test_fd_probes_share_one_call(self, scorer_path, monkeypatch):
+    def test_fd_probes_share_one_call(self, scorer_path, tmp_path):
         ext = wrap_external([sys.executable, scorer_path, "cube"], p=3)
         x = np.random.default_rng(2).uniform(-1.0, 1.0, (50, 3))
         steps = [fd_step(x, j) for j in range(3)]
-        separate = []
+        separate, probes = [], []
         for j, h in enumerate(steps):
             up, dn = x.copy(), x.copy()
             up[:, j] += h
             dn[:, j] -= h
             separate.append((ext.predict(up) - ext.predict(dn)) / (2.0 * h))
-        seen = []
-        real = ext._score_batch
-        monkeypatch.setattr(ext, "_score_batch",
-                            lambda x: seen.append(len(x)) or real(x))
-        table = gradient_table(ext, x)
-        assert seen == [100, 100, 100]
+            probes.append(np.concatenate([up, dn]))
+        table = gradient_table(
+            recording_scorer(scorer_path, tmp_path, p=3, mode=("cube",)), x)
+        sent = recorded(tmp_path)
+        assert sorted(len(parse_request(r)) for r in sent) == [100, 100, 100]
+        assert sent == sorted(per_cell_writer(t) for t in probes)
         assert np.array_equal(table.values, np.column_stack(separate))
 
 
@@ -328,6 +371,44 @@ def per_cell_writer(x: np.ndarray) -> bytes:
     lines = [f"{len(x)} {x.shape[1]}"]
     lines.extend(" ".join(repr(float(v)) for v in row) for row in x)
     return ("\n".join(lines) + "\n").encode()
+
+
+def parse_request(request: bytes) -> np.ndarray:
+    """The rows of a request, header dropped."""
+    head, _, body = request.partition(b"\n")
+    n, p = map(int, head.split())
+    return np.array(body.split(), dtype=np.float64).reshape(n, p)
+
+
+def recording_scorer(scorer_path, directory, p: int, mode=("sum",),
+                     **kwargs):
+    """External model whose scorer saves every request it is sent in
+    ``directory``."""
+    return wrap_external([sys.executable, scorer_path, "record",
+                          str(directory), *mode], p=p, **kwargs)
+
+
+def recorded(directory) -> list[bytes]:
+    """The requests a recording scorer saved, sorted: two scorers may run
+    at once, so the order of arrival is not the order of the spawns."""
+    return sorted(path.read_bytes() for path in Path(directory).glob("*.req"))
+
+
+def tiled_sweep(x: np.ndarray, j: int, grid: np.ndarray,
+                batch_size: int = 100_000) -> list[np.ndarray]:
+    """The rows of each spawn of a partial-dependence sweep that tiles x
+    once per grid value, PD_ROW_BUDGET rows a call (at least one grid
+    value), each call cut into spawns of batch_size rows."""
+    n = len(x)
+    per_call = max(1, PD_ROW_BUDGET // n)
+    spawns = []
+    for s in range(0, len(grid), per_call):
+        block = grid[s:s + per_call]
+        tile = np.tile(x, (len(block), 1))
+        tile[:, j] = np.repeat(block, n)
+        spawns.extend(tile[r:r + batch_size]
+                      for r in range(0, len(tile), batch_size))
+    return spawns
 
 
 class TestWire:
