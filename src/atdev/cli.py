@@ -1,11 +1,16 @@
 """Command-line surface.
 
 Subcommands: simulate, fit-mlp, effects, matrix, heatmap, importance.
-Options can come from a JSON config file (--config) with flags taking
-precedence; the output directory falls back to the ATDEV_OUT_DIR
-environment variable. Exit codes: 0 success, 1 usage error, 2 data or
-model error, 3 numerical failure. A failing command removes whatever
-files it already wrote.
+Every option is declared once, in ``_OPTIONS``: its name, the
+subcommands that read it, its JSON type or choices, its default and its
+check. The subparsers' flags, the config-file reader and the resolved
+settings all come from that table. A value comes from its flag, else
+from the JSON config file (--config), else from its default; the output
+directory falls back to the ATDEV_OUT_DIR environment variable before
+its default. A config key must name an option of the subcommand and hold
+a value of that option's JSON type. Exit codes: 0 success, 1 usage error,
+2 data or model error, 3 numerical failure. A failing command removes
+whatever files it already wrote.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import shlex
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -31,7 +37,7 @@ from .gradients import gradient_table
 from .importance import build_report
 from .models import (CATALOG_IDS, MlpModel, Predictor, catalog_model,
                      custom_model, fit_mlp, wrap_external)
-from .simgen import CASES, SimSpec, generate, theoretical_r2
+from .simgen import BIVARIATE_MODELS, CASES, SimSpec, generate, theoretical_r2
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 
@@ -44,57 +50,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Resolved settings for an estimation command."""
-
-    data: str
-    response: str | None
-    model_id: str | None
-    coeffs: list[float] | None
-    terms: list | None
-    mlp_weights: str | None
-    external_cmd: str | None
-    k_bins: int
-    fd_step: float | None
-    dependence: str
-    out_dir: Path
-    center: bool
-    seed: int
-    smooth_marginal: int
-    svg: bool
-    columns: list[str] | None
-
-    def __post_init__(self):
-        sources = [s for s in (self.model_id, self.mlp_weights,
-                               self.external_cmd) if s]
-        if len(sources) != 1:
-            raise UsageError(
-                "exactly one model source required: --model-id, "
-                "--mlp-weights or --external-cmd")
-        if self.k_bins < 2:
-            raise UsageError("--k-bins must be >= 2")
-        if self.fd_step is not None:
-            try:
-                self.fd_step = float(self.fd_step)
-            except (TypeError, ValueError):
-                self.fd_step = math.nan  # rejected just below
-            if not (math.isfinite(self.fd_step) and self.fd_step > 0):
-                raise UsageError("--fd-step must be a positive finite number")
-        if self.dependence not in DEPENDENCE_KINDS:
-            raise UsageError(f"--dependence must be one of {DEPENDENCE_KINDS}")
-        if self.smooth_marginal < 0:
-            raise UsageError("--smooth-marginal must be >= 0")
-
-
 class _Emitter:
     """Writes command outputs. Used as a context manager, it tears down
     everything it wrote when the body raises."""
 
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
+    def __init__(self, out_dir: str):
+        self.out_dir = Path(out_dir)
         self.written: list[Path] = []
-        out_dir.mkdir(parents=True, exist_ok=True)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
 
     def __enter__(self) -> _Emitter:
         return self
@@ -122,11 +85,156 @@ class _Emitter:
 
 
 # ---------------------------------------------------------------------------
-# Option plumbing
+# Option table
 # ---------------------------------------------------------------------------
 
 
-def _read_config(path: str | None) -> dict:
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """A JSON value type: its name in messages, its test, and how a flag
+    spells it (argparse ``type`` and ``nargs``). ``cast`` maps a valid
+    value to the one the command uses."""
+
+    phrase: str
+    test: Callable[[object], bool]
+    type: Callable | None = None
+    nargs: int | str | None = None
+    cast: Callable = lambda v: v
+
+
+_INT = _Kind("an integer", _is_int, int)
+_FLOAT = _Kind("a finite number", _is_number, float, cast=float)
+_PAIR = _Kind("two finite numbers",
+              lambda v: (isinstance(v, list) and len(v) == 2
+                         and all(map(_is_number, v))),
+              float, 2, cast=lambda v: (float(v[0]), float(v[1])))
+_FLOATS = _Kind("a list of finite numbers",
+                lambda v: isinstance(v, list) and all(map(_is_number, v)),
+                float, "+")
+_BOOL = _Kind("true or false", lambda v: isinstance(v, bool))
+_STR = _Kind("a string", lambda v: isinstance(v, str))
+_STRS = _Kind("a list of strings",
+              lambda v: (isinstance(v, list)
+                         and all(isinstance(s, str) for s in v)),
+              nargs="+")
+_TERMS = _Kind("a list of [coefficient, {column: power}] terms",
+               lambda v: isinstance(v, list), json.loads)
+
+
+def _at_least(lo: int) -> tuple[Callable, str]:
+    return (lambda v: v >= lo), f">= {lo}"
+
+
+@dataclass(frozen=True)
+class _Opt:
+    """One option: the subcommands that read it, its JSON type (and
+    choices), its default and its check, a (test, phrase) pair. A
+    required option has no default."""
+
+    name: str
+    commands: tuple[str, ...]
+    kind: _Kind
+    default: object = None
+    choices: tuple | None = None
+    check: tuple[Callable, str] | None = None
+    required: bool = False
+    help: str | None = None
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+
+_RUNS = ("effects", "matrix", "heatmap", "importance")
+_MATRIX_KINDS = ("ATDEV", "LE")
+
+_OPTIONS = (
+    _Opt("out_dir", ("simulate", "fit-mlp", *_RUNS), _STR, ".",
+         help="output directory (or ATDEV_OUT_DIR)"),
+    _Opt("seed", ("simulate", "fit-mlp", "matrix"), _INT, 0),
+    # simulate
+    _Opt("case", ("simulate",), _STR, choices=CASES, required=True),
+    _Opt("n", ("simulate",), _INT, 100_000),
+    _Opt("noise_sd", ("simulate",), _FLOAT, 0.1),
+    _Opt("rho", ("simulate",), _FLOAT, 0.0),
+    _Opt("mean", ("simulate",), _PAIR, (0.0, 0.0)),
+    _Opt("sigma", ("simulate",), _PAIR, (1.0, 1.0)),
+    _Opt("bn_model", ("simulate",), _STR, "additive_linear",
+         choices=BIVARIATE_MODELS),
+    # data
+    _Opt("data", ("fit-mlp", *_RUNS), _STR, required=True,
+         help="CSV with a header row"),
+    _Opt("response", ("fit-mlp",), _STR, "y"),
+    _Opt("response", _RUNS, _STR,
+         help="name of a response column to split off"),
+    # fit-mlp
+    _Opt("hidden", ("fit-mlp",), _INT, 40, check=_at_least(1)),
+    _Opt("max_epochs", ("fit-mlp",), _INT, 600, check=_at_least(1)),
+    _Opt("patience", ("fit-mlp",), _INT, 20, check=_at_least(0)),
+    _Opt("valid_frac", ("fit-mlp",), _FLOAT, 0.1,
+         check=(lambda v: 0.0 < v < 1.0, "in (0, 1)")),
+    _Opt("learning_rate", ("fit-mlp",), _FLOAT, 1e-2,
+         check=(lambda v: v > 0, "> 0")),
+    _Opt("batch_size", ("fit-mlp",), _INT, 256, check=_at_least(1)),
+    # model source of the estimation commands: exactly one of model_id,
+    # mlp_weights and external_cmd
+    _Opt("model_id", _RUNS, _STR,
+         help=f"built-in model: one of {', '.join(CATALOG_IDS)}, or custom"),
+    _Opt("coeffs", _RUNS, _FLOATS, help="slope vector for additive_linear"),
+    _Opt("terms", _RUNS, _TERMS,
+         help='custom polynomial, e.g. \'[[1.0, {"0": 2}]]\''),
+    _Opt("mlp_weights", _RUNS, _STR, help="weights JSON written by fit-mlp"),
+    _Opt("external_cmd", _RUNS, _STR,
+         help="scoring command reading the line protocol on stdin"),
+    _Opt("fd_step", _RUNS, _FLOAT,
+         check=(lambda v: v > 0, "a positive finite number"),
+         help="finite-difference step (--external-cmd only)"),
+    # estimation
+    _Opt("k_bins", _RUNS, _INT, 100, check=_at_least(2)),
+    _Opt("dependence", _RUNS, _STR, "linear", choices=DEPENDENCE_KINDS),
+    _Opt("center", ("effects",), _BOOL, True,
+         help="center emitted curves (default on)"),
+    _Opt("smooth_marginal", ("effects",), _INT, 0, check=_at_least(0),
+         help="half-window (in bins) for marginal smoothing"),
+    _Opt("columns", ("effects",), _STRS,
+         help="restrict to these variables (names)"),
+    _Opt("svg", ("effects", "matrix", "heatmap"), _BOOL, False,
+         help="also render SVG charts"),
+    _Opt("kind", ("matrix",), _STR, "ATDEV", choices=_MATRIX_KINDS),
+    _Opt("scatter_cap", ("matrix",), _INT, 5000, check=_at_least(0),
+         help="max raw points per LE cell (default 5000)"),
+)
+
+
+def _check(opt: _Opt, v) -> None:
+    """Raise a UsageError naming the option unless v is a valid value.
+    null stands for "not given" where the default is null. A value of
+    the wrong type is told the option's check as well."""
+    if v is None and opt.default is None:
+        return
+    if not opt.kind.test(v):
+        bound = f" ({opt.flag} must be {opt.check[1]})" if opt.check else ""
+        raise UsageError(
+            f"{opt.name!r} must be {opt.kind.phrase}, got {v!r}{bound}")
+    if opt.choices and v not in opt.choices:
+        raise UsageError(
+            f"{opt.name!r} must be one of {opt.choices}, got {v!r}")
+    if opt.check and not opt.check[0](v):
+        raise UsageError(f"{opt.flag} must be {opt.check[1]}")
+
+
+def _read_config(path: str | None, command: str) -> dict:
+    """The config file's object; each key is checked in turn: a known
+    option, a valid value, an option of this command."""
     if path is None:
         return {}
     p = Path(path)
@@ -138,126 +246,88 @@ def _read_config(path: str | None) -> dict:
         raise UsageError(f"config file {p} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise UsageError(f"config file {p} must hold a JSON object")
+    for key, v in cfg.items():
+        named = [o for o in _OPTIONS if o.name == key]
+        if not named:
+            raise UsageError(f"unknown config key {key!r}")
+        mine = [o for o in named if command in o.commands]
+        _check((mine or named)[0], v)
+        if not mine:
+            raise UsageError(f"config key {key!r} is not an option of {command}")
     return cfg
 
 
-def _pick(args: argparse.Namespace, config: dict, name: str, default=None):
-    """Flag value if given, else config value, else default."""
-    v = getattr(args, name, None)
-    if v is not None:
-        return v
-    if name in config:
-        return config[name]
-    return default
-
-
-def _pick_int(args, config, name: str, default: int) -> int:
-    """Like ``_pick``, but the value must be an integer (a JSON bool or
-    2.7 is not one)."""
-    v = _pick(args, config, name, default)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise UsageError(f"{name!r} must be an integer, got {v!r}")
-    return v
-
-
-def _is_number(v) -> bool:
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
-
-
-def _pick_float(args, config, name: str, default: float) -> float:
-    """Like ``_pick``, but the value must be a finite number (a JSON bool
-    or the string "0.5" is not one)."""
-    v = _pick(args, config, name, default)
-    if not _is_number(v):
-        raise UsageError(f"{name!r} must be a finite number, got {v!r}")
-    return float(v)
-
-
-def _pick_pair(args, config, name: str,
-               default: tuple[float, float]) -> tuple[float, float]:
-    """Like ``_pick``, but the value must be two finite numbers."""
-    v = _pick(args, config, name, default)
-    if not (isinstance(v, (list, tuple)) and len(v) == 2
-            and all(map(_is_number, v))):
-        raise UsageError(f"{name!r} must be two finite numbers, got {v!r}")
-    return float(v[0]), float(v[1])
-
-
-def _pick_bool(args, config, name: str, default: bool) -> bool:
-    """Like ``_pick``, but the value must be true or false (the string
-    "false" is not)."""
-    v = _pick(args, config, name, default)
-    if not isinstance(v, bool):
-        raise UsageError(f"{name!r} must be true or false, got {v!r}")
-    return v
-
-
-def _pick_out_dir(args, config) -> Path:
-    v = _pick(args, config, "out_dir")
-    if v is None:
-        v = os.environ.get("ATDEV_OUT_DIR", ".")
-    return Path(v)
-
-
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    config = _read_config(getattr(args, "config", None))
-    data = _pick(args, config, "data")
-    if not data:
-        raise UsageError("a dataset is required (--data or config 'data')")
-    return RunConfig(
-        data=data,
-        response=_pick(args, config, "response"),
-        model_id=_pick(args, config, "model_id"),
-        coeffs=_pick(args, config, "coeffs"),
-        terms=_pick(args, config, "terms"),
-        mlp_weights=_pick(args, config, "mlp_weights"),
-        external_cmd=_pick(args, config, "external_cmd"),
-        k_bins=_pick_int(args, config, "k_bins", 100),
-        fd_step=_pick(args, config, "fd_step"),
-        dependence=_pick(args, config, "dependence", "linear"),
-        out_dir=_pick_out_dir(args, config),
-        center=_pick_bool(args, config, "center", True),
-        seed=_pick_int(args, config, "seed", 0),
-        smooth_marginal=_pick_int(args, config, "smooth_marginal", 0),
-        svg=_pick_bool(args, config, "svg", False),
-        columns=_pick(args, config, "columns"),
-    )
-
-
-def _load_dataset(cfg: RunConfig) -> Dataset:
-    return load_csv(cfg.data, has_response=cfg.response is not None,
-                    response_name=cfg.response)
-
-
-def _build_model(cfg: RunConfig, d: Dataset) -> Predictor:
-    if cfg.model_id:
-        if cfg.model_id == "custom":
-            if not cfg.terms:
-                raise UsageError("--model-id custom requires --terms")
-            terms = [(float(coef), {int(j): int(a) for j, a in powers.items()})
-                     for coef, powers in cfg.terms]
-            model = custom_model(d.p, terms)
+def _settings(args: argparse.Namespace) -> argparse.Namespace:
+    """One value per option of the command: flag, else config, else
+    default."""
+    config = _read_config(args.config, args.command)
+    s = argparse.Namespace()
+    for opt in _OPTIONS:
+        if args.command not in opt.commands:
+            continue
+        v = getattr(args, opt.name)
+        if v is not None:
+            _check(opt, v)  # config values are checked as they are read
         else:
-            model = catalog_model(cfg.model_id, coeffs=cfg.coeffs, p=d.p)
-    elif cfg.mlp_weights:
-        model = MlpModel.load(cfg.mlp_weights)
+            v = config.get(opt.name)
+        if v is None and opt.name == "out_dir":
+            v = os.environ.get("ATDEV_OUT_DIR")
+        if v is None:
+            v = opt.default
+        if opt.required and not v:
+            raise UsageError(f"{opt.flag} is required")
+        setattr(s, opt.name, v if v is None else opt.kind.cast(v))
+    return s
+
+
+def _custom_terms(terms: list) -> list[tuple[float, dict[int, int]]]:
+    """[coefficient, {column: power}] terms: a finite coefficient, decimal
+    column keys and integer powers >= 1. Nothing is coerced."""
+    out = []
+    for i, term in enumerate(terms, 1):
+        if not (isinstance(term, list) and len(term) == 2
+                and _is_number(term[0]) and isinstance(term[1], dict)
+                and all(k.isdecimal() and _is_int(a) and a >= 1
+                        for k, a in term[1].items())):
+            raise UsageError(
+                f"--terms: term {i} must be [finite coefficient, {{column: "
+                f"integer power >= 1}}] with decimal column keys, got {term!r}")
+        out.append((float(term[0]), {int(k): a for k, a in term[1].items()}))
+    return out
+
+
+def _load_run(s) -> tuple[Dataset, Predictor]:
+    """Check the model source against the options it reads, then load the
+    dataset and build the model."""
+    if len([x for x in (s.model_id, s.mlp_weights, s.external_cmd) if x]) != 1:
+        raise UsageError(
+            "exactly one model source required: --model-id, "
+            "--mlp-weights or --external-cmd")
+    custom = s.model_id == "custom"
+    if s.terms is not None and not custom:
+        raise UsageError("--terms needs --model-id custom")
+    if s.coeffs is not None and (custom or not s.model_id):
+        raise UsageError("--coeffs needs a catalog --model-id")
+    if s.fd_step is not None and not s.external_cmd:
+        raise UsageError("--fd-step needs --external-cmd; the other model "
+                         "sources have exact gradients")
+    if custom and not s.terms:
+        raise UsageError("--model-id custom requires --terms")
+    terms = _custom_terms(s.terms) if custom else None
+    d = load_csv(s.data, has_response=s.response is not None,
+                 response_name=s.response)
+    if custom:
+        model = custom_model(d.p, terms)
+    elif s.model_id:
+        model = catalog_model(s.model_id, coeffs=s.coeffs, p=d.p)
+    elif s.mlp_weights:
+        model = MlpModel.load(s.mlp_weights)
     else:
-        model = wrap_external(shlex.split(cfg.external_cmd), p=d.p)
+        model = wrap_external(shlex.split(s.external_cmd), p=d.p)
     if model.p != d.p:
         raise ModelError(
             f"model expects {model.p} variables, dataset has {d.p}")
-    return model
-
-
-def _selected_columns(cfg: RunConfig, d: Dataset) -> list[int]:
-    if not cfg.columns:
-        return list(range(d.p))
-    return [d.index_of(name) for name in cfg.columns]
-
-
-def _maybe_center(curve, cfg: RunConfig):
-    return center(curve) if cfg.center else curve
+    return d, model
 
 
 # ---------------------------------------------------------------------------
@@ -265,22 +335,10 @@ def _maybe_center(curve, cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(args) -> int:
-    config = _read_config(getattr(args, "config", None))
-    case = _pick(args, config, "case")
-    if not case:
-        raise UsageError("--case is required")
-    spec = SimSpec(
-        case=case,
-        n=_pick_int(args, config, "n", 100_000),
-        noise_sd=_pick_float(args, config, "noise_sd", 0.1),
-        seed=_pick_int(args, config, "seed", 0),
-        mean=_pick_pair(args, config, "mean", (0.0, 0.0)),
-        sigma=_pick_pair(args, config, "sigma", (1.0, 1.0)),
-        rho=_pick_float(args, config, "rho", 0.0),
-        model=_pick(args, config, "bn_model", "additive_linear"),
-    )
-    with _Emitter(_pick_out_dir(args, config)) as em:
+def _cmd_simulate(s) -> int:
+    spec = SimSpec(case=s.case, n=s.n, noise_sd=s.noise_sd, seed=s.seed,
+                   mean=s.mean, sigma=s.sigma, rho=s.rho, model=s.bn_model)
+    with _Emitter(s.out_dir) as em:
         d = generate(spec)
         em.dataset(f"{spec.case}.csv", d)
         cm = corr_matrix(d)
@@ -301,21 +359,12 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_fit_mlp(args) -> int:
-    config = _read_config(getattr(args, "config", None))
-    data = _pick(args, config, "data")
-    if not data:
-        raise UsageError("--data is required")
-    response = _pick(args, config, "response", "y")
-    full = load_csv(data, has_response=True, response_name=response)
-    seed = _pick_int(args, config, "seed", 0)
-    valid_frac = _pick_float(args, config, "valid_frac", 0.1)
-    if not (0.0 < valid_frac < 1.0):
-        raise UsageError("--valid-frac must be in (0, 1)")
-    n_valid = max(1, int(round(full.n * valid_frac)))
+def _cmd_fit_mlp(s) -> int:
+    full = load_csv(s.data, has_response=True, response_name=s.response)
+    n_valid = max(1, int(round(full.n * s.valid_frac)))
     if n_valid >= full.n:
         raise DataError("validation split leaves no training rows")
-    order = np.random.default_rng(seed).permutation(full.n)
+    order = np.random.default_rng(s.seed).permutation(full.n)
     tr, va = order[n_valid:], order[:n_valid]
 
     def _slice(rows):
@@ -324,15 +373,10 @@ def _cmd_fit_mlp(args) -> int:
                        response=full.response[rows])
 
     model, report = fit_mlp(
-        _slice(tr), _slice(va),
-        hidden=_pick_int(args, config, "hidden", 40),
-        max_epochs=_pick_int(args, config, "max_epochs", 600),
-        patience=_pick_int(args, config, "patience", 20),
-        seed=seed,
-        learning_rate=_pick_float(args, config, "learning_rate", 1e-2),
-        batch_size=_pick_int(args, config, "batch_size", 256),
-    )
-    with _Emitter(_pick_out_dir(args, config)) as em:
+        _slice(tr), _slice(va), hidden=s.hidden, max_epochs=s.max_epochs,
+        patience=s.patience, seed=s.seed, learning_rate=s.learning_rate,
+        batch_size=s.batch_size)
+    with _Emitter(s.out_dir) as em:
         em.json("mlp_weights.json", model.to_dict())
         em.json("mlp_fit.json", {"schema": aio.SCHEMA, **report.to_dict()})
     print(f"validation R^2 = {report.valid_r2:.4f} "
@@ -340,36 +384,44 @@ def _cmd_fit_mlp(args) -> int:
     return EXIT_OK
 
 
-def _curve_meta(cfg: RunConfig, table) -> dict:
-    return {"k_bins": cfg.k_bins, "dependence": cfg.dependence,
+def _selected_columns(s, d: Dataset) -> list[int]:
+    if not s.columns:
+        return list(range(d.p))
+    return [d.index_of(name) for name in s.columns]
+
+
+def _maybe_center(curve, s):
+    return center(curve) if s.center else curve
+
+
+def _curve_meta(s, table) -> dict:
+    return {"k_bins": s.k_bins, "dependence": s.dependence,
             "gradient_method": table.method,
-            "smooth_marginal": cfg.smooth_marginal}
+            "smooth_marginal": s.smooth_marginal}
 
 
-def _cmd_effects(args) -> int:
-    cfg = _run_config(args)
-    d = _load_dataset(cfg)
-    model = _build_model(cfg, d)
-    with _Emitter(cfg.out_dir) as em:
-        table = gradient_table(model, d, h=cfg.fd_step)
-        for j in _selected_columns(cfg, d):
+def _cmd_effects(s) -> int:
+    d, model = _load_run(s)
+    with _Emitter(s.out_dir) as em:
+        table = gradient_table(model, d, h=s.fd_step)
+        for j in _selected_columns(s, d):
             name = d.names[j]
-            scheme = quantile_bins(d, j, cfg.k_bins)
-            dep = fit_dependence(d, j, cfg.dependence)
+            scheme = quantile_bins(d, j, s.k_bins)
+            dep = fit_dependence(d, j, s.dependence)
             pd_c = pdp(model, d, j, bins=scheme)
             mg_c = marginal(model, d, j, bins=scheme,
-                            smooth=cfg.smooth_marginal)
+                            smooth=s.smooth_marginal)
             terms, tot_c = atdev_terms(model, d, j, dep=dep, bins=scheme,
                                        table=table)
             ale_c = terms.pop(j)
             le_c = le_curve(model, d, j, j, bins=scheme, table=table)
 
             curves = [pd_c, mg_c, ale_c, *terms, tot_c, le_c]
-            out = [_maybe_center(c, cfg) for c in curves]
+            out = [_maybe_center(c, s) for c in curves]
             em.text(f"curves_{name}.csv", aio.curves_to_csv(out))
             em.json(f"curves_{name}.json", {
                 "schema": aio.SCHEMA, "variable": name,
-                "curves": [aio.curve_to_dict(c, meta=_curve_meta(cfg, table))
+                "curves": [aio.curve_to_dict(c, meta=_curve_meta(s, table))
                            for c in out]})
 
             # Overlays are always centered; level offsets are exactly what
@@ -385,7 +437,7 @@ def _cmd_effects(args) -> int:
                 "curves": {"pd": aio.curve_to_dict(pd_cc),
                            "marginal": aio.curve_to_dict(mg_cc),
                            "ale": aio.curve_to_dict(ale_cc)}})
-            if cfg.svg:
+            if s.svg:
                 em.text(f"overlay_total_marginal_{name}.svg",
                         asvg.curve_chart([tot_cc, mg_cc],
                                          ["total", "marginal"], title=name))
@@ -415,47 +467,33 @@ def _le_extras(d, table, cap: int, seed: int):
     return scatter, histograms
 
 
-_MATRIX_KINDS = ("ATDEV", "LE")
-
-
-def _cmd_matrix(args) -> int:
-    cfg = _run_config(args)
-    config = _read_config(args.config)
-    kind = _pick(args, config, "kind", "ATDEV")
-    if kind not in _MATRIX_KINDS:
-        raise UsageError(f"'kind' must be one of {_MATRIX_KINDS}, got {kind!r}")
-    kind = CurveKind(kind)
-    scatter_cap = _pick_int(args, config, "scatter_cap", 5000)
-    if scatter_cap < 0:
-        raise UsageError("--scatter-cap must be >= 0")
-    d = _load_dataset(cfg)
-    model = _build_model(cfg, d)
-    with _Emitter(cfg.out_dir) as em:
-        table = gradient_table(model, d, h=cfg.fd_step)
-        matrix = effect_matrix(model, d, kind, k_bins=cfg.k_bins,
-                               dependence=cfg.dependence, table=table)
+def _cmd_matrix(s) -> int:
+    kind = CurveKind(s.kind)
+    d, model = _load_run(s)
+    with _Emitter(s.out_dir) as em:
+        table = gradient_table(model, d, h=s.fd_step)
+        matrix = effect_matrix(model, d, kind, k_bins=s.k_bins,
+                               dependence=s.dependence, table=table)
         scatter = histograms = None
         if kind is CurveKind.LE:
             scatter, histograms = _le_extras(
-                d, table, cap=scatter_cap, seed=cfg.seed)
+                d, table, cap=s.scatter_cap, seed=s.seed)
         stem = f"matrix_{kind.value.lower()}"
         em.json(f"{stem}.json",
                 aio.matrix_to_dict(matrix, scatter=scatter,
                                    histograms=histograms))
-        if cfg.svg:
+        if s.svg:
             em.text(f"{stem}.svg",
                     asvg.matrix_chart(matrix, title=kind.value))
     return EXIT_OK
 
 
-def _cmd_heatmap(args) -> int:
-    cfg = _run_config(args)
-    d = _load_dataset(cfg)
-    model = _build_model(cfg, d)
-    with _Emitter(cfg.out_dir) as em:
-        report = build_report(model, d, k_bins=cfg.k_bins,
-                              dependence=cfg.dependence,
-                              table=gradient_table(model, d, h=cfg.fd_step))
+def _cmd_heatmap(s) -> int:
+    d, model = _load_run(s)
+    with _Emitter(s.out_dir) as em:
+        report = build_report(model, d, k_bins=s.k_bins,
+                              dependence=s.dependence,
+                              table=gradient_table(model, d, h=s.fd_step))
         vmax = float(report.v.max())
         shades = report.v / vmax if vmax > 0 else report.v
         comp = aio.HeatMapData(names=report.names, values=shades,
@@ -469,7 +507,7 @@ def _cmd_heatmap(args) -> int:
         em.json("derivative_energy_bars.json", aio.bars_to_dict(
             aio.BarData(label="mean squared derivative",
                         names=report.names, values=report.dgsm)))
-        if cfg.svg:
+        if s.svg:
             em.text("components_heatmap.svg",
                     asvg.heatmap_chart(comp, title="effect components"))
             em.text("correlation_heatmap.svg",
@@ -483,14 +521,12 @@ def _cmd_heatmap(args) -> int:
     return EXIT_OK
 
 
-def _cmd_importance(args) -> int:
-    cfg = _run_config(args)
-    d = _load_dataset(cfg)
-    model = _build_model(cfg, d)
-    with _Emitter(cfg.out_dir) as em:
-        report = build_report(model, d, k_bins=cfg.k_bins,
-                              dependence=cfg.dependence,
-                              table=gradient_table(model, d, h=cfg.fd_step))
+def _cmd_importance(s) -> int:
+    d, model = _load_run(s)
+    with _Emitter(s.out_dir) as em:
+        report = build_report(model, d, k_bins=s.k_bins,
+                              dependence=s.dependence,
+                              table=gradient_table(model, d, h=s.fd_step))
         em.json("importance.json", aio.report_to_dict(report))
         em.text("importance.csv", aio.report_to_csv(report))
     return EXIT_OK
@@ -501,41 +537,14 @@ def _cmd_importance(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp):
-    sp.add_argument("--config", help="JSON file with defaults; flags win")
-    sp.add_argument("--out-dir", dest="out_dir",
-                    help="output directory (or ATDEV_OUT_DIR)")
-    sp.add_argument("--seed", type=int, dest="seed")
-
-
-def _add_run(sp):
-    _add_common(sp)
-    sp.add_argument("--data", help="predictor CSV (header row)")
-    sp.add_argument("--response", dest="response",
-                    help="name of a response column to split off")
-    sp.add_argument("--model-id", dest="model_id",
-                    help=f"built-in model: one of {', '.join(CATALOG_IDS)}, or custom")
-    sp.add_argument("--coeffs", dest="coeffs", type=float, nargs="+",
-                    help="slope vector for additive_linear")
-    sp.add_argument("--terms", dest="terms", type=json.loads,
-                    help='custom polynomial, e.g. \'[[1.0, {"0": 2}]]\'')
-    sp.add_argument("--mlp-weights", dest="mlp_weights",
-                    help="weights JSON written by fit-mlp")
-    sp.add_argument("--external-cmd", dest="external_cmd",
-                    help="scoring command reading the line protocol on stdin")
-    sp.add_argument("--k-bins", dest="k_bins", type=int)
-    sp.add_argument("--fd-step", dest="fd_step", type=float,
-                    help="finite-difference step override")
-    sp.add_argument("--dependence", choices=list(DEPENDENCE_KINDS))
-    sp.add_argument("--center", dest="center",
-                    action=argparse.BooleanOptionalAction,
-                    help="center emitted curves (default on)")
-    sp.add_argument("--smooth-marginal", dest="smooth_marginal", type=int,
-                    help="half-window (in bins) for marginal smoothing")
-    sp.add_argument("--svg", dest="svg", action=argparse.BooleanOptionalAction,
-                    help="also render SVG charts")
-    sp.add_argument("--columns", nargs="+",
-                    help="restrict to these variables (names)")
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "write a synthetic dataset + sidecar"),
+    "fit-mlp": (_cmd_fit_mlp, "train the built-in network"),
+    "effects": (_cmd_effects, "per-variable curves and overlay bundles"),
+    "matrix": (_cmd_matrix, "p x p effect matrix data"),
+    "heatmap": (_cmd_heatmap, "importance heat maps and bar data"),
+    "importance": (_cmd_importance, "importance report JSON + CSV"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -543,52 +552,19 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Derivative-based effect curves and "
                                  "importance measures for black-box models")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    sp = sub.add_parser("simulate", help="write a synthetic dataset + sidecar")
-    _add_common(sp)
-    sp.add_argument("--case", choices=list(CASES))
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--noise-sd", dest="noise_sd", type=float)
-    sp.add_argument("--rho", type=float)
-    sp.add_argument("--mean", type=float, nargs=2)
-    sp.add_argument("--sigma", type=float, nargs=2)
-    sp.add_argument("--bn-model", dest="bn_model",
-                    choices=["additive_linear", "multiplicative",
-                             "quad_plus_interaction"])
-    sp.set_defaults(func=_cmd_simulate)
-
-    sp = sub.add_parser("fit-mlp", help="train the built-in network")
-    _add_common(sp)
-    sp.add_argument("--data")
-    sp.add_argument("--response", dest="response")
-    sp.add_argument("--hidden", type=int)
-    sp.add_argument("--max-epochs", dest="max_epochs", type=int)
-    sp.add_argument("--patience", type=int)
-    sp.add_argument("--valid-frac", dest="valid_frac", type=float)
-    sp.add_argument("--learning-rate", dest="learning_rate", type=float)
-    sp.add_argument("--batch-size", dest="batch_size", type=int)
-    sp.set_defaults(func=_cmd_fit_mlp)
-
-    sp = sub.add_parser("effects",
-                        help="per-variable curves and overlay bundles")
-    _add_run(sp)
-    sp.set_defaults(func=_cmd_effects)
-
-    sp = sub.add_parser("matrix", help="p x p effect matrix data")
-    _add_run(sp)
-    sp.add_argument("--kind", choices=_MATRIX_KINDS)
-    sp.add_argument("--scatter-cap", dest="scatter_cap", type=int,
-                    help="max raw points per LE cell (default 5000)")
-    sp.set_defaults(func=_cmd_matrix)
-
-    sp = sub.add_parser("heatmap",
-                        help="importance heat maps and bar data")
-    _add_run(sp)
-    sp.set_defaults(func=_cmd_heatmap)
-
-    sp = sub.add_parser("importance", help="importance report JSON + CSV")
-    _add_run(sp)
-    sp.set_defaults(func=_cmd_importance)
+    for command, (func, help_) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_)
+        sp.set_defaults(func=func)
+        sp.add_argument("--config", help="JSON file with option values; flags win")
+        for opt in _OPTIONS:
+            if command not in opt.commands:
+                continue
+            if opt.kind is _BOOL:
+                kw = {"action": argparse.BooleanOptionalAction}
+            else:
+                kw = {"type": opt.kind.type, "nargs": opt.kind.nargs,
+                      "choices": opt.choices}
+            sp.add_argument(opt.flag, dest=opt.name, help=opt.help, **kw)
     return parser
 
 
@@ -599,7 +575,7 @@ def main(argv: list[str] | None = None) -> int:
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
-        return args.func(args)
+        return args.func(_settings(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -538,3 +538,158 @@ class TestSubprocessEntry:
             capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
         assert (tmp_path / "indep_61.meta.json").exists()
+
+
+def _run_with_config(command, config, tmp_path, *flags):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    return main([command, "--config", str(cfg), *flags])
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("command, config, message", [
+        ("effects", {"kbins": 7}, "unknown config key 'kbins'"),
+        ("effects", {"columns": "x1"},
+         "'columns' must be a list of strings, got 'x1'"),
+        ("effects", {"external_cmd": 5}, "'external_cmd' must be a string"),
+        ("effects", {"data": 5}, "'data' must be a string, got 5"),
+        ("effects", {"out_dir": 5}, "'out_dir' must be a string, got 5"),
+        ("effects", {"fd_step": "0.1"}, "'fd_step' must be a finite number"),
+        ("effects", {"fd_step": True}, "'fd_step' must be a finite number"),
+        ("effects", {"scatter_cap": 10},
+         "config key 'scatter_cap' is not an option of effects"),
+        ("simulate", {"case": "nope"}, "'case' must be one of"),
+        ("simulate", {"case": "bivariate_normal", "bn_model": "zzz"},
+         "'bn_model' must be one of"),
+    ])
+    def test_bad_keys_are_usage_errors(self, data622, tmp_path, capsys,
+                                       command, config, message):
+        base = ({"case": "bivariate_normal", "n": 50} if command == "simulate"
+                else {"data": data622, "response": "y",
+                      "model_id": "case_622"})
+        out = tmp_path / "never"
+        rc = _run_with_config(command, {**base, **config}, tmp_path,
+                              "--out-dir", str(out))
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--case", "nope"],
+        ["--case", "bivariate_normal", "--bn-model", "zzz"],
+    ])
+    def test_choice_flags_are_usage_errors(self, tmp_path, flags):
+        assert main(["simulate", *flags, "--out-dir",
+                     str(tmp_path / "never")]) == 1
+
+
+class TestDeadFlags:
+    @pytest.mark.parametrize("command, flag", [
+        ("effects", ["--seed", "3"]),
+        ("matrix", ["--center"]),
+        ("matrix", ["--smooth-marginal", "3"]),
+        ("matrix", ["--columns", "x2"]),
+        ("heatmap", ["--seed", "3"]),
+        ("heatmap", ["--no-center"]),
+        ("heatmap", ["--smooth-marginal", "3"]),
+        ("heatmap", ["--columns", "x2"]),
+        ("importance", ["--svg"]),
+        ("importance", ["--columns", "x2"]),
+        ("importance", ["--smooth-marginal", "3"]),
+        ("importance", ["--seed", "3"]),
+        ("importance", ["--center"]),
+    ])
+    def test_flags_a_command_ignores_are_rejected(self, data622, tmp_path,
+                                                  capsys, command, flag):
+        out = tmp_path / "never"
+        rc = main([command, "--data", data622, "--response", "y",
+                   "--model-id", "case_622", "--k-bins", "10",
+                   "--out-dir", str(out), *flag])
+        assert rc == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestModelSourceOptions:
+    @pytest.mark.parametrize("source, message", [
+        (["--model-id", "case_622", "--terms", '[[1.0, {"0": 2}]]'],
+         "--terms needs --model-id custom"),
+        (["--external-cmd", "cat", "--terms", '[[1.0, {"0": 2}]]'],
+         "--terms needs --model-id custom"),
+        (["--model-id", "custom", "--terms", '[[1.0, {"0": 2}]]',
+          "--coeffs", "1", "2", "3"], "--coeffs needs a catalog --model-id"),
+        (["--external-cmd", "cat", "--coeffs", "1", "2", "3"],
+         "--coeffs needs a catalog --model-id"),
+        (["--model-id", "case_622", "--fd-step", "0.1"],
+         "--fd-step needs --external-cmd"),
+        (["--model-id", "custom", "--terms", '[[1.0, {"0": 2}]]',
+          "--fd-step", "0.1"], "--fd-step needs --external-cmd"),
+        (["--mlp-weights", "w.json", "--fd-step", "0.1"],
+         "--fd-step needs --external-cmd"),
+    ])
+    def test_options_the_source_ignores_are_rejected(self, data622, tmp_path,
+                                                     capsys, source, message):
+        out = tmp_path / "never"
+        rc = main(["importance", "--data", data622, "--response", "y",
+                   "--k-bins", "10", "--out-dir", str(out), *source])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_coeffs_on_a_fixed_form_model_stay_a_model_error(
+            self, data622, tmp_path, capsys):
+        rc = main(["importance", "--data", data622, "--response", "y",
+                   "--model-id", "case_622", "--coeffs", "1", "2", "3",
+                   "--out-dir", str(tmp_path / "never")])
+        assert rc == 2
+        assert "takes no coefficients" in capsys.readouterr().err
+
+
+class TestCustomTerms:
+    @pytest.mark.parametrize("terms, bad", [
+        ([[1.0, {"0": 2.5}]], "term 1"),
+        ([[1.0, {"0": 1}], [2.0, {"1": True}]], "term 2"),
+        ([["1", {"0": 1}]], "term 1"),
+        ([[1.0, {"a": 2}]], "term 1"),
+        ([[1.0, {"-1": 2}]], "term 1"),
+        ([[1.0, {"0": 0}]], "term 1"),
+        ([[1.0, {"0": 1}], [2.0]], "term 2"),
+        ([5], "term 1"),
+        (5, "'terms' must be a list"),
+    ])
+    def test_terms_are_checked_not_coerced(self, data622, tmp_path, capsys,
+                                           terms, bad):
+        out = tmp_path / "never"
+        rc = main(["effects", "--data", data622, "--response", "y",
+                   "--model-id", "custom", "--terms", json.dumps(terms),
+                   "--k-bins", "10", "--out-dir", str(out)])
+        assert rc == 1
+        assert bad in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_of_range_column_stays_a_model_error(self, data622, tmp_path,
+                                                     capsys):
+        rc = main(["effects", "--data", data622, "--response", "y",
+                   "--model-id", "custom", "--terms", '[[1.0, {"7": 2}]]',
+                   "--out-dir", str(tmp_path / "never")])
+        assert rc == 2
+        assert "term references variable 7" in capsys.readouterr().err
+
+
+class TestFitMlpBounds:
+    @pytest.mark.parametrize("flag, message", [
+        (["--batch-size", "0"], "--batch-size must be >= 1"),
+        (["--max-epochs", "0"], "--max-epochs must be >= 1"),
+        (["--hidden", "0"], "--hidden must be >= 1"),
+        (["--learning-rate", "-1"], "--learning-rate must be > 0"),
+        (["--learning-rate", "0"], "--learning-rate must be > 0"),
+        (["--patience", "-1"], "--patience must be >= 0"),
+    ])
+    def test_bounds_are_usage_errors(self, data61, tmp_path, capsys, flag,
+                                     message):
+        out = tmp_path / "never"
+        rc = main(["fit-mlp", "--data", data61, "--out-dir", str(out),
+                   "--max-epochs", "3", *flag])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
