@@ -163,11 +163,14 @@ _OPTIONS = (
     _Opt("seed", ("simulate", "fit-mlp", "matrix"), _INT, 0),
     # simulate
     _Opt("case", ("simulate",), _STR, choices=CASES, required=True),
-    _Opt("n", ("simulate",), _INT, 100_000),
-    _Opt("noise_sd", ("simulate",), _FLOAT, 0.1),
-    _Opt("rho", ("simulate",), _FLOAT, 0.0),
+    _Opt("n", ("simulate",), _INT, 100_000, check=_at_least(1)),
+    _Opt("noise_sd", ("simulate",), _FLOAT, 0.1,
+         check=(lambda v: v >= 0, ">= 0")),
+    _Opt("rho", ("simulate",), _FLOAT, 0.0,
+         check=(lambda v: abs(v) < 1, "in (-1, 1)")),
     _Opt("mean", ("simulate",), _PAIR, (0.0, 0.0)),
-    _Opt("sigma", ("simulate",), _PAIR, (1.0, 1.0)),
+    _Opt("sigma", ("simulate",), _PAIR, (1.0, 1.0),
+         check=(lambda v: min(v) > 0, "two numbers > 0")),
     _Opt("bn_model", ("simulate",), _STR, "additive_linear",
          choices=BIVARIATE_MODELS),
     # data
@@ -401,6 +404,9 @@ def _curve_meta(s, table) -> dict:
 
 
 def _cmd_effects(s) -> int:
+    for name in s.columns or ():
+        if s.columns.count(name) > 1:
+            raise UsageError(f"--columns names {name!r} more than once")
     d, model = _load_run(s)
     with _Emitter(s.out_dir) as em:
         table = gradient_table(model, d, h=s.fd_step)

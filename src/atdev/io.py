@@ -4,7 +4,8 @@ and atomic file writes.
 Every JSON document carries ``"schema": "atdev/1"`` and reloads into the
 domain object it came from with identical numbers (floats are emitted at
 full repr precision). Files are staged to a temp name in the target
-directory and renamed into place, so readers never see partial content.
+directory and renamed into place, so readers never see partial content;
+a failed write removes its temp file. JSON is encoded as it is written.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import io as _io
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,16 +52,35 @@ __all__ = [
 ]
 
 
+@contextmanager
+def _staged(path: Path):
+    """A text file open on ``path`` + ".tmp", renamed onto path when the
+    block ends and removed when it raises."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_text_atomic(path: str | Path, text: str) -> Path:
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    with _staged(path) as f:
+        f.write(text)
     return path
 
 
 def write_json(path: str | Path, payload: dict) -> Path:
-    return write_text_atomic(path, json.dumps(payload, indent=1) + "\n")
+    """``json.dumps(payload, indent=1)`` and a newline, streamed to the
+    file: the document is never held whole in memory."""
+    path = Path(path)
+    with _staged(path) as f:
+        f.writelines(json.JSONEncoder(indent=1).iterencode(payload))
+        f.write("\n")
+    return path
 
 
 def read_json(path: str | Path) -> dict:

@@ -41,10 +41,12 @@ __all__ = [
 ]
 
 
-# Rows per stacked ``predict`` call in the generic partial-dependence
-# sweep: 32768 rows of p=5 float64 are 1.3 MB, so memory stays flat while
-# an external scorer is spawned once per several grid values.
-PD_ROW_BUDGET = 32_768
+# Rows per model evaluation. ``predict`` and ``gradient`` work through
+# blocks of at most this many rows, an external scorer is sent at most
+# this many a spawn, and the generic partial-dependence sweep stacks grid
+# values up to it. An H=40 hidden layer over 32768 rows is 10 MB, and at
+# N=10000 one sweep call still holds three grid values.
+ROW_BUDGET = 32_768
 
 
 class Predictor:
@@ -65,13 +67,13 @@ class Predictor:
                            grid: np.ndarray) -> np.ndarray:
         """Mean prediction over the rows of x with column j set to each
         grid value in turn. This default stacks copies of x, one per grid
-        value, into ``predict`` calls of at most ``PD_ROW_BUDGET`` rows
-        (at least one grid value per call); backends with a closed form
+        value, into ``predict`` calls of at most ``ROW_BUDGET`` rows (at
+        least one grid value per call); backends with a closed form
         override it. x itself is never written."""
         x = np.asarray(x, dtype=np.float64)
         grid = np.asarray(grid, dtype=np.float64)
         n = len(x)
-        per_call = max(1, PD_ROW_BUDGET // max(n, 1))
+        per_call = max(1, ROW_BUDGET // max(n, 1))
         values = np.empty(len(grid))
         for s in range(0, len(grid), per_call):
             block = grid[s:s + per_call]
@@ -80,6 +82,21 @@ class Predictor:
             values[s:s + len(block)] = (
                 self.predict(tile).reshape(len(block), n).mean(axis=1))
         return values
+
+    def _blocked(self, x: np.ndarray, evaluate, width: int | None = None
+                 ) -> np.ndarray:
+        """Check x, then fill one preallocated output (N values, or N x
+        width) from x's blocks of at most ``ROW_BUDGET`` rows. ``evaluate``
+        maps the iterator of blocks to an iterator of their results, in
+        order."""
+        x = self._check_input(x)
+        out = np.empty(len(x) if width is None else (len(x), width))
+        starts = range(0, len(x), ROW_BUDGET)
+        results = evaluate(x[s:s + ROW_BUDGET] for s in starts)
+        # results first, so that evaluate runs to its end
+        for values, s in zip(results, starts):
+            out[s:s + len(values)] = values
+        return out
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -118,7 +135,12 @@ class AnalyticModel(Predictor):
                     raise ModelError("term powers must be >= 1 (constants: empty dict)")
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_input(x)
+        return self._blocked(x, partial(map, self._predict_rows))
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return self._blocked(x, partial(map, self._gradient_rows), self.p)
+
+    def _predict_rows(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros(len(x))
         for coef, powers in self.terms:
             t = np.full(len(x), coef)
@@ -127,8 +149,7 @@ class AnalyticModel(Predictor):
             out += t
         return out
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_input(x)
+    def _gradient_rows(self, x: np.ndarray) -> np.ndarray:
         g = np.zeros_like(x)
         for coef, powers in self.terms:
             for j, a in powers.items():
@@ -233,7 +254,10 @@ class MlpModel(Predictor):
     """tanh hidden layer, linear output: f(x) = w2 . tanh(W1 x + b1) + b2.
 
     The gradient is exact: d f / d x = W1^T (sech^2(W1 x + b1) * w2).
-    Weights act on raw (unstandardized) inputs.
+    Weights act on raw (unstandardized) inputs. ``predict`` and
+    ``gradient`` run through row blocks of at most ``ROW_BUDGET`` rows,
+    each with one hidden-layer array updated in place, so their memory
+    does not grow with N beyond the output.
     """
 
     w1: np.ndarray  # H x p
@@ -251,14 +275,27 @@ class MlpModel(Predictor):
         return self.w1.shape[0]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_input(x)
-        a = np.tanh(x @ self.w1.T + self.b1)
-        return a @ self.w2 + self.b2
+        return self._blocked(x, partial(map, self._predict_rows))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_input(x)
-        a = np.tanh(x @ self.w1.T + self.b1)
-        return ((1.0 - a * a) * self.w2) @ self.w1
+        return self._blocked(x, partial(map, self._gradient_rows), self.p)
+
+    def _hidden(self, x: np.ndarray) -> np.ndarray:
+        """tanh(W1 x + b1) for each row, in one array."""
+        z = x @ self.w1.T
+        z += self.b1
+        return np.tanh(z, out=z)
+
+    def _predict_rows(self, x: np.ndarray) -> np.ndarray:
+        return self._hidden(x) @ self.w2 + self.b2
+
+    def _gradient_rows(self, x: np.ndarray) -> np.ndarray:
+        # (1 - a^2) * w2, computed in a's own array
+        a = self._hidden(x)
+        np.multiply(a, a, out=a)
+        np.subtract(1.0, a, out=a)
+        a *= self.w2
+        return a @ self.w1
 
     def to_dict(self) -> dict:
         return {
@@ -469,7 +506,8 @@ _TIMEOUT_S = 600
 
 
 class ExternalModel(Predictor):
-    """Scores rows through a child process, one spawn per batch.
+    """Scores rows through a child process, one spawn per block of at
+    most ``ROW_BUDGET`` rows.
 
     Wire format: a header line ``N p``, then N rows of p space-separated
     decimals (Python ``repr`` of each float64) on stdin; the child must
@@ -478,30 +516,29 @@ class ExternalModel(Predictor):
     The request, the answer and the child's stderr all pass through
     temporary files, so no child blocks on a full pipe. Calls are
     serialized with a lock so the facade is thread-safe, but one call may
-    have two children running: the next batch's scorer starts while the
+    have two children running: the next block's scorer starts while the
     previous one's answer is awaited.
     """
 
     has_analytic_gradient = False
 
-    def __init__(self, cmd: list[str], p: int, batch_size: int = 100_000):
+    def __init__(self, cmd: list[str], p: int):
         if not cmd:
             raise ModelError("empty external command")
         if p < 1:
             raise ModelError("arity must be >= 1")
         self.cmd = list(cmd)
         self.p = p
-        self.batch_size = batch_size
         self._lock = threading.Lock()
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_input(x)
-        batches = [x[s:s + self.batch_size]
-                   for s in range(0, len(x), self.batch_size)]
-        spawns = ((None, len(b), partial(_write_rows, x=b)) for b in batches)
+        return self._blocked(x, self._score_blocks)
+
+    def _score_blocks(self, blocks):
+        spawns = ((None, len(b), partial(_write_rows, x=b)) for b in blocks)
         with self._lock:
-            chunks = [scores for _, scores in self._scores(spawns)]
-        return np.concatenate(chunks) if chunks else np.empty(0)
+            for _, scores in self._scores(spawns):
+                yield scores
 
     def partial_dependence(self, x: np.ndarray, j: int,
                            grid: np.ndarray) -> np.ndarray:
@@ -517,17 +554,16 @@ class ExternalModel(Predictor):
             return super().partial_dependence(x, j, grid)
         j = range(self.p)[j]
         pieces = _row_pieces(x, j)
-        per_call = max(1, PD_ROW_BUDGET // n)
-        b = self.batch_size
+        per_call = max(1, ROW_BUDGET // n)
 
         def spawns():
             # The base class's predict calls: per_call grid values a call,
-            # each call split into batch_size rows a spawn.
+            # each call split into predict's blocks, a spawn each.
             for s in range(0, len(grid), per_call):
                 block = grid[s:s + per_call].tolist()
                 rows = len(block) * n
-                for r in range(0, rows, b):
-                    end = min(r + b, rows)
+                for r in range(0, rows, ROW_BUDGET):
+                    end = min(r + ROW_BUDGET, rows)
                     yield ((s, len(block), end == rows), end - r,
                            partial(_write_swept, pieces=pieces, p=self.p,
                                    block=block, rows=(r, end)))
@@ -708,6 +744,6 @@ def _parse_scores(stdout: bytes, n: int) -> np.ndarray:
     return values
 
 
-def wrap_external(cmd: list[str], p: int, batch_size: int = 100_000) -> ExternalModel:
+def wrap_external(cmd: list[str], p: int) -> ExternalModel:
     """Predictor over a scoring subprocess (no analytic gradient)."""
-    return ExternalModel(cmd=cmd, p=p, batch_size=batch_size)
+    return ExternalModel(cmd=cmd, p=p)

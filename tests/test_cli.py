@@ -110,6 +110,23 @@ class TestEffects:
         assert (out / "curves_x2.json").exists()
         assert not (out / "curves_x1.json").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_repeated_column_is_a_usage_error(self, data622, tmp_path,
+                                              capsys, source):
+        out = tmp_path / "never"
+        columns = ["x1", "x2", "x1"]
+        if source == "flag":
+            rc = run_effects(data622, out, "--columns", *columns)
+        else:
+            rc = _run_with_config("effects", {"columns": columns}, tmp_path,
+                                  "--data", data622, "--response", "y",
+                                  "--model-id", "case_622",
+                                  "--out-dir", str(out))
+        assert rc == 1
+        assert "--columns names 'x1' more than once" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_svg_flag_adds_charts(self, data622, tmp_path):
         out = tmp_path / "fx"
         assert run_effects(data622, out, "--columns", "x1", "--svg") == 0
@@ -497,13 +514,14 @@ class TestRollback:
         path = tmp_path / "flat.csv"
         save_csv(flat, path)
         written = []
-        real_write = atdev.io.write_text_atomic
+        real_stage = atdev.io._staged
 
-        def spy(target, text):
+        def spy(target):
             written.append(target.name)
-            return real_write(target, text)
+            return real_stage(target)
 
-        monkeypatch.setattr(atdev.io, "write_text_atomic", spy)
+        # Text and JSON files are both staged through this one helper.
+        monkeypatch.setattr(atdev.io, "_staged", spy)
         out = tmp_path / "rolled_back"
         rc = main(["effects", "--data", str(path), "--response", "y",
                    "--model-id", "case_622", "--out-dir", str(out),

@@ -22,6 +22,18 @@ PAIRS = [(command, opt) for opt in cli._OPTIONS for command in opt.commands]
 IDS = [f"{command}-{opt.name}" for command, opt in PAIRS]
 
 
+# Out-of-range values of every option with a check.
+OUT_OF_RANGE = {
+    "n": [0], "noise_sd": [-1.0], "rho": [1.0, -1.0],
+    "sigma": [[0.0, 1.0], [1.0, -2.0]], "hidden": [0], "max_epochs": [0],
+    "patience": [-1], "valid_frac": [0.0, 1.0], "learning_rate": [0.0],
+    "batch_size": [0], "fd_step": [0.0], "k_bins": [1],
+    "smooth_marginal": [-1], "scatter_cap": [-1],
+}
+CHECKED = [(command, opt, v) for command, opt in PAIRS
+           for v in OUT_OF_RANGE.get(opt.name, [])]
+
+
 def valid_value(opt):
     if opt.kind is cli._BOOL:
         return not opt.default
@@ -138,3 +150,27 @@ def test_flags_and_config_file_write_the_same_bytes(tmp_path, command):
     for name in written:
         assert (tmp_path / "flags" / name).read_bytes() == \
             (tmp_path / "cfg" / name).read_bytes(), name
+
+
+def test_every_checked_option_has_out_of_range_values():
+    assert sorted(OUT_OF_RANGE) == sorted({opt.name for opt in cli._OPTIONS
+                                           if opt.check})
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, opt, v", CHECKED,
+                         ids=[f"{c}-{o.name}-{v}" for c, o, v in CHECKED])
+def test_out_of_range_values_are_usage_errors(tmp_path, capsys, command,
+                                              opt, v, source):
+    out = tmp_path / "never"
+    argv = [command, *required_flags(command, opt.name), "--out-dir", str(out)]
+    if source == "flag":
+        argv += as_flags(opt, v)
+    else:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({opt.name: v}))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 1
+    assert opt.check is not None
+    assert f"{opt.flag} must be {opt.check[1]}" in capsys.readouterr().err
+    assert not out.exists()

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atdev import CurveKind, Dataset, EffectCurve, catalog_model, center, \
     corr_matrix, effect_matrix
@@ -204,6 +206,40 @@ class TestFileLayer:
         back = curve_from_dict(read_json(target))
         assert np.array_equal(back.values, curve.values)
         assert not list(tmp_path.glob("*.tmp"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(st.text(), st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+        lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+        max_leaves=40)))
+    def test_streamed_json_equals_dumps(self, tmp_path_factory, payload):
+        target = tmp_path_factory.mktemp("json") / "doc.json"
+        write_json(target, payload)
+        assert target.read_bytes() == \
+            (json.dumps(payload, indent=1) + "\n").encode()
+
+    def test_streamed_json_of_an_le_matrix_equals_dumps(self, tmp_path):
+        rng = np.random.default_rng(2)
+        scatter = [{"i": i, "j": j, "x": rng.normal(size=500).tolist(),
+                    "deriv": rng.normal(size=500).tolist()}
+                   for i in range(3) for j in range(3)]
+        payload = {"schema": SCHEMA, "cells": [[None, {}], [[], [1e-300]]],
+                   "scatter": scatter, "name": "\u00e9\u2603"}
+        write_json(tmp_path / "m.json", payload)
+        assert (tmp_path / "m.json").read_bytes() == \
+            (json.dumps(payload, indent=1) + "\n").encode()
+
+    def test_failure_mid_stream_leaves_no_file(self, tmp_path):
+        payload = {"values": list(range(50_000)), "bad": object()}
+        with pytest.raises(TypeError):
+            write_json(tmp_path / "new.json", payload)
+        kept = tmp_path / "kept.json"
+        write_json(kept, {"schema": SCHEMA})
+        before = kept.read_bytes()
+        with pytest.raises(TypeError):
+            write_json(kept, payload)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json"]
+        assert kept.read_bytes() == before
 
     def test_atomic_write_replaces_content(self, tmp_path):
         target = tmp_path / "note.txt"

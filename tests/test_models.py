@@ -4,6 +4,7 @@ scoring process."""
 import io
 import os
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atdev import SimSpec, catalog_model, custom_model, fit_mlp, generate, wrap_external
+from atdev import (SimSpec, catalog_model, custom_model, fit_mlp, generate,
+                   marginal, models, pdp, quantile_bins, wrap_external)
 from atdev.data import Dataset
 from atdev.errors import DataError, ModelError, NumericalError
 from atdev.gradients import check_gradient, fd_step, gradient_table
-from atdev.models import (CATALOG_IDS, PD_ROW_BUDGET, MlpModel, Predictor,
-                          _parse_scores, _write_rows)
+from atdev.models import (CATALOG_IDS, ROW_BUDGET, AnalyticModel, MlpModel,
+                          Predictor, _parse_scores, _write_rows)
 from helpers import take
 
 
@@ -116,13 +118,14 @@ class TestPartialDependence:
 
     def test_sweep_stacks_grid_values_under_the_row_budget(
             self, scorer_path, tmp_path):
-        assert PD_ROW_BUDGET == 32_768
+        assert ROW_BUDGET == 32_768
         for n, k, spawns in [
             (8_192, 3, [24_576]),  # N K below R: one call
             (8_192, 4, [32_768]),  # N K at R: one full call
             (8_192, 5, [32_768, 8_192]),  # above R: the last call is not full
             (10_000, 4, [30_000, 10_000]),  # R is not a multiple of N
-            (40_000, 2, [40_000, 40_000]),  # N above R: one grid value a call
+            # N above R: one grid value a call, cut into spawns of R rows
+            (40_000, 2, [32_768, 7_232, 32_768, 7_232]),
         ]:
             log = tmp_path / f"{n}x{k}"
             log.mkdir()
@@ -140,21 +143,29 @@ class TestPartialDependence:
 
     @pytest.mark.parametrize("j", [0, 2, 4])
     def test_sweep_requests_equal_the_tiled_requests(self, scorer_path,
-                                                     tmp_path, j):
-        # N = 20 rows over a batch size of 7: spawns cut through rows of
-        # one grid value and across the boundary between two.
-        x = np.random.default_rng(j).uniform(-1.0, 1.0, (20, 5))
-        x[3] = TestWire.EXTREMES[:5]
-        grid = np.array([-0.0, 0.1, 1e16])
-        tiled = Predictor.partial_dependence(
-            wrap_external([sys.executable, scorer_path, "sum"], p=5,
-                          batch_size=7), x, j, grid)
-        ext = recording_scorer(scorer_path, tmp_path, p=5, batch_size=7)
-        values = ext.partial_dependence(x, j, grid)
-        tiles = tiled_sweep(x, j, grid, batch_size=7)
-        assert [len(t) for t in tiles] == [7] * 8 + [4]
-        assert recorded(tmp_path) == sorted(per_cell_writer(t) for t in tiles)
-        assert values.tobytes() == tiled.tobytes()
+                                                     tmp_path, monkeypatch, j):
+        monkeypatch.setattr(models, "ROW_BUDGET", 7)
+        for n, spawns in [
+            # N = 20 over a budget of 7: spawns cut through the rows of
+            # each grid value, so both edges of the middle one are trimmed.
+            (20, [7, 7, 6] * 3),
+            # N = 3: two grid values a spawn, the last spawn holds one.
+            (3, [6, 3]),
+        ]:
+            log = tmp_path / str(n)
+            log.mkdir()
+            x = np.random.default_rng(j).uniform(-1.0, 1.0, (n, 5))
+            x[n // 2] = TestWire.EXTREMES[:5]
+            grid = np.array([-0.0, 0.1, 1e16])
+            tiled = Predictor.partial_dependence(
+                wrap_external([sys.executable, scorer_path, "sum"], p=5),
+                x, j, grid)
+            ext = recording_scorer(scorer_path, log, p=5)
+            values = ext.partial_dependence(x, j, grid)
+            tiles = tiled_sweep(x, j, grid)
+            assert [len(t) for t in tiles] == spawns
+            assert recorded(log) == sorted(per_cell_writer(t) for t in tiles)
+            assert values.tobytes() == tiled.tobytes()
 
     def test_sweep_leaves_x_untouched_when_scoring_fails(self, scorer_path,
                                                          tmp_path):
@@ -282,6 +293,130 @@ class TestMlp:
             MlpModel.load(tmp_path / "absent.json")
 
 
+def random_network(rng, p: int, hidden: int) -> MlpModel:
+    return MlpModel(w1=rng.normal(size=(hidden, p)), b1=rng.normal(size=hidden),
+                    w2=rng.normal(size=hidden), b2=float(rng.normal()))
+
+
+class ScoredOnly(Predictor):
+    """A model seen as a scorer: its gradients come from finite
+    differences, whose probes go through ``predict``."""
+
+    def __init__(self, model: Predictor):
+        self.model, self.p = model, model.p
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        return self.model.predict(x)
+
+
+class TestRowBudget:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([ROW_BUDGET - 1, ROW_BUDGET, ROW_BUDGET + 1,
+                            2 * ROW_BUDGET + 7]),
+           st.integers(1, 5), st.integers(1, 48), st.integers(0, 2**32 - 1))
+    def test_blocked_network_equals_the_unblocked_formulas(self, n, p, hidden,
+                                                           seed):
+        """Equal to 1e-12 of the scale: a threaded BLAS splits an N-row
+        product among its threads at N-dependent rows, and a row's last
+        bits depend on where it falls in its thread's share, so the
+        unblocked formula itself is bit-exact only for one split."""
+        rng = np.random.default_rng(seed)
+        model = random_network(rng, p, hidden)
+        x = rng.uniform(-2.0, 2.0, (n, p))
+        a = np.tanh(x @ model.w1.T + model.b1)
+        for got, want in ((model.predict(x), a @ model.w2 + model.b2),
+                          (model.gradient(x),
+                           ((1.0 - a * a) * model.w2) @ model.w1)):
+            assert got.shape == want.shape
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([ROW_BUDGET - 1, ROW_BUDGET, ROW_BUDGET + 1,
+                            2 * ROW_BUDGET + 7]),
+           st.lists(st.tuples(st.floats(-2.0, 2.0),
+                              st.dictionaries(st.integers(0, 2),
+                                              st.integers(1, 3), max_size=3)),
+                    min_size=1, max_size=5),
+           st.integers(0, 2**32 - 1))
+    def test_blocked_polynomial_equals_the_unblocked_formulas(self, n, terms,
+                                                              seed):
+        model = custom_model(3, terms)
+        x = np.random.default_rng(seed).uniform(-2.0, 2.0, (n, 3))
+        f, g = np.zeros(n), np.zeros((n, 3))
+        for coef, powers in model.terms:
+            t = np.full(n, coef)
+            for j, a in powers.items():
+                t *= x[:, j] ** a
+            f += t
+            for j, a in powers.items():
+                t = np.full(n, coef * a)
+                t *= x[:, j] ** (a - 1)
+                for m, b in powers.items():
+                    if m != j:
+                        t *= x[:, m] ** b
+                g[:, j] += t
+        assert model.predict(x).tobytes() == f.tobytes()
+        assert model.gradient(x).tobytes() == g.tobytes()
+
+    def test_no_backend_call_sees_more_than_the_budget(self, monkeypatch):
+        sizes = []
+        for cls in (AnalyticModel, MlpModel):
+            for name in ("_predict_rows", "_gradient_rows"):
+                def counted(self, x, real=getattr(cls, name)):
+                    sizes.append(len(x))
+                    return real(self, x)
+                monkeypatch.setattr(cls, name, counted)
+        n = 2 * ROW_BUDGET + 7
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-1.0, 1.0, (n, 3))
+        d = Dataset(names=["a", "b", "c"], columns=list(x.T))
+        bins = quantile_bins(d, 0, 10)
+        network = random_network(rng, 3, 8)
+        polynomial = custom_model(3, [(1.0, {0: 2, 1: 1}), (0.5, {2: 1})])
+        for model in (network, polynomial, ScoredOnly(network)):
+            sizes.clear()
+            gradient_table(model, d)
+            pdp(model, d, 0, bins=bins)
+            marginal(model, d, 0, bins=bins)
+            Predictor.partial_dependence(model, x, 1, np.linspace(-1, 1, 3))
+            # The gradient or the FD probes, the marginal and the sweep.
+            rows = n * (1 if model.has_analytic_gradient else 6) + 4 * n
+            if model is not polynomial:
+                rows += 10 * n  # pdp sweeps too; the polynomial's is exact
+            assert sum(sizes) == rows
+            assert max(sizes) <= ROW_BUDGET
+
+    def test_external_probes_are_cut_at_the_budget(self, scorer_path,
+                                                   tmp_path, monkeypatch):
+        monkeypatch.setattr(models, "ROW_BUDGET", 7)
+        x = np.random.default_rng(5).uniform(-1.0, 1.0, (10, 2))
+        table = gradient_table(
+            recording_scorer(scorer_path, tmp_path, p=2, mode=("cube",)), x)
+        # 2N = 20 probe rows a column: spawns of 7, 7 and 6 rows.
+        assert sorted(len(parse_request(r)) for r in recorded(tmp_path)) \
+            == [6, 6, 7, 7, 7, 7]
+        assert np.allclose(table.values[:, 0], 3.0 * x[:, 0] ** 2, atol=1e-6)
+
+    def test_network_gradient_memory_does_not_grow_with_n(self):
+        rng = np.random.default_rng(6)
+        model = random_network(rng, 5, 40)
+        above_output = []
+        for n in (2 * ROW_BUDGET, 8 * ROW_BUDGET):
+            x = rng.uniform(-1.0, 1.0, (n, 5))
+            tracemalloc.start()
+            try:
+                g = model.gradient(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            above_output.append(peak - g.nbytes)
+        # Only the input check's one byte per cell grows with N; one
+        # unblocked N x 40 layer would add 8 * 6R * 40 bytes.
+        assert above_output[1] <= above_output[0] + 6 * ROW_BUDGET * 5 + 4096
+        assert above_output[0] < 2 * ROW_BUDGET * 40 * 8
+
+
 class TestExternal:
     def test_identity_sum_matches_additive_model(self, scorer_path):
         ext = wrap_external([sys.executable, scorer_path, "sum"], p=3)
@@ -324,11 +459,14 @@ class TestExternal:
         with pytest.raises(ModelError):
             ext.gradient(np.zeros((2, 2)))
 
-    def test_batching_preserves_order(self, scorer_path):
-        ext = wrap_external([sys.executable, scorer_path, "sum"], p=1,
-                            batch_size=7)
+    def test_batching_preserves_order(self, scorer_path, tmp_path,
+                                      monkeypatch):
+        monkeypatch.setattr(models, "ROW_BUDGET", 7)
+        ext = recording_scorer(scorer_path, tmp_path, p=1)
         x = np.arange(20.0).reshape(-1, 1)
         assert np.array_equal(ext.predict(x), x[:, 0])
+        assert sorted(len(parse_request(r)) for r in recorded(tmp_path)) \
+            == [6, 7, 7]
 
     def test_empty_command_rejected(self):
         with pytest.raises(ModelError):
@@ -394,20 +532,19 @@ def recorded(directory) -> list[bytes]:
     return sorted(path.read_bytes() for path in Path(directory).glob("*.req"))
 
 
-def tiled_sweep(x: np.ndarray, j: int, grid: np.ndarray,
-                batch_size: int = 100_000) -> list[np.ndarray]:
+def tiled_sweep(x: np.ndarray, j: int,
+                grid: np.ndarray) -> list[np.ndarray]:
     """The rows of each spawn of a partial-dependence sweep that tiles x
-    once per grid value, PD_ROW_BUDGET rows a call (at least one grid
-    value), each call cut into spawns of batch_size rows."""
-    n = len(x)
-    per_call = max(1, PD_ROW_BUDGET // n)
+    once per grid value, ROW_BUDGET rows a call (at least one grid value),
+    each call cut into spawns of ROW_BUDGET rows."""
+    n, budget = len(x), models.ROW_BUDGET
+    per_call = max(1, budget // n)
     spawns = []
     for s in range(0, len(grid), per_call):
         block = grid[s:s + per_call]
         tile = np.tile(x, (len(block), 1))
         tile[:, j] = np.repeat(block, n)
-        spawns.extend(tile[r:r + batch_size]
-                      for r in range(0, len(tile), batch_size))
+        spawns.extend(tile[r:r + budget] for r in range(0, len(tile), budget))
     return spawns
 
 

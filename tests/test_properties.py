@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from atdev import (CurveKind, Dataset, ace, ale, atdev, build_report, center,
                    custom_model, effect_matrix, fit_dependence, gradient_table,
                    le_curve, marginal, pdp, quantile_bins, total_derivatives)
-from atdev.models import PD_ROW_BUDGET, MlpModel, Predictor
+from atdev.models import ROW_BUDGET, MlpModel, Predictor
 
 TOL = 1e-12
 
@@ -117,9 +117,9 @@ def test_pdp_matches_predict_sweep(problem, data):
 
 
 @settings(max_examples=30, deadline=None)
-@example(PD_ROW_BUDGET + 1, 3, 1, True, 0)
-@example(PD_ROW_BUDGET // 8, 8, 2, False, 1)
-@given(st.integers(1, 2 * PD_ROW_BUDGET + 7), st.integers(1, 40),
+@example(ROW_BUDGET + 1, 3, 1, True, 0)
+@example(ROW_BUDGET // 8, 8, 2, False, 1)
+@given(st.integers(1, 2 * ROW_BUDGET + 7), st.integers(1, 40),
        st.integers(0, 2), st.booleans(), st.integers(0, 2**32 - 1))
 def test_stacked_pd_matches_predict_sweep(n, k, j, network, seed):
     """The generic stacked sweep equals one predict call per grid value,
