@@ -166,13 +166,13 @@ _OPTIONS = (
     _Opt("n", ("simulate",), _INT, 100_000, check=_at_least(1)),
     _Opt("noise_sd", ("simulate",), _FLOAT, 0.1,
          check=(lambda v: v >= 0, ">= 0")),
-    _Opt("rho", ("simulate",), _FLOAT, 0.0,
+    # read by the bivariate_normal case only; SimSpec holds the defaults
+    _Opt("rho", ("simulate",), _FLOAT,
          check=(lambda v: abs(v) < 1, "in (-1, 1)")),
-    _Opt("mean", ("simulate",), _PAIR, (0.0, 0.0)),
-    _Opt("sigma", ("simulate",), _PAIR, (1.0, 1.0),
+    _Opt("mean", ("simulate",), _PAIR),
+    _Opt("sigma", ("simulate",), _PAIR,
          check=(lambda v: min(v) > 0, "two numbers > 0")),
-    _Opt("bn_model", ("simulate",), _STR, "additive_linear",
-         choices=BIVARIATE_MODELS),
+    _Opt("bn_model", ("simulate",), _STR, choices=BIVARIATE_MODELS),
     # data
     _Opt("data", ("fit-mlp", *_RUNS), _STR, required=True,
          help="CSV with a header row"),
@@ -339,8 +339,13 @@ def _load_run(s) -> tuple[Dataset, Predictor]:
 
 
 def _cmd_simulate(s) -> int:
+    given = [o for o in _OPTIONS if o.name in ("rho", "mean", "sigma", "bn_model")
+             and getattr(s, o.name) is not None]
+    if given and s.case != "bivariate_normal":
+        raise UsageError(f"{given[0].flag} needs --case bivariate_normal")
     spec = SimSpec(case=s.case, n=s.n, noise_sd=s.noise_sd, seed=s.seed,
-                   mean=s.mean, sigma=s.sigma, rho=s.rho, model=s.bn_model)
+                   **{"model" if o.name == "bn_model" else o.name:
+                      getattr(s, o.name) for o in given})
     with _Emitter(s.out_dir) as em:
         d = generate(spec)
         em.dataset(f"{spec.case}.csv", d)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -310,16 +311,37 @@ def save_csv(d: Dataset, path: str | Path, response_name: str = "y") -> None:
     """Write a Dataset back to CSV. Cells use shortest round-trip float
     formatting, so load(save(d)) reproduces d bit-exactly. The file is
     staged beside the target and renamed into place."""
-    path = Path(path)
-    names = list(d.names)
-    cols = list(d.columns)
+    names, cols = list(d.names), list(d.columns)
     if d.response is not None:
         names.append(response_name)
         cols.append(d.response)
+    with _staged(Path(path)) as fh:
+        csv.writer(fh).writerow(names)
+        fh.writelines(_format_rows(np.column_stack(cols),
+                                   ",".join(["%r"] * len(cols)) + "\r\n"))
+
+
+@contextmanager
+def _staged(path: Path):
+    """A text file open on ``path`` + ".tmp" (newlines untranslated),
+    renamed onto path when the block ends and removed when it raises."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for i in range(d.n):
-            writer.writerow([repr(float(c[i])) for c in cols])
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+# Rows formatted per ``%`` operation; bounds the intermediate string.
+_FORMAT_ROWS = 4096
+
+
+def _format_rows(x: np.ndarray, row: str):
+    """x's rows as text, each ``row % cells`` for a ``row`` with one
+    ``%r`` a column: one string per block of rows, one format each."""
+    for s in range(0, len(x), _FORMAT_ROWS):
+        block = x[s:s + _FORMAT_ROWS]
+        yield (row * len(block)) % tuple(block.ravel().tolist())

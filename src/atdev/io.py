@@ -13,14 +13,12 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import CurveKind, EffectCurve
+from .data import CurveKind, EffectCurve, _staged
 from .dependence import CorrelationMatrix
 from .effects import EffectMatrix
 from .errors import DataError
@@ -50,20 +48,6 @@ __all__ = [
     "report_to_csv",
     "corr_to_heatmap",
 ]
-
-
-@contextmanager
-def _staged(path: Path):
-    """A text file open on ``path`` + ".tmp", renamed onto path when the
-    block ends and removed when it raises."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w") as f:
-            yield f
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def write_text_atomic(path: str | Path, text: str) -> Path:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _format_rows, _staged
 from .errors import DataError, ModelError, NumericalError
 
 __all__ = [
@@ -43,9 +43,8 @@ __all__ = [
 
 # Rows per model evaluation. ``predict`` and ``gradient`` work through
 # blocks of at most this many rows, an external scorer is sent at most
-# this many a spawn, and the generic partial-dependence sweep stacks grid
-# values up to it. An H=40 hidden layer over 32768 rows is 10 MB, and at
-# N=10000 one sweep call still holds three grid values.
+# this many a spawn, and the partial-dependence sweep scores its rows in
+# chunks of this many. An H=40 hidden layer over 32768 rows is 10 MB.
 ROW_BUDGET = 32_768
 
 
@@ -66,22 +65,52 @@ class Predictor:
     def partial_dependence(self, x: np.ndarray, j: int,
                            grid: np.ndarray) -> np.ndarray:
         """Mean prediction over the rows of x with column j set to each
-        grid value in turn. This default stacks copies of x, one per grid
-        value, into ``predict`` calls of at most ``ROW_BUDGET`` rows (at
-        least one grid value per call); backends with a closed form
-        override it. x itself is never written."""
-        x = np.asarray(x, dtype=np.float64)
-        grid = np.asarray(grid, dtype=np.float64)
-        n = len(x)
-        per_call = max(1, ROW_BUDGET // max(n, 1))
+        grid value in turn. Swept row r of K N is row r % N of x with
+        column j at grid[r // N]; ``_score_swept``, the one step backends
+        differ in, scores chunks of ``ROW_BUDGET`` swept rows cut across
+        grid values (closed forms override this). x is never written."""
+        x, grid = self._check_sweep(x, j, grid)
+        n, rows = len(x), len(grid) * len(x)
+        chunks = [(r, min(r + ROW_BUDGET, rows))
+                  for r in range(0, rows, ROW_BUDGET)]
         values = np.empty(len(grid))
-        for s in range(0, len(grid), per_call):
-            block = grid[s:s + per_call]
-            tile = np.tile(x, (len(block), 1))
-            tile[:, j] = np.repeat(block, n)
-            values[s:s + len(block)] = (
-                self.predict(tile).reshape(len(block), n).mean(axis=1))
+        parts = []
+        # scores first, so that _score_swept runs to its end
+        for scores, (r0, r1) in zip(self._score_swept(x, j, grid, chunks),
+                                    chunks):
+            for g, i0, i1 in _segments(n, r0, r1):
+                parts.append(scores[g * n + i0 - r0:g * n + i1 - r0])
+                if i1 == n:
+                    values[g] = np.concatenate(parts).mean()
+                    parts = []
         return values
+
+    def _score_swept(self, x: np.ndarray, j: int, grid: np.ndarray, chunks):
+        """The scores of each chunk ``(r0, r1)`` of swept rows, in order:
+        the chunk is built from contiguous slices of x and predicted."""
+        buf = np.empty((min(ROW_BUDGET, len(grid) * len(x)), self.p))
+        for r0, r1 in chunks:
+            for g, i0, i1 in _segments(len(x), r0, r1):
+                o = r0 - len(x) * g
+                buf[i0 - o:i1 - o] = x[i0:i1]
+                buf[i0 - o:i1 - o, j] = grid[g]
+            yield self.predict(buf[:r1 - r0])
+
+    def _check_sweep(self, x: np.ndarray, j: int, grid: np.ndarray):
+        """x and grid, checked: x a model input of at least one row, j an
+        integer in [0, p), grid 1-D and finite."""
+        x = self._check_input(x)
+        if len(x) == 0:
+            raise ModelError("partial dependence needs at least one row")
+        if (not isinstance(j, (int, np.integer)) or isinstance(j, bool)
+                or not 0 <= j < self.p):
+            raise ModelError(f"column index {j!r} out of range for p={self.p}")
+        grid = np.asarray(grid, dtype=np.float64)
+        if grid.ndim != 1:
+            raise ModelError(f"grid must be 1-D, got shape {grid.shape}")
+        if not np.all(np.isfinite(grid)):
+            raise NumericalError("non-finite value in partial-dependence grid")
+        return x, grid
 
     def _blocked(self, x: np.ndarray, evaluate, width: int | None = None
                  ) -> np.ndarray:
@@ -105,6 +134,13 @@ class Predictor:
         if not np.all(np.isfinite(x)):
             raise NumericalError("non-finite value in model input")
         return x
+
+
+def _segments(n: int, r0: int, r1: int):
+    """``(g, i0, i1)`` for each grid value g with swept rows in [r0, r1),
+    in order: rows i0 .. i1 - 1 of x, swept rows g N + i0 .. g N + i1 - 1."""
+    for g in range(r0 // n, (r1 - 1) // n + 1):
+        yield g, max(r0 - g * n, 0), min(r1 - g * n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +202,7 @@ class AnalyticModel(Predictor):
         """Exact in one pass over the rows: as a polynomial in x_j,
         f = sum_a x_j^a c_a(x_-j), so the sweep average at z is
         sum_a z^a mean(c_a)."""
-        x = self._check_input(x)
-        grid = np.asarray(grid, dtype=np.float64)
+        x, grid = self._check_sweep(x, j, grid)
         c: dict[int, float] = {}
         for coef, powers in self.terms:
             rest = 1.0
@@ -333,10 +368,8 @@ class MlpModel(Predictor):
         return model
 
     def save(self, path: str | Path) -> None:
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(self.to_dict()))
-        os.replace(tmp, path)
+        with _staged(Path(path)) as f:
+            f.write(json.dumps(self.to_dict()))
 
     @staticmethod
     def load(path: str | Path) -> "MlpModel":
@@ -507,7 +540,9 @@ _TIMEOUT_S = 600
 
 class ExternalModel(Predictor):
     """Scores rows through a child process, one spawn per block of at
-    most ``ROW_BUDGET`` rows.
+    most ``ROW_BUDGET`` rows: a block of ``predict``, or a chunk of the
+    partial-dependence sweep, whose request is assembled from each cell
+    of x formatted once.
 
     Wire format: a header line ``N p``, then N rows of p space-separated
     decimals (Python ``repr`` of each float64) on stdin; the child must
@@ -532,71 +567,36 @@ class ExternalModel(Predictor):
         self._lock = threading.Lock()
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self._blocked(x, self._score_blocks)
+        return self._blocked(x, lambda blocks: self._scores(
+            (len(b), partial(_write_rows, x=b)) for b in blocks))
 
-    def _score_blocks(self, blocks):
-        spawns = ((None, len(b), partial(_write_rows, x=b)) for b in blocks)
-        with self._lock:
-            for _, scores in self._scores(spawns):
-                yield scores
-
-    def partial_dependence(self, x: np.ndarray, j: int,
-                           grid: np.ndarray) -> np.ndarray:
-        """The base-class sweep, spawn for spawn and byte for byte, without
-        its tiles: each cell of x is formatted once per call, and each grid
-        value's rows are one join of those pieces around its decimal."""
-        x = self._check_input(x)
-        grid = np.asarray(grid, dtype=np.float64)
-        if not np.all(np.isfinite(grid)):
-            raise NumericalError("non-finite value in model input")
-        n = len(x)
-        if n == 0:
-            return super().partial_dependence(x, j, grid)
-        j = range(self.p)[j]
-        pieces = _row_pieces(x, j)
-        per_call = max(1, ROW_BUDGET // n)
-
-        def spawns():
-            # The base class's predict calls: per_call grid values a call,
-            # each call split into predict's blocks, a spawn each.
-            for s in range(0, len(grid), per_call):
-                block = grid[s:s + per_call].tolist()
-                rows = len(block) * n
-                for r in range(0, rows, ROW_BUDGET):
-                    end = min(r + ROW_BUDGET, rows)
-                    yield ((s, len(block), end == rows), end - r,
-                           partial(_write_swept, pieces=pieces, p=self.p,
-                                   block=block, rows=(r, end)))
-
-        values = np.empty(len(grid))
-        parts = []
-        with self._lock:
-            for (s, k, last), scores in self._scores(spawns()):
-                parts.append(scores)
-                if last:
-                    values[s:s + k] = (np.concatenate(parts)
-                                       .reshape(k, n).mean(axis=1))
-                    parts = []
-        return values
+    def _score_swept(self, x: np.ndarray, j: int, grid: np.ndarray, chunks):
+        """One spawn a chunk, written without building it: each cell of x
+        is formatted once per sweep, and a grid value's rows are one join
+        of those pieces around its decimal."""
+        pieces, grid = _row_pieces(x, j), grid.tolist()
+        return self._scores((r1 - r0, partial(_write_swept, pieces=pieces,
+                                              p=self.p, grid=grid,
+                                              rows=(r0, r1)))
+                            for r0, r1 in chunks)
 
     def _scores(self, spawns):
-        """Score each ``(tag, rows, write)`` request in order, yielding
-        ``(tag, scores)``. Up to ``_IN_FLIGHT`` scorers run at once; when
-        one fails, the others are killed and reaped before the error
+        """Score each ``(rows, write)`` request in order, yielding its
+        scores, under the lock. Up to ``_IN_FLIGHT`` scorers run at once;
+        when one fails, the others are killed and reaped before the error
         propagates."""
-        running: deque[tuple[object, _Scorer]] = deque()
-        try:
-            for tag, rows, write in spawns:
-                if len(running) == _IN_FLIGHT:
-                    done, child = running.popleft()
-                    yield done, child.scores()
-                running.append((tag, _Scorer(self.cmd, rows, write)))
-            while running:
-                done, child = running.popleft()
-                yield done, child.scores()
-        finally:
-            for _, child in running:
-                child.close()
+        running: deque[_Scorer] = deque()
+        with self._lock:
+            try:
+                for rows, write in spawns:
+                    if len(running) == _IN_FLIGHT:
+                        yield running.popleft().scores()
+                    running.append(_Scorer(self.cmd, rows, write))
+                while running:
+                    yield running.popleft().scores()
+            finally:
+                for child in running:
+                    child.close()
 
 
 class _Scorer:
@@ -667,20 +667,13 @@ def _wait(proc: subprocess.Popen, timeout: float) -> None:
     proc.wait()
 
 
-# Rows formatted per ``%`` operation on the wire; bounds the size of the
-# intermediate string.
-_WIRE_ROWS = 4096
-
-
 def _write_rows(f, x: np.ndarray) -> None:
     """Write the request (header, then one line of ``repr`` decimals per
     row) to the binary file f, a block of rows per format operation."""
     n, p = x.shape
     f.write(f"{n} {p}\n".encode())
-    row = " ".join(["%r"] * p) + "\n"
-    for s in range(0, n, _WIRE_ROWS):
-        block = x[s:s + _WIRE_ROWS]
-        f.write(((row * len(block)) % tuple(block.ravel().tolist())).encode())
+    for text in _format_rows(x, " ".join(["%r"] * p) + "\n"):
+        f.write(text.encode())
 
 
 def _row_pieces(x: np.ndarray, j: int) -> list[bytes]:
@@ -688,33 +681,28 @@ def _row_pieces(x: np.ndarray, j: int) -> list[bytes]:
     are the request text of row i before and after column j (suf_i ends
     the line), so ``v.join(pieces)`` is the body of x with column j set to
     the decimal v. Every cell outside column j is formatted once."""
-    n, p = x.shape
-    rest = np.delete(x, j, axis=1)
+    p = x.shape[1]
     row = " ".join(["%r"] * j + ["\0"] + ["%r"] * (p - 1 - j)) + "\n"
     pieces = [b""]
-    for s in range(0, n, _WIRE_ROWS):
-        block = rest[s:s + _WIRE_ROWS]
-        head, *tail = ((row * len(block)) % tuple(block.ravel().tolist())
-                       ).encode().split(b"\0")
+    for text in _format_rows(np.delete(x, j, axis=1), row):
+        head, *tail = text.encode().split(b"\0")
         pieces[-1] += head
         pieces.extend(tail)
     return pieces
 
 
-def _write_swept(f, pieces: list[bytes], p: int, block: list[float],
+def _write_swept(f, pieces: list[bytes], p: int, grid: list[float],
                  rows: tuple[int, int]) -> None:
-    """Write rows [r0, r1) of x tiled once per grid value in ``block``,
-    column j set to that value, as ``_write_rows`` writes the tile."""
+    """Write swept rows [r0, r1) (x tiled once per grid value, column j
+    set to that value) as ``_write_rows`` writes those rows."""
     r0, r1 = rows
-    n = len(pieces) - 1
     f.write(f"{r1 - r0} {p}\n".encode())
-    for g in range(r0 // n, (r1 - 1) // n + 1):
-        i0, i1 = max(r0 - g * n, 0), min(r1 - g * n, n)
+    for g, i0, i1 in _segments(len(pieces) - 1, r0, r1):
         # Trim the edge pieces to rows i0 .. i1 - 1: pre_i0 follows the
         # newline of suf_{i0-1}, and suf_{i1-1} ends at its own newline.
         first = pieces[i0].rpartition(b"\n")[2]
         last = pieces[i1][:pieces[i1].index(b"\n") + 1]
-        f.write(repr(block[g]).encode().join(
+        f.write(repr(grid[g]).encode().join(
             [first, *pieces[i0 + 1:i1], last]))
 
 

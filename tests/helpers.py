@@ -49,3 +49,31 @@ def uncentered_max(curve, mask: np.ndarray | None = None) -> float:
     if mask is not None:
         v = v[mask]
     return float(v.max())
+
+
+def failing_open(writes_before_failure: int):
+    """An ``open`` whose files raise ``OSError`` (no space left) on the
+    write after the given number of writes, as a full disk would."""
+    real_open = open
+
+    class Full:
+        def __init__(self, f):
+            self.f, self.left = f, writes_before_failure
+
+        def write(self, text):
+            if self.left == 0:
+                raise OSError(28, "No space left on device")
+            self.left -= 1
+            return self.f.write(text)
+
+        def writelines(self, texts):
+            for text in texts:
+                self.write(text)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+    return lambda *args, **kwargs: Full(real_open(*args, **kwargs))

@@ -71,6 +71,37 @@ class TestSimulate:
         assert "case" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("name, flag, value", [
+        ("rho", ["--rho", "0.5"], 0.5),
+        ("mean", ["--mean", "1", "2"], [1, 2]),
+        ("sigma", ["--sigma", "2", "2"], [2, 2]),
+        ("bn_model", ["--bn-model", "multiplicative"], "multiplicative"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bivariate_options_need_the_bivariate_case(
+            self, tmp_path, capsys, name, flag, value, source):
+        argv = ["simulate", "--case", "indep_61", "--n", "50",
+                "--out-dir", str(tmp_path / "never")]
+        if source == "flag":
+            argv += flag
+        else:
+            cfg = tmp_path / "sim.json"
+            cfg.write_text(json.dumps({name: value}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 1
+        assert f"{flag[0]} needs --case bivariate_normal" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
+    def test_bivariate_defaults_come_from_the_spec(self, tmp_path):
+        assert main(["simulate", "--case", "bivariate_normal", "--n", "50",
+                     "--out-dir", str(tmp_path)]) == 0
+        meta = read_json(tmp_path / "bivariate_normal.meta.json")
+        spec = SimSpec(case="bivariate_normal", n=50)
+        assert (meta["mean"], meta["sigma"], meta["rho"], meta["model"]) == (
+            list(spec.mean), list(spec.sigma), spec.rho, spec.model)
+
+
 class TestEffects:
     def test_writes_curve_files_per_variable(self, data622, tmp_path):
         out = tmp_path / "fx"

@@ -1,13 +1,18 @@
 """Dataset construction, CSV round trips, quantile binning, centering."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import atdev.data
 from atdev import SimSpec, center, generate, load_csv, quantile_bins, save_csv
 from atdev.data import CurveKind, Dataset, EffectCurve
 from atdev.errors import DataError
+from helpers import failing_open
 
 
 def curve(values, counts=None, grid=None):
@@ -162,6 +167,40 @@ class TestLoadCsv:
             assert np.array_equal(a, b)
         assert np.array_equal(back.response, d.response)
         assert not f.with_name(f.name + ".tmp").exists()
+
+
+class TestSaveCsv:
+    EXTREMES = [5e-324, -0.0, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 1e16,
+                1e-5, 0.1, 2.0 ** 53 + 2, 1 / 3]
+
+    def test_bytes_equal_a_per_cell_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(12)
+        bits = rng.integers(0, 2**63, size=(3, 9_000), dtype=np.uint64)
+        cols = bits.view(np.float64)
+        cols = np.where(np.isfinite(cols), cols, 1.0)
+        cols[:, :len(self.EXTREMES)] = self.EXTREMES
+        names = ["a,b", 'say "hi"']
+        d = Dataset(names=names, columns=[cols[0], cols[1]],
+                    response=cols[2])
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow([*names, "r\nl"])
+        for row in cols.T:
+            writer.writerow([repr(float(v)) for v in row])
+        f = tmp_path / "x.csv"
+        save_csv(d, f, response_name="r\nl")
+        assert f.read_bytes() == buf.getvalue().encode()
+
+    @pytest.mark.parametrize("writes", [0, 1, 2])
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch,
+                                         writes):
+        d = generate(SimSpec(case="interaction_622", n=10_000, seed=3))
+        monkeypatch.setattr(atdev.data, "open", failing_open(writes),
+                            raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_csv(d, tmp_path / "x.csv")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestQuantileBins:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import atdev.data
 from atdev import (SimSpec, catalog_model, custom_model, fit_mlp, generate,
                    marginal, models, pdp, quantile_bins, wrap_external)
 from atdev.data import Dataset
@@ -19,7 +20,7 @@ from atdev.errors import DataError, ModelError, NumericalError
 from atdev.gradients import check_gradient, fd_step, gradient_table
 from atdev.models import (CATALOG_IDS, ROW_BUDGET, AnalyticModel, MlpModel,
                           Predictor, _parse_scores, _write_rows)
-from helpers import take
+from helpers import failing_open, take
 
 
 def rows(*rs):
@@ -116,16 +117,43 @@ class TestPartialDependence:
         with pytest.raises(NumericalError):
             m.partial_dependence(rows((1.0, np.nan)), 0, np.zeros(2))
 
-    def test_sweep_stacks_grid_values_under_the_row_budget(
-            self, scorer_path, tmp_path):
+    @pytest.mark.parametrize("backend", ["polynomial", "network",
+                                         "external"])
+    def test_bad_arguments_are_rejected_before_scoring(self, scorer_path,
+                                                       tmp_path, backend):
+        model = {
+            "polynomial": lambda: catalog_model("case_622"),
+            "network": lambda: random_network(np.random.default_rng(1), 3, 4),
+            "external": lambda: recording_scorer(scorer_path, tmp_path, p=3),
+        }[backend]()
+        x, grid = np.ones((4, 3)), np.array([0.0, 1.0])
+        for j in (3, -1, 1.0, True, None):
+            with pytest.raises(ModelError, match="column index"):
+                model.partial_dependence(x, j, grid)
+        with pytest.raises(ModelError, match="at least one row"):
+            model.partial_dependence(np.ones((0, 3)), 0, grid)
+        for bad in (np.ones((2, 2)), np.float64(0.5)):
+            with pytest.raises(ModelError, match="1-D"):
+                model.partial_dependence(x, 0, bad)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NumericalError):
+                model.partial_dependence(x, 0, np.array([0.0, bad]))
+        assert recorded(tmp_path) == []
+        # The last column and an integer of numpy's own are fine.
+        assert len(model.partial_dependence(x, np.int64(2), grid)) == 2
+
+    def test_sweep_cuts_the_swept_rows_at_the_row_budget(self, scorer_path,
+                                                         tmp_path):
         assert ROW_BUDGET == 32_768
         for n, k, spawns in [
-            (8_192, 3, [24_576]),  # N K below R: one call
-            (8_192, 4, [32_768]),  # N K at R: one full call
-            (8_192, 5, [32_768, 8_192]),  # above R: the last call is not full
-            (10_000, 4, [30_000, 10_000]),  # R is not a multiple of N
-            # N above R: one grid value a call, cut into spawns of R rows
-            (40_000, 2, [32_768, 7_232, 32_768, 7_232]),
+            (8_192, 3, [24_576]),  # N K below R: one spawn
+            (8_192, 4, [32_768]),  # N K at R: one full spawn
+            (8_192, 5, [32_768, 8_192]),  # above R: the last is not full
+            # R is not a multiple of N: the first spawn ends inside the
+            # fourth grid value's rows
+            (10_000, 4, [32_768, 7_232]),
+            # N above R: spawns run on across grid values
+            (40_000, 2, [32_768, 32_768, 14_464]),
         ]:
             log = tmp_path / f"{n}x{k}"
             log.mkdir()
@@ -134,38 +162,39 @@ class TestPartialDependence:
             before = x.copy()
             grid = np.arange(k) * 10.0 - 3.0
             values = ext.partial_dependence(x, 0, grid)
-            tiles = tiled_sweep(x, 0, grid)
-            assert [len(t) for t in tiles] == spawns
-            assert recorded(log) == sorted(per_cell_writer(t) for t in tiles)
+            chunks = swept_chunks(x, 0, grid)
+            assert [len(c) for c in chunks] == spawns
+            assert recorded(log) == sorted(map(per_cell_writer, chunks))
             # Column 1 cycles 0, 1, 2, 3: every row mean is z + 1.5 exactly.
             assert np.array_equal(values, grid + 1.5)
             assert x.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("j", [0, 2, 4])
-    def test_sweep_requests_equal_the_tiled_requests(self, scorer_path,
-                                                     tmp_path, monkeypatch, j):
+    def test_sweep_requests_hold_the_swept_rows_in_order(
+            self, scorer_path, tmp_path, monkeypatch, j):
         monkeypatch.setattr(models, "ROW_BUDGET", 7)
         for n, spawns in [
             # N = 20 over a budget of 7: spawns cut through the rows of
-            # each grid value, so both edges of the middle one are trimmed.
-            (20, [7, 7, 6] * 3),
-            # N = 3: two grid values a spawn, the last spawn holds one.
-            (3, [6, 3]),
+            # every grid value, and one spawn holds the end of one grid
+            # value and the start of the next.
+            (20, [7] * 8 + [4]),
+            # N = 3: a spawn holds two grid values and a third's first row.
+            (3, [7, 2]),
         ]:
             log = tmp_path / str(n)
             log.mkdir()
             x = np.random.default_rng(j).uniform(-1.0, 1.0, (n, 5))
             x[n // 2] = TestWire.EXTREMES[:5]
             grid = np.array([-0.0, 0.1, 1e16])
-            tiled = Predictor.partial_dependence(
-                wrap_external([sys.executable, scorer_path, "sum"], p=5),
-                x, j, grid)
             ext = recording_scorer(scorer_path, log, p=5)
             values = ext.partial_dependence(x, j, grid)
-            tiles = tiled_sweep(x, j, grid)
-            assert [len(t) for t in tiles] == spawns
-            assert recorded(log) == sorted(per_cell_writer(t) for t in tiles)
-            assert values.tobytes() == tiled.tobytes()
+            chunks = swept_chunks(x, j, grid)
+            assert [len(c) for c in chunks] == spawns
+            assert recorded(log) == sorted(map(per_cell_writer, chunks))
+            looped = predict_loop(
+                wrap_external([sys.executable, scorer_path, "sum"], p=5),
+                x, j, grid)
+            assert values.tobytes() == looped.tobytes()
 
     def test_sweep_leaves_x_untouched_when_scoring_fails(self, scorer_path,
                                                          tmp_path):
@@ -267,6 +296,13 @@ class TestMlp:
         back = MlpModel.load(path)
         x = train.matrix()[:50]
         assert np.array_equal(back.predict(x), model.predict(x))
+
+    def test_failed_save_leaves_no_file(self, tmp_path, monkeypatch, mlp61):
+        monkeypatch.setattr(atdev.data, "open", failing_open(0),
+                            raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            mlp61[0].save(tmp_path / "w.json")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("change, message", [
         ({"w1": [1.0, 2.0]}, "w1 has shape (2,)"),
@@ -532,20 +568,26 @@ def recorded(directory) -> list[bytes]:
     return sorted(path.read_bytes() for path in Path(directory).glob("*.req"))
 
 
-def tiled_sweep(x: np.ndarray, j: int,
-                grid: np.ndarray) -> list[np.ndarray]:
-    """The rows of each spawn of a partial-dependence sweep that tiles x
-    once per grid value, ROW_BUDGET rows a call (at least one grid value),
-    each call cut into spawns of ROW_BUDGET rows."""
-    n, budget = len(x), models.ROW_BUDGET
-    per_call = max(1, budget // n)
-    spawns = []
-    for s in range(0, len(grid), per_call):
-        block = grid[s:s + per_call]
-        tile = np.tile(x, (len(block), 1))
-        tile[:, j] = np.repeat(block, n)
-        spawns.extend(tile[r:r + budget] for r in range(0, len(tile), budget))
-    return spawns
+def swept_rows(x: np.ndarray, j: int, grid: np.ndarray) -> list[np.ndarray]:
+    """x with column j set to each grid value in turn, one copy each."""
+    copies = [x.copy() for _ in grid]
+    for c, z in zip(copies, grid):
+        c[:, j] = z
+    return copies
+
+
+def swept_chunks(x: np.ndarray, j: int,
+                 grid: np.ndarray) -> list[np.ndarray]:
+    """The rows each spawn of a sweep holds: the swept rows end to end,
+    cut every ROW_BUDGET rows."""
+    rows, budget = np.concatenate(swept_rows(x, j, grid)), models.ROW_BUDGET
+    return [rows[r:r + budget] for r in range(0, len(rows), budget)]
+
+
+def predict_loop(model: Predictor, x: np.ndarray, j: int,
+                 grid: np.ndarray) -> np.ndarray:
+    """Partial dependence the long way: one predict call per grid value."""
+    return np.array([model.predict(c).mean() for c in swept_rows(x, j, grid)])
 
 
 class TestWire:

@@ -1,13 +1,17 @@
 """Identities of the effect estimators, checked as properties over random
 polynomial models and random correlated data."""
 
+import sys
+from unittest import mock
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atdev import (CurveKind, Dataset, ace, ale, atdev, build_report, center,
                    custom_model, effect_matrix, fit_dependence, gradient_table,
-                   le_curve, marginal, pdp, quantile_bins, total_derivatives)
+                   le_curve, marginal, models, pdp, quantile_bins,
+                   total_derivatives, wrap_external)
 from atdev.models import ROW_BUDGET, MlpModel, Predictor
 
 TOL = 1e-12
@@ -117,26 +121,40 @@ def test_pdp_matches_predict_sweep(problem, data):
 
 
 @settings(max_examples=30, deadline=None)
-@example(ROW_BUDGET + 1, 3, 1, True, 0)
-@example(ROW_BUDGET // 8, 8, 2, False, 1)
+@example(ROW_BUDGET + 1, 3, 1, "network", 0)
+@example(ROW_BUDGET // 8, 8, 2, "polynomial", 1)
+@example(20, 3, 0, "external", 2)
 @given(st.integers(1, 2 * ROW_BUDGET + 7), st.integers(1, 40),
-       st.integers(0, 2), st.booleans(), st.integers(0, 2**32 - 1))
-def test_stacked_pd_matches_predict_sweep(n, k, j, network, seed):
-    """The generic stacked sweep equals one predict call per grid value,
-    whether a call holds many grid values (N below the row budget) or
-    one (N above it)."""
+       st.integers(0, 2), st.sampled_from(["polynomial", "network", "external"]),
+       st.integers(0, 2**32 - 1))
+def test_stacked_pd_matches_predict_sweep(scorer_path, n, k, j, backend, seed):
+    """The sweep equals one predict call per grid value, whether a chunk
+    holds many grid values (N below the row budget) or cuts through one
+    (N above it, or not dividing it). The external scorer, a process a
+    spawn, runs on small N and K under a budget of 7 rows, and agrees bit
+    for bit."""
     rng = np.random.default_rng(seed)
+    budget = ROW_BUDGET
+    if backend == "external":
+        n, k, budget = n % 15 + 1, k % 4 + 1, 7
     x = rng.uniform(-1.0, 1.0, (n, 3))
-    if network:
+    if backend == "network":
         model = MlpModel(w1=rng.normal(size=(6, 3)), b1=rng.normal(size=6),
                          w2=rng.normal(size=6), b2=float(rng.normal()))
-    else:
+    elif backend == "polynomial":
         model = custom_model(3, [(1.0, {0: 1, 1: 2}), (-0.5, {2: 3}),
                                  (0.25, {})])
+    else:
+        model = wrap_external([sys.executable, scorer_path, "sum"], p=3)
     grid = rng.uniform(-1.0, 1.0, k)
     d = Dataset(names=["x1", "x2", "x3"], columns=[x[:, i] for i in range(3)])
-    assert close(Predictor.partial_dependence(model, x, j, grid),
-                 predict_sweep(model, d, j, grid))
+    with mock.patch.object(models, "ROW_BUDGET", budget):
+        swept = Predictor.partial_dependence(model, x, j, grid)
+        looped = predict_sweep(model, d, j, grid)
+    if backend == "external":
+        assert swept.tobytes() == looped.tobytes()
+    else:
+        assert close(swept, looped)
 
 
 @settings(max_examples=40, deadline=None)
