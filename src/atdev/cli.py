@@ -8,9 +8,15 @@ settings all come from that table. A value comes from its flag, else
 from the JSON config file (--config), else from its default; the output
 directory falls back to the ATDEV_OUT_DIR environment variable before
 its default. A config key must name an option of the subcommand and hold
-a value of that option's JSON type. Exit codes: 0 success, 1 usage error,
-2 data or model error, 3 numerical failure. A failing command removes
-whatever files it already wrote.
+a value of that option's JSON type.
+
+The four estimation commands (``_RUNS``) share one run step,
+``_estimation``: it checks the options, loads the data and the model,
+opens the ``_Emitter`` and builds the gradient table, and the command
+only computes and writes. Every chart is written by ``_Emitter.figure``:
+its JSON always, and an SVG under the same stem with --svg. Exit codes:
+0 success, 1 usage error, 2 data or model error, 3 numerical failure. A
+failing command removes whatever files it already wrote.
 """
 
 from __future__ import annotations
@@ -29,14 +35,14 @@ import numpy as np
 
 from . import io as aio
 from . import svg as asvg
-from .data import CurveKind, Dataset, center, load_csv, quantile_bins, save_csv
+from .data import Dataset, center, load_csv, quantile_bins, save_csv
 from .dependence import DEPENDENCE_KINDS, corr_matrix, fit_dependence
 from .effects import atdev_terms, effect_matrix, le_curve, marginal, pdp
 from .errors import AtdevError, DataError, ModelError, NumericalError, UsageError
 from .gradients import gradient_table
 from .importance import build_report
-from .models import (CATALOG_IDS, MlpModel, Predictor, catalog_model,
-                     custom_model, fit_mlp, wrap_external)
+from .models import (CATALOG_IDS, MlpModel, catalog_model, custom_model,
+                     fit_mlp, wrap_external)
 from .simgen import BIVARIATE_MODELS, CASES, SimSpec, generate, theoretical_r2
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
@@ -51,11 +57,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Emitter:
-    """Writes command outputs. Used as a context manager, it tears down
-    everything it wrote when the body raises."""
+    """Writes command outputs, charts as SVG too when ``svg`` is set. Used
+    as a context manager, it tears down everything it wrote when the body
+    raises."""
 
-    def __init__(self, out_dir: str):
+    def __init__(self, out_dir: str, svg: bool = False):
         self.out_dir = Path(out_dir)
+        self.svg = svg
         self.written: list[Path] = []
         self.out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -76,6 +84,14 @@ class _Emitter:
         path = aio.write_text_atomic(self.out_dir / name, text)
         self.written.append(path)
         return path
+
+    def figure(self, stem: str, payload: dict, render: Callable[[], str]
+               ) -> None:
+        """A chart: ``stem.json`` holds its data, and ``stem.svg`` the
+        picture ``render()`` draws when the run asked for SVG."""
+        self.json(f"{stem}.json", payload)
+        if self.svg:
+            self.text(f"{stem}.svg", render())
 
     def dataset(self, name: str, d: Dataset) -> Path:
         path = self.out_dir / name
@@ -299,38 +315,50 @@ def _custom_terms(terms: list) -> list[tuple[float, dict[int, int]]]:
     return out
 
 
-def _load_run(s) -> tuple[Dataset, Predictor]:
-    """Check the model source against the options it reads, then load the
-    dataset and build the model."""
-    if len([x for x in (s.model_id, s.mlp_weights, s.external_cmd) if x]) != 1:
-        raise UsageError(
-            "exactly one model source required: --model-id, "
-            "--mlp-weights or --external-cmd")
-    custom = s.model_id == "custom"
-    if s.terms is not None and not custom:
-        raise UsageError("--terms needs --model-id custom")
-    if s.coeffs is not None and (custom or not s.model_id):
-        raise UsageError("--coeffs needs a catalog --model-id")
-    if s.fd_step is not None and not s.external_cmd:
-        raise UsageError("--fd-step needs --external-cmd; the other model "
-                         "sources have exact gradients")
-    if custom and not s.terms:
-        raise UsageError("--model-id custom requires --terms")
-    terms = _custom_terms(s.terms) if custom else None
-    d = load_csv(s.data, has_response=s.response is not None,
-                 response_name=s.response)
-    if custom:
-        model = custom_model(d.p, terms)
-    elif s.model_id:
-        model = catalog_model(s.model_id, coeffs=s.coeffs, p=d.p)
-    elif s.mlp_weights:
-        model = MlpModel.load(s.mlp_weights)
-    else:
-        model = wrap_external(shlex.split(s.external_cmd), p=d.p)
-    if model.p != d.p:
-        raise ModelError(
-            f"model expects {model.p} variables, dataset has {d.p}")
-    return d, model
+def _estimation(body: Callable) -> Callable:
+    """The run step of the estimation commands (``_RUNS``): check the
+    options, load the dataset, build the model, open the emitter and
+    build the gradient table; ``body(s, d, model, table, em)`` then only
+    computes and writes."""
+
+    def run(s) -> None:
+        columns = getattr(s, "columns", None) or []
+        for name in columns:
+            if columns.count(name) > 1:
+                raise UsageError(f"--columns names {name!r} more than once")
+        if len([x for x in (s.model_id, s.mlp_weights, s.external_cmd)
+                if x]) != 1:
+            raise UsageError(
+                "exactly one model source required: --model-id, "
+                "--mlp-weights or --external-cmd")
+        custom = s.model_id == "custom"
+        if s.terms is not None and not custom:
+            raise UsageError("--terms needs --model-id custom")
+        if s.coeffs is not None and (custom or not s.model_id):
+            raise UsageError("--coeffs needs a catalog --model-id")
+        if s.fd_step is not None and not s.external_cmd:
+            raise UsageError("--fd-step needs --external-cmd; the other model "
+                             "sources have exact gradients")
+        if custom and not s.terms:
+            raise UsageError("--model-id custom requires --terms")
+        terms = _custom_terms(s.terms) if custom else None
+        d = load_csv(s.data, has_response=s.response is not None,
+                     response_name=s.response)
+        if custom:
+            model = custom_model(d.p, terms)
+        elif s.model_id:
+            model = catalog_model(s.model_id, coeffs=s.coeffs, p=d.p)
+        elif s.mlp_weights:
+            model = MlpModel.load(s.mlp_weights)
+        else:
+            model = wrap_external(shlex.split(s.external_cmd), p=d.p)
+        if model.p != d.p:
+            raise ModelError(
+                f"model expects {model.p} variables, dataset has {d.p}")
+        with _Emitter(s.out_dir, svg=getattr(s, "svg", False)) as em:
+            body(s, d, model, gradient_table(model, d, h=s.fd_step), em)
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +366,7 @@ def _load_run(s) -> tuple[Dataset, Predictor]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(s) -> int:
+def _cmd_simulate(s) -> None:
     given = [o for o in _OPTIONS if o.name in ("rho", "mean", "sigma", "bn_model")
              and getattr(s, o.name) is not None]
     if given and s.case != "bivariate_normal":
@@ -364,10 +392,9 @@ def _cmd_simulate(s) -> int:
             "correlation": {"names": list(cm.names),
                             "values": cm.values.tolist()},
         })
-    return EXIT_OK
 
 
-def _cmd_fit_mlp(s) -> int:
+def _cmd_fit_mlp(s) -> None:
     full = load_csv(s.data, has_response=True, response_name=s.response)
     n_valid = max(1, int(round(full.n * s.valid_frac)))
     if n_valid >= full.n:
@@ -389,73 +416,46 @@ def _cmd_fit_mlp(s) -> int:
         em.json("mlp_fit.json", {"schema": aio.SCHEMA, **report.to_dict()})
     print(f"validation R^2 = {report.valid_r2:.4f} "
           f"({report.epochs_run} epochs)")
-    return EXIT_OK
 
 
-def _selected_columns(s, d: Dataset) -> list[int]:
-    if not s.columns:
-        return list(range(d.p))
-    return [d.index_of(name) for name in s.columns]
-
-
-def _maybe_center(curve, s):
-    return center(curve) if s.center else curve
-
-
-def _curve_meta(s, table) -> dict:
-    return {"k_bins": s.k_bins, "dependence": s.dependence,
+@_estimation
+def _cmd_effects(s, d, model, table, em) -> None:
+    meta = {"k_bins": s.k_bins, "dependence": s.dependence,
             "gradient_method": table.method,
             "smooth_marginal": s.smooth_marginal}
+    columns = [d.index_of(c) for c in s.columns] if s.columns else range(d.p)
+    for j in columns:
+        name = d.names[j]
+        scheme = quantile_bins(d, j, s.k_bins)
+        dep = fit_dependence(d, j, s.dependence)
+        pd_c = pdp(model, d, j, bins=scheme)
+        mg_c = marginal(model, d, j, bins=scheme, smooth=s.smooth_marginal)
+        terms, tot_c = atdev_terms(model, d, j, dep=dep, bins=scheme,
+                                   table=table)
+        ale_c = terms.pop(j)
+        le_c = le_curve(model, d, j, j, bins=scheme, table=table)
 
+        out = [pd_c, mg_c, ale_c, *terms, tot_c, le_c]
+        if s.center:
+            out = [center(c) for c in out]
+        em.text(f"curves_{name}.csv", aio.curves_to_csv(out))
+        em.json(f"curves_{name}.json", {
+            "schema": aio.SCHEMA, "variable": name,
+            "curves": [aio.curve_to_dict(c, meta=meta) for c in out]})
 
-def _cmd_effects(s) -> int:
-    for name in s.columns or ():
-        if s.columns.count(name) > 1:
-            raise UsageError(f"--columns names {name!r} more than once")
-    d, model = _load_run(s)
-    with _Emitter(s.out_dir) as em:
-        table = gradient_table(model, d, h=s.fd_step)
-        for j in _selected_columns(s, d):
-            name = d.names[j]
-            scheme = quantile_bins(d, j, s.k_bins)
-            dep = fit_dependence(d, j, s.dependence)
-            pd_c = pdp(model, d, j, bins=scheme)
-            mg_c = marginal(model, d, j, bins=scheme,
-                            smooth=s.smooth_marginal)
-            terms, tot_c = atdev_terms(model, d, j, dep=dep, bins=scheme,
-                                       table=table)
-            ale_c = terms.pop(j)
-            le_c = le_curve(model, d, j, j, bins=scheme, table=table)
-
-            curves = [pd_c, mg_c, ale_c, *terms, tot_c, le_c]
-            out = [_maybe_center(c, s) for c in curves]
-            em.text(f"curves_{name}.csv", aio.curves_to_csv(out))
-            em.json(f"curves_{name}.json", {
+        # Overlays are always centered; level offsets are exactly what
+        # the comparisons are meant to ignore.
+        for stem, group in (
+                ("total_marginal", {"total": tot_c, "marginal": mg_c}),
+                ("pd_marginal_ale",
+                 {"pd": pd_c, "marginal": mg_c, "ale": ale_c})):
+            curves = {label: center(c) for label, c in group.items()}
+            em.figure(f"overlay_{stem}_{name}", {
                 "schema": aio.SCHEMA, "variable": name,
-                "curves": [aio.curve_to_dict(c, meta=_curve_meta(s, table))
-                           for c in out]})
-
-            # Overlays are always centered; level offsets are exactly what
-            # the comparisons are meant to ignore.
-            tot_cc, mg_cc = center(tot_c), center(mg_c)
-            pd_cc, ale_cc = center(pd_c), center(ale_c)
-            em.json(f"overlay_total_marginal_{name}.json", {
-                "schema": aio.SCHEMA, "variable": name,
-                "curves": {"total": aio.curve_to_dict(tot_cc),
-                           "marginal": aio.curve_to_dict(mg_cc)}})
-            em.json(f"overlay_pd_marginal_ale_{name}.json", {
-                "schema": aio.SCHEMA, "variable": name,
-                "curves": {"pd": aio.curve_to_dict(pd_cc),
-                           "marginal": aio.curve_to_dict(mg_cc),
-                           "ale": aio.curve_to_dict(ale_cc)}})
-            if s.svg:
-                em.text(f"overlay_total_marginal_{name}.svg",
-                        asvg.curve_chart([tot_cc, mg_cc],
-                                         ["total", "marginal"], title=name))
-                em.text(f"overlay_pd_marginal_ale_{name}.svg",
-                        asvg.curve_chart([pd_cc, mg_cc, ale_cc],
-                                         ["pd", "marginal", "ale"], title=name))
-    return EXIT_OK
+                "curves": {label: aio.curve_to_dict(c)
+                           for label, c in curves.items()}},
+                lambda: asvg.curve_chart(list(curves.values()), list(curves),
+                                         title=name))
 
 
 def _le_extras(d, table, cap: int, seed: int):
@@ -478,69 +478,47 @@ def _le_extras(d, table, cap: int, seed: int):
     return scatter, histograms
 
 
-def _cmd_matrix(s) -> int:
-    kind = CurveKind(s.kind)
-    d, model = _load_run(s)
-    with _Emitter(s.out_dir) as em:
-        table = gradient_table(model, d, h=s.fd_step)
-        matrix = effect_matrix(model, d, kind, k_bins=s.k_bins,
-                               dependence=s.dependence, table=table)
-        scatter = histograms = None
-        if kind is CurveKind.LE:
-            scatter, histograms = _le_extras(
-                d, table, cap=s.scatter_cap, seed=s.seed)
-        stem = f"matrix_{kind.value.lower()}"
-        em.json(f"{stem}.json",
-                aio.matrix_to_dict(matrix, scatter=scatter,
-                                   histograms=histograms))
-        if s.svg:
-            em.text(f"{stem}.svg",
-                    asvg.matrix_chart(matrix, title=kind.value))
-    return EXIT_OK
+@_estimation
+def _cmd_matrix(s, d, model, table, em) -> None:
+    matrix = effect_matrix(model, d, s.kind, k_bins=s.k_bins,
+                           dependence=s.dependence, table=table)
+    scatter = histograms = None
+    if s.kind == "LE":
+        scatter, histograms = _le_extras(d, table, cap=s.scatter_cap,
+                                         seed=s.seed)
+    em.figure(f"matrix_{s.kind.lower()}",
+              aio.matrix_to_dict(matrix, scatter=scatter,
+                                 histograms=histograms),
+              lambda: asvg.matrix_chart(matrix, title=s.kind))
 
 
-def _cmd_heatmap(s) -> int:
-    d, model = _load_run(s)
-    with _Emitter(s.out_dir) as em:
-        report = build_report(model, d, k_bins=s.k_bins,
-                              dependence=s.dependence,
-                              table=gradient_table(model, d, h=s.fd_step))
-        vmax = float(report.v.max())
-        shades = report.v / vmax if vmax > 0 else report.v
-        comp = aio.HeatMapData(names=report.names, values=shades,
-                               scale="nonnegative")
-        corr = aio.corr_to_heatmap(corr_matrix(d))
-        em.json("components_heatmap.json", aio.heatmap_to_dict(comp))
-        em.json("correlation_heatmap.json", aio.heatmap_to_dict(corr))
-        em.json("component_totals_bars.json", aio.bars_to_dict(
-            aio.BarData(label="column effect variance",
-                        names=report.names, values=report.v_plus)))
-        em.json("derivative_energy_bars.json", aio.bars_to_dict(
-            aio.BarData(label="mean squared derivative",
-                        names=report.names, values=report.dgsm)))
-        if s.svg:
-            em.text("components_heatmap.svg",
-                    asvg.heatmap_chart(comp, title="effect components"))
-            em.text("correlation_heatmap.svg",
-                    asvg.heatmap_chart(corr, title="correlation"))
-            em.text("component_totals_bars.svg",
-                    asvg.bar_chart(list(report.names), report.v_plus,
-                                   title="column effect variance"))
-            em.text("derivative_energy_bars.svg",
-                    asvg.bar_chart(list(report.names), report.dgsm,
-                                   title="mean squared derivative"))
-    return EXIT_OK
+@_estimation
+def _cmd_heatmap(s, d, model, table, em) -> None:
+    report = build_report(model, d, k_bins=s.k_bins, dependence=s.dependence,
+                          table=table)
+    vmax = float(report.v.max())
+    comp = aio.HeatMapData(names=report.names, scale="nonnegative",
+                           values=report.v / vmax if vmax > 0 else report.v)
+    for stem, heat, title in (
+            ("components_heatmap", comp, "effect components"),
+            ("correlation_heatmap", aio.corr_to_heatmap(corr_matrix(d)),
+             "correlation")):
+        em.figure(stem, aio.heatmap_to_dict(heat),
+                  lambda: asvg.heatmap_chart(heat, title=title))
+    for stem, label, values in (
+            ("component_totals_bars", "column effect variance", report.v_plus),
+            ("derivative_energy_bars", "mean squared derivative", report.dgsm)):
+        em.figure(stem, aio.bars_to_dict(
+            aio.BarData(label=label, names=report.names, values=values)),
+            lambda: asvg.bar_chart(list(report.names), values, title=label))
 
 
-def _cmd_importance(s) -> int:
-    d, model = _load_run(s)
-    with _Emitter(s.out_dir) as em:
-        report = build_report(model, d, k_bins=s.k_bins,
-                              dependence=s.dependence,
-                              table=gradient_table(model, d, h=s.fd_step))
-        em.json("importance.json", aio.report_to_dict(report))
-        em.text("importance.csv", aio.report_to_csv(report))
-    return EXIT_OK
+@_estimation
+def _cmd_importance(s, d, model, table, em) -> None:
+    report = build_report(model, d, k_bins=s.k_bins, dependence=s.dependence,
+                          table=table)
+    em.json("importance.json", aio.report_to_dict(report))
+    em.text("importance.csv", aio.report_to_csv(report))
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +564,8 @@ def main(argv: list[str] | None = None) -> int:
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
-        return args.func(_settings(args))
+        args.func(_settings(args))
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 
 __all__ = [
     "CurveKind",
@@ -150,7 +150,8 @@ class EffectCurve:
     ``counts`` carries the empirical weight of each grid point (bin member
     counts), which is what centering and variance summaries integrate
     against. ``k`` is the row variable for cross curves (ACE, LEcross) and
-    None otherwise.
+    None otherwise. A NaN or infinite grid point or value is a
+    NumericalError: an estimate that overflowed is never passed on.
     """
 
     kind: CurveKind
@@ -164,6 +165,12 @@ class EffectCurve:
     def __post_init__(self):
         if not (len(self.grid) == len(self.values) == len(self.counts)):
             raise DataError("grid/values/counts length mismatch")
+        if not (np.all(np.isfinite(self.grid))
+                and np.all(np.isfinite(self.values))):
+            through = "" if self.k is None else f" through column {self.k}"
+            raise NumericalError(
+                f"non-finite {self.kind.value} curve of column {self.j}"
+                f"{through}")
         if len(self.grid) and np.any(np.diff(self.grid) <= 0):
             raise DataError("curve grid must be strictly increasing")
         if np.any(self.counts < 0):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, bin_index, quantile_bins
-from .errors import DataError
+from .errors import DataError, NumericalError
 
 __all__ = [
     "DependenceModel",
@@ -152,7 +152,8 @@ class CorrelationMatrix:
 
 def corr_matrix(d: Dataset) -> CorrelationMatrix:
     """Pearson correlations between all predictor pairs. Constant columns
-    have no defined correlation and are rejected."""
+    have no defined correlation and are rejected, and so is a pair whose
+    correlation overflows (NumericalError)."""
     x = d.matrix()
     sd = x.std(axis=0)
     if np.any(sd == 0.0):
@@ -161,6 +162,12 @@ def corr_matrix(d: Dataset) -> CorrelationMatrix:
     c = np.eye(d.p)
     for a in range(d.p):
         for b in range(a + 1, d.p):
-            r = float(np.corrcoef(x[:, a], x[:, b])[0, 1])
-            c[a, b] = c[b, a] = r
+            # The whole 2 x 2 block: a variance that overflows leaves the
+            # off-diagonal finite (0) and only the diagonal shows it.
+            r = np.corrcoef(x[:, a], x[:, b])
+            if not np.all(np.isfinite(r)):
+                raise NumericalError(
+                    f"non-finite correlation of {d.names[a]!r} and "
+                    f"{d.names[b]!r}")
+            c[a, b] = c[b, a] = float(r[0, 1])
     return CorrelationMatrix(names=tuple(d.names), values=c)

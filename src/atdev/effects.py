@@ -255,7 +255,7 @@ class EffectMatrix:
 
     kind: CurveKind
     names: tuple[str, ...]
-    cells: tuple[tuple[EffectCurve | None, ...], ...]  # [row i][col j]
+    cells: tuple[tuple[EffectCurve, ...], ...]  # [row i][col j]
     totals: tuple[EffectCurve, ...] | None = None
     schemes: tuple[BinScheme, ...] = ()
 
@@ -263,7 +263,7 @@ class EffectMatrix:
     def p(self) -> int:
         return len(self.names)
 
-    def cell(self, i: int, j: int) -> EffectCurve | None:
+    def cell(self, i: int, j: int) -> EffectCurve:
         return self.cells[i][j]
 
     def total(self, j: int) -> EffectCurve:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import Dataset, CurveKind, EffectCurve
 from .effects import DEFAULT_BINS, EffectMatrix, effect_matrix
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .gradients import GradientTable, gradient_table
 from .models import Predictor
 
@@ -47,13 +47,7 @@ def atdev_importance(em: EffectMatrix) -> tuple[np.ndarray, np.ndarray]:
     """
     if em.kind is not CurveKind.ATDEV:
         raise DataError("importance matrix needs the total-derivative kind")
-    p = em.p
-    v = np.zeros((p, p))
-    for i in range(p):
-        for j in range(p):
-            cell = em.cell(i, j)
-            if cell is not None:
-                v[i, j] = weighted_variance(cell)
+    v = np.array([[weighted_variance(c) for c in row] for row in em.cells])
     return v, v.sum(axis=0)
 
 
@@ -74,6 +68,12 @@ class ImportanceReport:
     dgsm: np.ndarray     # mean squared partials
 
     def __post_init__(self):
+        for field, values in (("v", self.v), ("v_plus", self.v_plus),
+                              ("dgsm", self.dgsm)):
+            bad = np.flatnonzero(~np.isfinite(values)) % len(self.names)
+            if len(bad):
+                raise NumericalError(f"non-finite {field} for column "
+                                     f"{self.names[bad[0]]!r}")
         if np.any(self.v < 0) or np.any(self.dgsm < 0):
             raise DataError("importance values must be nonnegative")
         if not np.allclose(self.v_plus, self.v.sum(axis=0), atol=1e-12):

@@ -21,7 +21,7 @@ import numpy as np
 from .data import CurveKind, EffectCurve, _staged
 from .dependence import CorrelationMatrix
 from .effects import EffectMatrix
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .importance import ImportanceReport
 
 SCHEMA = "atdev/1"
@@ -59,11 +59,17 @@ def write_text_atomic(path: str | Path, text: str) -> Path:
 
 def write_json(path: str | Path, payload: dict) -> Path:
     """``json.dumps(payload, indent=1)`` and a newline, streamed to the
-    file: the document is never held whole in memory."""
+    file: the document is never held whole in memory. A NaN or infinite
+    float is a NumericalError, and no file is left: JSON has no spelling
+    for it."""
     path = Path(path)
-    with _staged(path) as f:
-        f.writelines(json.JSONEncoder(indent=1).iterencode(payload))
-        f.write("\n")
+    try:
+        with _staged(path) as f:
+            f.writelines(
+                json.JSONEncoder(indent=1, allow_nan=False).iterencode(payload))
+            f.write("\n")
+    except ValueError as exc:
+        raise NumericalError(f"{path.name}: {exc}") from None
     return path
 
 
@@ -174,8 +180,7 @@ def matrix_to_dict(em: EffectMatrix, scatter: list | None = None,
         "schema": SCHEMA,
         "kind": em.kind.value,
         "names": list(em.names),
-        "cells": [[None if em.cell(i, j) is None else curve_to_dict(em.cell(i, j))
-                   for j in range(em.p)] for i in range(em.p)],
+        "cells": [[curve_to_dict(c) for c in row] for row in em.cells],
         "totals": None if em.totals is None
         else [curve_to_dict(t) for t in em.totals],
     }
@@ -191,11 +196,10 @@ def matrix_from_dict(payload: dict) -> EffectMatrix:
     not serialized, so ``schemes`` comes back empty."""
     try:
         names = tuple(payload["names"])
-        cells = tuple(
-            tuple(None if c is None else curve_from_dict(c) for c in row)
-            for row in payload["cells"])
+        cells = tuple(tuple(map(curve_from_dict, row))
+                      for row in payload["cells"])
         totals = payload.get("totals")
-    except KeyError as exc:
+    except (KeyError, TypeError) as exc:
         raise DataError(f"bad matrix payload: {exc}") from exc
     return EffectMatrix(
         kind=CurveKind(payload["kind"]), names=names, cells=cells,

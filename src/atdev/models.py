@@ -571,11 +571,11 @@ class ExternalModel(Predictor):
             (len(b), partial(_write_rows, x=b)) for b in blocks))
 
     def _score_swept(self, x: np.ndarray, j: int, grid: np.ndarray, chunks):
-        """One spawn a chunk, written without building it: each cell of x
-        is formatted once per sweep, and a grid value's rows are one join
-        of those pieces around its decimal."""
-        pieces, grid = _row_pieces(x, j), grid.tolist()
-        return self._scores((r1 - r0, partial(_write_swept, pieces=pieces,
+        """One spawn a chunk, written without building it: x is formatted
+        once per sweep, with a NUL for column j, and a grid value's rows
+        are a slice of that text with the NUL replaced by its decimal."""
+        template, grid = _row_template(x, j), grid.tolist()
+        return self._scores((r1 - r0, partial(_write_swept, template=template,
                                               p=self.p, grid=grid,
                                               rows=(r0, r1)))
                             for r0, r1 in chunks)
@@ -676,34 +676,27 @@ def _write_rows(f, x: np.ndarray) -> None:
         f.write(text.encode())
 
 
-def _row_pieces(x: np.ndarray, j: int) -> list[bytes]:
-    """``[pre_0, suf_0 + pre_1, ..., suf_{N-1}]``, where pre_i and suf_i
-    are the request text of row i before and after column j (suf_i ends
-    the line), so ``v.join(pieces)`` is the body of x with column j set to
-    the decimal v. Every cell outside column j is formatted once."""
-    p = x.shape[1]
-    row = " ".join(["%r"] * j + ["\0"] + ["%r"] * (p - 1 - j)) + "\n"
-    pieces = [b""]
-    for text in _format_rows(np.delete(x, j, axis=1), row):
-        head, *tail = text.encode().split(b"\0")
-        pieces[-1] += head
-        pieces.extend(tail)
-    return pieces
+def _row_template(x: np.ndarray, j: int) -> tuple[bytes, list[int]]:
+    """The request body of x with a NUL byte in place of column j, and the
+    offset of each row's first byte plus the body's length (N + 1
+    offsets): with the NUL replaced by a decimal v, rows i0 .. i1 - 1 are
+    the text of those rows with column j set to v. Every cell outside
+    column j is formatted once."""
+    row = " ".join(["%r"] * j + ["\0"] + ["%r"] * (x.shape[1] - 1 - j)) + "\n"
+    body = "".join(_format_rows(np.delete(x, j, axis=1), row)).encode()
+    ends = np.flatnonzero(np.frombuffer(body, dtype=np.uint8) == ord("\n"))
+    return body, [0, *(ends + 1).tolist()]
 
 
-def _write_swept(f, pieces: list[bytes], p: int, grid: list[float],
-                 rows: tuple[int, int]) -> None:
+def _write_swept(f, template: tuple[bytes, list[int]], p: int,
+                 grid: list[float], rows: tuple[int, int]) -> None:
     """Write swept rows [r0, r1) (x tiled once per grid value, column j
     set to that value) as ``_write_rows`` writes those rows."""
-    r0, r1 = rows
+    (body, starts), (r0, r1) = template, rows
     f.write(f"{r1 - r0} {p}\n".encode())
-    for g, i0, i1 in _segments(len(pieces) - 1, r0, r1):
-        # Trim the edge pieces to rows i0 .. i1 - 1: pre_i0 follows the
-        # newline of suf_{i0-1}, and suf_{i1-1} ends at its own newline.
-        first = pieces[i0].rpartition(b"\n")[2]
-        last = pieces[i1][:pieces[i1].index(b"\n") + 1]
-        f.write(repr(grid[g]).encode().join(
-            [first, *pieces[i0 + 1:i1], last]))
+    for g, i0, i1 in _segments(len(starts) - 1, r0, r1):
+        f.write(body[starts[i0]:starts[i1]].replace(
+            b"\0", repr(grid[g]).encode()))
 
 
 def _parse_scores(stdout: bytes, n: int) -> np.ndarray:

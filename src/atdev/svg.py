@@ -119,9 +119,7 @@ def matrix_chart(bundle, cell_size: int = 130, title: str = "") -> str:
     height = top + p * cell_size + 34
     cv = _Canvas(width, height)
     cv.text(width / 2, 18, title, size=13, anchor="middle")
-    present = [bundle.cell(i, j) for i in range(p) for j in range(p)
-               if bundle.cell(i, j) is not None]
-    ys = np.concatenate([c.values for c in present])
+    ys = np.concatenate([c.values for row in bundle.cells for c in row])
     lo, hi = float(ys.min()), float(ys.max())
     pad_y = 0.05 * (hi - lo) if hi > lo else 1.0
     ylim = (lo - pad_y, hi + pad_y)
@@ -136,9 +134,6 @@ def matrix_chart(bundle, cell_size: int = 130, title: str = "") -> str:
                 cv.text(x0 + w / 2, top - 6, bundle.names[j], size=10,
                         anchor="middle")
             cell = bundle.cell(i, j)
-            if cell is None:
-                cv.rect(x0, y0, w, h, fill="#f4f4f4", stroke="#ccc")
-                continue
             xlim = (float(cell.grid.min()), float(cell.grid.max()))
             cv.rect(x0, y0, w, h, fill="#fcfcfc", stroke="#aaa")
             if ylim[0] < 0 < ylim[1]:

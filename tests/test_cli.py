@@ -742,3 +742,86 @@ class TestFitMlpBounds:
         assert rc == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+def _charts(*stems):
+    return {f"{stem}.json" for stem in stems}, {f"{stem}.svg" for stem in stems}
+
+
+# command: (argv, files that are not charts, (chart JSONs, chart SVGs))
+_OUTPUTS = {
+    "effects": (["effects"], {f"curves_{name}.{ext}"
+                              for name in ("x1", "x2", "x3")
+                              for ext in ("csv", "json")},
+                _charts(*(f"overlay_{pair}_{name}"
+                          for pair in ("total_marginal", "pd_marginal_ale")
+                          for name in ("x1", "x2", "x3")))),
+    "matrix-atdev": (["matrix", "--kind", "ATDEV"], set(),
+                     _charts("matrix_atdev")),
+    "matrix-le": (["matrix", "--kind", "LE"], set(), _charts("matrix_le")),
+    "heatmap": (["heatmap"], set(), _charts(
+        "components_heatmap", "correlation_heatmap", "component_totals_bars",
+        "derivative_energy_bars")),
+    "importance": (["importance"], {"importance.json", "importance.csv"},
+                   (set(), set())),
+}
+
+
+class TestOutputNames:
+    """The exact set of files each estimation command writes. Every
+    chart's SVG sits beside its JSON, under the same stem, and only with
+    --svg, which the commands without charts do not take."""
+
+    @pytest.mark.parametrize("case, svg", [
+        (case, svg) for case, (_, _, (charts, _)) in _OUTPUTS.items()
+        for svg in (False, True) if charts or not svg])
+    def test_exact_file_names(self, data622, tmp_path, case, svg):
+        command, files, (jsons, svgs) = _OUTPUTS[case]
+        out = tmp_path / "out"
+        rc = main([*command, "--data", data622, "--response", "y",
+                   "--model-id", "case_622", "--k-bins", "12",
+                   "--out-dir", str(out), *(["--svg"] if svg else [])])
+        assert rc == 0
+        assert {p.name for p in out.iterdir()} == \
+            files | jsons | (svgs if svg else set())
+
+
+class TestNonFiniteEstimates:
+    """x1 at the scale of 1e160 under f = x1^2 + x2: the curves and the
+    derivative energy of x1 overflow. Such estimates are exit 3, and
+    nothing is written; the local effects stay finite and are written."""
+
+    TERMS = '[[1.0, {"0": 2}], [1.0, {"1": 1}]]'
+
+    @pytest.fixture()
+    def huge(self, tmp_path):
+        rng = np.random.default_rng(0)
+        d = Dataset(names=["x1", "x2"],
+                    columns=[rng.uniform(-1e160, 1e160, 500),
+                             rng.uniform(-1.0, 1.0, 500)])
+        path = tmp_path / "huge.csv"
+        save_csv(d, path)
+        return str(path)
+
+    def run(self, data, out, *command):
+        return main([*command, "--data", data, "--model-id", "custom",
+                     "--terms", self.TERMS, "--k-bins", "10",
+                     "--out-dir", str(out)])
+
+    @pytest.mark.parametrize("command", [
+        ["effects"], ["matrix", "--kind", "ATDEV"], ["heatmap"],
+        ["importance"]], ids=lambda c: "-".join(c))
+    def test_exit_3_and_no_files(self, huge, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning):
+            rc = self.run(huge, out, *command)
+        assert rc == 3
+        assert "numerical failure: non-finite" in capsys.readouterr().err
+        assert not list(out.glob("*"))
+
+    def test_local_effects_are_written(self, huge, tmp_path):
+        out = tmp_path / "out"
+        assert self.run(huge, out, "matrix", "--kind", "LE") == 0
+        text = (out / "matrix_le.json").read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        json.loads(text)

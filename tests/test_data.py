@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import atdev.data
 from atdev import SimSpec, center, generate, load_csv, quantile_bins, save_csv
 from atdev.data import CurveKind, Dataset, EffectCurve
-from atdev.errors import DataError
+from atdev.errors import DataError, NumericalError
 from helpers import failing_open
 
 
@@ -335,3 +335,14 @@ class TestEffectCurve:
     def test_negative_counts_rejected(self):
         with pytest.raises(DataError):
             curve([1.0, 2.0], counts=[1.0, -1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_curve_is_a_numerical_error(self, bad):
+        with pytest.raises(NumericalError, match="non-finite ALE curve of "
+                                                 "column 0$"):
+            curve([1.0, bad])
+        with pytest.raises(NumericalError,
+                           match="non-finite ACE curve of column 1 through "
+                                 "column 2"):
+            EffectCurve(kind=CurveKind.ACE, j=1, k=2, grid=np.array([bad, 1.0]),
+                        values=np.zeros(2), counts=np.ones(2))

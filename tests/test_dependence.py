@@ -6,7 +6,7 @@ import pytest
 from atdev import SimSpec, corr_matrix, fit_dependence, generate
 from atdev.data import Dataset
 from atdev.dependence import ols_line
-from atdev.errors import DataError
+from atdev.errors import DataError, NumericalError
 
 
 def paired(n=50_000, seed=0, slope=0.8, noise=0.0):
@@ -138,6 +138,20 @@ class TestCorrMatrix:
     def test_constant_column_rejected(self):
         d = Dataset(names=["a", "b"], columns=[np.zeros(9), np.arange(9.0)])
         with pytest.raises(DataError):
+            corr_matrix(d)
+
+    def test_overflowing_variance_is_a_numerical_error(self):
+        # numpy's correlation of a column at 1e160 comes out as -0.0 or
+        # 0.0 beside a NaN diagonal; the pair must not be reported as
+        # uncorrelated
+        rng = np.random.default_rng(0)
+        d = Dataset(names=["a", "b", "c"],
+                    columns=[rng.uniform(-1, 1, 50),
+                             rng.uniform(-1e160, 1e160, 50),
+                             rng.uniform(-1, 1, 50)])
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(NumericalError,
+                              match="non-finite correlation of 'a' and 'b'"):
             corr_matrix(d)
 
 

@@ -20,7 +20,7 @@ from atdev import (
     effect_matrix,
 )
 from atdev.dependence import DependenceModel
-from atdev.errors import DataError
+from atdev.errors import DataError, NumericalError
 from atdev.importance import ImportanceReport, weighted_variance
 from conftest import BRUTEFORCE
 
@@ -145,6 +145,24 @@ class TestReport:
         with pytest.raises(DataError):
             ImportanceReport(names=("a", "b"), v=v, v_plus=v.sum(axis=0),
                              dgsm=np.zeros(2))
+
+    @pytest.mark.parametrize("field, column", [
+        ("v", "b"), ("v_plus", "b"), ("dgsm", "a")])
+    def test_non_finite_values_name_field_and_column(self, field, column):
+        # checked before the totals, which NaN would fail with a
+        # message that blames the matrix
+        values = {"v": np.array([[1.0, 0.0], [0.0, 2.0]]),
+                  "v_plus": np.array([1.0, 2.0]), "dgsm": np.ones(2)}
+        values[field] = values[field].copy()
+        if field == "v":
+            values["v"][1, 1] = np.nan
+        elif field == "v_plus":
+            values["v_plus"][1] = np.inf
+        else:
+            values["dgsm"][0] = np.inf
+        with pytest.raises(NumericalError,
+                           match=f"non-finite {field} for column '{column}'"):
+            ImportanceReport(names=("a", "b"), **values)
 
     def test_build_report_is_consistent(self, d622):
         model = catalog_model("case_622")

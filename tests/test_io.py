@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from atdev import CurveKind, Dataset, EffectCurve, catalog_model, center, \
     corr_matrix, effect_matrix
-from atdev.errors import DataError
+from atdev.errors import DataError, NumericalError
 from atdev.importance import ImportanceReport
 from atdev.io import (
     SCHEMA,
@@ -134,6 +134,13 @@ class TestMatrixBundle:
         with pytest.raises(DataError):
             matrix_from_dict({"schema": SCHEMA, "kind": "ATDEV"})
 
+    def test_null_cell_is_a_bad_payload(self):
+        em, _ = small_matrix()
+        payload = json.loads(json.dumps(matrix_to_dict(em)))
+        payload["cells"][0][1] = None
+        with pytest.raises(DataError, match="bad matrix payload"):
+            matrix_from_dict(payload)
+
 
 class TestHeatMap:
     def test_signed_must_be_symmetric(self):
@@ -213,10 +220,18 @@ class TestFileLayer:
         lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
         max_leaves=40)))
     def test_streamed_json_equals_dumps(self, tmp_path_factory, payload):
+        # A payload with a NaN or infinite float has no JSON spelling: it
+        # is a NumericalError and leaves no file.
         target = tmp_path_factory.mktemp("json") / "doc.json"
+        try:
+            want = json.dumps(payload, indent=1, allow_nan=False) + "\n"
+        except ValueError:
+            with pytest.raises(NumericalError):
+                write_json(target, payload)
+            assert not any(target.parent.iterdir())
+            return
         write_json(target, payload)
-        assert target.read_bytes() == \
-            (json.dumps(payload, indent=1) + "\n").encode()
+        assert target.read_bytes() == want.encode()
 
     def test_streamed_json_of_an_le_matrix_equals_dumps(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -238,6 +253,18 @@ class TestFileLayer:
         before = kept.read_bytes()
         with pytest.raises(TypeError):
             write_json(kept, payload)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json"]
+        assert kept.read_bytes() == before
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     -float("inf")])
+    def test_non_finite_float_is_a_numerical_error(self, tmp_path, bad):
+        kept = tmp_path / "kept.json"
+        write_json(kept, {"schema": SCHEMA})
+        before = kept.read_bytes()
+        for target in (tmp_path / "new.json", kept):
+            with pytest.raises(NumericalError, match="not JSON compliant"):
+                write_json(target, {"values": [1.0] * 5000 + [bad]})
         assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json"]
         assert kept.read_bytes() == before
 
