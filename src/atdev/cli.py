@@ -403,8 +403,7 @@ def _cmd_fit_mlp(s) -> None:
     tr, va = order[n_valid:], order[:n_valid]
 
     def _slice(rows):
-        return Dataset(names=list(full.names),
-                       columns=[c[rows] for c in full.columns],
+        return Dataset(names=list(full.names), columns=full.matrix()[rows],
                        response=full.response[rows])
 
     model, report = fit_mlp(
@@ -459,17 +458,17 @@ def _cmd_effects(s, d, model, table, em) -> None:
 
 
 def _le_extras(d, table, cap: int, seed: int):
+    """Per-cell raw (x_j, df/dx_i) samples, at most ``cap`` sorted rows a
+    cell, kept as arrays for the JSON writer, and per-variable derivative
+    histograms."""
     rng = np.random.default_rng(seed)
     scatter = []
     for i in range(d.p):
         for j in range(d.p):
-            rows = np.arange(d.n)
-            if d.n > cap:
-                rows = np.sort(rng.choice(d.n, size=cap, replace=False))
-            scatter.append({
-                "i": i, "j": j,
-                "x": d.column(j)[rows].tolist(),
-                "deriv": table.values[rows, i].tolist()})
+            rows = (np.sort(rng.choice(d.n, size=cap, replace=False))
+                    if d.n > cap else slice(None))
+            scatter.append({"i": i, "j": j, "x": d.column(j)[rows],
+                            "deriv": table.values[rows, i]})
     histograms = []
     for j in range(d.p):
         counts, edges = np.histogram(table.values[:, j], bins=40)

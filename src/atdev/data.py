@@ -1,8 +1,8 @@
 """Dataset container, CSV ingestion, quantile binning and curve centering.
 
 Everything downstream (estimators, dependence fits, importance summaries)
-works off the three types defined here: an immutable column-major
-``Dataset``, a ``BinScheme`` discretizing one variable, and an
+works off the three types defined here: an immutable ``Dataset`` over
+one read-only row matrix, a ``BinScheme`` discretizing one variable, and an
 ``EffectCurve`` holding one estimated 1-D curve sampled at bin midpoints.
 """
 
@@ -45,20 +45,28 @@ class CurveKind(str, Enum):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Column-major numeric table with unique variable names.
+    """Numeric table with unique variable names.
 
-    ``columns`` is a list of p float vectors of identical length N;
-    ``response`` is an optional N-vector. All values are finite. The rows
-    double as the empirical predictor distribution used by every
-    conditional-expectation estimate in the package.
+    The predictors are one read-only C-order N x p float64 matrix that
+    ``matrix()`` returns to every caller; ``columns`` holds views of its
+    p columns. They are given as a list of columns (copied) or as an
+    N x p array (kept as is when already C-order float64). Code that
+    writes takes its own copy. ``response`` is an optional N-vector. All
+    values are finite. The rows double as the empirical predictor
+    distribution used by every conditional-expectation estimate in the
+    package.
     """
 
     names: list[str]
     columns: list[np.ndarray]
     response: np.ndarray | None = None
+    _x: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.names) != len(self.columns):
+        given = self.columns
+        stacked = isinstance(given, np.ndarray) and given.ndim == 2
+        width = given.shape[1] if stacked else len(given)
+        if len(self.names) != width:
             raise DataError("names and columns length mismatch")
         if not self.names:
             raise DataError("dataset has no predictor columns")
@@ -66,14 +74,23 @@ class Dataset:
             raise DataError("duplicate variable names")
         if any(not n for n in self.names):
             raise DataError("empty variable name")
-        n = len(self.columns[0])
+        n = len(given) if stacked else len(given[0])
         if n < 1:
             raise DataError("dataset has no rows")
-        for name, col in zip(self.names, self.columns):
-            if len(col) != n:
-                raise DataError(f"column {name!r} has length {len(col)}, expected {n}")
-            if not np.all(np.isfinite(col)):
-                raise DataError(f"non-finite value in column {name!r}")
+        if not stacked:
+            for name, col in zip(self.names, given):
+                if len(col) != n:
+                    raise DataError(
+                        f"column {name!r} has length {len(col)}, expected {n}")
+            given = np.column_stack(given)
+        # a view, so that a caller's own array stays writeable
+        x = np.ascontiguousarray(given, dtype=np.float64).view()
+        x.flags.writeable = False
+        if not np.all(np.isfinite(x)):
+            bad = np.flatnonzero(~np.isfinite(x).all(axis=0))[0]
+            raise DataError(f"non-finite value in column {self.names[bad]!r}")
+        object.__setattr__(self, "_x", x)
+        object.__setattr__(self, "columns", [x[:, j] for j in range(width)])
         if self.response is not None:
             if len(self.response) != n:
                 raise DataError("response length mismatch")
@@ -82,17 +99,19 @@ class Dataset:
 
     @property
     def p(self) -> int:
-        return len(self.columns)
+        return self._x.shape[1]
 
     @property
     def n(self) -> int:
-        return len(self.columns[0])
+        return self._x.shape[0]
 
     def matrix(self) -> np.ndarray:
-        """Rows-by-variables copy of the predictors (N x p)."""
-        return np.column_stack(self.columns)
+        """The predictors, rows by variables (N x p): the shared read-only
+        matrix, not a copy."""
+        return self._x
 
     def column(self, j: int) -> np.ndarray:
+        """Column j, a read-only view of ``matrix()``."""
         return self.columns[j]
 
     def index_of(self, name: str) -> int:
@@ -248,26 +267,28 @@ def load_csv(path: str | Path, has_response: bool = False,
         if len(set(header)) != len(header):
             raise DataError(f"{path}: duplicate column names in header")
         # A quoted header cell may span lines, which skiprows=1 would miss.
-        columns = _fast_columns(path, len(header)) if reader.line_num == 1 else None
-        if columns is None:
-            columns = _parse_cells(path, reader, header)
+        body = _fast_body(path, len(header)) if reader.line_num == 1 else None
+        if body is None:
+            body = _parse_cells(path, reader, header)
     response = None
     if has_response:
         name = response_name if response_name is not None else header[-1]
         if name not in header:
             raise DataError(f"{path}: no response column named {name!r}")
         ridx = header.index(name)
-        response = columns.pop(ridx)
+        # copies, so the N x (p + 1) block is freed on return
+        response = body[:, ridx].copy()
+        body = np.delete(body, ridx, axis=1)
         header = header[:ridx] + header[ridx + 1:]
-    return Dataset(names=header, columns=columns, response=response)
+    return Dataset(names=header, columns=body, response=response)
 
 
-def _fast_columns(path: Path, ncol: int) -> list[np.ndarray] | None:
-    """The body below a one-line header parsed by np.loadtxt, or None
-    when it needs the cell-by-cell parser: it is empty, fails to parse,
-    or holds a row of another width, a blank line (which np.loadtxt
-    skips and the CSV reader reports as a short row) or a non-finite
-    value."""
+def _fast_body(path: Path, ncol: int) -> np.ndarray | None:
+    """The body below a one-line header parsed by np.loadtxt (rows by
+    columns), or None when it needs the cell-by-cell parser: it is empty,
+    fails to parse, or holds a row of another width, a blank line (which
+    np.loadtxt skips and the CSV reader reports as a short row) or a
+    non-finite value."""
     rows = _count_lines(path) - 1
     if rows < 1:
         return None
@@ -278,7 +299,7 @@ def _fast_columns(path: Path, ncol: int) -> list[np.ndarray] | None:
         return None
     if body.shape != (rows, ncol) or not np.all(np.isfinite(body)):
         return None
-    return list(np.ascontiguousarray(body.T))
+    return body
 
 
 def _count_lines(path: Path) -> int:
@@ -291,9 +312,9 @@ def _count_lines(path: Path) -> int:
     return count + (1 if last and not last.endswith(b"\n") else 0)
 
 
-def _parse_cells(path: Path, reader, header: list[str]) -> list[np.ndarray]:
-    """Cell-by-cell parse of the remaining rows, naming the row and
-    column of the first cell that is not a finite number."""
+def _parse_cells(path: Path, reader, header: list[str]) -> np.ndarray:
+    """Cell-by-cell parse of the remaining rows (rows by columns), naming
+    the row and column of the first cell that is not a finite number."""
     ncol = len(header)
     raw: list[list[float]] = [[] for _ in range(ncol)]
     for rownum, row in enumerate(reader, start=2):
@@ -311,7 +332,7 @@ def _parse_cells(path: Path, reader, header: list[str]) -> list[np.ndarray]:
                     f"{path}: row {rownum}, column {header[colnum]!r}: "
                     f"non-finite value {cell!r}")
             raw[colnum].append(v)
-    return [np.asarray(c, dtype=np.float64) for c in raw]
+    return np.array(raw, dtype=np.float64).T
 
 
 def save_csv(d: Dataset, path: str | Path, response_name: str = "y") -> None:

@@ -16,6 +16,7 @@ level profile, so level errors stay bounded instead of accumulating.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +37,28 @@ DEPENDENCE_KINDS = ("linear", "local_linear")
 
 def ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Least-squares (slope, intercept) of y on x; slope 0 when x is
-    constant."""
-    vx = float(np.var(x))
-    if vx == 0.0:
-        return 0.0, float(np.mean(y))
-    slope = float(np.cov(x, y, bias=True)[0, 1]) / vx
-    return slope, float(np.mean(y) - slope * np.mean(x))
+    constant. When the variance of x or the covariance overflows, the
+    line is fitted on x and y scaled by exact powers of two and scaled
+    back. A slope or intercept that is not finite is a NumericalError."""
+    with np.errstate(all="ignore"):
+        vx = float(np.var(x))
+        if vx == 0.0:
+            return 0.0, float(np.mean(y))
+        cxy = float(np.cov(x, y, bias=True)[0, 1])
+        if math.isfinite(vx) and math.isfinite(cxy):
+            slope = cxy / vx
+            intercept = float(np.mean(y) - slope * np.mean(x))
+        else:
+            # Scaled below 1 in magnitude, no moment overflows; y - a - b x
+            # scales by 2^ey exactly.
+            ex, ey = (int(np.frexp(np.max(np.abs(v)))[1]) for v in (x, y))
+            xs, ys = np.ldexp(x, -ex), np.ldexp(y, -ey)
+            slope = np.cov(xs, ys, bias=True)[0, 1] / np.var(xs)
+            intercept = float(np.ldexp(np.mean(ys) - slope * np.mean(xs), ey))
+            slope = float(np.ldexp(slope, ey - ex))
+    if not (math.isfinite(slope) and math.isfinite(intercept)):
+        raise NumericalError("least-squares line of y on x is not finite")
+    return slope, intercept
 
 
 @dataclass(frozen=True)
@@ -100,8 +117,12 @@ def fit_dependence(d: Dataset, j: int, kind: str = "linear",
                         f"choose from {DEPENDENCE_KINDS}")
     if not (0 <= j < d.p):
         raise DataError(f"column index {j} out of range for p={d.p}")
-    xj = d.column(j)
-    if float(np.var(xj)) == 0.0:
+    # Contiguous copies: each column is read several times below, and a
+    # read of a column view of the shared row matrix moves all p columns.
+    xj = np.ascontiguousarray(d.column(j))
+    with np.errstate(over="ignore"):  # a variance that overflows is not 0
+        constant = float(np.var(xj)) == 0.0
+    if constant:
         raise DataError(f"degenerate anchor {d.names[j]!r}: constant column")
     slopes = np.empty(d.p)
     intercepts = np.empty(d.p)
@@ -110,8 +131,9 @@ def fit_dependence(d: Dataset, j: int, kind: str = "linear",
         if k == j:
             slopes[k], intercepts[k], resid_vars[k] = 1.0, 0.0, 0.0
         else:
-            slopes[k], intercepts[k] = ols_line(xj, d.column(k))
-            resid = d.column(k) - (slopes[k] * xj + intercepts[k])
+            xk = np.ascontiguousarray(d.column(k))
+            slopes[k], intercepts[k] = ols_line(xj, xk)
+            resid = xk - (slopes[k] * xj + intercepts[k])
             resid_vars[k] = float(np.var(resid))
     if kind == "linear":
         return DependenceModel(j=j, kind=kind, p=d.p,

@@ -13,12 +13,13 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import CurveKind, EffectCurve, _staged
+from .data import CurveKind, EffectCurve, _format_rows, _staged
 from .dependence import CorrelationMatrix
 from .effects import EffectMatrix
 from .errors import DataError, NumericalError
@@ -59,18 +60,79 @@ def write_text_atomic(path: str | Path, text: str) -> Path:
 
 def write_json(path: str | Path, payload: dict) -> Path:
     """``json.dumps(payload, indent=1)`` and a newline, streamed to the
-    file: the document is never held whole in memory. A NaN or infinite
-    float is a NumericalError, and no file is left: JSON has no spelling
-    for it."""
+    file: the document is never held whole in memory. A 1-D float64
+    array anywhere in the payload is written as its ``tolist()`` would
+    be, a block of values per format operation. A NaN or infinite float
+    is a NumericalError, and no file is left: JSON has no spelling for
+    it. An object JSON cannot hold is a TypeError."""
     path = Path(path)
     try:
         with _staged(path) as f:
-            f.writelines(
-                json.JSONEncoder(indent=1, allow_nan=False).iterencode(payload))
+            f.writelines(_encode(payload, "\n"))
             f.write("\n")
     except ValueError as exc:
         raise NumericalError(f"{path.name}: {exc}") from None
     return path
+
+
+def _encode(obj, newline: str):
+    """``json.dumps(obj, indent=1)`` in pieces, for obj at the depth whose
+    line break and indent is ``newline``."""
+    inner = newline + " "
+    nested = (dict, list, tuple, np.ndarray)
+    if isinstance(obj, dict):
+        yield "{"
+        sep = inner
+        for key, value in obj.items():
+            yield sep + _key(key) + ": "
+            if isinstance(value, nested):
+                yield from _encode(value, inner)
+            else:
+                yield _scalar(value)
+            sep = "," + inner
+        yield newline + "}" if obj else "}"
+    elif isinstance(obj, (list, tuple)):
+        yield "["
+        sep = inner
+        for value in obj:
+            if isinstance(value, nested):
+                yield sep
+                yield from _encode(value, inner)
+            else:
+                yield sep + _scalar(value)
+            sep = "," + inner
+        yield newline + "]" if obj else "]"
+    elif (isinstance(obj, np.ndarray) and obj.ndim == 1
+          and obj.dtype == np.float64):
+        bad = np.flatnonzero(~np.isfinite(obj))
+        if len(bad):
+            _scalar(float(obj[bad[0]]))  # raises
+        yield "["
+        # each value after its separator, but the first after the bracket
+        for i, text in enumerate(_format_rows(obj, "," + inner + "%r")):
+            yield text[1:] if i == 0 else text
+        yield newline + "]" if len(obj) else "]"
+    else:
+        yield _scalar(obj)
+
+
+def _scalar(obj) -> str:
+    """A string, number, boolean or null as json spells it."""
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(
+                f"Out of range float values are not JSON compliant: {obj!r}")
+        return float.__repr__(obj)
+    return json.dumps(obj)
+
+
+def _key(key) -> str:
+    """A dict key as json spells it: a string, or an int, float, bool or
+    None turned into one."""
+    if not isinstance(key, (str, int, float, type(None))):
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {type(key).__name__}")
+    return json.dumps(key if isinstance(key, str) else _scalar(key))
 
 
 def read_json(path: str | Path) -> dict:

@@ -135,7 +135,7 @@ def generate(spec: SimSpec) -> Dataset:
     x = np.column_stack(cols)
     y = model.predict(x) + rng.normal(0.0, sd, n)
     names = [f"x{i + 1}" for i in range(len(cols))]
-    return Dataset(names=names, columns=cols, response=y)
+    return Dataset(names=names, columns=x, response=y)
 
 
 def _even_moment(power: int) -> float:

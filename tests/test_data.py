@@ -33,6 +33,30 @@ class TestDataset:
         assert d.matrix().shape == (4, 2)
         assert d.index_of("b") == 1
 
+    def test_matrix_is_one_shared_read_only_array(self):
+        rng = np.random.default_rng(0)
+        d = Dataset(names=["a", "b", "c"],
+                    columns=[rng.normal(size=50) for _ in range(3)])
+        x = d.matrix()
+        assert x is d.matrix()
+        assert x.flags.c_contiguous and x.dtype == np.float64
+        with pytest.raises(ValueError):
+            x[0, 0] = 1.0
+        for j in range(d.p):
+            assert np.shares_memory(d.column(j), x)
+            assert d.column(j) is d.columns[j]
+            with pytest.raises(ValueError):
+                d.column(j)[0] = 1.0
+
+    def test_a_row_matrix_is_kept_without_a_copy(self):
+        x = np.arange(12.0).reshape(4, 3)
+        d = Dataset(names=["a", "b", "c"], columns=x)
+        assert np.shares_memory(d.matrix(), x)
+        assert np.array_equal(d.column(1), [1.0, 4.0, 7.0, 10.0])
+        x[0, 0] = -1.0  # the caller's own array stays writeable
+        with pytest.raises(DataError, match="length mismatch"):
+            Dataset(names=["a", "b"], columns=x)
+
     def test_unknown_name(self):
         d = Dataset(names=["a"], columns=[np.arange(3.0)])
         with pytest.raises(DataError):
@@ -156,6 +180,23 @@ class TestLoadCsv:
         back = load_csv(f, has_response=True)
         for a, b in zip([*back.columns, back.response], cols):
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    def test_columns_match_a_transposing_loader(self, tmp_path):
+        # The loader used to copy np.loadtxt's block into one contiguous
+        # array per column; the shared matrix must hold the same bits.
+        d = generate(SimSpec(case="complex_623", n=100_000, seed=8))
+        f = tmp_path / "complex_623.csv"
+        save_csv(d, f)
+        back = load_csv(f, has_response=True)
+        body = np.loadtxt(f, delimiter=",", skiprows=1, ndmin=2,
+                          comments=None)
+        *columns, response = np.ascontiguousarray(body.T)
+        assert back.names == ["x1", "x2", "x3", "x4", "x5"]
+        for got, want in zip([*back.columns, back.response],
+                             [*columns, response]):
+            assert got.tobytes() == want.tobytes()
+        assert back.response.flags.c_contiguous
+        assert not np.shares_memory(back.response, back.matrix())
 
     def test_generated_data_round_trips_bit_exactly(self, tmp_path):
         d = generate(SimSpec(case="interaction_622", n=500, seed=3))

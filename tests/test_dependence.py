@@ -164,3 +164,36 @@ class TestOlsLine:
         x = np.arange(10.0)
         a, b = ols_line(x, 3.0 * x - 1.0)
         assert np.isclose(a, 3.0) and np.isclose(b, -1.0)
+
+    def test_overflowing_moments_are_refitted_on_scaled_columns(self):
+        # np.var of a column at 1e160 overflows; the slope of a column
+        # tied to it (true slope 1e-160) read 0 before
+        rng = np.random.default_rng(0)
+        x1 = rng.uniform(-1e160, 1e160, 1000)
+        x2 = 1e-160 * x1 + rng.normal(0.0, 0.01, 1000)
+        d = Dataset(names=["x1", "x2"], columns=[x1, x2])
+        slope, intercept = np.polyfit(x1 * 1e-160, x2, 1)
+        dep = fit_dependence(d, 0)
+        assert dep.slopes[0] == 1.0
+        assert abs(dep.beta(1) / 1e-160 - slope) < 1e-9
+        assert abs(dep.intercept(1) - intercept) < 1e-12
+        # x at 1e150 and y at 1e200: only the covariance overflows
+        a, b = ols_line(x1 * 1e-10, x2 * 1e200)
+        assert abs(a / 1e50 - slope) < 1e-9
+        assert abs(b / 1e200 - intercept) < 1e-12
+
+    def test_finite_moments_keep_their_arithmetic(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=1000)
+        y = 0.3 * x + rng.normal(size=1000)
+        slope = float(np.cov(x, y, bias=True)[0, 1]) / float(np.var(x))
+        assert ols_line(x, y) == (
+            slope, float(np.mean(y) - slope * np.mean(x)))
+
+    def test_line_that_is_not_finite_is_a_numerical_error(self):
+        # a slope of 1e310 from finite moments, and an infinite x
+        small = np.array([1e-10, -1e-10, 2e-10])
+        for x, y in ((small, 1e10 * small * 1e300),
+                     (np.array([1e308, -1e308, np.inf]), small)):
+            with pytest.raises(NumericalError, match="not finite"):
+                ols_line(x, y)

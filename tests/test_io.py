@@ -52,6 +52,33 @@ def small_matrix():
     return effect_matrix(model, d, CurveKind.ATDEV, k_bins=15), d
 
 
+# Lengths on the edges of the writer's 4096-value format blocks, and
+# values whose shortest repr is unusual.
+ARRAY_LENGTHS = [0, 1, 4095, 4096, 4097, 8193]
+EXTREMES = [-0.0, 0.0, 5e-324, -1e-310, 2.2250738585072014e-308,
+            1.7e308, -1.7e308, 1.7976931348623157e308, -5e-324]
+
+
+def float_array(n: int, seed: int) -> np.ndarray:
+    """n doubles across the exponent range, the extremes among them."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+    put = rng.choice(n, size=min(n, len(EXTREMES)), replace=False)
+    a[put] = EXTREMES[:len(put)]
+    return a
+
+
+def as_lists(payload):
+    """The payload with every array replaced by its tolist()."""
+    if isinstance(payload, dict):
+        return {k: as_lists(v) for k, v in payload.items()}
+    if isinstance(payload, (list, tuple)):
+        return [as_lists(v) for v in payload]
+    if isinstance(payload, np.ndarray):
+        return payload.tolist()
+    return payload
+
+
 class TestCurveJson:
     def test_round_trip_is_bit_exact(self):
         curve = center(sample_curve())
@@ -215,7 +242,8 @@ class TestFileLayer:
         assert not list(tmp_path.glob("*.tmp"))
 
     @settings(max_examples=60, deadline=None)
-    @given(st.dictionaries(st.text(), st.recursive(
+    @given(st.dictionaries(st.text() | st.integers() | st.floats()
+                           | st.booleans() | st.none(), st.recursive(
         st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
         lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
         max_leaves=40)))
@@ -243,6 +271,40 @@ class TestFileLayer:
         write_json(tmp_path / "m.json", payload)
         assert (tmp_path / "m.json").read_bytes() == \
             (json.dumps(payload, indent=1) + "\n").encode()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.recursive(
+        st.builds(float_array, st.sampled_from(ARRAY_LENGTHS),
+                  st.integers(0, 2**32 - 1))
+        | st.none() | st.floats(allow_nan=False, allow_infinity=False)
+        | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=6))
+    def test_float_arrays_are_written_as_their_lists(self, tmp_path_factory,
+                                                     payload):
+        target = tmp_path_factory.mktemp("json") / "doc.json"
+        write_json(target, {"schema": SCHEMA, "data": payload})
+        want = json.dumps({"schema": SCHEMA, "data": as_lists(payload)},
+                          indent=1) + "\n"
+        assert target.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("at", [0, 4095, 4096, 8192])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     -float("inf")])
+    def test_non_finite_array_value_is_a_numerical_error(self, tmp_path, at,
+                                                         bad):
+        kept = tmp_path / "kept.json"
+        write_json(kept, {"schema": SCHEMA})
+        before = kept.read_bytes()
+        values = float_array(8193, at)
+        values[at] = bad
+        for target in (tmp_path / "new.json", kept):
+            with pytest.raises(NumericalError, match="not JSON compliant"):
+                write_json(target, {"cells": [{"x": values[:at + 1]},
+                                              {"x": values}]})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json"]
+        assert kept.read_bytes() == before
 
     def test_failure_mid_stream_leaves_no_file(self, tmp_path):
         payload = {"values": list(range(50_000)), "bad": object()}

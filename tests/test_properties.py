@@ -95,7 +95,7 @@ def test_atdev_integrates_binned_total_derivatives(problem):
 def predict_sweep(model, d: Dataset, j: int, grid: np.ndarray) -> np.ndarray:
     """Partial dependence the long way: one predict call per grid value
     on a copy of the data with column j overwritten."""
-    x = d.matrix()
+    x = d.matrix().copy()
     values = []
     for z in grid:
         x[:, j] = z

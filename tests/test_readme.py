@@ -29,10 +29,11 @@ def test_cli_walkthrough_runs(tmp_path, monkeypatch):
                 if line.strip() and not line.lstrip().startswith("#")]
     assert [c[:2] for c in commands] == [
         ["atdev", "simulate"], ["atdev", "effects"], ["atdev", "matrix"],
-        ["atdev", "heatmap"], ["atdev", "importance"]]
+        ["atdev", "matrix"], ["atdev", "heatmap"], ["atdev", "importance"]]
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         argv = ["2000" if a == "100000" else a for a in argv[1:]]
         assert main(argv) == 0, argv
     assert (tmp_path / "out" / "importance.csv").exists()
     assert (tmp_path / "out" / "correlation_heatmap.svg").exists()
+    assert (tmp_path / "out" / "matrix_le.svg").exists()
