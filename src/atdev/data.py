@@ -148,11 +148,6 @@ class BinScheme:
     def widths(self) -> np.ndarray:
         return np.diff(self.edges)
 
-    def assign(self, x: np.ndarray) -> np.ndarray:
-        """Bin index for arbitrary values; values outside the edge range
-        are clamped into the first/last bin."""
-        return bin_index(self.edges, x)
-
 
 def bin_index(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Index of the half-open bin ``[e_i, e_{i+1})`` holding each value,

@@ -65,11 +65,10 @@ def ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 class DependenceModel:
     """Fitted conditional-mean slopes of every other column on column j.
 
-    ``linear`` stores one (slope, intercept, residual variance) per
-    column; ``local_linear`` additionally stores bin edges and a slope
-    per bin (difference quotients of binned conditional means, one-sided
-    at the ends), falling back to the global line where the anchor is
-    locally constant.
+    ``linear`` stores one (slope, intercept) per column; ``local_linear``
+    additionally stores bin edges and a slope per bin (difference
+    quotients of binned conditional means, one-sided at the ends),
+    falling back to the global line where the anchor is locally constant.
     """
 
     j: int
@@ -77,7 +76,6 @@ class DependenceModel:
     p: int
     slopes: np.ndarray       # global OLS slope per column (column j slot is 1)
     intercepts: np.ndarray   # global OLS intercept per column
-    resid_vars: np.ndarray | None = None     # residual variance per column
     edges: np.ndarray | None = None          # local_linear only
     bin_slopes: np.ndarray | None = None     # (k_bins x p), local_linear only
 
@@ -92,21 +90,11 @@ class DependenceModel:
         s[:, self.j] = 1.0
         return s
 
-    def slope_at(self, k: int, x: np.ndarray | float) -> np.ndarray:
-        """dm_k/dx_j evaluated at x_j values (own column: slope 1)."""
-        return self.slopes_at(x)[:, k]
-
     def beta(self, k: int) -> float:
         return float(self.slopes[k])
 
     def intercept(self, k: int) -> float:
         return float(self.intercepts[k])
-
-    def resid_var(self, k: int) -> float:
-        """Residual variance of x_k around its global line (0 for k=j)."""
-        if self.resid_vars is None:
-            return 0.0
-        return float(self.resid_vars[k])
 
 
 def fit_dependence(d: Dataset, j: int, kind: str = "linear",
@@ -126,19 +114,15 @@ def fit_dependence(d: Dataset, j: int, kind: str = "linear",
         raise DataError(f"degenerate anchor {d.names[j]!r}: constant column")
     slopes = np.empty(d.p)
     intercepts = np.empty(d.p)
-    resid_vars = np.empty(d.p)
     for k in range(d.p):
         if k == j:
-            slopes[k], intercepts[k], resid_vars[k] = 1.0, 0.0, 0.0
+            slopes[k], intercepts[k] = 1.0, 0.0
         else:
-            xk = np.ascontiguousarray(d.column(k))
-            slopes[k], intercepts[k] = ols_line(xj, xk)
-            resid = xk - (slopes[k] * xj + intercepts[k])
-            resid_vars[k] = float(np.var(resid))
+            slopes[k], intercepts[k] = ols_line(
+                xj, np.ascontiguousarray(d.column(k)))
     if kind == "linear":
         return DependenceModel(j=j, kind=kind, p=d.p,
-                               slopes=slopes, intercepts=intercepts,
-                               resid_vars=resid_vars)
+                               slopes=slopes, intercepts=intercepts)
 
     scheme = quantile_bins(d, j, bins)
     kb, bin_of = scheme.k, scheme.bin_of
@@ -159,7 +143,6 @@ def fit_dependence(d: Dataset, j: int, kind: str = "linear",
         bin_slopes[ok, k] = (level[hi] - level[lo])[ok] / run[ok]
     return DependenceModel(j=j, kind=kind, p=d.p,
                            slopes=slopes, intercepts=intercepts,
-                           resid_vars=resid_vars,
                            edges=scheme.edges, bin_slopes=bin_slopes)
 
 

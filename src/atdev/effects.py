@@ -249,8 +249,7 @@ class EffectMatrix:
     caches each column's centered atdev curve, the pointwise sum of its
     cells. For the local-effects kind the cells are conditional mean
     derivatives and ``totals`` is None. ``schemes`` holds the per-column
-    bins when the matrix was estimated here, and is empty when it was
-    read back from a file.
+    bins.
     """
 
     kind: CurveKind

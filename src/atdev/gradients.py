@@ -45,10 +45,30 @@ class GradientTable:
     steps: np.ndarray | None = None  # per-column h when method is central_fd
 
 
+# Largest relative error of a realized central-difference span
+# (x + h) - (x - h) against 2h that a finite-difference table accepts.
+FD_SPAN_RTOL = 1e-6
+
+
 def fd_step(x: np.ndarray, j: int) -> float:
     """Central-difference step for column j: 1e-4 of its spread, floored
     so constant columns still get a usable step."""
     return max(1e-4 * float(np.std(x[:, j])), 1e-8)
+
+
+def _check_span(x: np.ndarray, j: int, h: float, label: str) -> None:
+    """DataError when x_j +- h rounds so that some row's probes are not
+    2h apart within FD_SPAN_RTOL: the step is lost at the column's
+    magnitude and the difference quotient would be wrong."""
+    # x_j +- h may pass the largest double, and h is infinite when the
+    # column's spread overflows; neither span is kept.
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = (x[:, j] + h) - (x[:, j] - h)
+        kept = np.abs(span - 2.0 * h) <= FD_SPAN_RTOL * 2.0 * h
+    if not np.all(kept):
+        raise DataError(
+            f"finite-difference step {h:g} for column {label} is lost to "
+            f"rounding at its magnitude; pass a larger --fd-step")
 
 
 def _fd_column(model: Predictor, x: np.ndarray, j: int,
@@ -71,7 +91,8 @@ def gradient_table(model: Predictor, d: Dataset | np.ndarray,
                    h: float | None = None) -> GradientTable:
     """All partials at once; finite differences cost p scoring calls of
     2N rows each. ``h`` overrides the automatic per-column step (FD path
-    only)."""
+    only). A step that rounding loses at some row is a DataError, raised
+    before any scoring call."""
     x = _rows(d)
     if model.has_analytic_gradient:
         g = model.gradient(x)
@@ -83,6 +104,9 @@ def gradient_table(model: Predictor, d: Dataset | np.ndarray,
         steps = np.array([fd_step(x, j) for j in range(p)])
     else:
         steps = np.full(p, float(h))
+    for j in range(p):
+        _check_span(x, j, steps[j],
+                    repr(d.names[j]) if isinstance(d, Dataset) else str(j))
     g = np.column_stack([_fd_column(model, x, j, steps[j]) for j in range(p)])
     return GradientTable(values=g, method="central_fd", steps=steps)
 

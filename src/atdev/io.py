@@ -1,11 +1,11 @@
 """Serialization: versioned JSON payloads, the fixed curve CSV schema,
 and atomic file writes.
 
-Every JSON document carries ``"schema": "atdev/1"`` and reloads into the
-domain object it came from with identical numbers (floats are emitted at
-full repr precision). Files are staged to a temp name in the target
-directory and renamed into place, so readers never see partial content;
-a failed write removes its temp file. JSON is encoded as it is written.
+Every JSON document carries ``"schema": "atdev/1"``, and floats are
+written at full repr precision. Files are staged to a temp name in the
+target directory and renamed into place, so readers never see partial
+content; a failed write removes its temp file. JSON is encoded as it is
+written.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import CurveKind, EffectCurve, _format_rows, _staged
+from .data import EffectCurve, _format_rows, _staged
 from .dependence import CorrelationMatrix
 from .effects import EffectMatrix
 from .errors import DataError, NumericalError
@@ -32,20 +32,13 @@ __all__ = [
     "BarData",
     "HeatMapData",
     "bars_to_dict",
-    "bars_from_dict",
     "write_json",
-    "read_json",
     "write_text_atomic",
     "curve_to_dict",
-    "curve_from_dict",
     "curves_to_csv",
-    "curves_from_csv",
     "matrix_to_dict",
-    "matrix_from_dict",
     "heatmap_to_dict",
-    "heatmap_from_dict",
     "report_to_dict",
-    "report_from_dict",
     "report_to_csv",
     "corr_to_heatmap",
 ]
@@ -135,21 +128,6 @@ def _key(key) -> str:
     return json.dumps(key if isinstance(key, str) else _scalar(key))
 
 
-def read_json(path: str | Path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise DataError(f"{path}: expected a JSON object")
-    if payload.get("schema") != SCHEMA:
-        raise DataError(f"{path}: unsupported schema {payload.get('schema')!r}")
-    return payload
-
-
 # ---------------------------------------------------------------------------
 # Effect curves
 # ---------------------------------------------------------------------------
@@ -171,21 +149,6 @@ def curve_to_dict(curve: EffectCurve, meta: dict | None = None) -> dict:
     return payload
 
 
-def curve_from_dict(payload: dict) -> EffectCurve:
-    try:
-        return EffectCurve(
-            kind=CurveKind(payload["kind"]),
-            j=int(payload["j"]),
-            k=None if payload.get("k") is None else int(payload["k"]),
-            grid=np.asarray(payload["grid"], dtype=np.float64),
-            values=np.asarray(payload["values"], dtype=np.float64),
-            counts=np.asarray(payload["counts"], dtype=np.float64),
-            centered=bool(payload["centered"]),
-        )
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"bad curve payload: {exc}") from exc
-
-
 def curves_to_csv(curves: list[EffectCurve]) -> str:
     """Fixed flat schema: kind, j, k, grid, value, count. The k cell is
     empty for own-effect curves. Full-precision floats."""
@@ -198,35 +161,6 @@ def curves_to_csv(curves: list[EffectCurve]) -> str:
             w.writerow([c.kind.value, c.j, kcell, repr(float(g)),
                         repr(float(v)), repr(float(n))])
     return out.getvalue()
-
-
-def curves_from_csv(text: str) -> list[EffectCurve]:
-    """Rebuild curves from the flat CSV, grouped by (kind, j, k) in file
-    order. The centered flag is not part of the CSV schema and comes back
-    False."""
-    reader = csv.reader(_io.StringIO(text))
-    header = next(reader, None)
-    if header != ["kind", "j", "k", "grid", "value", "count"]:
-        raise DataError("unexpected curve CSV header")
-    groups: dict[tuple, list] = {}
-    order: list[tuple] = []
-    for row in reader:
-        if len(row) != 6:
-            raise DataError(f"curve CSV row has {len(row)} cells, expected 6")
-        key = (row[0], int(row[1]), None if row[2] == "" else int(row[2]))
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append((float(row[3]), float(row[4]), float(row[5])))
-    curves = []
-    for kind, j, k in order:
-        rows = groups[(kind, j, k)]
-        curves.append(EffectCurve(
-            kind=CurveKind(kind), j=j, k=k,
-            grid=np.array([r[0] for r in rows]),
-            values=np.array([r[1] for r in rows]),
-            counts=np.array([r[2] for r in rows])))
-    return curves
 
 
 # ---------------------------------------------------------------------------
@@ -251,22 +185,6 @@ def matrix_to_dict(em: EffectMatrix, scatter: list | None = None,
     if histograms is not None:
         payload["derivative_histograms"] = histograms
     return payload
-
-
-def matrix_from_dict(payload: dict) -> EffectMatrix:
-    """Rebuild the matrix's centered cells and totals; the bin schemes are
-    not serialized, so ``schemes`` comes back empty."""
-    try:
-        names = tuple(payload["names"])
-        cells = tuple(tuple(map(curve_from_dict, row))
-                      for row in payload["cells"])
-        totals = payload.get("totals")
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"bad matrix payload: {exc}") from exc
-    return EffectMatrix(
-        kind=CurveKind(payload["kind"]), names=names, cells=cells,
-        totals=None if totals is None
-        else tuple(curve_from_dict(t) for t in totals))
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +223,6 @@ def heatmap_to_dict(h: HeatMapData) -> dict:
     }
 
 
-def heatmap_from_dict(payload: dict) -> HeatMapData:
-    try:
-        return HeatMapData(
-            names=tuple(payload["names"]),
-            values=np.asarray(payload["values"], dtype=np.float64),
-            scale=payload["scale"])
-    except KeyError as exc:
-        raise DataError(f"bad heat map payload: {exc}") from exc
-
-
 def corr_to_heatmap(cm: CorrelationMatrix) -> HeatMapData:
     return HeatMapData(names=cm.names, values=cm.values, scale="signed")
 
@@ -341,14 +249,6 @@ def bars_to_dict(b: BarData) -> dict:
     }
 
 
-def bars_from_dict(payload: dict) -> BarData:
-    try:
-        return BarData(label=payload["label"], names=tuple(payload["names"]),
-                       values=np.asarray(payload["values"], dtype=np.float64))
-    except KeyError as exc:
-        raise DataError(f"bad bar payload: {exc}") from exc
-
-
 def report_to_dict(r: ImportanceReport) -> dict:
     return {
         "schema": SCHEMA,
@@ -357,17 +257,6 @@ def report_to_dict(r: ImportanceReport) -> dict:
         "v_plus": r.v_plus.tolist(),
         "dgsm": r.dgsm.tolist(),
     }
-
-
-def report_from_dict(payload: dict) -> ImportanceReport:
-    try:
-        return ImportanceReport(
-            names=tuple(payload["names"]),
-            v=np.asarray(payload["v"], dtype=np.float64),
-            v_plus=np.asarray(payload["v_plus"], dtype=np.float64),
-            dgsm=np.asarray(payload["dgsm"], dtype=np.float64))
-    except KeyError as exc:
-        raise DataError(f"bad importance payload: {exc}") from exc
 
 
 def report_to_csv(r: ImportanceReport) -> str:

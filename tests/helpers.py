@@ -1,5 +1,7 @@
 """Shared test utilities: polynomial fits on curve grids, support masks,
-curve comparison, and dataset slicing."""
+curve comparison, dataset slicing, and reading written JSON files."""
+
+import json
 
 import numpy as np
 
@@ -13,6 +15,14 @@ def take(d: Dataset, rows) -> Dataset:
         names=list(d.names),
         columns=[c[rows] for c in d.columns],
         response=None if d.response is None else d.response[rows])
+
+
+def load_json(path) -> dict:
+    """A JSON file the package wrote, checked for the package's schema."""
+    with open(path) as fh:
+        payload = json.load(fh)
+    assert payload["schema"] == "atdev/1", path
+    return payload
 
 
 def inner_mask(x: np.ndarray, grid: np.ndarray, frac: float = 0.90) -> np.ndarray:

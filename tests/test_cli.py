@@ -12,9 +12,8 @@ import pytest
 from atdev import Dataset, SimSpec, generate, load_csv, save_csv
 import atdev.io
 from atdev.cli import main
-from atdev.io import curve_from_dict, matrix_from_dict, read_json, \
-    report_from_dict
 from conftest import SCORER
+from helpers import load_json
 
 
 @pytest.fixture()
@@ -48,7 +47,7 @@ class TestSimulate:
         d = load_csv(tmp_path / "additive_621.csv", has_response=True,
                      response_name="y")
         assert d.p == 3 and d.n == 2000
-        meta = read_json(tmp_path / "additive_621.meta.json")
+        meta = load_json(tmp_path / "additive_621.meta.json")
         assert meta["case"] == "additive_621"
         assert 0.9 < meta["theoretical_r2"] < 1.0
         corr = np.asarray(meta["correlation"]["values"])
@@ -96,7 +95,7 @@ class TestSimulate:
     def test_bivariate_defaults_come_from_the_spec(self, tmp_path):
         assert main(["simulate", "--case", "bivariate_normal", "--n", "50",
                      "--out-dir", str(tmp_path)]) == 0
-        meta = read_json(tmp_path / "bivariate_normal.meta.json")
+        meta = load_json(tmp_path / "bivariate_normal.meta.json")
         spec = SimSpec(case="bivariate_normal", n=50)
         assert (meta["mean"], meta["sigma"], meta["rho"], meta["model"]) == (
             list(spec.mean), list(spec.sigma), spec.rho, spec.model)
@@ -116,23 +115,21 @@ class TestEffects:
     def test_curve_bundle_schema(self, data622, tmp_path):
         out = tmp_path / "fx"
         assert run_effects(data622, out) == 0
-        payload = read_json(out / "curves_x1.json")
+        payload = load_json(out / "curves_x1.json")
         kinds = [c["kind"] for c in payload["curves"]]
         # pd, marginal, ale, two cross terms, total, derivative profile
         assert kinds == ["PD", "Marginal", "ALE", "ACE", "ACE", "ATDEV", "LE"]
         for c in payload["curves"]:
-            curve = curve_from_dict(c)
-            assert curve.centered is True
+            assert c["centered"] is True
             assert c["meta"]["k_bins"] == 30
-        ov = read_json(out / "overlay_total_marginal_x1.json")
-        tot = curve_from_dict(ov["curves"]["total"])
-        mg = curve_from_dict(ov["curves"]["marginal"])
-        assert np.array_equal(tot.grid, mg.grid)
+        ov = load_json(out / "overlay_total_marginal_x1.json")
+        assert ov["curves"]["total"]["grid"] == \
+            ov["curves"]["marginal"]["grid"]
 
     def test_uncentered_flag(self, data622, tmp_path):
         out = tmp_path / "fx"
         assert run_effects(data622, out, "--no-center") == 0
-        payload = read_json(out / "curves_x1.json")
+        payload = load_json(out / "curves_x1.json")
         assert all(c["centered"] is False for c in payload["curves"])
 
     def test_column_selection(self, data622, tmp_path):
@@ -181,11 +178,12 @@ class TestMatrixCommand:
                    "--model-id", "case_622", "--out-dir", str(out),
                    "--k-bins", "25"])
         assert rc == 0
-        bundle = matrix_from_dict(read_json(out / "matrix_atdev.json"))
-        assert bundle.p == 3
-        assert bundle.totals is not None
-        assert all(bundle.cell(i, j) is not None
-                   for i in range(3) for j in range(3))
+        bundle = load_json(out / "matrix_atdev.json")
+        assert len(bundle["names"]) == 3
+        assert len(bundle["totals"]) == 3
+        assert [len(row) for row in bundle["cells"]] == [3, 3, 3]
+        assert all(cell["kind"] in ("ALE", "ACE")
+                   for row in bundle["cells"] for cell in row)
 
     def test_derivative_matrix_with_extras(self, data61, tmp_path):
         out = tmp_path / "mle"
@@ -194,7 +192,7 @@ class TestMatrixCommand:
                    "--k-bins", "20", "--kind", "LE",
                    "--scatter-cap", "200", "--svg"])
         assert rc == 0
-        payload = read_json(out / "matrix_le.json")
+        payload = load_json(out / "matrix_le.json")
         assert payload["totals"] is None
         assert len(payload["scatter"]) == 25
         assert all(len(cell["x"]) == 200 for cell in payload["scatter"])
@@ -210,7 +208,7 @@ class TestMatrixCommand:
                    "--model-id", "case_622", "--out-dir", str(out),
                    "--k-bins", "10", "--kind", "LE"])
         assert rc == 0
-        payload = read_json(out / "matrix_le.json")
+        payload = load_json(out / "matrix_le.json")
         assert all(len(cell["x"]) == 120 for cell in payload["scatter"])
 
 
@@ -221,11 +219,11 @@ class TestHeatmapCommand:
                    "--model-id", "case_622", "--out-dir", str(out),
                    "--k-bins", "25", "--svg"])
         assert rc == 0
-        comp = read_json(out / "components_heatmap.json")
+        comp = load_json(out / "components_heatmap.json")
         vals = np.asarray(comp["values"])
         assert comp["scale"] == "nonnegative"
         assert abs(float(vals.max()) - 1.0) < 1e-12
-        corr = read_json(out / "correlation_heatmap.json")
+        corr = load_json(out / "correlation_heatmap.json")
         cv = np.asarray(corr["values"])
         assert np.allclose(cv, cv.T)
         assert (out / "component_totals_bars.json").exists()
@@ -242,8 +240,9 @@ class TestImportanceCommand:
                    "--model-id", "case_622", "--out-dir", str(out),
                    "--k-bins", "25"])
         assert rc == 0
-        rep = report_from_dict(read_json(out / "importance.json"))
-        assert rep.p == 3
+        rep = load_json(out / "importance.json")
+        assert len(rep["names"]) == 3
+        assert np.asarray(rep["v"]).shape == (3, 3)
         lines = (out / "importance.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 9
 
@@ -256,7 +255,7 @@ class TestFitMlp:
                    "--seed", "2"])
         assert rc == 0
         assert "validation R^2" in capsys.readouterr().out
-        fit = read_json(out / "mlp_fit.json")
+        fit = load_json(out / "mlp_fit.json")
         assert fit["epochs_run"] <= 15
         weights = out / "mlp_weights.json"
         assert weights.exists()
@@ -294,13 +293,13 @@ class TestConfigPrecedence:
             "data": data622, "response": "y", "model_id": "case_622",
             "k_bins": 25, "out_dir": str(out), "columns": ["x1"]}))
         assert main(["effects", "--config", str(cfg)]) == 0
-        payload = read_json(out / "curves_x1.json")
+        payload = load_json(out / "curves_x1.json")
         assert payload["curves"][0]["meta"]["k_bins"] == 25
 
         out2 = tmp_path / "cfg_out2"
         assert main(["effects", "--config", str(cfg),
                      "--k-bins", "40", "--out-dir", str(out2)]) == 0
-        payload = read_json(out2 / "curves_x1.json")
+        payload = load_json(out2 / "curves_x1.json")
         assert payload["curves"][0]["meta"]["k_bins"] == 40
 
     def test_missing_config_file(self, tmp_path):
@@ -373,7 +372,7 @@ class TestConfigPrecedence:
         out = tmp_path / "sim"
         assert main(["simulate", "--config", str(cfg), "--rho", "-0.25",
                      "--out-dir", str(out)]) == 0
-        meta = read_json(out / "bivariate_normal.meta.json")
+        meta = load_json(out / "bivariate_normal.meta.json")
         assert (meta["rho"], meta["mean"], meta["sigma"]) == (
             -0.25, [1.0, 2.0], [1.0, 3.0])
 
@@ -387,7 +386,7 @@ class TestConfigPrecedence:
                 "--config", str(cfg), "--out-dir", str(out)]
         assert main(argv) == 0
         assert not (out / "matrix_atdev.json").exists()
-        payload = read_json(out / "matrix_le.json")
+        payload = load_json(out / "matrix_le.json")
         assert all(len(cell["x"]) == 40 for cell in payload["scatter"])
         # Flags still win over the file.
         assert main(argv + ["--kind", "ATDEV"]) == 0
@@ -410,7 +409,7 @@ class TestConfigPrecedence:
                                    "k_bins": 12, "columns": ["x1"]}))
         out = tmp_path / "fx"
         assert run_effects(data622, out, "--config", str(cfg)) == 0
-        payload = read_json(out / "curves_x1.json")
+        payload = load_json(out / "curves_x1.json")
         assert all(c["centered"] is False for c in payload["curves"])
         assert (out / "overlay_total_marginal_x1.svg").exists()
 
@@ -505,13 +504,35 @@ class TestFdStep:
                        "--external-cmd", cmd, "--out-dir", str(out),
                        "--k-bins", "10", *extra])
             assert rc == 0
-            energy[tag] = np.asarray(read_json(out / stem)[field])
+            energy[tag] = np.asarray(load_json(out / stem)[field])
         x1 = load_csv(data622, has_response=True, response_name="y").column(0)
         # Central differences of x^3 over +-h read 3 x^2 + h^2.
         assert abs(energy["auto"][0] - np.mean((3 * x1 ** 2) ** 2)) < 1e-6
         assert abs(energy["half"][0]
                    - np.mean((3 * x1 ** 2 + 0.25) ** 2)) < 1e-9
 
+
+    def test_step_lost_to_rounding_exits_2(self, tmp_path, capsys):
+        # Around 1e6 the automatic step (1e-8) is below 100 doubles apart:
+        # x2 +- h rounds, and the quotient of the row sum read about 1.0012.
+        rng = np.random.default_rng(2)
+        d = Dataset(names=["x1", "x2"],
+                    columns=[rng.uniform(-1, 1, 500),
+                             1e6 + rng.uniform(-1e-6, 1e-6, 500)])
+        path = tmp_path / "far.csv"
+        save_csv(d, path)
+        cmd = f"{shlex.quote(sys.executable)} {shlex.quote(str(SCORER))} sum"
+        run = ["importance", "--data", str(path), "--external-cmd", cmd,
+               "--k-bins", "10"]
+        out = tmp_path / "never"
+        assert main(run + ["--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "column 'x2' is lost to rounding" in err and "--fd-step" in err
+        assert not any(out.iterdir())
+        out = tmp_path / "coarse"
+        assert main(run + ["--out-dir", str(out), "--fd-step", "1e-3"]) == 0
+        dgsm = load_json(out / "importance.json")["dgsm"]
+        assert abs(dgsm[1] - 1.0) < 1e-6
 
     @pytest.mark.parametrize("flag, config", [
         (["--fd-step", "0"], {}),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import atdev.data
 from atdev import SimSpec, center, generate, load_csv, quantile_bins, save_csv
-from atdev.data import CurveKind, Dataset, EffectCurve
+from atdev.data import CurveKind, Dataset, EffectCurve, bin_index
 from atdev.errors import DataError, NumericalError
 from helpers import failing_open
 
@@ -324,13 +324,13 @@ class TestQuantileBins:
         assert np.all(np.diff(s.edges) > 0)
         assert s.edges[0] == x.min() and s.edges[-1] == x.max()
         assert np.all(s.counts >= 1) and int(s.counts.sum()) == len(x)
-        assert np.array_equal(s.bin_of, s.assign(x))
+        assert np.array_equal(s.bin_of, bin_index(s.edges, x))
         assert np.array_equal(s.counts, np.bincount(s.bin_of, minlength=s.k))
 
     def test_assign_clamps_out_of_range(self):
         d = Dataset(names=["x"], columns=[np.array([0.0, 1.0, 2.0, 3.0])])
         s = quantile_bins(d, 0, 2)
-        idx = s.assign(np.array([-10.0, 10.0]))
+        idx = bin_index(s.edges, np.array([-10.0, 10.0]))
         assert idx[0] == 0 and idx[1] == s.k - 1
 
     def test_midpoints_and_widths(self):

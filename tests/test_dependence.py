@@ -22,7 +22,8 @@ class TestLinearFit:
         dep = fit_dependence(d, 0)
         assert abs(dep.beta(1) - 0.8) < 1e-10
         assert abs(dep.intercept(1)) < 1e-10
-        assert dep.resid_var(1) < 1e-12
+        resid = d.column(1) - (dep.beta(1) * d.column(0) + dep.intercept(1))
+        assert float(np.var(resid)) < 1e-12
 
     def test_matches_normal_equations(self):
         rng = np.random.default_rng(3)
@@ -59,7 +60,7 @@ class TestLinearFit:
     def test_own_column_slope_is_one(self):
         d = paired(n=1000)
         dep = fit_dependence(d, 0)
-        assert np.all(dep.slope_at(0, d.column(0)) == 1.0)
+        assert np.all(dep.slopes_at(d.column(0))[:, 0] == 1.0)
 
     def test_constant_anchor_rejected(self):
         d = Dataset(names=["a", "b"], columns=[np.ones(50), np.arange(50.0)])
@@ -84,7 +85,7 @@ class TestLocalLinearFit:
         assert np.max(np.abs(dep.bin_slopes[:, 1] - 0.8)) < 1e-10
         # evaluation anywhere on the support agrees too
         probe = np.linspace(-0.99, 0.99, 57)
-        assert np.max(np.abs(dep.slope_at(1, probe) - 0.8)) < 1e-10
+        assert np.max(np.abs(dep.slopes_at(probe)[:, 1] - 0.8)) < 1e-10
 
     def test_piecewise_constant_within_bins(self):
         d = generate(SimSpec(case="additive_621", n=30_000, seed=4))
@@ -92,7 +93,8 @@ class TestLocalLinearFit:
         mids = (dep.edges[:-1] + dep.edges[1:]) / 2.0
         for frac in (0.2, 0.45):
             inside = mids + frac * np.diff(dep.edges)
-            assert np.array_equal(dep.slope_at(1, mids), dep.slope_at(1, inside))
+            assert np.array_equal(dep.slopes_at(mids)[:, 1],
+                                  dep.slopes_at(inside)[:, 1])
 
     def test_tracks_a_bending_conditional_mean(self):
         rng = np.random.default_rng(6)
@@ -101,16 +103,16 @@ class TestLocalLinearFit:
         d = Dataset(names=["a", "b"], columns=[x, y])
         dep = fit_dependence(d, 0, kind="local_linear", bins=25)
         # slope of E[y|x] = 2x: negative on the left, positive on the right
-        assert dep.slope_at(1, -0.8)[0] < -1.2
-        assert dep.slope_at(1, 0.8)[0] > 1.2
-        assert abs(dep.slope_at(1, 0.0)[0]) < 0.4
+        assert dep.slopes_at(-0.8)[0, 1] < -1.2
+        assert dep.slopes_at(0.8)[0, 1] > 1.2
+        assert abs(dep.slopes_at(0.0)[0, 1]) < 0.4
 
     def test_finite_everywhere_on_observed_support(self):
         d = generate(SimSpec(case="complex_623", n=20_000, seed=1))
         for j in range(d.p):
             dep = fit_dependence(d, j, kind="local_linear", bins=25)
             for k in range(d.p):
-                vals = dep.slope_at(k, d.column(j))
+                vals = dep.slopes_at(d.column(j))[:, k]
                 assert np.all(np.isfinite(vals))
 
 
@@ -153,6 +155,23 @@ class TestCorrMatrix:
                 pytest.raises(NumericalError,
                               match="non-finite correlation of 'a' and 'b'"):
             corr_matrix(d)
+
+
+class TestExtremeScales:
+    @pytest.mark.parametrize("kind", ["linear", "local_linear"])
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_columns_at_1e160_fit_without_overflow(self, j, kind):
+        # x2 = 1e-160 x1 + noise: the residual of x1 on the x2 anchor is
+        # about 1e160, whose square overflows.
+        rng = np.random.default_rng(4)
+        x1 = rng.uniform(-1e160, 1e160, 1000)
+        x2 = 1e-160 * x1 + rng.normal(0.0, 0.01, 1000)
+        d = Dataset(names=["x1", "x2"], columns=[x1, x2])
+        dep = fit_dependence(d, j, kind)
+        k = 1 - j
+        want = 1e-160 if j == 0 else 1e160
+        assert abs(dep.beta(k) / want - 1.0) < 0.01
+        assert np.all(np.isfinite(dep.slopes_at(d.column(j))))
 
 
 class TestOlsLine:

@@ -25,6 +25,7 @@ from atdev import (
     quantile_bins,
     signal_model,
 )
+from atdev.data import bin_index
 from atdev.dependence import DependenceModel
 from atdev.effects import _local_quadratic
 from atdev.errors import DataError
@@ -392,7 +393,7 @@ class TestAgainstBruteForce:
         x1 = z1
         x2 = 0.5 * z1 + np.sqrt(1.0 - 0.25) * z2
         f = x1 * x1 + x1 * x2
-        bins = scheme.assign(x1)
+        bins = bin_index(scheme.edges, x1)
 
         for b in (5, 50, 94):
             inside_est = est.values[b]

@@ -24,6 +24,18 @@ class ScoreOnly(Predictor):
         return self.inner.predict(x)
 
 
+class Counting(ScoreOnly):
+    """ScoreOnly that records the row count of every predict call."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.rows = []
+
+    def predict(self, x):
+        self.rows.append(len(x))
+        return self.inner.predict(x)
+
+
 def uniform_dataset(p, n=2000, seed=0):
     rng = np.random.default_rng(seed)
     return Dataset(names=[f"x{i+1}" for i in range(p)],
@@ -84,6 +96,31 @@ class TestGradientTable:
         d = uniform_dataset(2, seed=2)
         t = gradient_table(m, d, h=1e-3)
         assert np.all(t.steps == 1e-3)
+
+    @pytest.mark.parametrize("centre, spread", [(1e9, 1e-9), (1e6, 1e-6)])
+    def test_step_lost_to_rounding_is_rejected_before_scoring(self, centre,
+                                                               spread):
+        # x2 +- h rounds to x2 or to a neighbouring double: the quotient
+        # of f = 3 x1 + 2 x2 read 0.0 (1e9) or 2.0023 (1e6) along x2.
+        rng = np.random.default_rng(1)
+        d = Dataset(names=["x1", "x2"],
+                    columns=[rng.uniform(-1, 1, 1000),
+                             centre + rng.uniform(-spread, spread, 1000)])
+        m = Counting(custom_model(2, [(3.0, {0: 1}), (2.0, {1: 1})]))
+        with pytest.raises(DataError, match="column 'x2' is lost to rounding"):
+            gradient_table(m, d)
+        with pytest.raises(DataError, match="column 1 is lost"):
+            gradient_table(m, d.matrix())
+        assert m.rows == []
+
+    def test_step_large_enough_for_the_magnitude_is_kept(self):
+        rng = np.random.default_rng(1)
+        d = Dataset(names=["x1", "x2"],
+                    columns=[rng.uniform(-1, 1, 1000),
+                             1e6 + rng.uniform(-1e-6, 1e-6, 1000)])
+        m = ScoreOnly(custom_model(2, [(3.0, {0: 1}), (2.0, {1: 1})]))
+        t = gradient_table(m, d, h=1e-3)
+        assert np.max(np.abs(t.values - [3.0, 2.0])) < 1e-6
 
 
 class TestTotals:

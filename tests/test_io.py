@@ -1,5 +1,8 @@
-"""JSON and CSV serialization round trips and their failure modes."""
+"""JSON and CSV serialization: written numbers read back exactly through
+the standard json and csv modules, and the writers' failure modes."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -15,24 +18,18 @@ from atdev.io import (
     SCHEMA,
     BarData,
     HeatMapData,
-    bars_from_dict,
     bars_to_dict,
     corr_to_heatmap,
-    curve_from_dict,
     curve_to_dict,
-    curves_from_csv,
     curves_to_csv,
-    heatmap_from_dict,
     heatmap_to_dict,
-    matrix_from_dict,
     matrix_to_dict,
-    read_json,
-    report_from_dict,
     report_to_csv,
     report_to_dict,
     write_json,
     write_text_atomic,
 )
+from helpers import load_json
 
 
 def sample_curve(seed=0, kind=CurveKind.ALE, k=None):
@@ -68,6 +65,10 @@ def float_array(n: int, seed: int) -> np.ndarray:
     return a
 
 
+def through_json(payload: dict) -> dict:
+    return json.loads(json.dumps(payload))
+
+
 def as_lists(payload):
     """The payload with every array replaced by its tolist()."""
     if isinstance(payload, dict):
@@ -82,73 +83,53 @@ def as_lists(payload):
 class TestCurveJson:
     def test_round_trip_is_bit_exact(self):
         curve = center(sample_curve())
-        text = json.dumps(curve_to_dict(curve))
-        back = curve_from_dict(json.loads(text))
-        assert back.kind is curve.kind
-        assert back.j == curve.j and back.k is None
-        assert back.centered is True
-        assert np.array_equal(back.grid, curve.grid)
-        assert np.array_equal(back.values, curve.values)
-        assert np.array_equal(back.counts, curve.counts)
+        back = through_json(curve_to_dict(curve))
+        assert CurveKind(back["kind"]) is curve.kind
+        assert back["j"] == curve.j and back["k"] is None
+        assert back["centered"] is True
+        assert np.array_equal(back["grid"], curve.grid)
+        assert np.array_equal(back["values"], curve.values)
+        assert np.array_equal(back["counts"], curve.counts)
 
     def test_cross_curve_keeps_its_k(self):
         curve = sample_curve(kind=CurveKind.ACE, k=3)
-        back = curve_from_dict(curve_to_dict(curve))
-        assert back.k == 3
+        assert curve_to_dict(curve)["k"] == 3
 
     def test_meta_rides_along(self):
         payload = curve_to_dict(sample_curve(), meta={"k_bins": 12})
         assert payload["meta"]["k_bins"] == 12
         assert payload["schema"] == SCHEMA
 
-    def test_bad_payload_reports_what_is_missing(self):
-        payload = curve_to_dict(sample_curve())
-        del payload["values"]
-        with pytest.raises(DataError):
-            curve_from_dict(payload)
-        payload = curve_to_dict(sample_curve())
-        payload["kind"] = "mystery"
-        with pytest.raises(DataError):
-            curve_from_dict(payload)
-
 
 class TestCurveCsv:
     def test_round_trip_values(self):
         curves = [sample_curve(1), sample_curve(2, kind=CurveKind.ACE, k=0)]
-        back = curves_from_csv(curves_to_csv(curves))
-        assert len(back) == 2
-        for a, b in zip(curves, back):
-            assert np.array_equal(a.grid, b.grid)
-            assert np.array_equal(a.values, b.values)
-            assert np.array_equal(a.counts, b.counts)
-            assert b.centered is False
-        assert back[1].k == 0
-
-    def test_header_is_checked(self):
-        with pytest.raises(DataError):
-            curves_from_csv("a,b,c\n1,2,3\n")
-
-    def test_row_width_is_checked(self):
-        text = curves_to_csv([sample_curve()])
-        mangled = text.splitlines()
-        mangled[3] = "ale,1,,0.5"
-        with pytest.raises(DataError):
-            curves_from_csv("\n".join(mangled) + "\n")
+        rows = list(csv.reader(io.StringIO(curves_to_csv(curves))))
+        assert rows[0] == ["kind", "j", "k", "grid", "value", "count"]
+        body = rows[1:]
+        assert len(body) == 24
+        for c, part in zip(curves, (body[:12], body[12:])):
+            assert {tuple(r[:3]) for r in part} == {
+                (c.kind.value, str(c.j), "" if c.k is None else str(c.k))}
+            cells = np.array([[float(v) for v in r[3:]] for r in part])
+            assert np.array_equal(cells[:, 0], c.grid)
+            assert np.array_equal(cells[:, 1], c.values)
+            assert np.array_equal(cells[:, 2], c.counts)
 
 
 class TestMatrixBundle:
     def test_round_trip(self):
         em, _ = small_matrix()
-        back = matrix_from_dict(json.loads(json.dumps(matrix_to_dict(em))))
-        assert back.kind is CurveKind.ATDEV
-        assert back.names == ("x1", "x2")
-        assert back.p == 2
+        back = through_json(matrix_to_dict(em))
+        assert back["kind"] == CurveKind.ATDEV.value
+        assert back["names"] == ["x1", "x2"]
         for i in range(2):
             for j in range(2):
-                assert np.array_equal(back.cell(i, j).values,
+                assert np.array_equal(back["cells"][i][j]["values"],
                                       em.cell(i, j).values)
-        for a, b in zip(back.totals, em.totals):
-            assert np.array_equal(a.values, b.values)
+        assert len(back["totals"]) == 2
+        for a, b in zip(back["totals"], em.totals):
+            assert np.array_equal(a["values"], b.values)
 
     def test_le_extras_ride_along(self):
         em, _ = small_matrix()
@@ -156,17 +137,6 @@ class TestMatrixBundle:
                                  histograms=[{"j": 0}])
         assert payload["scatter"] == [{"i": 0, "j": 1}]
         assert payload["derivative_histograms"] == [{"j": 0}]
-
-    def test_bad_payload(self):
-        with pytest.raises(DataError):
-            matrix_from_dict({"schema": SCHEMA, "kind": "ATDEV"})
-
-    def test_null_cell_is_a_bad_payload(self):
-        em, _ = small_matrix()
-        payload = json.loads(json.dumps(matrix_to_dict(em)))
-        payload["cells"][0][1] = None
-        with pytest.raises(DataError, match="bad matrix payload"):
-            matrix_from_dict(payload)
 
 
 class TestHeatMap:
@@ -197,18 +167,20 @@ class TestHeatMap:
         d = Dataset(names=["a", "b"], columns=[x, x + rng.normal(size=400)])
         h = corr_to_heatmap(corr_matrix(d))
         assert h.scale == "signed"
-        back = heatmap_from_dict(json.loads(json.dumps(heatmap_to_dict(h))))
-        assert np.array_equal(back.values, h.values)
-        assert back.names == h.names
+        back = through_json(heatmap_to_dict(h))
+        assert np.array_equal(back["values"], h.values)
+        assert back["names"] == list(h.names)
+        assert back["scale"] == "signed"
 
 
 class TestBarsAndReport:
     def test_bars_round_trip(self):
         b = BarData(label="energy", names=("x1", "x2"),
                     values=np.array([1.5, 0.25]))
-        back = bars_from_dict(bars_to_dict(b))
-        assert back.label == "energy"
-        assert np.array_equal(back.values, b.values)
+        back = through_json(bars_to_dict(b))
+        assert back["label"] == "energy"
+        assert back["names"] == ["x1", "x2"]
+        assert np.array_equal(back["values"], b.values)
 
     def test_bars_length_mismatch(self):
         with pytest.raises(DataError):
@@ -218,9 +190,10 @@ class TestBarsAndReport:
         v = np.array([[0.5, 0.1], [0.0, 0.2]])
         r = ImportanceReport(names=("x1", "x2"), v=v, v_plus=v.sum(axis=0),
                              dgsm=np.array([1.0, 2.0]))
-        back = report_from_dict(json.loads(json.dumps(report_to_dict(r))))
-        assert np.array_equal(back.v, r.v)
-        assert np.array_equal(back.dgsm, r.dgsm)
+        back = through_json(report_to_dict(r))
+        assert np.array_equal(back["v"], r.v)
+        assert np.array_equal(back["v_plus"], r.v_plus)
+        assert np.array_equal(back["dgsm"], r.dgsm)
 
     def test_report_csv_has_one_row_per_cell(self):
         v = np.array([[0.5, 0.1], [0.0, 0.2]])
@@ -237,8 +210,8 @@ class TestFileLayer:
         target = tmp_path / "curve.json"
         curve = sample_curve(5)
         write_json(target, curve_to_dict(curve))
-        back = curve_from_dict(read_json(target))
-        assert np.array_equal(back.values, curve.values)
+        back = load_json(target)
+        assert np.array_equal(back["values"], curve.values)
         assert not list(tmp_path.glob("*.tmp"))
 
     @settings(max_examples=60, deadline=None)
@@ -336,19 +309,3 @@ class TestFileLayer:
         write_text_atomic(target, "second")
         assert target.read_text() == "second"
         assert not list(tmp_path.glob("*.tmp"))
-
-    def test_read_json_failure_modes(self, tmp_path):
-        with pytest.raises(DataError):
-            read_json(tmp_path / "absent.json")
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(DataError):
-            read_json(bad)
-        arr = tmp_path / "arr.json"
-        arr.write_text("[1, 2]")
-        with pytest.raises(DataError):
-            read_json(arr)
-        old = tmp_path / "old.json"
-        old.write_text(json.dumps({"schema": "atdev/0"}))
-        with pytest.raises(DataError):
-            read_json(old)

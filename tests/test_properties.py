@@ -92,6 +92,25 @@ def test_atdev_integrates_binned_total_derivatives(problem):
         assert close(curve.values, midpoint)
 
 
+@settings(max_examples=40, deadline=None)
+@given(problems(), st.data())
+def test_ale_of_a_linear_model_is_exact_at_the_midpoints(problem, data):
+    # df/dx_j = c_j in every row, so the accumulated bin means reach
+    # c_j (mid - edges[0]) at each midpoint.
+    _, d, k_bins, _ = problem
+    # Away from the subnormals, where c_j * width has no relative precision.
+    c = st.floats(-10.0, 10.0).filter(lambda v: v == 0.0 or abs(v) > 1e-100)
+    coef = data.draw(st.lists(c, min_size=d.p, max_size=d.p))
+    model = custom_model(d.p, [(c, {k: 1}) for k, c in enumerate(coef)])
+    for j in range(d.p):
+        scheme = quantile_bins(d, j, k_bins)
+        curve = ale(model, d, j, bins=scheme)
+        want = coef[j] * (scheme.midpoints - scheme.edges[0])
+        scale = abs(coef[j]) * (scheme.edges[-1] - scheme.edges[0])
+        assert np.array_equal(curve.grid, scheme.midpoints)
+        assert float(np.max(np.abs(curve.values - want))) <= TOL * scale
+
+
 def predict_sweep(model, d: Dataset, j: int, grid: np.ndarray) -> np.ndarray:
     """Partial dependence the long way: one predict call per grid value
     on a copy of the data with column j overwritten."""
