@@ -176,7 +176,8 @@ _MATRIX_KINDS = ("ATDEV", "LE")
 _OPTIONS = (
     _Opt("out_dir", ("simulate", "fit-mlp", *_RUNS), _STR, ".",
          help="output directory (or ATDEV_OUT_DIR)"),
-    _Opt("seed", ("simulate", "fit-mlp", "matrix"), _INT, 0),
+    _Opt("seed", ("simulate", "fit-mlp", "matrix"), _INT, 0,
+         check=_at_least(0)),
     # simulate
     _Opt("case", ("simulate",), _STR, choices=CASES, required=True),
     _Opt("n", ("simulate",), _INT, 100_000, check=_at_least(1)),

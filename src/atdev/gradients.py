@@ -52,8 +52,16 @@ FD_SPAN_RTOL = 1e-6
 
 def fd_step(x: np.ndarray, j: int) -> float:
     """Central-difference step for column j: 1e-4 of its spread, floored
-    so constant columns still get a usable step."""
-    return max(1e-4 * float(np.std(x[:, j])), 1e-8)
+    so constant columns still get a usable step.
+
+    The spread is taken of the column divided by the power of two nearest
+    its largest |x|, then scaled back, so it is finite for a column near
+    the largest double. Scaling by a power of two is exact: wherever the
+    column's own spread is finite, the step is the same double."""
+    col = x[:, j]
+    e = np.frexp(np.max(np.abs(col)))[1]
+    sd = np.ldexp(np.std(np.ldexp(col, -e)), e)
+    return max(1e-4 * float(sd), 1e-8)
 
 
 def _check_span(x: np.ndarray, j: int, h: float, label: str) -> None:

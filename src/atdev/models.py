@@ -403,6 +403,14 @@ class FitReport:
         }
 
 
+def _mlp_views(flat: np.ndarray, h: int, p: int) -> tuple[np.ndarray, ...]:
+    """w1 (h x p), b1, w2 and a one-element b2 as views of one flat
+    vector of h p + 2 h + 1 values."""
+    hp = h * p
+    return (flat[:hp].reshape(h, p), flat[hp:hp + h],
+            flat[hp + h:hp + 2 * h], flat[hp + 2 * h:])
+
+
 def fit_mlp(train: Dataset, valid: Dataset, hidden: int = 40,
             max_epochs: int = 600, patience: int = 20, seed: int = 0,
             learning_rate: float = 1e-2, batch_size: int = 256,
@@ -412,8 +420,16 @@ def fit_mlp(train: Dataset, valid: Dataset, hidden: int = 40,
 
     Inputs and response are standardized internally for optimization; the
     returned weights are folded back to raw units, so ``predict`` and
-    ``gradient`` operate on the original scale. Fixed seed gives
-    bit-identical weights.
+    ``gradient`` operate on the original scale.
+
+    Layout of the loop: w1, b1, w2 and b2 are views of one flat parameter
+    vector and their gradients views of a second, so Adam runs once per
+    step over all of them; each epoch gathers its shuffled rows once and
+    takes every mini-batch as a contiguous slice; the per-epoch losses
+    compute the hidden layer in blocks of ``batch_size`` rows. Every
+    product keeps its operands and its order of summation, so a fixed
+    seed gives bit-identical weights, the same as earlier versions that
+    kept one array per layer.
     """
     if train.response is None or valid.response is None:
         raise DataError("fit_mlp needs response columns on both datasets")
@@ -436,59 +452,69 @@ def fit_mlp(train: Dataset, valid: Dataset, hidden: int = 40,
     rng = np.random.default_rng(seed)
     p, h = train.p, hidden
     limit = np.sqrt(6.0 / (p + h))
-    w1 = rng.uniform(-limit, limit, size=(h, p))
-    b1 = np.zeros(h)
-    w2 = rng.uniform(-limit, limit, size=h) / np.sqrt(h)
-    b2 = 0.0
-
-    params = [w1, b1, w2, np.array([b2])]
-    m_adam = [np.zeros_like(q) for q in params]
-    v_adam = [np.zeros_like(q) for q in params]
+    # The network on standardized inputs. Its b2 is a one-element view,
+    # so that Adam's update of theta reaches every weight.
+    theta = np.zeros(h * p + 2 * h + 1)
+    net = MlpModel(*_mlp_views(theta, h, p))
+    net.w1[...] = rng.uniform(-limit, limit, size=(h, p))
+    net.w2[...] = rng.uniform(-limit, limit, size=h) / np.sqrt(h)
+    grad = np.empty_like(theta)
+    g_w1, g_b1, g_w2, g_b2 = _mlp_views(grad, h, p)
+    m_adam = np.zeros_like(theta)
+    v_adam = np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     lr = learning_rate
     step = 0
 
     n = len(xs)
     best_valid = np.inf
-    best = [q.copy() for q in params]
+    best = theta.copy()
     best_epoch = 0
     since_best = 0
     train_hist: list[float] = []
     valid_hist: list[float] = []
+    hidden_t, hidden_v = np.empty((n, h)), np.empty((len(xvs), h))
 
-    def forward_mse(xm, ym):
-        a = np.tanh(xm @ params[0].T + params[1])
-        pred = a @ params[2] + params[3][0]
-        return float(np.mean((pred - ym) ** 2))
+    def mse(xm, ym, a):
+        # The hidden layer in blocks of batch_size rows: a row's values do
+        # not depend on its block. The output layer in one product over
+        # all rows, as BLAS's sum for a row can depend on where the row
+        # sits in the call.
+        for s in range(0, len(xm), batch_size):
+            a[s:s + batch_size] = net._hidden(xm[s:s + batch_size])
+        pred = a @ net.w2 + net.b2
+        pred -= ym
+        return float(np.mean(np.square(pred, out=pred)))
 
     for epoch in range(1, max_epochs + 1):
         order = rng.permutation(n)
+        xo, yo = xs[order], ys[order]
         for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            xb, yb = xs[idx], ys[idx]
-            nb = len(idx)
-            z = xb @ params[0].T + params[1]
-            a = np.tanh(z)
-            pred = a @ params[2] + params[3][0]
-            err = pred - yb
+            xb = xo[start:start + batch_size]
+            nb = len(xb)
+            a = net._hidden(xb)
+            err = a @ net.w2 + net.b2
+            err -= yo[start:start + batch_size]
             # d(mean err^2)/d(pred) = 2 err / nb
             g_out = 2.0 * err / nb
-            g_w2 = a.T @ g_out
-            g_b2 = np.array([g_out.sum()])
-            g_a = np.outer(g_out, params[2])
-            g_z = g_a * (1.0 - a * a)
-            g_w1 = g_z.T @ xb
-            g_b1 = g_z.sum(axis=0)
+            g_w2[...] = a.T @ g_out
+            g_b2[0] = g_out.sum()
+            # (g_out outer w2) * (1 - a^2), the last factor in a's array
+            g_z = g_out[:, None] * net.w2
+            np.multiply(a, a, out=a)
+            np.subtract(1.0, a, out=a)
+            g_z *= a
+            g_w1[...] = g_z.T @ xb
+            g_b1[...] = g_z.sum(axis=0)
             step += 1
-            for q, g, mq, vq in zip(params, [g_w1, g_b1, g_w2, g_b2], m_adam, v_adam):
-                mq += (1 - beta1) * (g - mq)
-                vq += (1 - beta2) * (g * g - vq)
-                mhat = mq / (1 - beta1 ** step)
-                vhat = vq / (1 - beta2 ** step)
-                q -= lr * mhat / (np.sqrt(vhat) + eps)
+            m_adam += (1 - beta1) * (grad - m_adam)
+            v_adam += (1 - beta2) * (grad * grad - v_adam)
+            mhat = m_adam / (1 - beta1 ** step)
+            vhat = v_adam / (1 - beta2 ** step)
+            theta -= lr * mhat / (np.sqrt(vhat) + eps)
 
-        tr_mse = forward_mse(xs, ys)
-        va_mse = forward_mse(xvs, yvs)
+        tr_mse = mse(xs, ys, hidden_t)
+        va_mse = mse(xvs, yvs, hidden_v)
         if not (np.isfinite(tr_mse) and np.isfinite(va_mse)):
             raise NumericalError(
                 f"non-finite training loss at epoch {epoch}; "
@@ -497,7 +523,7 @@ def fit_mlp(train: Dataset, valid: Dataset, hidden: int = 40,
         valid_hist.append(va_mse)
         if va_mse < best_valid - 1e-12:
             best_valid = va_mse
-            best = [q.copy() for q in params]
+            best = theta.copy()
             best_epoch = epoch
             since_best = 0
         else:
@@ -507,7 +533,7 @@ def fit_mlp(train: Dataset, valid: Dataset, hidden: int = 40,
             if since_best >= patience:
                 break
 
-    w1b, b1b, w2b, b2b = best
+    w1b, b1b, w2b, b2b = _mlp_views(best, h, p)
     # Fold standardization into raw-space weights.
     w1_raw = w1b / sx
     b1_raw = b1b - w1b @ (mx / sx)

@@ -28,7 +28,7 @@ OUT_OF_RANGE = {
     "sigma": [[0.0, 1.0], [1.0, -2.0]], "hidden": [0], "max_epochs": [0],
     "patience": [-1], "valid_frac": [0.0, 1.0], "learning_rate": [0.0],
     "batch_size": [0], "fd_step": [0.0], "k_bins": [1],
-    "smooth_marginal": [-1], "scatter_cap": [-1],
+    "smooth_marginal": [-1], "scatter_cap": [-1], "seed": [-1],
 }
 CHECKED = [(command, opt, v) for command, opt in PAIRS
            for v in OUT_OF_RANGE.get(opt.name, [])]

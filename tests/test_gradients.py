@@ -122,6 +122,18 @@ class TestGradientTable:
         t = gradient_table(m, d, h=1e-3)
         assert np.max(np.abs(t.values - [3.0, 2.0])) < 1e-6
 
+    @pytest.mark.filterwarnings("error")
+    def test_spread_near_the_largest_double_gives_a_finite_step(self):
+        # np.std of b itself overflows, and the step was nan
+        rng = np.random.default_rng(3)
+        d = Dataset(names=["a", "b"],
+                    columns=[rng.uniform(-1, 1, 1000),
+                             1.7e308 * rng.uniform(-1, 1, 1000)])
+        m = ScoreOnly(custom_model(2, [(3.0, {0: 1}), (0.5, {1: 1})]))
+        t = gradient_table(m, d)
+        assert np.all(np.isfinite(t.steps))
+        assert np.max(np.abs(t.values[:, 1] - 0.5)) < 1e-9
+
 
 class TestTotals:
     def test_zero_slopes_collapse_to_partials(self):

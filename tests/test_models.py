@@ -21,6 +21,7 @@ from atdev.gradients import check_gradient, fd_step, gradient_table
 from atdev.models import (CATALOG_IDS, ROW_BUDGET, AnalyticModel, MlpModel,
                           Predictor, _parse_scores, _write_rows)
 from helpers import failing_open, take
+from mlp_reference import reference_fit_mlp
 
 
 def rows(*rs):
@@ -327,6 +328,57 @@ class TestMlp:
             MlpModel.load(bad)
         with pytest.raises(ModelError):
             MlpModel.load(tmp_path / "absent.json")
+
+
+def split(d: Dataset, n_train: int) -> tuple[Dataset, Dataset]:
+    return take(d, np.arange(n_train)), take(d, np.arange(n_train, d.n))
+
+
+class TestFitMatchesReference:
+    """fit_mlp gives the same bits as the per-layer loop it replaced: the
+    weights and every FitReport field, both histories included."""
+
+    @staticmethod
+    def assert_same_fit(train, valid, **kw):
+        model, report = fit_mlp(train, valid, **kw)
+        ref_model, ref_report = reference_fit_mlp(train, valid, **kw)
+        for name in ("w1", "b1", "w2"):
+            assert np.array_equal(getattr(model, name),
+                                  getattr(ref_model, name)), name
+        assert model.b2 == ref_model.b2
+        assert report == ref_report  # every field, histories included
+        return report
+
+    # 1001 rows in batches of 100 end on a one-row batch. With 75, a loss
+    # computed through BLAS in blocks of batch_size rows moves the last
+    # bit of a history value at this draw, as its per-row sums depend on
+    # where each row sits in the call.
+    @pytest.mark.parametrize("n_train, batch_size", [(1000, 75), (1001, 100)])
+    def test_last_batch_is_short(self, n_train, batch_size):
+        full = generate(SimSpec(case="complex_623", n=n_train + 300, seed=1))
+        self.assert_same_fit(*split(full, n_train), hidden=9, max_epochs=6,
+                             seed=0, batch_size=batch_size)
+
+    def test_batch_larger_than_the_training_set(self):
+        full = generate(SimSpec(case="interaction_622", n=400, seed=3))
+        self.assert_same_fit(*split(full, 300), hidden=7, max_epochs=8,
+                             seed=5, batch_size=512)
+
+    def test_learning_rate_halved_and_stopped_early(self):
+        full = generate(SimSpec(case="additive_621", n=900, seed=8))
+        report = self.assert_same_fit(*split(full, 700), hidden=6,
+                                      max_epochs=300, patience=2, seed=6,
+                                      learning_rate=0.05, batch_size=64)
+        # stopping after 2 epochs without gain halves the rate after 1
+        assert report.epochs_run < 300
+
+    def test_constant_response(self):
+        rng = np.random.default_rng(4)
+        d = Dataset(names=["x1", "x2"],
+                    columns=[rng.uniform(-1, 1, 700), rng.uniform(-1, 1, 700)],
+                    response=np.full(700, 3.7))
+        self.assert_same_fit(*split(d, 500), hidden=8, max_epochs=10,
+                             patience=25, seed=1, batch_size=128)
 
 
 def random_network(rng, p: int, hidden: int) -> MlpModel:
