@@ -203,6 +203,14 @@ def center(curve: EffectCurve) -> EffectCurve:
     return replace(curve, values=curve.values - curve.weighted_mean(), centered=True)
 
 
+def _check_index(i, p: int, error: type[Exception] = DataError) -> None:
+    """``error`` unless i is an integer column index in [0, p); a bool or
+    a float is not one, and neither is a negative index."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)) \
+            or not 0 <= i < p:
+        raise error(f"column index {i!r} is not an integer in [0, {p})")
+
+
 def quantile_bins(d: Dataset, j: int, k: int) -> BinScheme:
     """Equal-count bins of column j with edges at empirical quantiles.
 
@@ -211,6 +219,7 @@ def quantile_bins(d: Dataset, j: int, k: int) -> BinScheme:
     every surviving bin has at least one member. A column whose values
     fill fewer than two bins, such as a 0/1 indicator, is rejected.
     """
+    _check_index(j, d.p)
     if k < 2:
         raise DataError("bin count must be >= 2")
     x = d.column(j)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, bin_index, quantile_bins
+from .data import Dataset, _check_index, bin_index, quantile_bins
 from .errors import DataError, NumericalError
 
 __all__ = [
@@ -35,27 +35,28 @@ __all__ = [
 DEPENDENCE_KINDS = ("linear", "local_linear")
 
 
+def _pow2_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """v divided by 2**e, with e the exponent of its largest |v|, and e.
+    The scaled values lie below 1 in magnitude, so no moment of them
+    overflows, and short of subnormal results the scaling is exact: a
+    moment of the scaled values scales back to the same double."""
+    e = int(np.frexp(np.max(np.abs(v)))[1])
+    return np.ldexp(v, -e), e
+
+
 def ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Least-squares (slope, intercept) of y on x; slope 0 when x is
-    constant. When the variance of x or the covariance overflows, the
-    line is fitted on x and y scaled by exact powers of two and scaled
-    back. A slope or intercept that is not finite is a NumericalError."""
+    constant (min == max). The line is fitted on x and y scaled by
+    powers of two and scaled back, so it is the unscaled fit's pair of
+    doubles wherever that fit's moments are finite, and stays finite at
+    any scale where they overflow. A slope or intercept that is not
+    finite is a NumericalError."""
+    (xs, ex), (ys, ey) = _pow2_scaled(x), _pow2_scaled(y)
     with np.errstate(all="ignore"):
-        vx = float(np.var(x))
-        if vx == 0.0:
-            return 0.0, float(np.mean(y))
-        cxy = float(np.cov(x, y, bias=True)[0, 1])
-        if math.isfinite(vx) and math.isfinite(cxy):
-            slope = cxy / vx
-            intercept = float(np.mean(y) - slope * np.mean(x))
-        else:
-            # Scaled below 1 in magnitude, no moment overflows; y - a - b x
-            # scales by 2^ey exactly.
-            ex, ey = (int(np.frexp(np.max(np.abs(v)))[1]) for v in (x, y))
-            xs, ys = np.ldexp(x, -ex), np.ldexp(y, -ey)
-            slope = np.cov(xs, ys, bias=True)[0, 1] / np.var(xs)
-            intercept = float(np.ldexp(np.mean(ys) - slope * np.mean(xs), ey))
-            slope = float(np.ldexp(slope, ey - ex))
+        slope = (0.0 if np.min(x) == np.max(x)
+                 else np.cov(xs, ys, bias=True)[0, 1] / np.var(xs))
+        intercept = float(np.ldexp(np.mean(ys) - slope * np.mean(xs), ey))
+        slope = float(np.ldexp(slope, ey - ex))
     if not (math.isfinite(slope) and math.isfinite(intercept)):
         raise NumericalError("least-squares line of y on x is not finite")
     return slope, intercept
@@ -63,38 +64,28 @@ def ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class DependenceModel:
-    """Fitted conditional-mean slopes of every other column on column j.
+    """Fitted conditional-mean slopes dm_k/dx_j of every column k on the
+    anchor column j, as one slope table.
 
-    ``linear`` stores one (slope, intercept) per column; ``local_linear``
-    additionally stores bin edges and a slope per bin (difference
-    quotients of binned conditional means, one-sided at the ends),
-    falling back to the global line where the anchor is locally constant.
+    ``slopes`` is B x p: row b holds for x_j in bin b of the B + 1
+    ``edges``. ``linear`` is the one-bin case, one OLS slope per column
+    between the anchor's min and max; ``local_linear`` has one row per
+    quantile bin of the anchor (difference quotients of the binned
+    conditional means, one-sided at the ends), falling back to the OLS
+    slope where the anchor is locally constant.
     """
 
     j: int
-    kind: str
-    p: int
-    slopes: np.ndarray       # global OLS slope per column (column j slot is 1)
-    intercepts: np.ndarray   # global OLS intercept per column
-    edges: np.ndarray | None = None          # local_linear only
-    bin_slopes: np.ndarray | None = None     # (k_bins x p), local_linear only
+    edges: np.ndarray   # B + 1 anchor bin edges
+    slopes: np.ndarray  # B x p
 
     def slopes_at(self, x: np.ndarray | float) -> np.ndarray:
         """dm_k/dx_j for every column k at x_j values, one row per value
         (N x p); the own column is exactly 1."""
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        if self.kind == "linear":
-            s = np.broadcast_to(self.slopes, (len(x), self.p)).copy()
-        else:
-            s = self.bin_slopes[bin_index(self.edges, x)]
+        s = self.slopes[bin_index(self.edges, x)]
         s[:, self.j] = 1.0
         return s
-
-    def beta(self, k: int) -> float:
-        return float(self.slopes[k])
-
-    def intercept(self, k: int) -> float:
-        return float(self.intercepts[k])
 
 
 def fit_dependence(d: Dataset, j: int, kind: str = "linear",
@@ -103,26 +94,18 @@ def fit_dependence(d: Dataset, j: int, kind: str = "linear",
     if kind not in DEPENDENCE_KINDS:
         raise DataError(f"unknown dependence kind {kind!r}; "
                         f"choose from {DEPENDENCE_KINDS}")
-    if not (0 <= j < d.p):
-        raise DataError(f"column index {j} out of range for p={d.p}")
+    _check_index(j, d.p)
     # Contiguous copies: each column is read several times below, and a
     # read of a column view of the shared row matrix moves all p columns.
     xj = np.ascontiguousarray(d.column(j))
-    with np.errstate(over="ignore"):  # a variance that overflows is not 0
-        constant = float(np.var(xj)) == 0.0
-    if constant:
+    ends = np.array([np.min(xj), np.max(xj)])
+    if ends[0] == ends[1]:
         raise DataError(f"degenerate anchor {d.names[j]!r}: constant column")
-    slopes = np.empty(d.p)
-    intercepts = np.empty(d.p)
-    for k in range(d.p):
-        if k == j:
-            slopes[k], intercepts[k] = 1.0, 0.0
-        else:
-            slopes[k], intercepts[k] = ols_line(
-                xj, np.ascontiguousarray(d.column(k)))
+    slopes = np.array([1.0 if k == j else
+                       ols_line(xj, np.ascontiguousarray(d.column(k)))[0]
+                       for k in range(d.p)])
     if kind == "linear":
-        return DependenceModel(j=j, kind=kind, p=d.p,
-                               slopes=slopes, intercepts=intercepts)
+        return DependenceModel(j=j, edges=ends, slopes=slopes[None, :])
 
     scheme = quantile_bins(d, j, bins)
     kb, bin_of = scheme.k, scheme.bin_of
@@ -141,9 +124,7 @@ def fit_dependence(d: Dataset, j: int, kind: str = "linear",
         run = anchor[hi] - anchor[lo]
         ok = run != 0.0
         bin_slopes[ok, k] = (level[hi] - level[lo])[ok] / run[ok]
-    return DependenceModel(j=j, kind=kind, p=d.p,
-                           slopes=slopes, intercepts=intercepts,
-                           edges=scheme.edges, bin_slopes=bin_slopes)
+    return DependenceModel(j=j, edges=scheme.edges, slopes=bin_slopes)
 
 
 @dataclass(frozen=True)
@@ -156,23 +137,17 @@ class CorrelationMatrix:
 
 
 def corr_matrix(d: Dataset) -> CorrelationMatrix:
-    """Pearson correlations between all predictor pairs. Constant columns
-    have no defined correlation and are rejected, and so is a pair whose
-    correlation overflows (NumericalError)."""
+    """Pearson correlations between all predictor pairs, computed on the
+    columns scaled by powers of two so that no moment overflows. Constant
+    columns (min == max) have no defined correlation and are rejected."""
     x = d.matrix()
-    sd = x.std(axis=0)
-    if np.any(sd == 0.0):
-        bad = d.names[int(np.flatnonzero(sd == 0.0)[0])]
-        raise DataError(f"degenerate variable {bad!r}: constant column")
+    constant = np.flatnonzero(x.min(axis=0) == x.max(axis=0))
+    if len(constant):
+        raise DataError(f"degenerate variable {d.names[constant[0]]!r}: "
+                        f"constant column")
     c = np.eye(d.p)
     for a in range(d.p):
         for b in range(a + 1, d.p):
-            # The whole 2 x 2 block: a variance that overflows leaves the
-            # off-diagonal finite (0) and only the diagonal shows it.
-            r = np.corrcoef(x[:, a], x[:, b])
-            if not np.all(np.isfinite(r)):
-                raise NumericalError(
-                    f"non-finite correlation of {d.names[a]!r} and "
-                    f"{d.names[b]!r}")
+            r = np.corrcoef(_pow2_scaled(x[:, a])[0], _pow2_scaled(x[:, b])[0])
             c[a, b] = c[b, a] = float(r[0, 1])
     return CorrelationMatrix(names=tuple(d.names), values=c)

@@ -14,10 +14,10 @@ Six curves over a shared quantile-bin grid of the variable of interest:
 The four derivative curves are one quantity. For anchor j, with the
 gradient table G (N x p) and the dependence slopes S[:, k] = dm_k/dx_j
 (S[:, j] = 1), the kernel ``_binned`` takes the per-bin means of G * S
-over the x_j bins, K x p in one call. Column k integrated along the bins
-is ale (k = j) or ace through x_k; atdev is their sum; le_curve is a
-column of the bin means of G alone, not integrated. ``effect_matrix``
-is that kernel run once per anchor. Every one of them reads G from its
+over the x_j bins; one entry, ``_anchor_curves``, runs it per anchor.
+Column k integrated along the bins is ale (k = j) or ace through x_k;
+atdev is their sum; not integrated, with S = 1, it is le_curve.
+``effect_matrix`` is that entry run once per anchor. Every one of them reads G from its
 ``table`` argument and builds it when that is omitted.
 
 Integration is a cumulative midpoint rule from the observed minimum: the
@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BinScheme, CurveKind, Dataset, EffectCurve, center, quantile_bins
+from .data import (BinScheme, CurveKind, Dataset, EffectCurve, _check_index,
+                   center, quantile_bins)
 from .dependence import DependenceModel, fit_dependence
 from .errors import DataError
 from .gradients import GradientTable, gradient_table
@@ -57,23 +58,25 @@ DEFAULT_BINS = 100
 def _scheme(d: Dataset, j: int, bins: BinScheme | None) -> BinScheme:
     if bins is None:
         return quantile_bins(d, j, DEFAULT_BINS)
+    _check_index(j, d.p)  # True and 1.0 compare equal to a bins.j of 1
     if bins.j != j:
         raise DataError(f"bin scheme built on column {bins.j}, expected {j}")
     return bins
 
 
-def _binned(g: np.ndarray, scheme: BinScheme, slopes: np.ndarray | None = None,
-            integrate: bool = True) -> np.ndarray:
+def _binned(g: np.ndarray, scheme: BinScheme, cols: list[int] | range,
+            slopes: np.ndarray | None = None, integrate: bool = True) -> np.ndarray:
     """The one estimator behind every derivative curve: per-bin means,
-    over the anchor's bins, of each column of the integrand g * slopes
-    (slopes default to 1), as a K x m array. With ``integrate`` each
-    column is accumulated along the bins by the midpoint rule."""
+    over the anchor's bins, of columns ``cols`` of the integrand
+    g * slopes (slopes default to 1), as a K x len(cols) array. With
+    ``integrate`` each column is accumulated along the bins by the
+    midpoint rule."""
     # Column by column: a whole N x m integrand costs more to allocate
     # than the per-column loop costs to run.
     sums = np.column_stack([
         np.bincount(scheme.bin_of, minlength=scheme.k,
                     weights=g[:, c] if slopes is None else g[:, c] * slopes[:, c])
-        for c in range(g.shape[1])])
+        for c in cols])
     means = sums / scheme.counts[:, None]
     if not integrate:
         return means
@@ -83,10 +86,37 @@ def _binned(g: np.ndarray, scheme: BinScheme, slopes: np.ndarray | None = None,
     return np.cumsum(contrib, axis=0) - contrib / 2.0
 
 
-def _slopes(dep: DependenceModel, d: Dataset, j: int) -> np.ndarray:
-    if dep.j != j:
-        raise DataError(f"dependence model anchored at {dep.j}, expected {j}")
-    return dep.slopes_at(d.column(j))
+def _kind(p: int, j: int, k: int, integrate: bool) -> CurveKind:
+    """The naming rule of kernel column k for anchor j: ALE (k = j) or
+    ACE when integrated, LE or LEcross when not. k must be a column
+    index."""
+    _check_index(k, p)
+    if integrate:
+        return CurveKind.ALE if k == j else CurveKind.ACE
+    return CurveKind.LE if k == j else CurveKind.LE_CROSS
+
+
+def _anchor_curves(model: Predictor, d: Dataset, j: int, ks: list[int] | range,
+                   bins: BinScheme | None, table: GradientTable | None,
+                   dep: DependenceModel | None = None, integrate: bool = True
+                   ) -> tuple[list[EffectCurve], np.ndarray, BinScheme]:
+    """The one entry behind every derivative curve of anchor j: bins x_j,
+    checks that ``dep`` is anchored at j, takes its slopes (1 without
+    ``dep``), reads the gradient table (built when omitted) and runs the
+    kernel on columns ``ks``. Returns a curve per k named by ``_kind``,
+    the kernel's K x len(ks) array and the bins."""
+    kinds = [_kind(d.p, j, k, integrate) for k in ks]
+    scheme = _scheme(d, j, bins)
+    slopes = None
+    if dep is not None:
+        if dep.j != j:
+            raise DataError(f"dependence model anchored at {dep.j}, expected {j}")
+        slopes = dep.slopes_at(d.column(j))
+    if table is None:
+        table = gradient_table(model, d)
+    acc = _binned(table.values, scheme, ks, slopes, integrate)
+    return ([_curve(kind, j, scheme, acc[:, c], k)
+             for c, (kind, k) in enumerate(zip(kinds, ks))], acc, scheme)
 
 
 def _curve(kind: CurveKind, j: int, scheme: BinScheme, values: np.ndarray,
@@ -140,7 +170,7 @@ def marginal(model: Predictor, d: Dataset, j: int,
         per_row = np.asarray(d.response, dtype=np.float64)
     else:
         per_row = model.predict(d.matrix())
-    values = _binned(per_row[:, None], scheme, integrate=False)[:, 0]
+    values = _binned(per_row[:, None], scheme, [0], integrate=False)[:, 0]
     if smooth > 0:
         values = _local_quadratic(scheme.midpoints, values,
                                   scheme.counts.astype(np.float64), smooth)
@@ -174,11 +204,7 @@ def ale(model: Predictor, d: Dataset, j: int, bins: BinScheme | None = None,
         table: GradientTable | None = None) -> EffectCurve:
     """Own-effect curve: per-bin mean of d f / d x_j over member rows,
     accumulated from the observed minimum. Uncentered."""
-    scheme = _scheme(d, j, bins)
-    if table is None:
-        table = gradient_table(model, d)
-    acc = _binned(table.values[:, j:j + 1], scheme)
-    return _curve(CurveKind.ALE, j, scheme, acc[:, 0])
+    return _anchor_curves(model, d, j, [j], bins, table)[0][0]
 
 
 def ace(model: Predictor, d: Dataset, k: int, j: int, dep: DependenceModel,
@@ -189,12 +215,7 @@ def ace(model: Predictor, d: Dataset, k: int, j: int, dep: DependenceModel,
     (d f / d x_k) * (d m_k / d x_j), accumulated as in ale."""
     if k == j:
         raise DataError("cross effect needs k != j")
-    slopes = _slopes(dep, d, j)[:, k:k + 1]
-    scheme = _scheme(d, j, bins)
-    if table is None:
-        table = gradient_table(model, d)
-    acc = _binned(table.values[:, k:k + 1], scheme, slopes)
-    return _curve(CurveKind.ACE, j, scheme, acc[:, 0], k)
+    return _anchor_curves(model, d, j, [k], bins, table, dep)[0][0]
 
 
 def atdev_terms(model: Predictor, d: Dataset, j: int,
@@ -205,15 +226,9 @@ def atdev_terms(model: Predictor, d: Dataset, j: int,
     """The total-derivative effect and its terms from one kernel call:
     ``terms[k]`` is the ale curve for k = j and the ace curve through x_k
     otherwise; the total is their pointwise sum. Uncentered."""
-    scheme = _scheme(d, j, bins)
     if dep is None:
         dep = fit_dependence(d, j)
-    slopes = _slopes(dep, d, j)
-    if table is None:
-        table = gradient_table(model, d)
-    acc = _binned(table.values, scheme, slopes)
-    terms = [_curve(CurveKind.ALE if k == j else CurveKind.ACE, j, scheme,
-                    acc[:, k], k) for k in range(d.p)]
+    terms, acc, scheme = _anchor_curves(model, d, j, range(d.p), bins, table, dep)
     return terms, _curve(CurveKind.ATDEV, j, scheme, acc.sum(axis=1))
 
 
@@ -232,12 +247,7 @@ def le_curve(model: Predictor, d: Dataset, k: int, j: int,
     """Per-bin mean of d f / d x_k conditioned on x_j bins, reported on
     the derivative scale (no integration). k = j is the own-derivative
     profile; k != j reads out interactions and transferred effects."""
-    scheme = _scheme(d, j, bins)
-    if table is None:
-        table = gradient_table(model, d)
-    means = _binned(table.values[:, k:k + 1], scheme, integrate=False)
-    kind = CurveKind.LE if k == j else CurveKind.LE_CROSS
-    return _curve(kind, j, scheme, means[:, 0], k)
+    return _anchor_curves(model, d, j, [k], bins, table, integrate=False)[0][0]
 
 
 @dataclass(frozen=True)
@@ -298,9 +308,8 @@ def effect_matrix(model: Predictor, d: Dataset, kind: CurveKind | str = CurveKin
                                      table=table)
             totals.append(center(total))
         else:
-            means = _binned(table.values, scheme, integrate=False)
-            col = [_curve(CurveKind.LE if i == j else CurveKind.LE_CROSS, j,
-                          scheme, means[:, i], i) for i in range(p)]
+            col = _anchor_curves(model, d, j, range(p), scheme, table,
+                                 integrate=False)[0]
         columns.append([center(c) for c in col])
 
     cells = tuple(tuple(columns[j][i] for j in range(p)) for i in range(p))

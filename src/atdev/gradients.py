@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
-from .dependence import DependenceModel
+from .data import Dataset, _check_index
+from .dependence import DependenceModel, _pow2_scaled
 from .errors import DataError, NumericalError
 from .models import Predictor
 
@@ -58,10 +58,8 @@ def fd_step(x: np.ndarray, j: int) -> float:
     its largest |x|, then scaled back, so it is finite for a column near
     the largest double. Scaling by a power of two is exact: wherever the
     column's own spread is finite, the step is the same double."""
-    col = x[:, j]
-    e = np.frexp(np.max(np.abs(col)))[1]
-    sd = np.ldexp(np.std(np.ldexp(col, -e)), e)
-    return max(1e-4 * float(sd), 1e-8)
+    scaled, e = _pow2_scaled(x[:, j])
+    return max(1e-4 * float(np.ldexp(np.std(scaled), e)), 1e-8)
 
 
 def _check_span(x: np.ndarray, j: int, h: float, label: str) -> None:
@@ -127,6 +125,7 @@ def total_derivatives(model: Predictor, d: Dataset | np.ndarray, j: int,
     slope dm_k/dx_j at that row's x_j. This is the row sum of the
     integrand G * S that the binned curve estimators average."""
     x = _rows(d)
+    _check_index(j, x.shape[1])
     if dep.j != j:
         raise DataError(f"dependence model anchored at {dep.j}, expected {j}")
     if table is None:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, _format_rows, _staged
+from .data import Dataset, _check_index, _format_rows, _staged
 from .errors import DataError, ModelError, NumericalError
 
 __all__ = [
@@ -102,9 +102,7 @@ class Predictor:
         x = self._check_input(x)
         if len(x) == 0:
             raise ModelError("partial dependence needs at least one row")
-        if (not isinstance(j, (int, np.integer)) or isinstance(j, bool)
-                or not 0 <= j < self.p):
-            raise ModelError(f"column index {j!r} out of range for p={self.p}")
+        _check_index(j, self.p, ModelError)
         grid = np.asarray(grid, dtype=np.float64)
         if grid.ndim != 1:
             raise ModelError(f"grid must be 1-D, got shape {grid.shape}")

@@ -192,7 +192,7 @@ def test_a05_interaction_case_separates_ale_from_sweep(d622, mlp622):
     linear; the network sweep's curvature is reported, not asserted."""
     model = catalog_model("case_622")
     scheme = quantile_bins(d622, 0, 100)
-    b = fit_dependence(d622, 0).beta(1)
+    b = fit_dependence(d622, 0).slopes[0, 1]
     assert abs(b / 2.0 - (-0.49)) < 0.02  # context for the target below
 
     own = ale(model, d622, 0, bins=scheme)

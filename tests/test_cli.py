@@ -466,6 +466,22 @@ class TestExitCodes:
         assert "'b' cannot be binned" in capsys.readouterr().err
         assert not list(out.glob("*.json")) and not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("command", ["effects", "importance"])
+    def test_column_whose_variance_underflows_is_estimated(self, tmp_path,
+                                                           command):
+        # 1000 distinct values of a on +-1e-170: np.var(a) is 0, but the
+        # column is not constant
+        rng = np.random.default_rng(5)
+        a = rng.uniform(-1e-170, 1e-170, 1_000)
+        b = rng.uniform(-1, 1, 1_000)
+        path = tmp_path / "tiny.csv"
+        save_csv(Dataset(names=["a", "b"], columns=[a, b], response=b), path)
+        rc = main([command, "--data", str(path), "--response", "y",
+                   "--model-id", "custom", "--terms",
+                   '[[1.0, {"0": 1}], [1.0, {"1": 1}]]',
+                   "--k-bins", "10", "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+
     def test_numerical_failure_leaves_no_files(self, data622, tmp_path,
                                                capsys):
         out = tmp_path / "broken"

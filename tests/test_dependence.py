@@ -1,12 +1,17 @@
 """Conditional-mean fits between predictors and the correlation matrix."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from atdev import SimSpec, corr_matrix, fit_dependence, generate
 from atdev.data import Dataset
 from atdev.dependence import ols_line
 from atdev.errors import DataError, NumericalError
+from ols_reference import reference_ols_line
 
 
 def paired(n=50_000, seed=0, slope=0.8, noise=0.0):
@@ -19,10 +24,11 @@ def paired(n=50_000, seed=0, slope=0.8, noise=0.0):
 class TestLinearFit:
     def test_exact_line_recovered(self):
         d = paired(slope=0.8)
-        dep = fit_dependence(d, 0)
-        assert abs(dep.beta(1) - 0.8) < 1e-10
-        assert abs(dep.intercept(1)) < 1e-10
-        resid = d.column(1) - (dep.beta(1) * d.column(0) + dep.intercept(1))
+        slope = fit_dependence(d, 0).slopes[0, 1]
+        intercept = ols_line(d.column(0), d.column(1))[1]
+        assert abs(slope - 0.8) < 1e-10
+        assert abs(intercept) < 1e-10
+        resid = d.column(1) - (slope * d.column(0) + intercept)
         assert float(np.var(resid)) < 1e-12
 
     def test_matches_normal_equations(self):
@@ -32,13 +38,14 @@ class TestLinearFit:
         d = Dataset(names=["a", "b"], columns=[x, y])
         dep = fit_dependence(d, 0)
         want = np.cov(x, y, bias=True)[0, 1] / np.var(x)
-        assert abs(dep.beta(1) - want) < 1e-10
+        assert abs(dep.slopes[0, 1] - want) < 1e-10
 
     def test_residuals_orthogonal_to_anchor(self):
         d = generate(SimSpec(case="additive_621", n=40_000, seed=2))
         dep = fit_dependence(d, 0)
         for k in (1, 2):
-            resid = d.column(k) - (dep.beta(k) * d.column(0) + dep.intercept(k))
+            intercept = ols_line(d.column(0), d.column(k))[1]
+            resid = d.column(k) - (dep.slopes[0, k] * d.column(0) + intercept)
             assert abs(float(np.dot(resid, d.column(0)))) < 1e-8 * d.n
 
     def test_independent_columns_have_null_slope(self):
@@ -48,14 +55,14 @@ class TestLinearFit:
         y = rng.uniform(-1, 1, n)
         d = Dataset(names=["a", "b"], columns=[x, y])
         dep = fit_dependence(d, 0)
-        resid = y - (dep.beta(1) * x + dep.intercept(1))
+        resid = y - (dep.slopes[0, 1] * x + ols_line(x, y)[1])
         se = float(np.std(resid) / (np.std(x) * np.sqrt(n)))
-        assert abs(dep.beta(1)) < 3.0 * se
+        assert abs(dep.slopes[0, 1]) < 3.0 * se
 
     def test_strongly_anticorrelated_pair(self):
         d = generate(SimSpec(case="interaction_622", n=100_000, seed=5))
         dep = fit_dependence(d, 0)
-        assert abs(dep.beta(1) - (-0.98)) < 0.05
+        assert abs(dep.slopes[0, 1] - (-0.98)) < 0.05
 
     def test_own_column_slope_is_one(self):
         d = paired(n=1000)
@@ -82,7 +89,7 @@ class TestLocalLinearFit:
     def test_exactly_linear_data_reproduces_global_slope(self):
         d = paired(slope=0.8)
         dep = fit_dependence(d, 0, kind="local_linear", bins=25)
-        assert np.max(np.abs(dep.bin_slopes[:, 1] - 0.8)) < 1e-10
+        assert np.max(np.abs(dep.slopes[:, 1] - 0.8)) < 1e-10
         # evaluation anywhere on the support agrees too
         probe = np.linspace(-0.99, 0.99, 57)
         assert np.max(np.abs(dep.slopes_at(probe)[:, 1] - 0.8)) < 1e-10
@@ -142,19 +149,50 @@ class TestCorrMatrix:
         with pytest.raises(DataError):
             corr_matrix(d)
 
-    def test_overflowing_variance_is_a_numerical_error(self):
+    def test_overflowing_variance_gives_the_scaled_value(self):
         # numpy's correlation of a column at 1e160 comes out as -0.0 or
-        # 0.0 beside a NaN diagonal; the pair must not be reported as
-        # uncorrelated
+        # 0.0 beside a NaN diagonal; on power-of-two-scaled columns it is
+        # the correlation of the column brought back to unit scale
         rng = np.random.default_rng(0)
-        d = Dataset(names=["a", "b", "c"],
-                    columns=[rng.uniform(-1, 1, 50),
-                             rng.uniform(-1e160, 1e160, 50),
-                             rng.uniform(-1, 1, 50)])
-        with pytest.warns(RuntimeWarning), \
-                pytest.raises(NumericalError,
-                              match="non-finite correlation of 'a' and 'b'"):
+        cols = [rng.uniform(-1, 1, 50), rng.uniform(-1e160, 1e160, 50),
+                rng.uniform(-1, 1, 50)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cm = corr_matrix(Dataset(names=["a", "b", "c"], columns=cols))
+        want = np.corrcoef([cols[0], cols[1] * 1e-160, cols[2]])
+        assert np.allclose(cm.values, want, rtol=1e-12, atol=0.0)
+        assert abs(cm.of(0, 1)) > 0.01
+
+
+class TestConstantColumns:
+    """A column is constant when its min equals its max, whatever its
+    computed variance."""
+
+    def test_rounding_noise_is_not_spread(self):
+        # np.var of 1000 copies of 0.1 is about 1.9e-34, not 0
+        c = np.full(1000, 0.1)
+        b = np.random.default_rng(1).uniform(-1, 1, 1000)
+        assert np.var(c) > 0.0
+        d = Dataset(names=["c", "b"], columns=[c, b])
+        with pytest.raises(DataError, match="'c': constant column"):
+            fit_dependence(d, 0)
+        with pytest.raises(DataError, match="'c': constant column"):
             corr_matrix(d)
+        assert ols_line(c, b) == (0.0, float(np.mean(b)))
+
+    @pytest.mark.parametrize("kind", ["linear", "local_linear"])
+    def test_underflowing_variance_is_not_constant(self, kind):
+        # 1000 distinct values whose variance underflows to 0
+        rng = np.random.default_rng(2)
+        a = rng.uniform(-1e-170, 1e-170, 1000)
+        b = 1e170 * a + rng.normal(0.0, 0.1, 1000)
+        assert np.var(a) == 0.0
+        d = Dataset(names=["a", "b"], columns=[a, b])
+        dep = fit_dependence(d, 0, kind)
+        assert np.all(np.isfinite(dep.slopes))
+        assert abs(ols_line(a, b)[0] / 1e170 - 1.0) < 0.05
+        want = np.corrcoef(a * 1e170, b)[0, 1]
+        assert abs(corr_matrix(d).of(0, 1) - want) < 1e-12
 
 
 class TestExtremeScales:
@@ -170,7 +208,7 @@ class TestExtremeScales:
         dep = fit_dependence(d, j, kind)
         k = 1 - j
         want = 1e-160 if j == 0 else 1e160
-        assert abs(dep.beta(k) / want - 1.0) < 0.01
+        assert abs(ols_line(d.column(j), d.column(k))[0] / want - 1.0) < 0.01
         assert np.all(np.isfinite(dep.slopes_at(d.column(j))))
 
 
@@ -193,9 +231,9 @@ class TestOlsLine:
         d = Dataset(names=["x1", "x2"], columns=[x1, x2])
         slope, intercept = np.polyfit(x1 * 1e-160, x2, 1)
         dep = fit_dependence(d, 0)
-        assert dep.slopes[0] == 1.0
-        assert abs(dep.beta(1) / 1e-160 - slope) < 1e-9
-        assert abs(dep.intercept(1) - intercept) < 1e-12
+        assert dep.slopes[0, 0] == 1.0
+        assert abs(dep.slopes[0, 1] / 1e-160 - slope) < 1e-9
+        assert abs(ols_line(x1, x2)[1] - intercept) < 1e-12
         # x at 1e150 and y at 1e200: only the covariance overflows
         a, b = ols_line(x1 * 1e-10, x2 * 1e200)
         assert abs(a / 1e50 - slope) < 1e-9
@@ -216,3 +254,35 @@ class TestOlsLine:
                      (np.array([1e308, -1e308, np.inf]), small)):
             with pytest.raises(NumericalError, match="not finite"):
                 ols_line(x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60),
+       ex=st.floats(-150.0, 150.0), ey=st.floats(-150.0, 150.0),
+       shift=st.floats(-1e3, 1e3))
+def test_one_path_line_matches_the_two_branch_reference(seed, n, ex, ey, shift):
+    # x and y at independent magnitudes from 1e-150 to 1e150, x off
+    # center by up to 1e3 of its spread. (A constant x is where the two
+    # differ on purpose: TestConstantColumns.)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(shift, 1.0, n) * 10.0 ** ex
+    y = (rng.normal() * x / 10.0 ** ex + rng.normal(size=n)) * 10.0 ** ey
+    with np.errstate(over="ignore", invalid="ignore"):
+        assume(np.isfinite(np.var(x))
+               and np.isfinite(np.cov(x, y, bias=True)[0, 1]))
+    assert ols_line(x, y) == reference_ols_line(x, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 4),
+       scales=st.lists(st.floats(-150.0, 150.0), min_size=4, max_size=4))
+def test_linear_slope_table_is_the_ols_slopes_broadcast(seed, p, scales):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(200, p)) @ rng.uniform(-1, 1, (p, p))
+    d = Dataset(names=[f"x{i}" for i in range(p)],
+                columns=[x[:, i] * 10.0 ** scales[i] for i in range(p)])
+    for j in range(p):
+        got = fit_dependence(d, j).slopes_at(d.column(j))
+        want = [1.0 if k == j else ols_line(d.column(j), d.column(k))[0]
+                for k in range(p)]
+        assert np.array_equal(got, np.broadcast_to(want, (d.n, p)))

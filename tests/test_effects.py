@@ -12,6 +12,7 @@ from atdev import (
     ace,
     ale,
     atdev,
+    atdev_terms,
     catalog_model,
     center,
     effect_matrix,
@@ -24,6 +25,7 @@ from atdev import (
     pdp,
     quantile_bins,
     signal_model,
+    total_derivatives,
 )
 from atdev.data import bin_index
 from atdev.dependence import DependenceModel
@@ -154,7 +156,7 @@ class TestAle:
         d = uniform_pair()
         curve = ale(catalog_model("multiplicative"), d, 0,
                     bins=quantile_bins(d, 0, 50))
-        b = fit_dependence(d, 0).beta(1)
+        b = fit_dependence(d, 0).slopes[0, 1]
         mask = inner_mask(d.column(0), curve.grid)
         coef = poly_coeffs(curve.grid, curve.values, 2, mask)
         assert abs(coef[2] - b / 2.0) < 0.02
@@ -163,7 +165,7 @@ class TestAle:
         d = uniform_pair()
         curve = ale(catalog_model("quad_plus_interaction"), d, 0,
                     bins=quantile_bins(d, 0, 50))
-        b = fit_dependence(d, 0).beta(1)
+        b = fit_dependence(d, 0).slopes[0, 1]
         mask = inner_mask(d.column(0), curve.grid)
         coef = poly_coeffs(curve.grid, curve.values, 2, mask)
         assert abs(coef[2] - (1.0 + b / 2.0)) < 0.02
@@ -180,8 +182,8 @@ class TestAle:
 class TestAce:
     def test_zero_dependence_kills_cross_effects(self):
         d = independent_pair(n=2_000)
-        dep = DependenceModel(j=0, kind="linear", p=2,
-                              slopes=np.zeros(2), intercepts=np.zeros(2))
+        dep = DependenceModel(j=0, edges=np.array([-1.0, 1.0]),
+                              slopes=np.zeros((1, 2)))
         curve = ace(catalog_model("quad_plus_interaction"), d, 1, 0, dep)
         assert np.all(curve.values == 0.0)
 
@@ -192,7 +194,7 @@ class TestAce:
                     bins=quantile_bins(d, 0, 50))
         mask = inner_mask(d.column(0), curve.grid)
         coef = poly_coeffs(curve.grid, curve.values, 2, mask)
-        assert abs(coef[2] - dep.beta(1) / 2.0) < 0.02
+        assert abs(coef[2] - dep.slopes[0, 1] / 2.0) < 0.02
         assert abs(coef[1]) < 0.02
 
     def test_unmodeled_variable_transfers_the_quadratic(self, d621):
@@ -224,8 +226,8 @@ class TestAtdev:
     def test_zero_dependence_collapses_to_own_curve(self):
         d = independent_pair(n=2_000)
         model = catalog_model("quad_plus_interaction")
-        dep = DependenceModel(j=0, kind="linear", p=2,
-                              slopes=np.zeros(2), intercepts=np.zeros(2))
+        dep = DependenceModel(j=0, edges=np.array([-1.0, 1.0]),
+                              slopes=np.zeros((1, 2)))
         scheme = quantile_bins(d, 0, 20)
         total = atdev(model, d, 0, dep=dep, bins=scheme)
         own = ale(model, d, 0, bins=scheme)
@@ -281,12 +283,39 @@ class TestLeCurve:
     def test_cross_profile_under_strong_dependence(self, d71c):
         model = signal_model(SimSpec(case="le_71_corr", n=1))
         dep = fit_dependence(d71c, 4)
-        b = dep.beta(2)
+        b = dep.slopes[0, 2]
         curve = le_curve(model, d71c, 2, 4)
         mask = inner_mask(d71c.column(4), curve.grid)
         coef = poly_coeffs(curve.grid, curve.values, 2, mask)
         # E[6 x3^2 - 1.5 | x5] bends like 6 b^2 x5^2
         assert abs(coef[2] - 6.0 * b * b) < 0.5
+
+
+# Every curve function with one bad column index in the slot named by the
+# key; the other slot holds a valid index.
+_INDEX_SLOTS = {
+    "pdp": lambda m, d, dep, i: pdp(m, d, i),
+    "marginal": lambda m, d, dep, i: marginal(m, d, i),
+    "marginal bins": lambda m, d, dep, i: marginal(
+        m, d, i, bins=quantile_bins(d, 1, 10)),
+    "ale": lambda m, d, dep, i: ale(m, d, i),
+    "ace j": lambda m, d, dep, i: ace(m, d, 0, i, dep),
+    "ace k": lambda m, d, dep, i: ace(m, d, i, 0, dep),
+    "atdev": lambda m, d, dep, i: atdev(m, d, i),
+    "atdev_terms": lambda m, d, dep, i: atdev_terms(m, d, i),
+    "le_curve j": lambda m, d, dep, i: le_curve(m, d, 0, i),
+    "le_curve k": lambda m, d, dep, i: le_curve(m, d, i, 0),
+    "total_derivatives": lambda m, d, dep, i: total_derivatives(m, d, i, dep),
+}
+
+
+@pytest.mark.parametrize("index", [-1, 2, 1.0, True])
+@pytest.mark.parametrize("slot", list(_INDEX_SLOTS))
+def test_bad_column_index_is_rejected_by_name(slot, index):
+    d = independent_pair(n=300)
+    dep = fit_dependence(d, 0)
+    with pytest.raises(DataError, match=f"column index {index!r} is not an integer"):
+        _INDEX_SLOTS[slot](catalog_model("multiplicative"), d, dep, index)
 
 
 class TestEffectMatrix:

@@ -139,9 +139,8 @@ class TestTotals:
     def test_zero_slopes_collapse_to_partials(self):
         m = catalog_model("case_61")
         d = uniform_dataset(5, seed=4)
-        dep = DependenceModel(j=0, kind="linear", p=5,
-                              slopes=np.array([1.0, 0, 0, 0, 0.0]),
-                              intercepts=np.zeros(5))
+        dep = DependenceModel(j=0, edges=np.array([-1.0, 1.0]),
+                              slopes=np.array([[1.0, 0, 0, 0, 0.0]]))
         total = total_derivatives(m, d, 0, dep)
         own = gradient_table(m, d).values[:, 0]
         assert np.array_equal(total, own)

@@ -61,8 +61,8 @@ class TestMatrixImportance:
     def test_zero_dependence_pushes_everything_to_the_diagonal(self):
         d = uniform_data(3, n=5_000)
         model = catalog_model("case_621")
-        deps = [DependenceModel(j=j, kind="linear", p=3,
-                                slopes=np.zeros(3), intercepts=np.zeros(3))
+        deps = [DependenceModel(j=j, edges=np.array([-1.0, 1.0]),
+                                slopes=np.zeros((1, 3)))
                 for j in range(3)]
         em = effect_matrix(model, d, CurveKind.ATDEV, k_bins=40, deps=deps)
         v, v_plus = atdev_importance(em)
