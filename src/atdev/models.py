@@ -42,9 +42,9 @@ __all__ = [
 
 
 # Rows per model evaluation. ``predict`` and ``gradient`` work through
-# blocks of at most this many rows, an external scorer is sent at most
-# this many a spawn, and the partial-dependence sweep scores its rows in
-# chunks of this many. An H=40 hidden layer over 32768 rows is 10 MB.
+# blocks of at most this many rows (fewer where a backend sets
+# ``_block_rows``), an external scorer is sent at most this many a spawn,
+# and the partial-dependence sweep scores its rows in chunks of this many.
 ROW_BUDGET = 32_768
 
 
@@ -55,6 +55,7 @@ class Predictor:
 
     p: int
     has_analytic_gradient: bool = False
+    _block_rows: int | None = None  # None: ROW_BUDGET
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -113,13 +114,13 @@ class Predictor:
     def _blocked(self, x: np.ndarray, evaluate, width: int | None = None
                  ) -> np.ndarray:
         """Check x, then fill one preallocated output (N values, or N x
-        width) from x's blocks of at most ``ROW_BUDGET`` rows. ``evaluate``
-        maps the iterator of blocks to an iterator of their results, in
-        order."""
+        width) from x's blocks of at most ``_block_rows`` rows (by default
+        ``ROW_BUDGET``). ``evaluate`` maps the iterator of blocks to an
+        iterator of their results, in order."""
         x = self._check_input(x)
         out = np.empty(len(x) if width is None else (len(x), width))
-        starts = range(0, len(x), ROW_BUDGET)
-        results = evaluate(x[s:s + ROW_BUDGET] for s in starts)
+        starts = range(0, len(x), self._block_rows or ROW_BUDGET)
+        results = evaluate(x[s:s + starts.step] for s in starts)
         # results first, so that evaluate runs to its end
         for values, s in zip(results, starts):
             out[s:s + len(values)] = values
@@ -288,9 +289,9 @@ class MlpModel(Predictor):
 
     The gradient is exact: d f / d x = W1^T (sech^2(W1 x + b1) * w2).
     Weights act on raw (unstandardized) inputs. ``predict`` and
-    ``gradient`` run through row blocks of at most ``ROW_BUDGET`` rows,
-    each with one hidden-layer array updated in place, so their memory
-    does not grow with N beyond the output.
+    ``gradient`` run 1024-row blocks, each with one hidden-layer array
+    updated in place (0.33 MB at H=40), small enough for OpenBLAS to run
+    on the calling thread; memory does not grow with N beyond the output.
     """
 
     w1: np.ndarray  # H x p
@@ -298,6 +299,7 @@ class MlpModel(Predictor):
     w2: np.ndarray  # H
     b2: float
     has_analytic_gradient: bool = True
+    _block_rows = 1024
 
     @property
     def p(self) -> int:
@@ -424,10 +426,10 @@ def fit_mlp(train: Dataset, valid: Dataset, hidden: int = 40,
     vector and their gradients views of a second, so Adam runs once per
     step over all of them; each epoch gathers its shuffled rows once and
     takes every mini-batch as a contiguous slice; the per-epoch losses
-    compute the hidden layer in blocks of ``batch_size`` rows. Every
-    product keeps its operands and its order of summation, so a fixed
-    seed gives bit-identical weights, the same as earlier versions that
-    kept one array per layer.
+    score the network's own 1024-row blocks. Every product keeps its
+    operands and its order of summation, so a fixed seed gives
+    bit-identical weights, the same as earlier versions that kept one
+    array per layer.
     """
     if train.response is None or valid.response is None:
         raise DataError("fit_mlp needs response columns on both datasets")
@@ -438,6 +440,9 @@ def fit_mlp(train: Dataset, valid: Dataset, hidden: int = 40,
     y = np.asarray(train.response)
     xv = valid.matrix()
     yv = np.asarray(valid.response)
+    if np.ptp(yv) == 0 and np.ptp(y) > 0:
+        raise DataError(f"constant validation response ({len(yv)} row(s)): "
+                        "R^2 is undefined; use a larger validation split")
 
     mx, sx = x.mean(axis=0), x.std(axis=0)
     sx = np.where(sx > 0, sx, 1.0)
@@ -471,16 +476,11 @@ def fit_mlp(train: Dataset, valid: Dataset, hidden: int = 40,
     since_best = 0
     train_hist: list[float] = []
     valid_hist: list[float] = []
-    hidden_t, hidden_v = np.empty((n, h)), np.empty((len(xvs), h))
 
-    def mse(xm, ym, a):
-        # The hidden layer in blocks of batch_size rows: a row's values do
-        # not depend on its block. The output layer in one product over
-        # all rows, as BLAS's sum for a row can depend on where the row
-        # sits in the call.
-        for s in range(0, len(xm), batch_size):
-            a[s:s + batch_size] = net._hidden(xm[s:s + batch_size])
-        pred = a @ net.w2 + net.b2
+    def mse(xm, ym):
+        # 1024-row blocks on one thread; a row's BLAS sum depends on its
+        # place in the call, and blocks at multiples of 1024 keep its bits
+        pred = net.predict(xm)
         pred -= ym
         return float(np.mean(np.square(pred, out=pred)))
 
@@ -511,8 +511,8 @@ def fit_mlp(train: Dataset, valid: Dataset, hidden: int = 40,
             vhat = v_adam / (1 - beta2 ** step)
             theta -= lr * mhat / (np.sqrt(vhat) + eps)
 
-        tr_mse = mse(xs, ys, hidden_t)
-        va_mse = mse(xvs, yvs, hidden_v)
+        tr_mse = mse(xs, ys)
+        va_mse = mse(xvs, yvs)
         if not (np.isfinite(tr_mse) and np.isfinite(va_mse)):
             raise NumericalError(
                 f"non-finite training loss at epoch {epoch}; "

@@ -284,6 +284,17 @@ class TestFitMlp:
                    "--valid-frac", "1.5"])
         assert rc == 1
 
+    def test_one_row_validation_split_is_a_data_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        save_csv(generate(SimSpec(case="interaction_622", n=12, seed=0)), data)
+        out = tmp_path / "never"
+        rc = main(["fit-mlp", "--data", str(data), "--out-dir", str(out),
+                   "--valid-frac", "0.01"])
+        assert rc == 2
+        assert "constant validation response (1 row(s))" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigPrecedence:
     def test_flags_beat_config(self, data622, tmp_path):

@@ -290,6 +290,20 @@ class TestMlp:
         with pytest.raises(DataError):
             fit_mlp(bare, full)
 
+    @pytest.mark.parametrize("n_valid", [1, 3])
+    def test_constant_validation_response_is_rejected(self, n_valid,
+                                                      monkeypatch):
+        full = generate(SimSpec(case="interaction_622", n=40, seed=2))
+        d = Dataset(names=list(full.names), columns=full.matrix(),
+                    response=np.concatenate([full.response[:-n_valid],
+                                             np.full(n_valid, 0.1)]))
+        train, valid = split(d, 40 - n_valid)
+        # rejected before training: no epoch runs
+        monkeypatch.setattr(MlpModel, "_hidden", None)
+        with pytest.raises(DataError, match=rf"constant validation response "
+                           rf"\({n_valid} row\(s\)\): R\^2 is undefined"):
+            fit_mlp(train, valid, hidden=4, max_epochs=3)
+
     def test_weights_round_trip(self, tmp_path, mlp61):
         model, _, train = mlp61
         path = tmp_path / "w.json"
@@ -372,6 +386,13 @@ class TestFitMatchesReference:
         # stopping after 2 epochs without gain halves the rate after 1
         assert report.epochs_run < 300
 
+    # Both splits span several of the network's 1024-row loss blocks and
+    # neither is a multiple of 1024.
+    def test_splits_span_several_blocks(self):
+        full = generate(SimSpec(case="complex_623", n=4501, seed=2))
+        self.assert_same_fit(*split(full, 3001), hidden=17, max_epochs=4,
+                             seed=3, batch_size=75)
+
     def test_constant_response(self):
         rng = np.random.default_rng(4)
         d = Dataset(names=["x1", "x2"],
@@ -379,6 +400,10 @@ class TestFitMatchesReference:
                     response=np.full(700, 3.7))
         self.assert_same_fit(*split(d, 500), hidden=8, max_epochs=10,
                              patience=25, seed=1, batch_size=128)
+
+
+# Rows per network evaluation block.
+BLOCK = MlpModel._block_rows
 
 
 def random_network(rng, p: int, hidden: int) -> MlpModel:
@@ -418,6 +443,24 @@ class TestRowBudget:
             assert got.shape == want.shape
             scale = max(1.0, float(np.max(np.abs(want))))
             assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]),
+           st.integers(1, 5), st.integers(1, 48), st.integers(0, 2**32 - 1))
+    def test_network_rows_do_not_depend_on_n(self, n, p, hidden, seed):
+        """Bit for bit: f(x) is f over x's BLOCK-row slices, end to end,
+        and its first k BLOCK rows are f of x's first k BLOCK rows."""
+        assert BLOCK == 1024
+        rng = np.random.default_rng(seed)
+        model = random_network(rng, p, hidden)
+        x = rng.uniform(-2.0, 2.0, (n, p))
+        for f in (model.predict, model.gradient):
+            whole = f(x)
+            slices = [f(x[s:s + BLOCK]) for s in range(0, n, BLOCK)]
+            assert whole.tobytes() == np.concatenate(slices).tobytes()
+            for k in range(1, n // BLOCK + 1):
+                assert whole[:k * BLOCK].tobytes() == \
+                    f(x[:k * BLOCK]).tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([ROW_BUDGET - 1, ROW_BUDGET, ROW_BUDGET + 1,
@@ -502,7 +545,7 @@ class TestRowBudget:
         # Only the input check's one byte per cell grows with N; one
         # unblocked N x 40 layer would add 8 * 6R * 40 bytes.
         assert above_output[1] <= above_output[0] + 6 * ROW_BUDGET * 5 + 4096
-        assert above_output[0] < 2 * ROW_BUDGET * 40 * 8
+        assert above_output[0] < 2 * BLOCK * 40 * 8
 
 
 class TestExternal:
