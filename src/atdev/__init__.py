@@ -13,12 +13,12 @@ from .data import (BinScheme, CurveKind, Dataset, EffectCurve, center,
                    load_csv, quantile_bins, save_csv)
 from .dependence import (CorrelationMatrix, DependenceModel, corr_matrix,
                          fit_dependence)
-from .effects import (DEFAULT_BINS, EffectMatrix, ace, ale, atdev,
-                      atdev_terms, effect_matrix, le_curve, marginal, pdp)
+from .effects import (DEFAULT_BINS, EffectMatrix, Estimation, ace, ale,
+                      atdev, atdev_terms, effect_matrix, le_curve, marginal,
+                      pdp)
 from .errors import (AtdevError, DataError, ModelError, NoOracleError,
                      NumericalError, UsageError)
-from .gradients import (GradientTable, check_gradient, gradient_table,
-                        total_derivatives)
+from .gradients import GradientTable, check_gradient, gradient_table
 from .importance import (ImportanceReport, atdev_importance, build_report,
                          dgsm)
 from .models import (AnalyticModel, CATALOG_IDS, ExternalModel, FitReport,
@@ -33,7 +33,7 @@ __all__ = [
     "AnalyticModel", "AtdevError", "BinScheme", "CASES", "CATALOG_IDS",
     "CorrelationMatrix",
     "CurveKind", "DEFAULT_BINS", "DataError", "Dataset", "DependenceModel",
-    "EffectCurve", "EffectMatrix", "ExternalModel",
+    "EffectCurve", "EffectMatrix", "Estimation", "ExternalModel",
     "FitReport", "GradientTable", "ImportanceReport", "MlpModel",
     "ModelError", "NoOracleError", "NumericalError", "OracleCurve",
     "OracleParams", "Predictor", "SimSpec", "UsageError", "ace", "ale",
@@ -43,5 +43,5 @@ __all__ = [
     "generate", "gradient_table", "le_curve",
     "load_csv", "marginal", "oracle", "params_from_data",
     "pdp", "quantile_bins", "save_csv",
-    "signal_model", "theoretical_r2", "total_derivatives", "wrap_external",
+    "signal_model", "theoretical_r2", "wrap_external",
 ]

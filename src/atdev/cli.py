@@ -12,9 +12,10 @@ a value of that option's JSON type.
 
 The four estimation commands (``_RUNS``) share one run step,
 ``_estimation``: it checks the options, loads the data and the model,
-opens the ``_Emitter`` and builds the gradient table, and the command
-only computes and writes. Every chart is written by ``_Emitter.figure``:
-its JSON always, and an SVG under the same stem with --svg. Exit codes:
+opens the ``_Emitter`` and builds the run's ``Estimation`` context with
+its gradient table, and the command only computes and writes. Every
+chart is written by ``_Emitter.figure``: its JSON always, and an SVG
+under the same stem with --svg. Exit codes:
 0 success, 1 usage error, 2 data or model error, 3 numerical failure. A
 failing command removes whatever files it already wrote.
 """
@@ -35,11 +36,11 @@ import numpy as np
 
 from . import io as aio
 from . import svg as asvg
-from .data import Dataset, center, load_csv, quantile_bins, save_csv
-from .dependence import DEPENDENCE_KINDS, corr_matrix, fit_dependence
-from .effects import atdev_terms, effect_matrix, le_curve, marginal, pdp
+from .data import Dataset, center, load_csv, save_csv
+from .dependence import DEPENDENCE_KINDS, corr_matrix
+from .effects import (Estimation, atdev_terms, effect_matrix, le_curve,
+                      marginal, pdp)
 from .errors import AtdevError, DataError, ModelError, NumericalError, UsageError
-from .gradients import gradient_table
 from .importance import build_report
 from .models import (CATALOG_IDS, MlpModel, catalog_model, custom_model,
                      fit_mlp, wrap_external)
@@ -319,8 +320,8 @@ def _custom_terms(terms: list) -> list[tuple[float, dict[int, int]]]:
 def _estimation(body: Callable) -> Callable:
     """The run step of the estimation commands (``_RUNS``): check the
     options, load the dataset, build the model, open the emitter and
-    build the gradient table; ``body(s, d, model, table, em)`` then only
-    computes and writes."""
+    build the run's context and its gradient table; ``body(s, ctx, em)``
+    then only computes and writes."""
 
     def run(s) -> None:
         columns = getattr(s, "columns", None) or []
@@ -356,8 +357,13 @@ def _estimation(body: Callable) -> Callable:
         if model.p != d.p:
             raise ModelError(
                 f"model expects {model.p} variables, dataset has {d.p}")
+        ctx = Estimation(model, d, k_bins=s.k_bins, dependence=s.dependence,
+                         fd_step=s.fd_step)
         with _Emitter(s.out_dir, svg=getattr(s, "svg", False)) as em:
-            body(s, d, model, gradient_table(model, d, h=s.fd_step), em)
+            # The table first: a lost FD step stops the run before any
+            # other scoring.
+            ctx.table
+            body(s, ctx, em)
 
     return run
 
@@ -419,21 +425,19 @@ def _cmd_fit_mlp(s) -> None:
 
 
 @_estimation
-def _cmd_effects(s, d, model, table, em) -> None:
+def _cmd_effects(s, ctx, em) -> None:
+    d = ctx.data
     meta = {"k_bins": s.k_bins, "dependence": s.dependence,
-            "gradient_method": table.method,
+            "gradient_method": ctx.table.method,
             "smooth_marginal": s.smooth_marginal}
     columns = [d.index_of(c) for c in s.columns] if s.columns else range(d.p)
     for j in columns:
         name = d.names[j]
-        scheme = quantile_bins(d, j, s.k_bins)
-        dep = fit_dependence(d, j, s.dependence)
-        pd_c = pdp(model, d, j, bins=scheme)
-        mg_c = marginal(model, d, j, bins=scheme, smooth=s.smooth_marginal)
-        terms, tot_c = atdev_terms(model, d, j, dep=dep, bins=scheme,
-                                   table=table)
+        pd_c = pdp(ctx, j)
+        mg_c = marginal(ctx, j, smooth=s.smooth_marginal)
+        terms, tot_c = atdev_terms(ctx, j)
         ale_c = terms.pop(j)
-        le_c = le_curve(model, d, j, j, bins=scheme, table=table)
+        le_c = le_curve(ctx, j, j)
 
         out = [pd_c, mg_c, ale_c, *terms, tot_c, le_c]
         if s.center:
@@ -458,10 +462,11 @@ def _cmd_effects(s, d, model, table, em) -> None:
                                          title=name))
 
 
-def _le_extras(d, table, cap: int, seed: int):
+def _le_extras(ctx, cap: int, seed: int):
     """Per-cell raw (x_j, df/dx_i) samples, at most ``cap`` sorted rows a
     cell, kept as arrays for the JSON writer, and per-variable derivative
     histograms."""
+    d, table = ctx.data, ctx.table
     rng = np.random.default_rng(seed)
     scatter = []
     for i in range(d.p):
@@ -479,13 +484,11 @@ def _le_extras(d, table, cap: int, seed: int):
 
 
 @_estimation
-def _cmd_matrix(s, d, model, table, em) -> None:
-    matrix = effect_matrix(model, d, s.kind, k_bins=s.k_bins,
-                           dependence=s.dependence, table=table)
+def _cmd_matrix(s, ctx, em) -> None:
+    matrix = effect_matrix(ctx, s.kind)
     scatter = histograms = None
     if s.kind == "LE":
-        scatter, histograms = _le_extras(d, table, cap=s.scatter_cap,
-                                         seed=s.seed)
+        scatter, histograms = _le_extras(ctx, cap=s.scatter_cap, seed=s.seed)
     em.figure(f"matrix_{s.kind.lower()}",
               aio.matrix_to_dict(matrix, scatter=scatter,
                                  histograms=histograms),
@@ -493,16 +496,15 @@ def _cmd_matrix(s, d, model, table, em) -> None:
 
 
 @_estimation
-def _cmd_heatmap(s, d, model, table, em) -> None:
-    report = build_report(model, d, k_bins=s.k_bins, dependence=s.dependence,
-                          table=table)
+def _cmd_heatmap(s, ctx, em) -> None:
+    report = build_report(ctx)
     vmax = float(report.v.max())
     comp = aio.HeatMapData(names=report.names, scale="nonnegative",
                            values=report.v / vmax if vmax > 0 else report.v)
     for stem, heat, title in (
             ("components_heatmap", comp, "effect components"),
-            ("correlation_heatmap", aio.corr_to_heatmap(corr_matrix(d)),
-             "correlation")):
+            ("correlation_heatmap",
+             aio.corr_to_heatmap(corr_matrix(ctx.data)), "correlation")):
         em.figure(stem, aio.heatmap_to_dict(heat),
                   lambda: asvg.heatmap_chart(heat, title=title))
     for stem, label, values in (
@@ -514,9 +516,8 @@ def _cmd_heatmap(s, d, model, table, em) -> None:
 
 
 @_estimation
-def _cmd_importance(s, d, model, table, em) -> None:
-    report = build_report(model, d, k_bins=s.k_bins, dependence=s.dependence,
-                          table=table)
+def _cmd_importance(s, ctx, em) -> None:
+    report = build_report(ctx)
     em.json("importance.json", aio.report_to_dict(report))
     em.text("importance.csv", aio.report_to_csv(report))
 

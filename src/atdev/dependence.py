@@ -132,9 +132,6 @@ class CorrelationMatrix:
     names: tuple[str, ...]
     values: np.ndarray  # p x p Pearson correlations
 
-    def of(self, a: int, b: int) -> float:
-        return float(self.values[a, b])
-
 
 def corr_matrix(d: Dataset) -> CorrelationMatrix:
     """Pearson correlations between all predictor pairs, computed on the

@@ -11,14 +11,17 @@ Six curves over a shared quantile-bin grid of the variable of interest:
 - ``atdev``: ale plus all ace terms, the total-derivative effect.
 - ``le_curve``: per-bin mean of a partial derivative, not integrated.
 
-The four derivative curves are one quantity. For anchor j, with the
-gradient table G (N x p) and the dependence slopes S[:, k] = dm_k/dx_j
-(S[:, j] = 1), the kernel ``_binned`` takes the per-bin means of G * S
-over the x_j bins; one entry, ``_anchor_curves``, runs it per anchor.
-Column k integrated along the bins is ale (k = j) or ace through x_k;
-atdev is their sum; not integrated, with S = 1, it is le_curve.
-``effect_matrix`` is that entry run once per anchor. Every one of them reads G from its
-``table`` argument and builds it when that is omitted.
+Every one of them, and ``effect_matrix``, reads a run's facts from one
+``Estimation``: f at the observed rows, the gradient table G (N x p),
+the bins of x_j and the dependence slopes S[:, k] = dm_k/dx_j
+(S[:, j] = 1). The context builds each fact once, when first asked.
+
+The four derivative curves are one quantity: the kernel ``_binned``
+takes the per-bin means of G * S over the x_j bins, and one entry,
+``_anchor_curves``, runs it per anchor. Column k integrated along the
+bins is ale (k = j) or ace through x_k; atdev is their sum; not
+integrated, with S = 1, it is le_curve. ``effect_matrix`` is that entry
+run once per anchor.
 
 Integration is a cumulative midpoint rule from the observed minimum: the
 value at a bin midpoint is the full-width sum over earlier bins plus half
@@ -41,6 +44,7 @@ from .models import Predictor
 
 __all__ = [
     "DEFAULT_BINS",
+    "Estimation",
     "EffectMatrix",
     "pdp",
     "marginal",
@@ -55,13 +59,46 @@ __all__ = [
 DEFAULT_BINS = 100
 
 
-def _scheme(d: Dataset, j: int, bins: BinScheme | None) -> BinScheme:
-    if bins is None:
-        return quantile_bins(d, j, DEFAULT_BINS)
-    _check_index(j, d.p)  # True and 1.0 compare equal to a bins.j of 1
-    if bins.j != j:
-        raise DataError(f"bin scheme built on column {bins.j}, expected {j}")
-    return bins
+class Estimation:
+    """The facts of one run that every estimator reads, each built once
+    and only when first asked: f at the observed rows (one ``predict``
+    call), the gradient table, and the ``k_bins`` quantile bins and the
+    ``dependence`` fit of an anchor, kept for the last anchor asked for.
+    ``fd_step`` overrides the table's finite-difference step (see
+    ``gradient_table``)."""
+
+    def __init__(self, model: Predictor, data: Dataset,
+                 k_bins: int = DEFAULT_BINS, dependence: str = "linear",
+                 fd_step: float | None = None):
+        self.model, self.data = model, data
+        self.k_bins, self.dependence, self.fd_step = k_bins, dependence, fd_step
+        self._fx = self._table = self._bins = self._dep = None
+
+    @property
+    def fx(self) -> np.ndarray:
+        """Predictions at the observed rows."""
+        if self._fx is None:
+            self._fx = self.model.predict(self.data.matrix())
+        return self._fx
+
+    @property
+    def table(self) -> GradientTable:
+        if self._table is None:
+            self._table = gradient_table(self.model, self.data, h=self.fd_step)
+        return self._table
+
+    def bins(self, j: int) -> BinScheme:
+        # Checked first: True and 1.0 compare equal to a held anchor of 1.
+        _check_index(j, self.data.p)
+        if self._bins is None or self._bins.j != j:
+            self._bins = quantile_bins(self.data, j, self.k_bins)
+        return self._bins
+
+    def dep(self, j: int) -> DependenceModel:
+        _check_index(j, self.data.p)
+        if self._dep is None or self._dep.j != j:
+            self._dep = fit_dependence(self.data, j, self.dependence)
+        return self._dep
 
 
 def _binned(g: np.ndarray, scheme: BinScheme, cols: list[int] | range,
@@ -96,25 +133,20 @@ def _kind(p: int, j: int, k: int, integrate: bool) -> CurveKind:
     return CurveKind.LE if k == j else CurveKind.LE_CROSS
 
 
-def _anchor_curves(model: Predictor, d: Dataset, j: int, ks: list[int] | range,
-                   bins: BinScheme | None, table: GradientTable | None,
-                   dep: DependenceModel | None = None, integrate: bool = True
+def _anchor_curves(ctx: Estimation, j: int, ks: list[int] | range,
+                   integrate: bool = True
                    ) -> tuple[list[EffectCurve], np.ndarray, BinScheme]:
-    """The one entry behind every derivative curve of anchor j: bins x_j,
-    checks that ``dep`` is anchored at j, takes its slopes (1 without
-    ``dep``), reads the gradient table (built when omitted) and runs the
-    kernel on columns ``ks``. Returns a curve per k named by ``_kind``,
-    the kernel's K x len(ks) array and the bins."""
-    kinds = [_kind(d.p, j, k, integrate) for k in ks]
-    scheme = _scheme(d, j, bins)
+    """The one entry behind every derivative curve of anchor j: runs the
+    kernel on columns ``ks`` of the gradient table over the bins of x_j,
+    weighted by the dependence slopes when an integrated column crosses
+    to k != j (by 1 otherwise). Returns a curve per k named by
+    ``_kind``, the kernel's K x len(ks) array and the bins."""
+    kinds = [_kind(ctx.data.p, j, k, integrate) for k in ks]
+    scheme = ctx.bins(j)
     slopes = None
-    if dep is not None:
-        if dep.j != j:
-            raise DataError(f"dependence model anchored at {dep.j}, expected {j}")
-        slopes = dep.slopes_at(d.column(j))
-    if table is None:
-        table = gradient_table(model, d)
-    acc = _binned(table.values, scheme, ks, slopes, integrate)
+    if integrate and any(k != j for k in ks):
+        slopes = ctx.dep(j).slopes_at(ctx.data.column(j))
+    acc = _binned(ctx.table.values, scheme, ks, slopes, integrate)
     return ([_curve(kind, j, scheme, acc[:, c], k)
              for c, (kind, k) in enumerate(zip(kinds, ks))], acc, scheme)
 
@@ -128,31 +160,19 @@ def _curve(kind: CurveKind, j: int, scheme: BinScheme, values: np.ndarray,
                        counts=scheme.counts.astype(np.float64))
 
 
-def pdp(model: Predictor, d: Dataset, j: int, bins: BinScheme | None = None,
-        grid: np.ndarray | None = None) -> EffectCurve:
-    """Average prediction as column j sweeps the grid (default: the bin
-    midpoints) while every other column keeps its observed values. Scores
-    synthetic rows, so correlated data gets extrapolated. Polynomial
-    models compute it exactly in one pass; other backends score the
-    whole dataset once per grid value."""
-    scheme = _scheme(d, j, bins)
-    if grid is None:
-        grid = scheme.midpoints
-        counts = scheme.counts.astype(np.float64)
-    else:
-        grid = np.asarray(grid, dtype=np.float64)
-        lo, hi = float(np.min(d.column(j))), float(np.max(d.column(j)))
-        if np.any(grid < lo) or np.any(grid > hi):
-            raise DataError("pdp grid extends beyond the observed range")
-        counts = np.ones(len(grid))
-    values = model.partial_dependence(d.matrix(), j, grid)
-    return EffectCurve(kind=CurveKind.PD, j=j, grid=grid, values=values,
-                       counts=counts)
+def pdp(ctx: Estimation, j: int) -> EffectCurve:
+    """Average prediction as column j sweeps the bin midpoints while
+    every other column keeps its observed values. Scores synthetic rows,
+    so correlated data gets extrapolated. Polynomial models compute it
+    exactly in one pass; other backends score the whole dataset once per
+    grid value."""
+    scheme = ctx.bins(j)
+    values = ctx.model.partial_dependence(ctx.data.matrix(), j,
+                                          scheme.midpoints)
+    return _curve(CurveKind.PD, j, scheme, values)
 
 
-def marginal(model: Predictor, d: Dataset, j: int,
-             bins: BinScheme | None = None, smooth: int = 0,
-             from_response: bool = False) -> EffectCurve:
+def marginal(ctx: Estimation, j: int, smooth: int = 0) -> EffectCurve:
     """Per-bin mean of predictions at the observed rows (no synthetic
     points), placed at bin midpoints.
 
@@ -160,17 +180,9 @@ def marginal(model: Predictor, d: Dataset, j: int,
     quadratic fit over a window of that many bins on each side. The fit
     is exact for polynomial conditional means up to cubic on interior
     windows, so it cuts per-bin sampling noise without flattening shape.
-    ``from_response`` averages the observed response instead of model
-    scores (identity link only).
     """
-    scheme = _scheme(d, j, bins)
-    if from_response:
-        if d.response is None:
-            raise DataError("response-based marginal needs a response column")
-        per_row = np.asarray(d.response, dtype=np.float64)
-    else:
-        per_row = model.predict(d.matrix())
-    values = _binned(per_row[:, None], scheme, [0], integrate=False)[:, 0]
+    scheme = ctx.bins(j)
+    values = _binned(ctx.fx[:, None], scheme, [0], integrate=False)[:, 0]
     if smooth > 0:
         values = _local_quadratic(scheme.midpoints, values,
                                   scheme.counts.astype(np.float64), smooth)
@@ -200,54 +212,41 @@ def _local_quadratic(grid: np.ndarray, values: np.ndarray, counts: np.ndarray,
     return out
 
 
-def ale(model: Predictor, d: Dataset, j: int, bins: BinScheme | None = None,
-        table: GradientTable | None = None) -> EffectCurve:
+def ale(ctx: Estimation, j: int) -> EffectCurve:
     """Own-effect curve: per-bin mean of d f / d x_j over member rows,
     accumulated from the observed minimum. Uncentered."""
-    return _anchor_curves(model, d, j, [j], bins, table)[0][0]
+    return _anchor_curves(ctx, j, [j])[0][0]
 
 
-def ace(model: Predictor, d: Dataset, k: int, j: int, dep: DependenceModel,
-        bins: BinScheme | None = None,
-        table: GradientTable | None = None) -> EffectCurve:
+def ace(ctx: Estimation, k: int, j: int) -> EffectCurve:
     """Cross-effect curve: the part of x_j's effect transmitted through
     the dependent variable x_k. Per-bin mean of
     (d f / d x_k) * (d m_k / d x_j), accumulated as in ale."""
     if k == j:
         raise DataError("cross effect needs k != j")
-    return _anchor_curves(model, d, j, [k], bins, table, dep)[0][0]
+    return _anchor_curves(ctx, j, [k])[0][0]
 
 
-def atdev_terms(model: Predictor, d: Dataset, j: int,
-                dep: DependenceModel | None = None,
-                bins: BinScheme | None = None,
-                table: GradientTable | None = None
+def atdev_terms(ctx: Estimation, j: int
                 ) -> tuple[list[EffectCurve], EffectCurve]:
     """The total-derivative effect and its terms from one kernel call:
     ``terms[k]`` is the ale curve for k = j and the ace curve through x_k
     otherwise; the total is their pointwise sum. Uncentered."""
-    if dep is None:
-        dep = fit_dependence(d, j)
-    terms, acc, scheme = _anchor_curves(model, d, j, range(d.p), bins, table, dep)
+    terms, acc, scheme = _anchor_curves(ctx, j, range(ctx.data.p))
     return terms, _curve(CurveKind.ATDEV, j, scheme, acc.sum(axis=1))
 
 
-def atdev(model: Predictor, d: Dataset, j: int,
-          dep: DependenceModel | None = None,
-          bins: BinScheme | None = None,
-          table: GradientTable | None = None) -> EffectCurve:
+def atdev(ctx: Estimation, j: int) -> EffectCurve:
     """Total-derivative effect: ale plus the ace term of every other
     variable, on the shared grid."""
-    return atdev_terms(model, d, j, dep=dep, bins=bins, table=table)[1]
+    return atdev_terms(ctx, j)[1]
 
 
-def le_curve(model: Predictor, d: Dataset, k: int, j: int,
-             bins: BinScheme | None = None,
-             table: GradientTable | None = None) -> EffectCurve:
+def le_curve(ctx: Estimation, k: int, j: int) -> EffectCurve:
     """Per-bin mean of d f / d x_k conditioned on x_j bins, reported on
     the derivative scale (no integration). k = j is the own-derivative
     profile; k != j reads out interactions and transferred effects."""
-    return _anchor_curves(model, d, j, [k], bins, table, integrate=False)[0][0]
+    return _anchor_curves(ctx, j, [k], integrate=False)[0][0]
 
 
 @dataclass(frozen=True)
@@ -256,17 +255,15 @@ class EffectMatrix:
 
     For the total-derivative kind the diagonal holds own effects (ale)
     and cell (i, j) holds the cross effect of x_j through x_i; ``totals``
-    caches each column's centered atdev curve, the pointwise sum of its
+    holds each column's centered atdev curve, the pointwise sum of its
     cells. For the local-effects kind the cells are conditional mean
-    derivatives and ``totals`` is None. ``schemes`` holds the per-column
-    bins.
+    derivatives and ``totals`` is None.
     """
 
     kind: CurveKind
     names: tuple[str, ...]
     cells: tuple[tuple[EffectCurve, ...], ...]  # [row i][col j]
     totals: tuple[EffectCurve, ...] | None = None
-    schemes: tuple[BinScheme, ...] = ()
 
     @property
     def p(self) -> int:
@@ -275,44 +272,25 @@ class EffectMatrix:
     def cell(self, i: int, j: int) -> EffectCurve:
         return self.cells[i][j]
 
-    def total(self, j: int) -> EffectCurve:
-        if self.totals is None:
-            raise DataError("totals cached only for the total-derivative kind")
-        return self.totals[j]
 
-
-def effect_matrix(model: Predictor, d: Dataset, kind: CurveKind | str = CurveKind.ATDEV,
-                  k_bins: int = DEFAULT_BINS, dependence: str = "linear",
-                  deps: list[DependenceModel] | None = None,
-                  schemes: list[BinScheme] | None = None,
-                  table: GradientTable | None = None) -> EffectMatrix:
-    """Build all p^2 curves, one kernel call per column. One gradient pass
-    is shared by every cell; per-column dependence fits may be supplied or
-    are fitted here."""
+def effect_matrix(ctx: Estimation, kind: CurveKind | str = CurveKind.ATDEV
+                  ) -> EffectMatrix:
+    """Build all p^2 curves, one kernel call per column, from the
+    context's one gradient table."""
     kind = CurveKind(kind)
     if kind not in (CurveKind.ATDEV, CurveKind.LE):
         raise DataError(f"matrix kind must be ATDEV or LE, got {kind.value}")
-    p = d.p
-    if schemes is None:
-        schemes = [quantile_bins(d, j, k_bins) for j in range(p)]
-    if table is None:
-        table = gradient_table(model, d)
-    if kind is CurveKind.ATDEV and deps is None:
-        deps = [fit_dependence(d, j, dependence) for j in range(p)]
-
+    p = ctx.data.p
     columns: list[list[EffectCurve]] = []
     totals: list[EffectCurve] = []
-    for j, scheme in enumerate(schemes):
+    for j in range(p):
         if kind is CurveKind.ATDEV:
-            col, total = atdev_terms(model, d, j, dep=deps[j], bins=scheme,
-                                     table=table)
+            col, total = atdev_terms(ctx, j)
             totals.append(center(total))
         else:
-            col = _anchor_curves(model, d, j, range(p), scheme, table,
-                                 integrate=False)[0]
+            col = _anchor_curves(ctx, j, range(p), integrate=False)[0]
         columns.append([center(c) for c in col])
 
     cells = tuple(tuple(columns[j][i] for j in range(p)) for i in range(p))
-    return EffectMatrix(kind=kind, names=tuple(d.names), cells=cells,
-                        totals=tuple(totals) if kind is CurveKind.ATDEV else None,
-                        schemes=tuple(schemes))
+    return EffectMatrix(kind=kind, names=tuple(ctx.data.names), cells=cells,
+                        totals=tuple(totals) if kind is CurveKind.ATDEV else None)

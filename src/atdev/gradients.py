@@ -12,15 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _check_index
-from .dependence import DependenceModel, _pow2_scaled
+from .data import Dataset
+from .dependence import _pow2_scaled
 from .errors import DataError, NumericalError
 from .models import Predictor
 
 __all__ = [
     "GradientTable",
     "gradient_table",
-    "total_derivatives",
     "fd_step",
     "check_gradient",
 ]
@@ -115,22 +114,6 @@ def gradient_table(model: Predictor, d: Dataset | np.ndarray,
                     repr(d.names[j]) if isinstance(d, Dataset) else str(j))
     g = np.column_stack([_fd_column(model, x, j, steps[j]) for j in range(p)])
     return GradientTable(values=g, method="central_fd", steps=steps)
-
-
-def total_derivatives(model: Predictor, d: Dataset | np.ndarray, j: int,
-                      dep: DependenceModel,
-                      table: GradientTable | None = None) -> np.ndarray:
-    """Total derivative along the dependence structure anchored at j:
-    own partial plus every cross partial weighted by the conditional-mean
-    slope dm_k/dx_j at that row's x_j. This is the row sum of the
-    integrand G * S that the binned curve estimators average."""
-    x = _rows(d)
-    _check_index(j, x.shape[1])
-    if dep.j != j:
-        raise DataError(f"dependence model anchored at {dep.j}, expected {j}")
-    if table is None:
-        table = gradient_table(model, d)
-    return (table.values * dep.slopes_at(x[:, j])).sum(axis=1)
 
 
 def check_gradient(model: Predictor, d: Dataset | np.ndarray, rows: int = 100,

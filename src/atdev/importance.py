@@ -12,11 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, CurveKind, EffectCurve
-from .effects import DEFAULT_BINS, EffectMatrix, effect_matrix
+from .data import CurveKind, EffectCurve
+from .effects import EffectMatrix, Estimation, effect_matrix
 from .errors import DataError, NumericalError
-from .gradients import GradientTable, gradient_table
-from .models import Predictor
 
 __all__ = [
     "ImportanceReport",
@@ -51,13 +49,10 @@ def atdev_importance(em: EffectMatrix) -> tuple[np.ndarray, np.ndarray]:
     return v, v.sum(axis=0)
 
 
-def dgsm(model: Predictor, d: Dataset,
-         table: GradientTable | None = None) -> np.ndarray:
-    """Mean squared partial derivative per variable. Shares the gradient
-    pass with the curve estimators when a table is supplied."""
-    if table is None:
-        table = gradient_table(model, d)
-    return np.mean(table.values ** 2, axis=0)
+def dgsm(ctx: Estimation) -> np.ndarray:
+    """Mean squared partial derivative per variable, from the gradient
+    table the curve estimators read."""
+    return np.mean(ctx.table.values ** 2, axis=0)
 
 
 @dataclass(frozen=True)
@@ -84,15 +79,9 @@ class ImportanceReport:
         return len(self.names)
 
 
-def build_report(model: Predictor, d: Dataset, k_bins: int = DEFAULT_BINS,
-                 dependence: str = "linear",
-                 table: GradientTable | None = None) -> ImportanceReport:
-    """Effect-matrix variances and derivative energies from one shared
-    gradient pass (built here unless supplied)."""
-    if table is None:
-        table = gradient_table(model, d)
-    em = effect_matrix(model, d, CurveKind.ATDEV, k_bins=k_bins,
-                       dependence=dependence, table=table)
-    v, v_plus = atdev_importance(em)
-    return ImportanceReport(names=tuple(d.names), v=v, v_plus=v_plus,
-                            dgsm=dgsm(model, d, table=table))
+def build_report(ctx: Estimation) -> ImportanceReport:
+    """Effect-matrix variances and derivative energies from the context's
+    one gradient table."""
+    v, v_plus = atdev_importance(effect_matrix(ctx, CurveKind.ATDEV))
+    return ImportanceReport(names=tuple(ctx.data.names), v=v, v_plus=v_plus,
+                            dgsm=dgsm(ctx))

@@ -215,14 +215,6 @@ class AnalyticModel(Predictor):
             values += c[a] * grid ** a
         return values
 
-    def scaled(self, c: float) -> "AnalyticModel":
-        """Same polynomial with every coefficient multiplied by c."""
-        return AnalyticModel(
-            p=self.p,
-            terms=tuple((c * coef, powers) for coef, powers in self.terms),
-            model_id=f"{self.model_id}*{c:g}",
-        )
-
 
 def _t(coef: float, *pairs: tuple[int, int]) -> Term:
     return (coef, {j: a for j, a in pairs})
@@ -539,12 +531,14 @@ def fit_mlp(train: Dataset, valid: Dataset, hidden: int = 40,
     b2_raw = float(b2b[0] * sy + my)
     model = MlpModel(w1=w1_raw, b1=b1_raw, w2=w2_raw, b2=b2_raw)
 
-    valid_var = float(np.var(yv))
     best_valid_raw = best_valid * sy * sy
     report = FitReport(
         train_mse=float(train_hist[best_epoch - 1] * sy * sy),
         valid_mse=best_valid_raw,
-        valid_r2=1.0 - best_valid_raw / valid_var if valid_var > 0 else 0.0,
+        # "constant" by the split check's exact rule: np.var of identical
+        # values need not be 0 (30 copies of 3.7 give 7.9e-31)
+        valid_r2=(0.0 if np.ptp(yv) == 0
+                  else 1.0 - best_valid_raw / float(np.var(yv))),
         epochs_run=len(train_hist),
         train_history=[v * sy * sy for v in train_hist],
         valid_history=[v * sy * sy for v in valid_hist],

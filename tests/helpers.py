@@ -1,11 +1,12 @@
 """Shared test utilities: polynomial fits on curve grids, support masks,
-curve comparison, dataset slicing, and reading written JSON files."""
+curve comparison, dataset slicing, estimation contexts with a given
+dependence fit, scaled polynomials, and reading written JSON files."""
 
 import json
 
 import numpy as np
 
-from atdev import center
+from atdev import AnalyticModel, Estimation, center
 from atdev.data import Dataset
 
 
@@ -15,6 +16,25 @@ def take(d: Dataset, rows) -> Dataset:
         names=list(d.names),
         columns=[c[rows] for c in d.columns],
         response=None if d.response is None else d.response[rows])
+
+
+class GivenDependence(Estimation):
+    """An estimation context whose dependence fit for anchor j is
+    ``fit(j)``: for fits its settings do not name, such as a zero slope
+    table or a local_linear fit on 25 bins."""
+
+    def __init__(self, model, d: Dataset, fit, **settings):
+        super().__init__(model, d, **settings)
+        self.fit = fit
+
+    def dep(self, j: int):
+        return self.fit(j)
+
+
+def scaled(model: AnalyticModel, c: float) -> AnalyticModel:
+    """The same polynomial with every coefficient multiplied by c."""
+    return AnalyticModel(p=model.p, terms=tuple(
+        (c * coef, powers) for coef, powers in model.terms))
 
 
 def load_json(path) -> dict:

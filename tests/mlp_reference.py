@@ -1,7 +1,9 @@
 """The training loop of ``fit_mlp`` as it was written before its
 parameters moved into one flat vector: one array per layer, Adam run per
 array, a fresh gather per mini-batch and whole-set losses. Kept verbatim
-as the reference that the current loop must match bit for bit."""
+as the reference that the current loop must match bit for bit, apart
+from its R^2, which calls a validation response constant by the same
+exact rule (np.ptp(yv) == 0) as the loop."""
 
 import numpy as np
 
@@ -114,12 +116,12 @@ def reference_fit_mlp(train: Dataset, valid: Dataset, hidden: int = 40,
     b2_raw = float(b2b[0] * sy + my)
     model = MlpModel(w1=w1_raw, b1=b1_raw, w2=w2_raw, b2=b2_raw)
 
-    valid_var = float(np.var(yv))
     best_valid_raw = best_valid * sy * sy
     report = FitReport(
         train_mse=float(train_hist[best_epoch - 1] * sy * sy),
         valid_mse=best_valid_raw,
-        valid_r2=1.0 - best_valid_raw / valid_var if valid_var > 0 else 0.0,
+        valid_r2=(0.0 if np.ptp(yv) == 0
+                  else 1.0 - best_valid_raw / float(np.var(yv))),
         epochs_run=len(train_hist),
         train_history=[v * sy * sy for v in train_hist],
         valid_history=[v * sy * sy for v in valid_hist],

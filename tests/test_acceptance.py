@@ -17,6 +17,7 @@ import atdev
 from atdev import (
     CATALOG_IDS,
     CurveKind,
+    Estimation,
     SimSpec,
     ace,
     ale,
@@ -29,17 +30,16 @@ from atdev import (
     fit_dependence,
     generate,
     gradient_table,
-    le_curve,
     marginal,
     oracle,
     params_from_data,
     pdp,
-    quantile_bins,
     wrap_external,
 )
 from atdev.cli import main
 from conftest import BRUTEFORCE, DESK_SEED, SCORER
-from helpers import inner_mask, max_gap, poly_coeffs, take, uncentered_max
+from helpers import (GivenDependence, inner_mask, max_gap, poly_coeffs, take,
+                     uncentered_max)
 
 SMOOTH = 7
 DGSM_TARGETS = (1.000, 3.213, 3.450, 0.213, 0.0)
@@ -62,24 +62,18 @@ def test_a01_bivariate_normal_curves_match_closed_forms():
                          "quad_plus_interaction"):
             d = generate(SimSpec(case="bivariate_normal", n=100_000,
                                  seed=11, rho=rho, model=model_id))
-            model = catalog_model(model_id, p=2)
-            table = gradient_table(model, d)
+            ctx = Estimation(catalog_model(model_id, p=2), d)
             P = params_from_data(d)
             for j in (0, 1):
-                scheme = quantile_bins(d, j, 100)
-                dep = fit_dependence(d, j)
                 estimates = {
-                    CurveKind.PD: pdp(model, d, j, bins=scheme),
+                    CurveKind.PD: pdp(ctx, j),
                     # no smoothing: at this scale raw bin means are stable,
                     # and the widest tail bins would leak midpoint distortion
                     # through the smoother into the fit window
-                    CurveKind.MARGINAL: marginal(model, d, j, bins=scheme),
-                    CurveKind.ALE: ale(model, d, j, bins=scheme,
-                                       table=table),
-                    CurveKind.ACE: ace(model, d, 1 - j, j, dep, bins=scheme,
-                                       table=table),
-                    CurveKind.ATDEV: total_curve(model, d, j, dep=dep,
-                                                 bins=scheme, table=table),
+                    CurveKind.MARGINAL: marginal(ctx, j),
+                    CurveKind.ALE: ale(ctx, j),
+                    CurveKind.ACE: ace(ctx, 1 - j, j),
+                    CurveKind.ATDEV: total_curve(ctx, j),
                 }
                 for kind in kinds:
                     ref = oracle(model_id, kind, j, P)
@@ -111,31 +105,23 @@ def test_a02_total_curve_matches_conditional_mean(d621, d622, d623,
         "interaction_622": mlp622,
         "complex_623": mlp623,
     }
-    gaps = {}
-    for case, (d, model) in analytic.items():
-        table = gradient_table(model, d)
+    def worst_gap(model, d):
+        ctx = GivenDependence(model, d, lambda j: fit_dependence(
+            d, j, kind="local_linear", bins=25))
         worst = 0.0
         for j in range(d.p):
-            scheme = quantile_bins(d, j, 100)
-            dep = fit_dependence(d, j, kind="local_linear", bins=25)
-            tot = total_curve(model, d, j, dep=dep, bins=scheme, table=table)
-            cond = marginal(model, d, j, bins=scheme, smooth=SMOOTH)
-            mask = inner_mask(d.column(j), scheme.midpoints)
+            tot = total_curve(ctx, j)
+            cond = marginal(ctx, j, smooth=SMOOTH)
+            mask = inner_mask(d.column(j), ctx.bins(j).midpoints)
             worst = max(worst, max_gap(tot, cond, mask))
-        gaps[case] = worst
+        return worst
+
+    gaps = {}
+    for case, (d, model) in analytic.items():
+        worst = gaps[case] = worst_gap(model, d)
         assert worst < 0.05, f"{case}: analytic gap {worst:.4f}"
     for case, (model, report, train) in fitted.items():
-        table = gradient_table(model, train)
-        worst = 0.0
-        for j in range(train.p):
-            scheme = quantile_bins(train, j, 100)
-            dep = fit_dependence(train, j, kind="local_linear", bins=25)
-            tot = total_curve(model, train, j, dep=dep, bins=scheme,
-                              table=table)
-            cond = marginal(model, train, j, bins=scheme, smooth=SMOOTH)
-            mask = inner_mask(train.column(j), scheme.midpoints)
-            worst = max(worst, max_gap(tot, cond, mask))
-        gaps[case + "/mlp"] = worst
+        worst = gaps[case + "/mlp"] = worst_gap(model, train)
         assert worst < 0.08, f"{case}: network gap {worst:.4f}"
     summary = ", ".join(f"{k} {v:.4f}" for k, v in gaps.items())
     print(f"\n[acceptance 02] PASS max |total - conditional mean|: {summary}")
@@ -144,13 +130,11 @@ def test_a02_total_curve_matches_conditional_mean(d621, d622, d623,
 def test_a03_additive_case_ale_agrees_with_sweep_curve(d621):
     """With additive structure the integrated-derivative curve and the
     sweep curve coincide within 0.05 on every variable."""
-    model = catalog_model("case_621")
-    table = gradient_table(model, d621)
+    ctx = Estimation(catalog_model("case_621"), d621)
     worst = 0.0
     for j in range(3):
-        scheme = quantile_bins(d621, j, 100)
-        own = ale(model, d621, j, bins=scheme, table=table)
-        sweep = pdp(model, d621, j, bins=scheme)
+        own = ale(ctx, j)
+        sweep = pdp(ctx, j)
         worst = max(worst, max_gap(own, sweep))
         assert max_gap(own, sweep) < 0.05, f"x{j + 1}"
     print(f"\n[acceptance 03] PASS max centered gap {worst:.4f}")
@@ -159,17 +143,12 @@ def test_a03_additive_case_ale_agrees_with_sweep_curve(d621):
 def test_a04_independent_data_collapses_all_estimators(d61):
     """Independence: sweep, conditional-mean and integrated-derivative
     curves agree within 0.03, and every cross-effect curve is flat."""
-    model = catalog_model("case_61")
-    table = gradient_table(model, d61)
+    ctx = Estimation(catalog_model("case_61"), d61)
     worst_gap = 0.0
     worst_ace = 0.0
     for j in range(5):
-        scheme = quantile_bins(d61, j, 100)
-        dep = fit_dependence(d61, j)
-        mask = inner_mask(d61.column(j), scheme.midpoints)
-        trio = [pdp(model, d61, j, bins=scheme),
-                marginal(model, d61, j, bins=scheme, smooth=SMOOTH),
-                ale(model, d61, j, bins=scheme, table=table)]
+        mask = inner_mask(d61.column(j), ctx.bins(j).midpoints)
+        trio = [pdp(ctx, j), marginal(ctx, j, smooth=SMOOTH), ale(ctx, j)]
         for a in range(3):
             for b in range(a + 1, 3):
                 gap = max_gap(trio[a], trio[b], mask)
@@ -178,7 +157,7 @@ def test_a04_independent_data_collapses_all_estimators(d61):
         for k in range(5):
             if k == j:
                 continue
-            cross = ace(model, d61, k, j, dep, bins=scheme, table=table)
+            cross = ace(ctx, k, j)
             amp = uncentered_max(cross)
             worst_ace = max(worst_ace, amp)
             assert amp < 0.02, f"cross x{k + 1} on x{j + 1}: {amp:.4f}"
@@ -190,21 +169,20 @@ def test_a05_interaction_case_separates_ale_from_sweep(d622, mlp622):
     """Strong negative dependence: the integrated-derivative curve of x1
     bends at half the fitted slope while the analytic sweep stays
     linear; the network sweep's curvature is reported, not asserted."""
-    model = catalog_model("case_622")
-    scheme = quantile_bins(d622, 0, 100)
+    ctx = Estimation(catalog_model("case_622"), d622)
     b = fit_dependence(d622, 0).slopes[0, 1]
     assert abs(b / 2.0 - (-0.49)) < 0.02  # context for the target below
 
-    own = ale(model, d622, 0, bins=scheme)
+    own = ale(ctx, 0)
     own_quad = quad_fit(own, d622.column(0))[2]
     assert abs(own_quad - b / 2.0) < 0.05, f"{own_quad:.4f} vs {b / 2.0:.4f}"
 
-    sweep = pdp(model, d622, 0, bins=scheme)
+    sweep = pdp(ctx, 0)
     sweep_quad = quad_fit(sweep, d622.column(0))[2]
     assert abs(sweep_quad) < 0.03, f"analytic sweep curvature {sweep_quad:.4f}"
 
     net, _, train = mlp622
-    net_sweep = pdp(net, train, 0, bins=quantile_bins(train, 0, 100))
+    net_sweep = pdp(Estimation(net, train), 0)
     net_quad = quad_fit(net_sweep, train.column(0))[2]
     print(f"\n[acceptance 05] PASS ale quad {own_quad:.4f} "
           f"(target {b / 2.0:.4f}), sweep quad {sweep_quad:.4f}; "
@@ -215,7 +193,7 @@ def test_a06_transfer_is_asymmetric_under_directed_dependence(d623):
     """x3 transfers onto the x5 axis but nothing returns: the mirror
     cell is flat and the variance table is lopsided."""
     model = catalog_model("case_623")
-    em = effect_matrix(model, d623, CurveKind.ATDEV)
+    em = effect_matrix(Estimation(model, d623), CurveKind.ATDEV)
     flat = uncentered_max(em.cell(4, 2))
     spread = em.cell(2, 4).values
     rng_ = float(spread.max() - spread.min())

@@ -9,9 +9,12 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from atdev import Dataset, SimSpec, generate, load_csv, save_csv
+from atdev import (Dataset, SimSpec, catalog_model, generate, load_csv,
+                   save_csv)
+import atdev.cli
 import atdev.io
 from atdev.cli import main
+from atdev.models import Predictor
 from conftest import SCORER
 from helpers import load_json
 
@@ -169,6 +172,53 @@ class TestEffects:
                    "--k-bins", "12", "--columns", "x1"])
         assert rc == 0
         assert (out / "curves_x1.json").exists()
+
+    def test_a_run_scores_the_observed_rows_once(self, data622, tmp_path,
+                                                 monkeypatch):
+        calls = []
+
+        class Counting(Predictor):
+            """A catalog polynomial that logs the rows of every predict
+            and gradient call."""
+
+            has_analytic_gradient = True
+
+            def __init__(self, inner):
+                self.inner, self.p = inner, inner.p
+
+            def predict(self, x):
+                calls.append(("predict", len(x)))
+                return self.inner.predict(x)
+
+            def gradient(self, x):
+                calls.append(("gradient", len(x)))
+                return self.inner.gradient(x)
+
+            def partial_dependence(self, x, j, grid):
+                return self.inner.partial_dependence(x, j, grid)
+
+        monkeypatch.setattr(atdev.cli, "catalog_model",
+                            lambda *a, **kw: Counting(catalog_model(*a, **kw)))
+        assert run_effects(data622, tmp_path / "fx") == 0
+        # all three columns: one gradient table, one marginal scoring
+        assert calls == [("gradient", 3000), ("predict", 3000)]
+
+    def test_an_external_run_sends_the_observed_rows_once(self, data622,
+                                                          tmp_path):
+        log = tmp_path / "requests"
+        log.mkdir()
+        cmd = shlex.join([sys.executable, str(SCORER), "record", str(log),
+                          "poly3"])
+        rc = main(["effects", "--data", data622, "--response", "y",
+                   "--external-cmd", cmd, "--out-dir", str(tmp_path / "fx"),
+                   "--k-bins", "12"])
+        assert rc == 0
+        heads = [path.read_bytes().split(b"\n", 1)[0]
+                 for path in log.glob("*.req")]
+        # 6000-row probes, 36 000 swept rows a column in spawns of 32 768
+        # and 3232, and the observed rows once
+        assert sorted(heads) == sorted([b"6000 3"] * 3 + [b"32768 3"] * 3
+                                       + [b"3232 3"] * 3 + [b"3000 3"])
 
 
 class TestMatrixCommand:

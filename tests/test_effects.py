@@ -8,6 +8,7 @@ from atdev import (
     CurveKind,
     Dataset,
     EffectCurve,
+    Estimation,
     SimSpec,
     ace,
     ale,
@@ -23,15 +24,14 @@ from atdev import (
     oracle,
     params_from_data,
     pdp,
-    quantile_bins,
     signal_model,
-    total_derivatives,
 )
 from atdev.data import bin_index
 from atdev.dependence import DependenceModel
 from atdev.effects import _local_quadratic
 from atdev.errors import DataError
-from helpers import inner_mask, max_gap, poly_coeffs, uncentered_max
+from helpers import (GivenDependence, inner_mask, max_gap, poly_coeffs,
+                     uncentered_max)
 
 
 def uniform_pair(n=50_000, seed=4, slope=0.8, noise=0.1):
@@ -60,14 +60,14 @@ class TestPdp:
         d = generate(SimSpec(case="bivariate_normal", n=5_000, seed=0,
                              rho=0.7, model="additive_linear"))
         model = catalog_model("additive_linear", p=2)
-        curve = center(pdp(model, d, 0))
+        curve = center(pdp(Estimation(model, d), 0))
         want = curve.grid - np.dot(curve.grid, curve.counts) / curve.counts.sum()
         assert np.max(np.abs(curve.values - want)) < 1e-12
 
     def test_product_model_slope_is_partner_mean(self):
         d = generate(SimSpec(case="bivariate_normal", n=8_000, seed=1,
                              rho=0.5, model="multiplicative"))
-        curve = pdp(catalog_model("multiplicative"), d, 0)
+        curve = pdp(Estimation(catalog_model("multiplicative"), d), 0)
         coef = poly_coeffs(curve.grid, curve.values, 1)
         assert abs(coef[1] - float(np.mean(d.column(1)))) < 1e-10
 
@@ -75,31 +75,19 @@ class TestPdp:
         d = generate(SimSpec(case="bivariate_normal", n=8_000, seed=1,
                              rho=0.5, model="quad_plus_interaction"))
         # f = x1^2 + x1 x2, so the sweep over x2 is linear with slope E[x1]
-        curve = pdp(catalog_model("quad_plus_interaction"), d, 1)
+        curve = pdp(Estimation(catalog_model("quad_plus_interaction"), d), 1)
         coef = poly_coeffs(curve.grid, curve.values, 1)
         assert abs(coef[1] - float(np.mean(d.column(0)))) < 1e-10
-
-    def test_grid_beyond_observed_range_rejected(self):
-        d = independent_pair(n=500)
-        with pytest.raises(DataError):
-            pdp(catalog_model("multiplicative"), d, 0,
-                grid=np.array([0.0, 1e9]))
-
-    def test_custom_grid_has_unit_weights(self):
-        d = independent_pair(n=500)
-        g = np.quantile(d.column(0), [0.2, 0.5, 0.8])
-        curve = pdp(catalog_model("multiplicative"), d, 0, grid=g)
-        assert np.array_equal(curve.grid, g)
-        assert np.all(curve.counts == 1.0)
 
 
 class TestMarginal:
     def test_matches_sweep_curve_when_independent(self):
         d = independent_pair()
         model = catalog_model("quad_plus_interaction")
-        scheme = quantile_bins(d, 0, 40)
-        m = marginal(model, d, 0, bins=scheme, smooth=5)
-        sweep = pdp(model, d, 0, bins=scheme)
+        ctx = Estimation(model, d, k_bins=40)
+        scheme = ctx.bins(0)
+        m = marginal(ctx, 0, smooth=5)
+        sweep = pdp(ctx, 0)
         mask = inner_mask(d.column(0), scheme.midpoints)
         assert max_gap(m, sweep, mask) < 0.05
 
@@ -107,22 +95,18 @@ class TestMarginal:
         d = uniform_pair(noise=0.0)
         model = catalog_model("additive_linear", p=2)
         # E[x1 + x2 | x1] = 1.8 x1 when x2 = 0.8 x1
-        m = marginal(model, d, 0, bins=quantile_bins(d, 0, 50))
+        m = marginal(Estimation(model, d, k_bins=50), 0)
         coef = poly_coeffs(m.grid, m.values, 1)
         assert abs(coef[1] - 1.8) < 0.01
 
     def test_response_average_tracks_model_average(self, d61):
         model = signal_model(SimSpec(case="indep_61", n=1))
-        scheme = quantile_bins(d61, 0, 100)
-        from_model = marginal(model, d61, 0, bins=scheme)
-        from_y = marginal(model, d61, 0, bins=scheme, from_response=True)
-        assert max_gap(from_model, from_y) < 0.02
-
-    def test_response_mode_needs_a_response(self):
-        d = independent_pair(n=200)
-        with pytest.raises(DataError):
-            marginal(catalog_model("multiplicative"), d, 0,
-                     from_response=True)
+        ctx = Estimation(model, d61)
+        scheme = ctx.bins(0)
+        from_model = marginal(ctx, 0)
+        y_means = (np.bincount(scheme.bin_of, weights=d61.response)
+                   / scheme.counts)
+        assert max_gap(from_model, as_curve(from_model, y_means)) < 0.02
 
     def test_smoother_is_exact_on_quadratics(self):
         rng = np.random.default_rng(7)
@@ -147,15 +131,15 @@ class TestAle:
     def test_unit_slope_reproduces_identity_at_midpoints(self):
         d = independent_pair(n=10_000)
         model = catalog_model("additive_linear", coeffs=(1.0, 0.0))
-        scheme = quantile_bins(d, 0, 37)
-        curve = ale(model, d, 0, bins=scheme)
+        ctx = Estimation(model, d, k_bins=37)
+        scheme = ctx.bins(0)
+        curve = ale(ctx, 0)
         want = scheme.midpoints - scheme.edges[0]
         assert np.max(np.abs(curve.values - want)) < 1e-10
 
     def test_product_model_curvature_is_half_the_slope(self):
         d = uniform_pair()
-        curve = ale(catalog_model("multiplicative"), d, 0,
-                    bins=quantile_bins(d, 0, 50))
+        curve = ale(Estimation(catalog_model("multiplicative"), d, k_bins=50), 0)
         b = fit_dependence(d, 0).slopes[0, 1]
         mask = inner_mask(d.column(0), curve.grid)
         coef = poly_coeffs(curve.grid, curve.values, 2, mask)
@@ -163,8 +147,8 @@ class TestAle:
 
     def test_own_quadratic_adds_to_transferred_curvature(self):
         d = uniform_pair()
-        curve = ale(catalog_model("quad_plus_interaction"), d, 0,
-                    bins=quantile_bins(d, 0, 50))
+        curve = ale(Estimation(catalog_model("quad_plus_interaction"), d,
+                               k_bins=50), 0)
         b = fit_dependence(d, 0).slopes[0, 1]
         mask = inner_mask(d.column(0), curve.grid)
         coef = poly_coeffs(curve.grid, curve.values, 2, mask)
@@ -172,8 +156,7 @@ class TestAle:
 
     def test_matches_reference_curve_pointwise(self):
         d = uniform_pair()
-        curve = ale(catalog_model("multiplicative"), d, 0,
-                    bins=quantile_bins(d, 0, 50))
+        curve = ale(Estimation(catalog_model("multiplicative"), d, k_bins=50), 0)
         ref = oracle("multiplicative", CurveKind.ALE, 0, params_from_data(d))
         mask = inner_mask(d.column(0), curve.grid)
         assert max_gap(curve, as_curve(curve, ref(curve.grid)), mask) < 0.02
@@ -184,14 +167,16 @@ class TestAce:
         d = independent_pair(n=2_000)
         dep = DependenceModel(j=0, edges=np.array([-1.0, 1.0]),
                               slopes=np.zeros((1, 2)))
-        curve = ace(catalog_model("quad_plus_interaction"), d, 1, 0, dep)
+        ctx = GivenDependence(catalog_model("quad_plus_interaction"), d,
+                              lambda j: dep)
+        curve = ace(ctx, 1, 0)
         assert np.all(curve.values == 0.0)
 
     def test_product_model_transfer_curvature(self):
         d = uniform_pair()
         dep = fit_dependence(d, 0)
-        curve = ace(catalog_model("multiplicative"), d, 1, 0, dep,
-                    bins=quantile_bins(d, 0, 50))
+        curve = ace(Estimation(catalog_model("multiplicative"), d, k_bins=50),
+                    1, 0)
         mask = inner_mask(d.column(0), curve.grid)
         coef = poly_coeffs(curve.grid, curve.values, 2, mask)
         assert abs(coef[2] - dep.slopes[0, 1] / 2.0) < 0.02
@@ -201,9 +186,7 @@ class TestAce:
         # x3 never enters the response; its whole curve is borrowed from
         # x1 (quadratic) and x2 (linear) through the dependence fit.
         model = catalog_model("case_621")
-        dep = fit_dependence(d621, 2)
-        scheme = quantile_bins(d621, 2, 50)
-        curve = ace(model, d621, 0, 2, dep, bins=scheme)
+        curve = ace(Estimation(model, d621, k_bins=50), 0, 2)
         ref = oracle("additive_621", CurveKind.ACE, 2,
                      params_from_data(d621), k=0)
         mask = inner_mask(d621.column(2), curve.grid)
@@ -211,15 +194,8 @@ class TestAce:
 
     def test_own_column_rejected(self):
         d = independent_pair(n=300)
-        dep = fit_dependence(d, 0)
         with pytest.raises(DataError):
-            ace(catalog_model("multiplicative"), d, 0, 0, dep)
-
-    def test_anchor_mismatch_rejected(self):
-        d = independent_pair(n=300)
-        dep = fit_dependence(d, 1)
-        with pytest.raises(DataError):
-            ace(catalog_model("multiplicative"), d, 1, 0, dep)
+            ace(Estimation(catalog_model("multiplicative"), d), 0, 0)
 
 
 class TestAtdev:
@@ -228,34 +204,34 @@ class TestAtdev:
         model = catalog_model("quad_plus_interaction")
         dep = DependenceModel(j=0, edges=np.array([-1.0, 1.0]),
                               slopes=np.zeros((1, 2)))
-        scheme = quantile_bins(d, 0, 20)
-        total = atdev(model, d, 0, dep=dep, bins=scheme)
-        own = ale(model, d, 0, bins=scheme)
+        ctx = GivenDependence(model, d, lambda j: dep, k_bins=20)
+        total = atdev(ctx, 0)
+        own = ale(ctx, 0)
         assert np.array_equal(total.values, own.values)
 
     def test_exact_line_gives_exact_total_slope(self):
         d = uniform_pair(noise=0.0)
         model = catalog_model("additive_linear", p=2)
-        total = atdev(model, d, 0, bins=quantile_bins(d, 0, 50))
+        total = atdev(Estimation(model, d, k_bins=50), 0)
         coef = poly_coeffs(total.grid, total.values, 1)
         assert abs(coef[1] - 1.8) < 1e-8
 
     def test_decomposes_into_own_plus_cross(self, d622):
         model = catalog_model("case_622")
-        dep = fit_dependence(d622, 0)
-        scheme = quantile_bins(d622, 0, 50)
-        total = atdev(model, d622, 0, dep=dep, bins=scheme)
-        parts = ale(model, d622, 0, bins=scheme).values.copy()
+        ctx = Estimation(model, d622, k_bins=50)
+        total = atdev(ctx, 0)
+        parts = ale(ctx, 0).values.copy()
         for k in (1, 2):
-            parts += ace(model, d622, k, 0, dep, bins=scheme).values
+            parts += ace(ctx, k, 0).values
         assert np.max(np.abs(total.values - parts)) < 1e-12
 
     def test_matches_conditional_mean_curve(self, d621):
         model = catalog_model("case_621")
-        dep = fit_dependence(d621, 1, kind="local_linear", bins=25)
-        scheme = quantile_bins(d621, 1, 100)
-        total = atdev(model, d621, 1, dep=dep, bins=scheme)
-        cond = marginal(model, d621, 1, bins=scheme, smooth=7)
+        ctx = GivenDependence(model, d621, lambda j: fit_dependence(
+            d621, j, kind="local_linear", bins=25))
+        scheme = ctx.bins(1)
+        total = atdev(ctx, 1)
+        cond = marginal(ctx, 1, smooth=7)
         mask = inner_mask(d621.column(1), scheme.midpoints)
         assert max_gap(total, cond, mask) < 0.05
 
@@ -263,7 +239,7 @@ class TestAtdev:
 class TestLeCurve:
     def test_own_profile_reads_the_cubic_derivative(self, d71i):
         model = signal_model(SimSpec(case="le_71_indep", n=1))
-        curve = le_curve(model, d71i, 2, 2)
+        curve = le_curve(Estimation(model, d71i), 2, 2)
         want = 6.0 * curve.grid ** 2 - 1.5
         assert curve.kind is CurveKind.LE
         assert curve.k is None
@@ -271,7 +247,7 @@ class TestLeCurve:
 
     def test_cross_profile_reads_the_interaction_slope(self, d71i):
         model = signal_model(SimSpec(case="le_71_indep", n=1))
-        curve = le_curve(model, d71i, 3, 1)
+        curve = le_curve(Estimation(model, d71i), 3, 1)
         assert curve.kind is CurveKind.LE_CROSS
         assert curve.k == 3
         coef = poly_coeffs(curve.grid, curve.values, 1)
@@ -284,44 +260,46 @@ class TestLeCurve:
         model = signal_model(SimSpec(case="le_71_corr", n=1))
         dep = fit_dependence(d71c, 4)
         b = dep.slopes[0, 2]
-        curve = le_curve(model, d71c, 2, 4)
+        curve = le_curve(Estimation(model, d71c), 2, 4)
         mask = inner_mask(d71c.column(4), curve.grid)
         coef = poly_coeffs(curve.grid, curve.values, 2, mask)
         # E[6 x3^2 - 1.5 | x5] bends like 6 b^2 x5^2
         assert abs(coef[2] - 6.0 * b * b) < 0.5
 
 
-# Every curve function with one bad column index in the slot named by the
-# key; the other slot holds a valid index.
+# Every curve function and every per-anchor fact of the context with one
+# bad column index in the slot named by the key; the other slot holds a
+# valid index.
 _INDEX_SLOTS = {
-    "pdp": lambda m, d, dep, i: pdp(m, d, i),
-    "marginal": lambda m, d, dep, i: marginal(m, d, i),
-    "marginal bins": lambda m, d, dep, i: marginal(
-        m, d, i, bins=quantile_bins(d, 1, 10)),
-    "ale": lambda m, d, dep, i: ale(m, d, i),
-    "ace j": lambda m, d, dep, i: ace(m, d, 0, i, dep),
-    "ace k": lambda m, d, dep, i: ace(m, d, i, 0, dep),
-    "atdev": lambda m, d, dep, i: atdev(m, d, i),
-    "atdev_terms": lambda m, d, dep, i: atdev_terms(m, d, i),
-    "le_curve j": lambda m, d, dep, i: le_curve(m, d, 0, i),
-    "le_curve k": lambda m, d, dep, i: le_curve(m, d, i, 0),
-    "total_derivatives": lambda m, d, dep, i: total_derivatives(m, d, i, dep),
+    "pdp": lambda ctx, i: pdp(ctx, i),
+    "marginal": lambda ctx, i: marginal(ctx, i),
+    "bins": lambda ctx, i: ctx.bins(i),
+    "ale": lambda ctx, i: ale(ctx, i),
+    "ace j": lambda ctx, i: ace(ctx, 0, i),
+    "ace k": lambda ctx, i: ace(ctx, i, 0),
+    "atdev": lambda ctx, i: atdev(ctx, i),
+    "atdev_terms": lambda ctx, i: atdev_terms(ctx, i),
+    "le_curve j": lambda ctx, i: le_curve(ctx, 0, i),
+    "le_curve k": lambda ctx, i: le_curve(ctx, i, 0),
+    "dep": lambda ctx, i: ctx.dep(i),
 }
 
 
 @pytest.mark.parametrize("index", [-1, 2, 1.0, True])
 @pytest.mark.parametrize("slot", list(_INDEX_SLOTS))
 def test_bad_column_index_is_rejected_by_name(slot, index):
-    d = independent_pair(n=300)
-    dep = fit_dependence(d, 0)
+    ctx = Estimation(catalog_model("multiplicative"), independent_pair(n=300))
+    # Column 1 is the anchor held last: 1.0 and True compare equal to it.
+    ctx.bins(1)
+    ctx.dep(1)
     with pytest.raises(DataError, match=f"column index {index!r} is not an integer"):
-        _INDEX_SLOTS[slot](catalog_model("multiplicative"), d, dep, index)
+        _INDEX_SLOTS[slot](ctx, index)
 
 
 class TestEffectMatrix:
     def test_independent_data_has_flat_off_diagonals(self, d61):
         model = catalog_model("case_61")
-        em = effect_matrix(model, d61, CurveKind.ATDEV)
+        em = effect_matrix(Estimation(model, d61), CurveKind.ATDEV)
         for i in range(5):
             for j in range(5):
                 if i == j:
@@ -331,7 +309,7 @@ class TestEffectMatrix:
 
     def test_absent_variable_cell_is_dark(self, d623):
         model = catalog_model("case_623")
-        em = effect_matrix(model, d623, CurveKind.ATDEV)
+        em = effect_matrix(Estimation(model, d623), CurveKind.ATDEV)
         # x5 never enters the response: nothing transfers through it
         assert uncentered_max(em.cell(4, 2)) < 1e-12
         # but x3's effect transfers onto the x5 axis
@@ -340,35 +318,36 @@ class TestEffectMatrix:
 
     def test_totals_are_cell_sums_and_match_standalone(self, d622):
         model = catalog_model("case_622")
-        em = effect_matrix(model, d622, CurveKind.ATDEV)
+        ctx = Estimation(model, d622)
+        em = effect_matrix(ctx, CurveKind.ATDEV)
         for j in range(3):
             summed = np.sum([em.cell(i, j).values for i in range(3)], axis=0)
-            assert np.allclose(em.total(j).values, summed, atol=1e-12)
-            standalone = center(atdev(model, d622, j, bins=em.schemes[j]))
-            assert np.allclose(em.total(j).values, standalone.values,
+            assert np.allclose(em.totals[j].values, summed, atol=1e-12)
+            standalone = center(atdev(ctx, j))
+            assert np.allclose(em.totals[j].values, standalone.values,
                                atol=1e-10)
 
     def test_derivative_kind_has_no_totals(self, d61):
         model = catalog_model("case_61")
-        em = effect_matrix(model, d61, CurveKind.LE, k_bins=30)
+        em = effect_matrix(Estimation(model, d61, k_bins=30), CurveKind.LE)
         assert em.totals is None
-        with pytest.raises(DataError):
-            em.total(0)
         # constant own derivative centers away to nothing
         assert uncentered_max(em.cell(0, 0)) < 1e-12
 
     def test_matrix_kind_validation(self, d61):
         with pytest.raises(DataError):
-            effect_matrix(catalog_model("case_61"), d61, CurveKind.PD)
+            effect_matrix(Estimation(catalog_model("case_61"), d61),
+                          CurveKind.PD)
 
     def test_single_column_matrix_is_the_own_curve(self):
         rng = np.random.default_rng(5)
         d = Dataset(names=["x1"], columns=[rng.uniform(-1, 1, 3_000)])
         model = catalog_model("additive_linear", coeffs=(2.0,))
-        em = effect_matrix(model, d, CurveKind.ATDEV, k_bins=20)
-        own = center(ale(model, d, 0, bins=em.schemes[0]))
+        ctx = Estimation(model, d, k_bins=20)
+        em = effect_matrix(ctx, CurveKind.ATDEV)
+        own = center(ale(ctx, 0))
         assert np.allclose(em.cell(0, 0).values, own.values, atol=1e-12)
-        assert np.allclose(em.total(0).values, own.values, atol=1e-12)
+        assert np.allclose(em.totals[0].values, own.values, atol=1e-12)
 
 
 class TestSweepGradientIdentity:
@@ -386,8 +365,9 @@ class TestSweepGradientIdentity:
     def test_additive_model_exact(self):
         d = independent_pair(n=6_000)
         model = catalog_model("additive_linear", coeffs=(2.0, 3.0))
-        scheme = quantile_bins(d, 0, 40)
-        sweep = center(pdp(model, d, 0, bins=scheme))
+        ctx = Estimation(model, d, k_bins=40)
+        scheme = ctx.bins(0)
+        sweep = center(pdp(ctx, 0))
         grad = np.full(scheme.k, 2.0)
         contrib = grad * scheme.widths
         acc = np.cumsum(contrib) - contrib / 2.0
@@ -397,8 +377,9 @@ class TestSweepGradientIdentity:
     def test_curved_model_within_half_bin_error(self):
         d = independent_pair(n=20_000)
         model = catalog_model("quad_plus_interaction")
-        scheme = quantile_bins(d, 0, 100)
-        sweep = center(pdp(model, d, 0, bins=scheme))
+        ctx = Estimation(model, d)
+        scheme = ctx.bins(0)
+        sweep = center(pdp(ctx, 0))
         acc = self.accumulate(d, scheme)
         acc = acc - np.dot(acc, scheme.counts) / scheme.counts.sum()
         assert np.max(np.abs(sweep.values - acc)) < 1e-3
@@ -412,8 +393,9 @@ class TestAgainstBruteForce:
         d = generate(SimSpec(case="bivariate_normal", n=100_000, seed=9,
                              rho=0.5, model="quad_plus_interaction"))
         model = catalog_model("quad_plus_interaction")
-        scheme = quantile_bins(d, 0, 100)
-        est = marginal(model, d, 0, bins=scheme)
+        ctx = Estimation(model, d)
+        scheme = ctx.bins(0)
+        est = marginal(ctx, 0)
 
         rng = np.random.default_rng(1234)
         m = 1_000_000

@@ -11,6 +11,7 @@ from atdev import (
     CurveKind,
     Dataset,
     EffectCurve,
+    Estimation,
     ale,
     atdev_importance,
     build_report,
@@ -23,6 +24,7 @@ from atdev.dependence import DependenceModel
 from atdev.errors import DataError, NumericalError
 from atdev.importance import ImportanceReport, weighted_variance
 from conftest import BRUTEFORCE
+from helpers import GivenDependence, scaled
 
 DGSM_EXACT = (1.0, 3.0 + 0.64 / 3.0, 36.0 / 5.0 - 6.0 + 2.25, 0.64 / 3.0, 0.0)
 
@@ -61,21 +63,21 @@ class TestMatrixImportance:
     def test_zero_dependence_pushes_everything_to_the_diagonal(self):
         d = uniform_data(3, n=5_000)
         model = catalog_model("case_621")
-        deps = [DependenceModel(j=j, edges=np.array([-1.0, 1.0]),
-                                slopes=np.zeros((1, 3)))
-                for j in range(3)]
-        em = effect_matrix(model, d, CurveKind.ATDEV, k_bins=40, deps=deps)
+        ctx = GivenDependence(model, d, lambda j: DependenceModel(
+            j=j, edges=np.array([-1.0, 1.0]), slopes=np.zeros((1, 3))),
+            k_bins=40)
+        em = effect_matrix(ctx, CurveKind.ATDEV)
         v, v_plus = atdev_importance(em)
         off = v[~np.eye(3, dtype=bool)]
         assert np.all(off == 0.0)
         assert np.allclose(v_plus, np.diag(v))
         for j in range(3):
-            own = weighted_variance(ale(model, d, j, bins=em.schemes[j]))
+            own = weighted_variance(ale(ctx, j))
             assert abs(v[j, j] - own) < 1e-12
 
     def test_transfer_cells_dominate_their_mirrors(self, d623):
         model = catalog_model("case_623")
-        em = effect_matrix(model, d623, CurveKind.ATDEV)
+        em = effect_matrix(Estimation(model, d623), CurveKind.ATDEV)
         v, v_plus = atdev_importance(em)
         assert np.all(v >= 0.0)
         # x2 drives x4's column far more than x4 drives x2's
@@ -86,7 +88,7 @@ class TestMatrixImportance:
     def test_constant_model_scores_zero_everywhere(self):
         d = uniform_data(2, n=2_000)
         model = catalog_model("additive_linear", coeffs=(0.0, 0.0))
-        rep = build_report(model, d, k_bins=20)
+        rep = build_report(Estimation(model, d, k_bins=20))
         assert np.all(rep.v == 0.0)
         assert np.all(rep.v_plus == 0.0)
         assert np.all(rep.dgsm == 0.0)
@@ -94,14 +96,14 @@ class TestMatrixImportance:
     def test_response_scaling_scales_quadratically(self):
         d = uniform_data(2, n=4_000)
         model = catalog_model("quad_plus_interaction")
-        base = build_report(model, d, k_bins=30)
-        tripled = build_report(model.scaled(3.0), d, k_bins=30)
+        base = build_report(Estimation(model, d, k_bins=30))
+        tripled = build_report(Estimation(scaled(model, 3.0), d, k_bins=30))
         assert np.allclose(tripled.v, 9.0 * base.v, rtol=1e-10, atol=1e-14)
         assert np.allclose(tripled.dgsm, 9.0 * base.dgsm, rtol=1e-10)
 
     def test_wrong_matrix_kind_rejected(self, d61):
-        em = effect_matrix(catalog_model("case_61"), d61, CurveKind.LE,
-                           k_bins=20)
+        em = effect_matrix(Estimation(catalog_model("case_61"), d61,
+                                      k_bins=20), CurveKind.LE)
         with pytest.raises(DataError):
             atdev_importance(em)
 
@@ -109,14 +111,14 @@ class TestMatrixImportance:
 class TestDgsm:
     def test_values_and_ranking_on_independent_data(self, d71i):
         model = catalog_model("case_623")
-        rep = build_report(model, d71i, k_bins=50)
+        rep = build_report(Estimation(model, d71i, k_bins=50))
         assert np.max(np.abs(rep.dgsm - np.array(DGSM_EXACT))) < 0.05
         assert list(np.argsort(-rep.dgsm)) == [2, 1, 0, 3, 4]
 
     def test_matches_direct_mean_square(self):
         d = uniform_data(2, n=3_000)
         model = catalog_model("multiplicative")
-        got = dgsm(model, d)
+        got = dgsm(Estimation(model, d))
         want = np.array([np.mean(d.column(1) ** 2), np.mean(d.column(0) ** 2)])
         assert np.allclose(got, want, atol=1e-12)
 
@@ -166,7 +168,7 @@ class TestReport:
 
     def test_build_report_is_consistent(self, d622):
         model = catalog_model("case_622")
-        rep = build_report(model, d622, k_bins=50)
+        rep = build_report(Estimation(model, d622, k_bins=50))
         assert rep.p == 3
         assert np.allclose(rep.v_plus, rep.v.sum(axis=0), atol=1e-15)
         assert np.all(rep.dgsm >= 0.0)

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atdev import CurveKind, Dataset, EffectCurve, catalog_model, center, \
-    corr_matrix, effect_matrix
+from atdev import CurveKind, Dataset, EffectCurve, Estimation, catalog_model, \
+    center, corr_matrix, effect_matrix
 from atdev.errors import DataError, NumericalError
 from atdev.importance import ImportanceReport
 from atdev.io import (
@@ -46,7 +46,7 @@ def small_matrix():
                 columns=[rng.uniform(-1, 1, 3_000),
                          rng.uniform(-1, 1, 3_000)])
     model = catalog_model("quad_plus_interaction")
-    return effect_matrix(model, d, CurveKind.ATDEV, k_bins=15), d
+    return effect_matrix(Estimation(model, d, k_bins=15), CurveKind.ATDEV), d
 
 
 # Lengths on the edges of the writer's 4096-value format blocks, and

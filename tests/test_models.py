@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import atdev.data
-from atdev import (SimSpec, catalog_model, custom_model, fit_mlp, generate,
-                   marginal, models, pdp, quantile_bins, wrap_external)
+from atdev import (Estimation, SimSpec, catalog_model, custom_model, fit_mlp,
+                   generate, marginal, models, pdp, wrap_external)
 from atdev.data import Dataset
 from atdev.errors import DataError, ModelError, NumericalError
 from atdev.gradients import check_gradient, fd_step, gradient_table
@@ -87,11 +87,6 @@ class TestAnalytic:
             custom_model(2, [(1.0, {5: 1})])
         with pytest.raises(ModelError):
             custom_model(2, [])
-
-    def test_scaled_model(self):
-        m = catalog_model("quad_plus_interaction")
-        x = rows((1.5, -2.0), (0.0, 3.0))
-        assert np.allclose(m.scaled(3.0).predict(x), 3.0 * m.predict(x))
 
     def test_catalog_ids_constructible(self):
         for mid in CATALOG_IDS:
@@ -257,6 +252,15 @@ class TestMlp:
                                 patience=25, seed=1)
         pred = model.predict(valid.matrix())
         assert np.max(np.abs(pred - 3.7)) < 1e-3
+
+    def test_response_constant_everywhere_has_zero_r2(self):
+        # np.var of 30 copies of 3.7 is 7.9e-31, not 0
+        rng = np.random.default_rng(4)
+        d = Dataset(names=["x1", "x2"],
+                    columns=[rng.uniform(-1, 1, 330), rng.uniform(-1, 1, 330)],
+                    response=np.full(330, 3.7))
+        _, report = fit_mlp(*split(d, 300), hidden=4, max_epochs=3)
+        assert report.valid_r2 == 0.0
 
     def test_gradient_matches_finite_differences(self, mlp61):
         model, _, train = mlp61
@@ -502,14 +506,14 @@ class TestRowBudget:
         rng = np.random.default_rng(4)
         x = rng.uniform(-1.0, 1.0, (n, 3))
         d = Dataset(names=["a", "b", "c"], columns=list(x.T))
-        bins = quantile_bins(d, 0, 10)
         network = random_network(rng, 3, 8)
         polynomial = custom_model(3, [(1.0, {0: 2, 1: 1}), (0.5, {2: 1})])
         for model in (network, polynomial, ScoredOnly(network)):
             sizes.clear()
-            gradient_table(model, d)
-            pdp(model, d, 0, bins=bins)
-            marginal(model, d, 0, bins=bins)
+            ctx = Estimation(model, d, k_bins=10)
+            ctx.table
+            pdp(ctx, 0)
+            marginal(ctx, 0)
             Predictor.partial_dependence(model, x, 1, np.linspace(-1, 1, 3))
             # The gradient or the FD probes, the marginal and the sweep.
             rows = n * (1 if model.has_analytic_gradient else 6) + 4 * n

@@ -8,11 +8,11 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from atdev import (CurveKind, Dataset, ace, ale, atdev, build_report, center,
-                   custom_model, effect_matrix, fit_dependence, gradient_table,
-                   le_curve, marginal, models, pdp, quantile_bins,
-                   total_derivatives, wrap_external)
+from atdev import (CurveKind, Dataset, Estimation, ace, ale, atdev,
+                   build_report, center, custom_model, effect_matrix,
+                   le_curve, marginal, models, pdp, wrap_external)
 from atdev.models import ROW_BUDGET, MlpModel, Predictor
+from helpers import scaled
 
 TOL = 1e-12
 
@@ -47,32 +47,27 @@ def close(a: np.ndarray, b: np.ndarray) -> bool:
 @given(problems())
 def test_matrix_totals_are_centered_atdev(problem):
     model, d, k_bins, kind = problem
-    em = effect_matrix(model, d, CurveKind.ATDEV, k_bins=k_bins,
-                       dependence=kind)
+    ctx = Estimation(model, d, k_bins=k_bins, dependence=kind)
+    em = effect_matrix(ctx, CurveKind.ATDEV)
     for j in range(d.p):
-        standalone = center(atdev(model, d, j, dep=fit_dependence(d, j, kind),
-                                  bins=em.schemes[j]))
-        assert close(em.total(j).values, standalone.values)
+        standalone = center(atdev(ctx, j))
+        assert close(em.totals[j].values, standalone.values)
         summed = np.sum([em.cell(i, j).values for i in range(d.p)], axis=0)
-        assert close(em.total(j).values, summed)
+        assert close(em.totals[j].values, summed)
 
 
 @settings(max_examples=40, deadline=None)
 @given(problems())
 def test_matrix_cells_are_centered_standalone_curves(problem):
     model, d, k_bins, kind = problem
-    table = gradient_table(model, d)
-    em = effect_matrix(model, d, CurveKind.ATDEV, k_bins=k_bins,
-                       dependence=kind, table=table)
-    le = effect_matrix(model, d, CurveKind.LE, k_bins=k_bins, table=table)
+    ctx = Estimation(model, d, k_bins=k_bins, dependence=kind)
+    em = effect_matrix(ctx, CurveKind.ATDEV)
+    le = effect_matrix(ctx, CurveKind.LE)
     for j in range(d.p):
-        scheme = em.schemes[j]
-        dep = fit_dependence(d, j, kind)
         for i in range(d.p):
-            own = ale(model, d, j, bins=scheme, table=table) if i == j \
-                else ace(model, d, i, j, dep, bins=scheme, table=table)
+            own = ale(ctx, j) if i == j else ace(ctx, i, j)
             assert close(em.cell(i, j).values, center(own).values)
-            local = le_curve(model, d, i, j, bins=scheme, table=table)
+            local = le_curve(ctx, i, j)
             assert close(le.cell(i, j).values, center(local).values)
 
 
@@ -80,15 +75,17 @@ def test_matrix_cells_are_centered_standalone_curves(problem):
 @given(problems())
 def test_atdev_integrates_binned_total_derivatives(problem):
     model, d, k_bins, kind = problem
+    ctx = Estimation(model, d, k_bins=k_bins, dependence=kind)
     for j in range(d.p):
-        scheme = quantile_bins(d, j, k_bins)
-        dep = fit_dependence(d, j, kind)
-        per_row = total_derivatives(model, d, j, dep)
+        scheme = ctx.bins(j)
+        # The total derivative along the dependence: the row sum of G * S.
+        per_row = (ctx.table.values
+                   * ctx.dep(j).slopes_at(d.column(j))).sum(axis=1)
         means = np.array([per_row[scheme.bin_of == b].mean()
                           for b in range(scheme.k)])
         contrib = means * np.diff(scheme.edges)
         midpoint = np.cumsum(contrib) - contrib / 2.0
-        curve = atdev(model, d, j, dep=dep, bins=scheme)
+        curve = atdev(ctx, j)
         assert close(curve.values, midpoint)
 
 
@@ -102,9 +99,10 @@ def test_ale_of_a_linear_model_is_exact_at_the_midpoints(problem, data):
     c = st.floats(-10.0, 10.0).filter(lambda v: v == 0.0 or abs(v) > 1e-100)
     coef = data.draw(st.lists(c, min_size=d.p, max_size=d.p))
     model = custom_model(d.p, [(c, {k: 1}) for k, c in enumerate(coef)])
+    ctx = Estimation(model, d, k_bins=k_bins)
     for j in range(d.p):
-        scheme = quantile_bins(d, j, k_bins)
-        curve = ale(model, d, j, bins=scheme)
+        scheme = ctx.bins(j)
+        curve = ale(ctx, j)
         want = coef[j] * (scheme.midpoints - scheme.edges[0])
         scale = abs(coef[j]) * (scheme.edges[-1] - scheme.edges[0])
         assert np.array_equal(curve.grid, scheme.midpoints)
@@ -130,12 +128,12 @@ def test_pdp_matches_predict_sweep(problem, data):
     # A constant and a term without x_j always take part.
     model = custom_model(d.p, [*model.terms, (0.75, {}),
                                (-0.5, {(j + 1) % d.p: 2})])
-    scheme = quantile_bins(d, j, k_bins)
-    assert close(pdp(model, d, j, bins=scheme).values,
-                 predict_sweep(model, d, j, scheme.midpoints))
+    ctx = Estimation(model, d, k_bins=k_bins)
+    assert close(pdp(ctx, j).values,
+                 predict_sweep(model, d, j, ctx.bins(j).midpoints))
     xj = d.column(j)
     grid = np.linspace(xj.min(), xj.max(), 7)
-    assert close(pdp(model, d, j, bins=scheme, grid=grid).values,
+    assert close(model.partial_dependence(d.matrix(), j, grid),
                  predict_sweep(model, d, j, grid))
 
 
@@ -183,13 +181,10 @@ def test_pdp_and_atdev_ignore_row_order(problem, seed):
     order = np.random.default_rng(seed).permutation(d.n)
     shuffled = Dataset(names=list(d.names),
                        columns=[c[order] for c in d.columns])
+    contexts = [Estimation(model, data, k_bins=k_bins, dependence=kind)
+                for data in (d, shuffled)]
     for j in range(d.p):
-        curves = []
-        for data in (d, shuffled):
-            scheme = quantile_bins(data, j, k_bins)
-            dep = fit_dependence(data, j, kind)
-            curves.append((pdp(model, data, j, bins=scheme),
-                           atdev(model, data, j, dep=dep, bins=scheme)))
+        curves = [(pdp(ctx, j), atdev(ctx, j)) for ctx in contexts]
         for before, after in zip(*curves):
             assert np.array_equal(before.grid, after.grid)
             assert close(before.values, after.values)
@@ -199,20 +194,13 @@ def test_pdp_and_atdev_ignore_row_order(problem, seed):
 @given(problems(), st.floats(-4.0, 4.0, allow_nan=False))
 def test_scaling_the_model_scales_curves_and_variances(problem, c):
     model, d, k_bins, kind = problem
-    scaled = model.scaled(c)
+    base, times_c = (Estimation(m, d, k_bins=k_bins, dependence=kind)
+                     for m in (model, scaled(model, c)))
     for j in range(d.p):
-        scheme = quantile_bins(d, j, k_bins)
-        dep = fit_dependence(d, j, kind)
         k = (j + 1) % d.p
-        for curve in (pdp, marginal, ale):
-            assert close(curve(scaled, d, j, bins=scheme).values,
-                         c * curve(model, d, j, bins=scheme).values)
-        assert close(atdev(scaled, d, j, dep=dep, bins=scheme).values,
-                     c * atdev(model, d, j, dep=dep, bins=scheme).values)
-        assert close(ace(scaled, d, k, j, dep, bins=scheme).values,
-                     c * ace(model, d, k, j, dep, bins=scheme).values)
-        assert close(le_curve(scaled, d, k, j, bins=scheme).values,
-                     c * le_curve(model, d, k, j, bins=scheme).values)
-    v = build_report(model, d, k_bins=k_bins, dependence=kind).v
-    v_scaled = build_report(scaled, d, k_bins=k_bins, dependence=kind).v
-    assert close(v_scaled, c * c * v)
+        for curve in (pdp, marginal, ale, atdev):
+            assert close(curve(times_c, j).values, c * curve(base, j).values)
+        for curve in (ace, le_curve):
+            assert close(curve(times_c, k, j).values,
+                         c * curve(base, k, j).values)
+    assert close(build_report(times_c).v, c * c * build_report(base).v)

@@ -4,7 +4,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
-from atdev import CurveKind, Dataset, EffectCurve, catalog_model, effect_matrix
+from atdev import (CurveKind, Dataset, EffectCurve, Estimation, catalog_model,
+                   effect_matrix)
 from atdev.io import HeatMapData
 from atdev.svg import bar_chart, curve_chart, heatmap_chart, matrix_chart
 
@@ -55,8 +56,8 @@ class TestMatrixChart:
         d = Dataset(names=["x1", "x2"],
                     columns=[rng.uniform(-1, 1, 2_000),
                              rng.uniform(-1, 1, 2_000)])
-        em = effect_matrix(catalog_model("quad_plus_interaction"), d,
-                           CurveKind.ATDEV, k_bins=12)
+        em = effect_matrix(Estimation(catalog_model("quad_plus_interaction"),
+                                      d, k_bins=12), CurveKind.ATDEV)
         root = ET.fromstring(matrix_chart(em, title="cells"))
         assert count(root, "polyline") == 4
         labels = [t.text for t in root.findall(f".//{NS}text")]
