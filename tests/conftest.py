@@ -1,5 +1,5 @@
-"""Session fixtures: benchmark datasets at working scale and cached
-network fits shared across test modules."""
+"""Session fixtures: benchmark datasets at working scale, cached network
+fits shared across test modules, and a private CSV parse cache."""
 
 import sys
 from pathlib import Path
@@ -18,6 +18,15 @@ DESK_SEED = 5
 
 SCORER = Path(__file__).parent / "external_scorer.py"
 BRUTEFORCE = Path(__file__).parent / "fixtures" / "dgsm_bruteforce.py"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def private_parse_cache(tmp_path_factory):
+    """Points XDG_CACHE_HOME at a session tmp dir, so that no test, and no
+    CLI process a test starts, writes the user's ~/.cache."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg")))
+        yield
 
 
 def _desk(case: str):

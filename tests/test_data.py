@@ -1,7 +1,13 @@
-"""Dataset construction, CSV round trips, quantile binning, centering."""
+"""Dataset construction, CSV round trips and the parse cache, quantile
+binning, centering."""
 
 import csv
+import hashlib
 import io
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -137,6 +143,17 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv(f)
 
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a UTF-8 byte-order mark.
+        f = tmp_path / "t.csv"
+        f.write_bytes("\ufeffx1,x2,y\n1,2,3\n4,5,6\n".encode("utf-8"))
+        d = load_csv(f, has_response=True)
+        assert d.names == ["x1", "x2"]
+        assert np.array_equal(d.column(d.index_of("x1")), [1.0, 4.0])
+        by_name = load_csv(f, has_response=True, response_name="x1")
+        assert by_name.names == ["x2", "y"]
+        assert np.array_equal(by_name.response, [1.0, 4.0])
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_csv(tmp_path / "absent.csv")
@@ -208,6 +225,192 @@ class TestLoadCsv:
             assert np.array_equal(a, b)
         assert np.array_equal(back.response, d.response)
         assert not f.with_name(f.name + ".tmp").exists()
+
+
+MIB = 1 << 20
+
+
+def _big_csv(path, seed=0, quoted=False):
+    """A CSV of about 1.1 MiB, 20 000 rows of x1, x2, y, with every cell
+    quoted (the cell-by-cell parser's path) or none (np.loadtxt's)."""
+    cells = np.random.default_rng(seed).normal(size=(20_000, 3))
+    fmt = ",".join(['"%r"' if quoted else "%r"] * 3) + "\n"
+    path.write_text("x1,x2,y\n" + "".join(
+        fmt % tuple(row) for row in cells.tolist()))
+    assert path.stat().st_size >= MIB
+    return path
+
+
+def _entry(cache, path):
+    """Where the body of this file is kept: named by its content alone."""
+    digest = hashlib.blake2b(path.read_bytes(), digest_size=32)
+    return cache / f"{digest.hexdigest()}.npy"
+
+
+def _same(a: Dataset, b: Dataset) -> bool:
+    return (a.names == b.names
+            and a.matrix().tobytes() == b.matrix().tobytes()
+            and a.response.tobytes() == b.response.tobytes())
+
+
+def _no_parse(*args):
+    raise AssertionError("parsed on a cache hit")
+
+
+class TestParseCache:
+    @pytest.fixture
+    def cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        return tmp_path / "xdg" / "atdev" / "csv-1"
+
+    @pytest.mark.parametrize("quoted", [False, True],
+                             ids=["loadtxt", "cell_by_cell"])
+    def test_hit_equals_a_cold_parse(self, tmp_path, cache, monkeypatch,
+                                     quoted):
+        f = _big_csv(tmp_path / "big.csv", quoted=quoted)
+        cold = load_csv(f, has_response=True)
+        assert [e.name for e in cache.iterdir()] == [_entry(cache, f).name]
+        monkeypatch.setattr(atdev.data, "_fast_body", _no_parse)
+        monkeypatch.setattr(atdev.data, "_parse_cells", _no_parse)
+        hit = load_csv(f, has_response=True)
+        assert _same(hit, cold)
+        assert hit.names == ["x1", "x2"]
+        by_name = load_csv(f, has_response=True, response_name="x1")
+        assert by_name.names == ["x2", "y"]
+        assert by_name.response.tobytes() == cold.column(0).tobytes()
+
+    def test_same_size_rewrite_with_old_mtime_is_a_miss(self, tmp_path,
+                                                        cache):
+        f = _big_csv(tmp_path / "big.csv")
+        before = load_csv(f, has_response=True)
+        st = f.stat()
+        text = f.read_text()
+        first = text.index("\n") + 1
+        digit = "1" if text[first + 1] != "1" else "2"
+        f.write_text(text[:first + 1] + digit + text[first + 2:])
+        os.utime(f, ns=(st.st_atime_ns, st.st_mtime_ns))
+        assert f.stat().st_size == st.st_size
+        after = load_csv(f, has_response=True)
+        assert not _same(after, before)
+        assert after.matrix()[0, 0] != before.matrix()[0, 0]
+        assert np.array_equal(after.matrix()[1:], before.matrix()[1:])
+        assert len(list(cache.iterdir())) == 2
+
+    @pytest.mark.parametrize("spoil", [
+        lambda e, body: e.write_bytes(e.read_bytes()[:-8]),
+        lambda e, body: np.save(e, body[:, :2]),
+        lambda e, body: np.save(e, body.astype(np.float32)),
+        lambda e, body: np.save(e, body.astype(">f8")),
+        lambda e, body: np.save(e, body[:, 0]),
+        lambda e, body: e.write_bytes(b"x1,x2,y\n1,2,3\n"),
+        lambda e, body: e.write_bytes(e.read_bytes() + b"\0"),
+    ], ids=["truncated", "wrong_width", "float32", "big_endian", "1d",
+            "foreign", "trailing_bytes"])
+    def test_spoilt_entry_is_a_miss_and_replaced(self, tmp_path, cache,
+                                                 spoil):
+        f = _big_csv(tmp_path / "big.csv")
+        cold = load_csv(f, has_response=True)
+        entry = _entry(cache, f)
+        good = entry.read_bytes()
+        spoil(entry, np.load(entry))
+        assert entry.read_bytes() != good
+        assert _same(load_csv(f, has_response=True), cold)
+        assert entry.read_bytes() == good
+
+    def test_default_dir_is_under_home(self, tmp_path, monkeypatch):
+        # A relative XDG_CACHE_HOME is ignored, as the XDG spec says.
+        monkeypatch.setenv("XDG_CACHE_HOME", "relative")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        monkeypatch.chdir(tmp_path)
+        f = _big_csv(tmp_path / "big.csv")
+        load_csv(f)
+        cache = tmp_path / "home" / ".cache" / "atdev" / "csv-1"
+        assert [e.name for e in cache.iterdir()] == [_entry(cache, f).name]
+        assert not (tmp_path / "relative").exists()
+
+    def test_cache_dir_that_cannot_be_made(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "not_a_dir"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        f = _big_csv(tmp_path / "big.csv")
+        first = load_csv(f, has_response=True)
+        assert _same(load_csv(f, has_response=True), first)
+        assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize("header, tail, message", [
+        ("x1,x2,y", "1,2,nan\n", "row 20002, column 'y': non-finite"),
+        ("x1,,y", "", "empty variable name"),
+    ])
+    def test_rejected_file_is_never_stored(self, tmp_path, cache, header,
+                                           tail, message):
+        f = _big_csv(tmp_path / "big.csv")
+        f.write_text(f.read_text().replace("x1,x2,y", header, 1) + tail)
+        for _ in range(2):
+            with pytest.raises(DataError, match=message):
+                load_csv(f, has_response=True)
+            assert not cache.exists()
+
+    @pytest.mark.parametrize("change", [
+        lambda f: os.utime(f, ns=(0, f.stat().st_mtime_ns + 1)),
+        lambda f: f.unlink(),
+    ], ids=["touched", "deleted"])
+    def test_file_changed_while_parsed_is_not_stored(self, tmp_path, cache,
+                                                     monkeypatch, change):
+        f = _big_csv(tmp_path / "big.csv")
+        want = np.loadtxt(f, delimiter=",", skiprows=1)
+        parse = atdev.data._fast_body
+
+        def parse_then_change(path, *args):
+            body = parse(path, *args)
+            change(path)
+            return body
+
+        monkeypatch.setattr(atdev.data, "_fast_body", parse_then_change)
+        d = load_csv(f, has_response=True)
+        assert d.matrix().tobytes() == want[:, :2].tobytes()
+        assert not cache.exists()
+
+    @pytest.mark.parametrize("rows, stored", [(MIB // 4 - 1, True),
+                                              (MIB // 4 - 2, False)])
+    def test_files_under_one_mib_are_not_stored(self, tmp_path, cache,
+                                                rows, stored):
+        f = tmp_path / "t.csv"
+        f.write_text("a,b\n" + "1,2\n" * rows)
+        assert (f.stat().st_size >= MIB) == stored
+        assert load_csv(f).n == rows
+        assert cache.exists() == stored
+        assert load_csv(f).n == rows
+
+    def test_ninth_file_evicts_the_least_recently_used(self, tmp_path,
+                                                       cache):
+        files = [_big_csv(tmp_path / f"{i}.csv", seed=i) for i in range(9)]
+        long_ago = 1_000_000_000
+        for i, f in enumerate(files[:8]):
+            load_csv(f)
+            os.utime(_entry(cache, f), (long_ago + i, long_ago + i))
+        load_csv(files[0])  # a hit, which makes file 0 the most recent
+        load_csv(files[8])
+        kept = {e.name for e in cache.iterdir()}
+        assert kept == {_entry(cache, f).name
+                        for i, f in enumerate(files) if i != 1}
+
+    def test_a_load_imports_no_openssl(self, tmp_path, cache):
+        # hashlib loads OpenSSL's libcrypto, which costs every CLI
+        # process a few MB of resident memory.
+        f = _big_csv(tmp_path / "big.csv")
+        script = textwrap.dedent(f"""
+            import sys
+            import atdev.cli
+            from atdev.data import load_csv
+            load_csv({str(f)!r})
+            load_csv({str(f)!r})
+            print(sorted({{"hashlib", "_hashlib"}} & set(sys.modules)))
+        """)
+        run = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
+        assert _entry(cache, f).exists()
 
 
 class TestSaveCsv:
