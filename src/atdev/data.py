@@ -12,9 +12,7 @@ import csv
 import math
 import os
 import tempfile
-# hashlib.blake2b itself: importing hashlib loads OpenSSL's libcrypto,
-# a few MB of resident memory in every process.
-from _blake2 import blake2b
+import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -24,6 +22,14 @@ import numpy as np
 from numpy.lib import format as npformat
 
 from .errors import DataError, NumericalError
+
+# hashlib.blake2b itself: importing hashlib loads OpenSSL's libcrypto,
+# a few MB of resident memory in every process. A build without it
+# parses every load, as with no parse cache.
+try:
+    from _blake2 import blake2b
+except ImportError:
+    blake2b = None
 
 __all__ = [
     "CurveKind",
@@ -264,8 +270,7 @@ def load_csv(path: str | Path, has_response: bool = False,
     finite number is reported with its row and column location. A UTF-8
     byte-order mark before the header is dropped.
 
-    A file of 1 MiB or more is parsed once per content: its parsed body
-    is kept in ``$XDG_CACHE_HOME/atdev/csv-1/`` (``~/.cache/atdev/csv-1/``
+    A file is parsed once per content: its parsed body is kept in ``$XDG_CACHE_HOME/atdev/csv-1/`` (``~/.cache/atdev/csv-1/``
     by default) under the blake2b digest of the file's bytes, and a later
     load of the same bytes reads it from there. The directory keeps the
     8 most recently used bodies. A cache that cannot be written, or an
@@ -333,22 +338,20 @@ def _fast_body(path: Path, ncol: int, rows: int) -> np.ndarray | None:
     return body
 
 
-# The parse cache (see load_csv). A file under 1 MiB parses in under
-# 30 ms, little beside a command's start-up of about 0.25 s; caching it
-# would save little and would push the large entries out of the cache.
-_CACHE_MIN_BYTES = 1 << 20
+# The parse cache (see load_csv): the number of bodies it keeps, and how
+# old a temp file left by a killed writer must be before it is deleted.
 _CACHE_ENTRIES = 8
+_STALE_TMP_S = 60
 
 
 def _scan(path: Path) -> tuple[int, str | None, tuple[int, int]]:
     """The file's number of lines, counting an unterminated last line;
-    the hex blake2b digest of its bytes, or None for a file too small to
-    cache; and its size and modification time."""
+    the hex blake2b digest of its bytes, or None without blake2b; and its
+    size and modification time."""
     count, last = 0, b""
+    digest = None if blake2b is None else blake2b(digest_size=32)
     with open(path, "rb") as fh:
         stamp = _stamp(os.fstat(fh.fileno()))
-        big = stamp[0] >= _CACHE_MIN_BYTES
-        digest = blake2b(digest_size=32) if big else None
         for block in iter(lambda: fh.read(1 << 16), b""):
             count += block.count(b"\n")
             if digest is not None:
@@ -378,23 +381,18 @@ def _cache_entry(digest: str | None) -> Path | None:
 def _read_entry(entry: Path, ncol: int, rows: int) -> np.ndarray | None:
     """The body kept at ``entry``, its use time refreshed, or None unless
     it is a whole 2-D native float64 array of ``ncol`` columns and 1 to
-    ``rows`` rows. The shape is checked before any data is read."""
+    ``rows`` rows."""
     try:
         with open(entry, "rb") as fh:
-            if npformat.read_magic(fh) != (1, 0):
-                return None
-            shape, fortran, dtype = npformat.read_array_header_1_0(fh)
-            if (dtype != np.float64 or len(shape) != 2
-                    or shape[1] != ncol or not 1 <= shape[0] <= rows):
-                return None
-            body = np.fromfile(fh, dtype=dtype, count=shape[0] * ncol)
-            if body.size != shape[0] * ncol or fh.read(1):
-                return None
+            body = npformat.read_array(fh, allow_pickle=False)
     except (OSError, ValueError):
+        return None
+    if (body.dtype != np.float64 or body.ndim != 2
+            or body.shape[1] != ncol or not 1 <= body.shape[0] <= rows):
         return None
     with suppress(OSError):  # a read-only cache still serves its entries
         os.utime(entry)
-    return body.reshape(shape, order="F" if fortran else "C")
+    return body
 
 
 def _store(entry: Path, body: np.ndarray, path: Path,
@@ -402,7 +400,8 @@ def _store(entry: Path, body: np.ndarray, path: Path,
     """Keep ``body``, parsed from ``path``, at ``entry``, best-effort and
     only if the file's size and modification time are still ``stamp``:
     written beside it and renamed into place, then all but the most
-    recently used entries of the directory are deleted."""
+    recently used entries of the directory are deleted, with any temp
+    file that a killed writer left behind."""
     try:
         if _stamp(os.stat(path)) != stamp:
             return
@@ -420,6 +419,10 @@ def _store(entry: Path, body: np.ndarray, path: Path,
                       key=lambda e: e.stat().st_mtime_ns, reverse=True)
         for old in kept[_CACHE_ENTRIES:]:
             old.unlink(missing_ok=True)
+        stale = time.time() - _STALE_TMP_S
+        for tmp in entry.parent.glob("*.tmp"):
+            if tmp.stat().st_mtime < stale:
+                tmp.unlink(missing_ok=True)
     except OSError:
         pass
 

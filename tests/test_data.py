@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -227,17 +228,13 @@ class TestLoadCsv:
         assert not f.with_name(f.name + ".tmp").exists()
 
 
-MIB = 1 << 20
-
-
-def _big_csv(path, seed=0, quoted=False):
-    """A CSV of about 1.1 MiB, 20 000 rows of x1, x2, y, with every cell
-    quoted (the cell-by-cell parser's path) or none (np.loadtxt's)."""
-    cells = np.random.default_rng(seed).normal(size=(20_000, 3))
+def _csv(path, seed=0, quoted=False):
+    """A CSV of 2000 rows of x1, x2, y, with every cell quoted (the
+    cell-by-cell parser's path) or none (np.loadtxt's)."""
+    cells = np.random.default_rng(seed).normal(size=(2_000, 3))
     fmt = ",".join(['"%r"' if quoted else "%r"] * 3) + "\n"
     path.write_text("x1,x2,y\n" + "".join(
         fmt % tuple(row) for row in cells.tolist()))
-    assert path.stat().st_size >= MIB
     return path
 
 
@@ -267,7 +264,7 @@ class TestParseCache:
                              ids=["loadtxt", "cell_by_cell"])
     def test_hit_equals_a_cold_parse(self, tmp_path, cache, monkeypatch,
                                      quoted):
-        f = _big_csv(tmp_path / "big.csv", quoted=quoted)
+        f = _csv(tmp_path / "t.csv", quoted=quoted)
         cold = load_csv(f, has_response=True)
         assert [e.name for e in cache.iterdir()] == [_entry(cache, f).name]
         monkeypatch.setattr(atdev.data, "_fast_body", _no_parse)
@@ -281,7 +278,7 @@ class TestParseCache:
 
     def test_same_size_rewrite_with_old_mtime_is_a_miss(self, tmp_path,
                                                         cache):
-        f = _big_csv(tmp_path / "big.csv")
+        f = _csv(tmp_path / "t.csv")
         before = load_csv(f, has_response=True)
         st = f.stat()
         text = f.read_text()
@@ -303,12 +300,13 @@ class TestParseCache:
         lambda e, body: np.save(e, body.astype(">f8")),
         lambda e, body: np.save(e, body[:, 0]),
         lambda e, body: e.write_bytes(b"x1,x2,y\n1,2,3\n"),
-        lambda e, body: e.write_bytes(e.read_bytes() + b"\0"),
+        lambda e, body: e.write_bytes(b"PK\x03\x04"),
+        lambda e, body: e.write_bytes(b""),
     ], ids=["truncated", "wrong_width", "float32", "big_endian", "1d",
-            "foreign", "trailing_bytes"])
+            "foreign", "zip", "empty"])
     def test_spoilt_entry_is_a_miss_and_replaced(self, tmp_path, cache,
                                                  spoil):
-        f = _big_csv(tmp_path / "big.csv")
+        f = _csv(tmp_path / "t.csv")
         cold = load_csv(f, has_response=True)
         entry = _entry(cache, f)
         good = entry.read_bytes()
@@ -322,7 +320,7 @@ class TestParseCache:
         monkeypatch.setenv("XDG_CACHE_HOME", "relative")
         monkeypatch.setenv("HOME", str(tmp_path / "home"))
         monkeypatch.chdir(tmp_path)
-        f = _big_csv(tmp_path / "big.csv")
+        f = _csv(tmp_path / "t.csv")
         load_csv(f)
         cache = tmp_path / "home" / ".cache" / "atdev" / "csv-1"
         assert [e.name for e in cache.iterdir()] == [_entry(cache, f).name]
@@ -332,18 +330,18 @@ class TestParseCache:
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("")
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
-        f = _big_csv(tmp_path / "big.csv")
+        f = _csv(tmp_path / "t.csv")
         first = load_csv(f, has_response=True)
         assert _same(load_csv(f, has_response=True), first)
         assert blocker.read_text() == ""
 
     @pytest.mark.parametrize("header, tail, message", [
-        ("x1,x2,y", "1,2,nan\n", "row 20002, column 'y': non-finite"),
+        ("x1,x2,y", "1,2,nan\n", "row 2002, column 'y': non-finite"),
         ("x1,,y", "", "empty variable name"),
     ])
     def test_rejected_file_is_never_stored(self, tmp_path, cache, header,
                                            tail, message):
-        f = _big_csv(tmp_path / "big.csv")
+        f = _csv(tmp_path / "t.csv")
         f.write_text(f.read_text().replace("x1,x2,y", header, 1) + tail)
         for _ in range(2):
             with pytest.raises(DataError, match=message):
@@ -356,7 +354,7 @@ class TestParseCache:
     ], ids=["touched", "deleted"])
     def test_file_changed_while_parsed_is_not_stored(self, tmp_path, cache,
                                                      monkeypatch, change):
-        f = _big_csv(tmp_path / "big.csv")
+        f = _csv(tmp_path / "t.csv")
         want = np.loadtxt(f, delimiter=",", skiprows=1)
         parse = atdev.data._fast_body
 
@@ -370,20 +368,37 @@ class TestParseCache:
         assert d.matrix().tobytes() == want[:, :2].tobytes()
         assert not cache.exists()
 
-    @pytest.mark.parametrize("rows, stored", [(MIB // 4 - 1, True),
-                                              (MIB // 4 - 2, False)])
-    def test_files_under_one_mib_are_not_stored(self, tmp_path, cache,
-                                                rows, stored):
+    def test_a_one_row_file_is_stored(self, tmp_path, cache, monkeypatch):
         f = tmp_path / "t.csv"
-        f.write_text("a,b\n" + "1,2\n" * rows)
-        assert (f.stat().st_size >= MIB) == stored
-        assert load_csv(f).n == rows
-        assert cache.exists() == stored
-        assert load_csv(f).n == rows
+        f.write_text("a,b\n1,2\n")
+        cold = load_csv(f)
+        assert [e.name for e in cache.iterdir()] == [_entry(cache, f).name]
+        monkeypatch.setattr(atdev.data, "_fast_body", _no_parse)
+        assert load_csv(f).matrix().tobytes() == cold.matrix().tobytes()
+
+    def test_without_blake2_every_load_parses(self, tmp_path, cache,
+                                              monkeypatch):
+        monkeypatch.setattr(atdev.data, "blake2b", None)
+        f = _csv(tmp_path / "t.csv")
+        first = load_csv(f, has_response=True)
+        assert _same(load_csv(f, has_response=True), first)
+        assert not cache.exists()
+
+    def test_a_store_deletes_stale_temp_files(self, tmp_path, cache):
+        cache.mkdir(parents=True)
+        stale, fresh = cache / "stale.tmp", cache / "fresh.tmp"
+        stale.write_bytes(b"\0" * 100)
+        fresh.write_bytes(b"\0" * 100)
+        long_ago = time.time() - 2 * atdev.data._STALE_TMP_S
+        os.utime(stale, (long_ago, long_ago))
+        f = _csv(tmp_path / "t.csv")
+        load_csv(f)
+        assert {e.name for e in cache.iterdir()} == {
+            _entry(cache, f).name, fresh.name}
 
     def test_ninth_file_evicts_the_least_recently_used(self, tmp_path,
                                                        cache):
-        files = [_big_csv(tmp_path / f"{i}.csv", seed=i) for i in range(9)]
+        files = [_csv(tmp_path / f"{i}.csv", seed=i) for i in range(9)]
         long_ago = 1_000_000_000
         for i, f in enumerate(files[:8]):
             load_csv(f)
@@ -397,7 +412,7 @@ class TestParseCache:
     def test_a_load_imports_no_openssl(self, tmp_path, cache):
         # hashlib loads OpenSSL's libcrypto, which costs every CLI
         # process a few MB of resident memory.
-        f = _big_csv(tmp_path / "big.csv")
+        f = _csv(tmp_path / "t.csv")
         script = textwrap.dedent(f"""
             import sys
             import atdev.cli
