@@ -28,7 +28,7 @@ import math
 import os
 import shlex
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -386,15 +386,7 @@ def _cmd_simulate(s) -> None:
         em.dataset(f"{spec.case}.csv", d)
         cm = corr_matrix(d)
         em.json(f"{spec.case}.meta.json", {
-            "schema": aio.SCHEMA,
-            "case": spec.case,
-            "n": spec.n,
-            "noise_sd": spec.noise_sd,
-            "seed": spec.seed,
-            "mean": list(spec.mean),
-            "sigma": list(spec.sigma),
-            "rho": spec.rho,
-            "model": spec.model,
+            "schema": aio.SCHEMA, **asdict(spec),
             "theoretical_r2": theoretical_r2(spec),
             "correlation": {"names": list(cm.names),
                             "values": cm.values.tolist()},
@@ -419,7 +411,7 @@ def _cmd_fit_mlp(s) -> None:
         batch_size=s.batch_size)
     with _Emitter(s.out_dir) as em:
         em.json("mlp_weights.json", model.to_dict())
-        em.json("mlp_fit.json", {"schema": aio.SCHEMA, **report.to_dict()})
+        em.json("mlp_fit.json", {"schema": aio.SCHEMA, **asdict(report)})
     print(f"validation R^2 = {report.valid_r2:.4f} "
           f"({report.epochs_run} epochs)")
 

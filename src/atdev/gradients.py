@@ -62,30 +62,28 @@ def fd_step(x: np.ndarray, j: int) -> float:
 
 
 def _check_span(x: np.ndarray, j: int, h: float, label: str) -> None:
-    """DataError when x_j +- h rounds so that some row's probes are not
-    2h apart within FD_SPAN_RTOL: the step is lost at the column's
-    magnitude and the difference quotient would be wrong."""
+    """DataError when some row's probes x_j +- h are not 2h apart within
+    FD_SPAN_RTOL, the step lost to rounding or overflowing at the column's
+    magnitude: the difference quotient would be wrong."""
     # x_j +- h may pass the largest double, and h is infinite when the
     # column's spread overflows; neither span is kept.
     with np.errstate(over="ignore", invalid="ignore"):
         span = (x[:, j] + h) - (x[:, j] - h)
         kept = np.abs(span - 2.0 * h) <= FD_SPAN_RTOL * 2.0 * h
     if not np.all(kept):
-        raise DataError(
-            f"finite-difference step {h:g} for column {label} is lost to "
-            f"rounding at its magnitude; pass a larger --fd-step")
+        fault = ("is lost to rounding at its magnitude; pass a larger"
+                 if np.all(np.isfinite(span)) else
+                 "overflows at its magnitude; pass a smaller")
+        raise DataError(f"finite-difference step {h:g} for column {label} "
+                        f"{fault} --fd-step")
 
 
 def _fd_column(model: Predictor, x: np.ndarray, j: int,
                h: float | np.ndarray) -> np.ndarray:
     """Central differences along column j; ``h`` is one step or one per row.
-    The up and down probes are scored together in one 2N-row call."""
-    n = len(x)
-    probes = np.concatenate([x, x])
-    probes[:n, j] += h
-    probes[n:, j] -= h
-    f = model.predict(probes)
-    d = (f[:n] - f[n:]) / (2.0 * h)
+    The up and down probes are the two blocks of one sweep of column j."""
+    up, down = model.sweep(x, j, [x[:, j] + h, x[:, j] - h])
+    d = (up - down) / (2.0 * h)
     if not np.all(np.isfinite(d)):
         bad = int(np.flatnonzero(~np.isfinite(d))[0])
         raise NumericalError(f"non-finite derivative at row {bad}, column {j}")
@@ -94,10 +92,10 @@ def _fd_column(model: Predictor, x: np.ndarray, j: int,
 
 def gradient_table(model: Predictor, d: Dataset | np.ndarray,
                    h: float | None = None) -> GradientTable:
-    """All partials at once; finite differences cost p scoring calls of
+    """All partials at once; finite differences cost p column sweeps of
     2N rows each. ``h`` overrides the automatic per-column step (FD path
-    only). A step that rounding loses at some row is a DataError, raised
-    before any scoring call."""
+    only). A step that rounding loses or that overflows at some row is a
+    DataError, raised before any scoring call."""
     x = _rows(d)
     if model.has_analytic_gradient:
         g = model.gradient(x)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, _check_index, _format_rows, _staged
+from .data import Dataset, _FORMAT_ROWS, _check_index, _format_rows, _staged
 from .errors import DataError, ModelError, NumericalError
 
 __all__ = [
@@ -44,7 +44,7 @@ __all__ = [
 # Rows per model evaluation. ``predict`` and ``gradient`` work through
 # blocks of at most this many rows (fewer where a backend sets
 # ``_block_rows``), an external scorer is sent at most this many a spawn,
-# and the partial-dependence sweep scores its rows in chunks of this many.
+# and a column sweep scores its rows in chunks of this many.
 ROW_BUDGET = 32_768
 
 
@@ -66,50 +66,56 @@ class Predictor:
     def partial_dependence(self, x: np.ndarray, j: int,
                            grid: np.ndarray) -> np.ndarray:
         """Mean prediction over the rows of x with column j set to each
-        grid value in turn. Swept row r of K N is row r % N of x with
-        column j at grid[r // N]; ``_score_swept``, the one step backends
-        differ in, scores chunks of ``ROW_BUDGET`` swept rows cut across
-        grid values (closed forms override this). x is never written."""
-        x, grid = self._check_sweep(x, j, grid)
-        n, rows = len(x), len(grid) * len(x)
+        grid value: one ``sweep`` block a value (closed forms override)."""
+        return np.array([block.mean() for block in
+                         self.sweep(x, j, _grid_values(grid))])
+
+    def sweep(self, x: np.ndarray, j: int, values: np.ndarray):
+        """Generate the N scores of each block g: x with column j set to
+        ``values[g]``, from K x N values, or K x 1 for one value a block.
+        ``_score_swept``, the one step backends differ in, scores chunks of
+        ``ROW_BUDGET`` swept rows cut across blocks. The arguments are
+        checked before anything is scored; x is never written."""
+        x, values = self._check_sweep(x, j, values)
+        n, rows = len(x), len(values) * len(x)
         chunks = [(r, min(r + ROW_BUDGET, rows))
                   for r in range(0, rows, ROW_BUDGET)]
-        values = np.empty(len(grid))
         parts = []
         # scores first, so that _score_swept runs to its end
-        for scores, (r0, r1) in zip(self._score_swept(x, j, grid, chunks),
+        for scores, (r0, r1) in zip(self._score_swept(x, j, values, chunks),
                                     chunks):
             for g, i0, i1 in _segments(n, r0, r1):
                 parts.append(scores[g * n + i0 - r0:g * n + i1 - r0])
                 if i1 == n:
-                    values[g] = np.concatenate(parts).mean()
+                    yield np.concatenate(parts)
                     parts = []
-        return values
 
-    def _score_swept(self, x: np.ndarray, j: int, grid: np.ndarray, chunks):
+    def _score_swept(self, x: np.ndarray, j: int, values: np.ndarray, chunks):
         """The scores of each chunk ``(r0, r1)`` of swept rows, in order:
         the chunk is built from contiguous slices of x and predicted."""
-        buf = np.empty((min(ROW_BUDGET, len(grid) * len(x)), self.p))
+        values = np.broadcast_to(values, (len(values), len(x)))
+        buf = np.empty((min(ROW_BUDGET, values.size), self.p))
         for r0, r1 in chunks:
             for g, i0, i1 in _segments(len(x), r0, r1):
                 o = r0 - len(x) * g
                 buf[i0 - o:i1 - o] = x[i0:i1]
-                buf[i0 - o:i1 - o, j] = grid[g]
+                buf[i0 - o:i1 - o, j] = values[g, i0:i1]
             yield self.predict(buf[:r1 - r0])
 
-    def _check_sweep(self, x: np.ndarray, j: int, grid: np.ndarray):
-        """x and grid, checked: x a model input of at least one row, j an
-        integer in [0, p), grid 1-D and finite."""
+    def _check_sweep(self, x: np.ndarray, j: int, values: np.ndarray):
+        """x and values, checked: x a model input of at least one row, j
+        an integer in [0, p), values finite, K x N or K x 1."""
         x = self._check_input(x)
         if len(x) == 0:
-            raise ModelError("partial dependence needs at least one row")
+            raise ModelError("a column sweep needs at least one row")
         _check_index(j, self.p, ModelError)
-        grid = np.asarray(grid, dtype=np.float64)
-        if grid.ndim != 1:
-            raise ModelError(f"grid must be 1-D, got shape {grid.shape}")
-        if not np.all(np.isfinite(grid)):
-            raise NumericalError("non-finite value in partial-dependence grid")
-        return x, grid
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 2 or values.shape[1] not in (1, len(x)):
+            raise ModelError(f"swept values must be K x {len(x)} or K x 1, "
+                             f"got shape {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise NumericalError("non-finite swept value")
+        return x, values
 
     def _blocked(self, x: np.ndarray, evaluate, width: int | None = None
                  ) -> np.ndarray:
@@ -136,10 +142,18 @@ class Predictor:
 
 
 def _segments(n: int, r0: int, r1: int):
-    """``(g, i0, i1)`` for each grid value g with swept rows in [r0, r1),
+    """``(g, i0, i1)`` for each block g with swept rows in [r0, r1),
     in order: rows i0 .. i1 - 1 of x, swept rows g N + i0 .. g N + i1 - 1."""
     for g in range(r0 // n, (r1 - 1) // n + 1):
         yield g, max(r0 - g * n, 0), min(r1 - g * n, n)
+
+
+def _grid_values(grid: np.ndarray) -> np.ndarray:
+    """A partial-dependence grid as sweep values, one a block: K x 1."""
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.ndim != 1:
+        raise ModelError(f"grid must be 1-D, got shape {grid.shape}")
+    return grid[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +215,8 @@ class AnalyticModel(Predictor):
         """Exact in one pass over the rows: as a polynomial in x_j,
         f = sum_a x_j^a c_a(x_-j), so the sweep average at z is
         sum_a z^a mean(c_a)."""
-        x, grid = self._check_sweep(x, j, grid)
+        x, grid = self._check_sweep(x, j, _grid_values(grid))
+        grid = grid[:, 0]
         c: dict[int, float] = {}
         for coef, powers in self.terms:
             rest = 1.0
@@ -384,16 +399,6 @@ class FitReport:
     train_history: list[float] = field(default_factory=list)
     valid_history: list[float] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "train_mse": self.train_mse,
-            "valid_mse": self.valid_mse,
-            "valid_r2": self.valid_r2,
-            "epochs_run": self.epochs_run,
-            "train_history": self.train_history,
-            "valid_history": self.valid_history,
-        }
-
 
 def _mlp_views(flat: np.ndarray, h: int, p: int) -> tuple[np.ndarray, ...]:
     """w1 (h x p), b1, w2 and a one-element b2 as views of one flat
@@ -558,9 +563,9 @@ _TIMEOUT_S = 600
 
 class ExternalModel(Predictor):
     """Scores rows through a child process, one spawn per block of at
-    most ``ROW_BUDGET`` rows: a block of ``predict``, or a chunk of the
-    partial-dependence sweep, whose request is assembled from each cell
-    of x formatted once.
+    most ``ROW_BUDGET`` rows: a block of ``predict``, or a chunk of a
+    column sweep, whose request is assembled from each cell of x outside
+    the swept column formatted once.
 
     Wire format: a header line ``N p``, then N rows of p space-separated
     decimals (Python ``repr`` of each float64) on stdin; the child must
@@ -588,13 +593,13 @@ class ExternalModel(Predictor):
         return self._blocked(x, lambda blocks: self._scores(
             (len(b), partial(_write_rows, x=b)) for b in blocks))
 
-    def _score_swept(self, x: np.ndarray, j: int, grid: np.ndarray, chunks):
+    def _score_swept(self, x: np.ndarray, j: int, values: np.ndarray, chunks):
         """One spawn a chunk, written without building it: x is formatted
-        once per sweep, with a NUL for column j, and a grid value's rows
-        are a slice of that text with the NUL replaced by its decimal."""
-        template, grid = _row_template(x, j), grid.tolist()
+        once per sweep, with a NUL for column j, and a block's rows are a
+        slice of that text with each NUL filled by the block's decimals."""
+        template = _row_template(x, j)
         return self._scores((r1 - r0, partial(_write_swept, template=template,
-                                              p=self.p, grid=grid,
+                                              p=self.p, values=values,
                                               rows=(r0, r1)))
                             for r0, r1 in chunks)
 
@@ -707,14 +712,22 @@ def _row_template(x: np.ndarray, j: int) -> tuple[bytes, list[int]]:
 
 
 def _write_swept(f, template: tuple[bytes, list[int]], p: int,
-                 grid: list[float], rows: tuple[int, int]) -> None:
-    """Write swept rows [r0, r1) (x tiled once per grid value, column j
-    set to that value) as ``_write_rows`` writes those rows."""
+                 values: np.ndarray, rows: tuple[int, int]) -> None:
+    """Write swept rows [r0, r1) as ``_write_rows`` writes those rows. A
+    block of one value replaces every NUL with its decimal; per-row values
+    fill the NULs of ``_FORMAT_ROWS`` rows at a time in one format (float
+    decimals hold no other ``%``)."""
     (body, starts), (r0, r1) = template, rows
     f.write(f"{r1 - r0} {p}\n".encode())
     for g, i0, i1 in _segments(len(starts) - 1, r0, r1):
-        f.write(body[starts[i0]:starts[i1]].replace(
-            b"\0", repr(grid[g]).encode()))
+        if values.shape[1] == 1:
+            f.write(body[starts[i0]:starts[i1]].replace(
+                b"\0", repr(float(values[g, 0])).encode()))
+            continue
+        for s in range(i0, i1, _FORMAT_ROWS):
+            e = min(s + _FORMAT_ROWS, i1)
+            f.write(body[starts[s]:starts[e]].replace(b"\0", b"%a")
+                    % tuple(values[g, s:e].tolist()))
 
 
 def _parse_scores(stdout: bytes, n: int) -> np.ndarray:

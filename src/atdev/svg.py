@@ -119,10 +119,7 @@ def matrix_chart(bundle, cell_size: int = 130, title: str = "") -> str:
     height = top + p * cell_size + 34
     cv = _Canvas(width, height)
     cv.text(width / 2, 18, title, size=13, anchor="middle")
-    ys = np.concatenate([c.values for row in bundle.cells for c in row])
-    lo, hi = float(ys.min()), float(ys.max())
-    pad_y = 0.05 * (hi - lo) if hi > lo else 1.0
-    ylim = (lo - pad_y, hi + pad_y)
+    _, ylim = _limits([c for row in bundle.cells for c in row])
     for i in range(p):
         cv.text(pad - 6, top + i * cell_size + cell_size / 2, bundle.names[i],
                 size=10, anchor="end")

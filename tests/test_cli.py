@@ -611,6 +611,24 @@ class TestFdStep:
         dgsm = load_json(out / "importance.json")["dgsm"]
         assert abs(dgsm[1] - 1.0) < 1e-6
 
+    def test_step_that_overflows_asks_for_a_smaller_step(self, tmp_path,
+                                                         capsys):
+        # x +- 1e308 is finite on a unit-scale column, but the 2e308 span
+        # is not: a larger step cannot help there.
+        rng = np.random.default_rng(2)
+        d = Dataset(names=["x1", "x2"], columns=list(rng.uniform(-1, 1, (2, 50))))
+        path = tmp_path / "unit.csv"
+        save_csv(d, path)
+        cmd = f"{shlex.quote(sys.executable)} {shlex.quote(str(SCORER))} sum"
+        out = tmp_path / "never"
+        assert main(["importance", "--data", str(path), "--external-cmd", cmd,
+                     "--fd-step", "1e308", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert ("step 1e+308 for column 'x1' overflows at its magnitude; "
+                "pass a smaller --fd-step") in err
+        assert "larger" not in err
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize("flag, config", [
         (["--fd-step", "0"], {}),
         (["--fd-step", "nan"], {}),

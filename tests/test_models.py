@@ -134,6 +134,12 @@ class TestPartialDependence:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(NumericalError):
                 model.partial_dependence(x, 0, np.array([0.0, bad]))
+        # The sweep behind it takes K x N or K x 1 finite values.
+        for bad in (np.ones((2, 3)), np.ones(2), np.ones((1, 4, 1))):
+            with pytest.raises(ModelError, match="K x 4 or K x 1"):
+                next(model.sweep(x, 0, bad))
+        with pytest.raises(NumericalError):
+            next(model.sweep(x, 0, [np.ones(4), [0.0, 0.0, np.inf, 0.0]]))
         assert recorded(tmp_path) == []
         # The last column and an integer of numpy's own are fine.
         assert len(model.partial_dependence(x, np.int64(2), grid)) == 2
@@ -526,12 +532,70 @@ class TestRowBudget:
                                                    tmp_path, monkeypatch):
         monkeypatch.setattr(models, "ROW_BUDGET", 7)
         x = np.random.default_rng(5).uniform(-1.0, 1.0, (10, 2))
+        # -0.0 and 1e16 on one row; x1^3 is lost next to 1e16, and the
+        # derivative 3 x1^2 at x1 = -0.0 is 0 all the same
+        x[4] = TestWire.EXTREMES[0], TestWire.EXTREMES[3]
         table = gradient_table(
             recording_scorer(scorer_path, tmp_path, p=2, mode=("cube",)), x)
         # 2N = 20 probe rows a column: spawns of 7, 7 and 6 rows.
         assert sorted(len(parse_request(r)) for r in recorded(tmp_path)) \
             == [6, 6, 7, 7, 7, 7]
+        # The second spawn of a column holds the last up probes and the
+        # first down probes: each request is its chunk of the stacked
+        # probes, byte for byte.
+        chunks = []
+        for j, h in enumerate(table.steps):
+            up, down = x.copy(), x.copy()
+            up[:, j] += h
+            down[:, j] -= h
+            probes = np.concatenate([up, down])
+            chunks += [probes[r:r + 7] for r in range(0, 20, 7)]
+        assert recorded(tmp_path) == sorted(map(per_cell_writer, chunks))
         assert np.allclose(table.values[:, 0], 3.0 * x[:, 0] ** 2, atol=1e-6)
+
+    def test_fd_probes_keep_their_place_in_each_1024_row_block(self):
+        # The network's BLAS sums may depend on a row's place in its
+        # 1024-row block; this scorer adds that place (in units of 2^-30),
+        # so a probe scored at another place reads differently.
+        class Placed(ScoredOnly):
+            def predict(self, x):
+                return (self.model.predict(x)
+                        + np.arange(len(x)) % BLOCK * 2.0 ** -30)
+
+        # 2N = R + 10: the first chunk holds the up probes and all but 10
+        # down probes.
+        rng = np.random.default_rng(8)
+        model = Placed(random_network(rng, 3, 8))
+        n = ROW_BUDGET // 2 + 5
+        x = rng.uniform(-1.0, 1.0, (n, 3))
+        table = gradient_table(model, x)
+        for j, h in enumerate(table.steps):
+            probes = np.concatenate([x, x])
+            probes[:n, j] += h
+            probes[n:, j] -= h
+            f = model.predict(probes)
+            assert table.values[:, j].tobytes() == \
+                ((f[:n] - f[n:]) / (2.0 * h)).tobytes()
+
+    def test_fd_table_memory_grows_less_than_the_probe_copy(self):
+        # A 2N x p copy of the probes would add 16 p bytes a row; the
+        # sweep holds a chunk of probes, the 2N swept values and scores.
+        model = ScoredOnly(custom_model(5, [(1.0, {0: 2, 1: 1}),
+                                            (0.5, {2: 3}),
+                                            (-1.0, {3: 1, 4: 2})]))
+        rng = np.random.default_rng(7)
+        above_output, sizes = [], (2 * ROW_BUDGET, 8 * ROW_BUDGET)
+        for n in sizes:
+            x = rng.uniform(-1.0, 1.0, (n, 5))
+            tracemalloc.start()
+            try:
+                table = gradient_table(model, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            above_output.append(peak - table.values.nbytes)
+        per_row = (above_output[1] - above_output[0]) / (sizes[1] - sizes[0])
+        assert per_row < 16 * 5
 
     def test_network_gradient_memory_does_not_grow_with_n(self):
         rng = np.random.default_rng(6)
