@@ -11,8 +11,7 @@ the variable of interest.
 
 from .data import (BinScheme, CurveKind, Dataset, EffectCurve, center,
                    load_csv, quantile_bins, save_csv)
-from .dependence import (CorrelationMatrix, DependenceModel, corr_matrix,
-                         fit_dependence)
+from .dependence import DependenceModel, corr_matrix, fit_dependence
 from .effects import (DEFAULT_BINS, EffectMatrix, Estimation, ace, ale,
                       atdev, atdev_terms, effect_matrix, le_curve, marginal,
                       pdp)
@@ -31,7 +30,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticModel", "AtdevError", "BinScheme", "CASES", "CATALOG_IDS",
-    "CorrelationMatrix",
     "CurveKind", "DEFAULT_BINS", "DataError", "Dataset", "DependenceModel",
     "EffectCurve", "EffectMatrix", "Estimation", "ExternalModel",
     "FitReport", "GradientTable", "ImportanceReport", "MlpModel",

@@ -16,8 +16,8 @@ opens the ``_Emitter`` and builds the run's ``Estimation`` context with
 its gradient table, and the command only computes and writes. Every
 chart is written by ``_Emitter.figure``: its JSON always, and an SVG
 under the same stem with --svg. Exit codes:
-0 success, 1 usage error, 2 data or model error, 3 numerical failure. A
-failing command removes whatever files it already wrote.
+0 success, 1 usage error, 2 data, model or file error, 3 numerical
+failure. A failing command removes whatever files it already wrote.
 """
 
 from __future__ import annotations
@@ -86,13 +86,13 @@ class _Emitter:
         self.written.append(path)
         return path
 
-    def figure(self, stem: str, payload: dict, render: Callable[[], str]
-               ) -> None:
-        """A chart: ``stem.json`` holds its data, and ``stem.svg`` the
-        picture ``render()`` draws when the run asked for SVG."""
+    def figure(self, stem: str, payload: dict,
+               chart: Callable[[dict, str], str], title: str) -> None:
+        """A chart: ``stem.json`` holds its payload, and ``stem.svg``, when
+        the run asked for SVG, the picture ``chart(payload, title)``."""
         self.json(f"{stem}.json", payload)
         if self.svg:
-            self.text(f"{stem}.svg", render())
+            self.text(f"{stem}.svg", chart(payload, title))
 
     def dataset(self, name: str, d: Dataset) -> Path:
         path = self.out_dir / name
@@ -263,7 +263,9 @@ def _read_config(path: str | None, command: str) -> dict:
         raise UsageError(f"no such config file: {p}")
     try:
         cfg = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {p}: {exc}") from None
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise UsageError(f"config file {p} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise UsageError(f"config file {p} must hold a JSON object")
@@ -384,12 +386,11 @@ def _cmd_simulate(s) -> None:
     with _Emitter(s.out_dir) as em:
         d = generate(spec)
         em.dataset(f"{spec.case}.csv", d)
-        cm = corr_matrix(d)
         em.json(f"{spec.case}.meta.json", {
             "schema": aio.SCHEMA, **asdict(spec),
             "theoretical_r2": theoretical_r2(spec),
-            "correlation": {"names": list(cm.names),
-                            "values": cm.values.tolist()},
+            "correlation": {"names": list(d.names),
+                            "values": corr_matrix(d).tolist()},
         })
 
 
@@ -424,6 +425,10 @@ def _cmd_effects(s, ctx, em) -> None:
             "smooth_marginal": s.smooth_marginal}
     columns = [d.index_of(c) for c in s.columns] if s.columns else range(d.p)
     for j in columns:
+        if "/" in d.names[j] or "\0" in d.names[j]:
+            raise DataError(f"variable {d.names[j]!r} cannot be part of a "
+                            f"file name: it holds a '/' or a NUL")
+    for j in columns:
         name = d.names[j]
         pd_c = pdp(ctx, j)
         mg_c = marginal(ctx, j, smooth=s.smooth_marginal)
@@ -445,13 +450,11 @@ def _cmd_effects(s, ctx, em) -> None:
                 ("total_marginal", {"total": tot_c, "marginal": mg_c}),
                 ("pd_marginal_ale",
                  {"pd": pd_c, "marginal": mg_c, "ale": ale_c})):
-            curves = {label: center(c) for label, c in group.items()}
             em.figure(f"overlay_{stem}_{name}", {
                 "schema": aio.SCHEMA, "variable": name,
-                "curves": {label: aio.curve_to_dict(c)
-                           for label, c in curves.items()}},
-                lambda: asvg.curve_chart(list(curves.values()), list(curves),
-                                         title=name))
+                "curves": {label: aio.curve_to_dict(center(c))
+                           for label, c in group.items()}},
+                asvg.curve_chart, name)
 
 
 def _le_extras(ctx, cap: int, seed: int):
@@ -484,27 +487,24 @@ def _cmd_matrix(s, ctx, em) -> None:
     em.figure(f"matrix_{s.kind.lower()}",
               aio.matrix_to_dict(matrix, scatter=scatter,
                                  histograms=histograms),
-              lambda: asvg.matrix_chart(matrix, title=s.kind))
+              asvg.matrix_chart, s.kind)
 
 
 @_estimation
 def _cmd_heatmap(s, ctx, em) -> None:
     report = build_report(ctx)
     vmax = float(report.v.max())
-    comp = aio.HeatMapData(names=report.names, scale="nonnegative",
-                           values=report.v / vmax if vmax > 0 else report.v)
-    for stem, heat, title in (
-            ("components_heatmap", comp, "effect components"),
-            ("correlation_heatmap",
-             aio.corr_to_heatmap(corr_matrix(ctx.data)), "correlation")):
-        em.figure(stem, aio.heatmap_to_dict(heat),
-                  lambda: asvg.heatmap_chart(heat, title=title))
+    em.figure("components_heatmap", aio.heatmap_to_dict(
+        report.names, report.v / vmax if vmax > 0 else report.v,
+        "nonnegative"), asvg.heatmap_chart, "effect components")
+    em.figure("correlation_heatmap", aio.heatmap_to_dict(
+        ctx.data.names, corr_matrix(ctx.data), "signed"),
+        asvg.heatmap_chart, "correlation")
     for stem, label, values in (
             ("component_totals_bars", "column effect variance", report.v_plus),
             ("derivative_energy_bars", "mean squared derivative", report.dgsm)):
-        em.figure(stem, aio.bars_to_dict(
-            aio.BarData(label=label, names=report.names, values=values)),
-            lambda: asvg.bar_chart(list(report.names), values, title=label))
+        em.figure(stem, aio.bars_to_dict(label, report.names, values),
+                  asvg.bar_chart, label)
 
 
 @_estimation
@@ -568,7 +568,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except AtdevError as exc:
+    except (AtdevError, OSError) as exc:  # OSError: an unusable path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -26,7 +26,6 @@ from .errors import DataError, NumericalError
 
 __all__ = [
     "DependenceModel",
-    "CorrelationMatrix",
     "fit_dependence",
     "corr_matrix",
     "ols_line",
@@ -127,16 +126,11 @@ def fit_dependence(d: Dataset, j: int, kind: str = "linear",
     return DependenceModel(j=j, edges=scheme.edges, slopes=bin_slopes)
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    names: tuple[str, ...]
-    values: np.ndarray  # p x p Pearson correlations
-
-
-def corr_matrix(d: Dataset) -> CorrelationMatrix:
-    """Pearson correlations between all predictor pairs, computed on the
-    columns scaled by powers of two so that no moment overflows. Constant
-    columns (min == max) have no defined correlation and are rejected."""
+def corr_matrix(d: Dataset) -> np.ndarray:
+    """The p x p Pearson correlations between all predictor pairs, in the
+    order of ``d.names``, computed on the columns scaled by powers of two
+    so that no moment overflows. Constant columns (min == max) have no
+    defined correlation and are rejected."""
     x = d.matrix()
     constant = np.flatnonzero(x.min(axis=0) == x.max(axis=0))
     if len(constant):
@@ -147,4 +141,4 @@ def corr_matrix(d: Dataset) -> CorrelationMatrix:
         for b in range(a + 1, d.p):
             r = np.corrcoef(_pow2_scaled(x[:, a])[0], _pow2_scaled(x[:, b])[0])
             c[a, b] = c[b, a] = float(r[0, 1])
-    return CorrelationMatrix(names=tuple(d.names), values=c)
+    return c

@@ -265,13 +265,6 @@ class EffectMatrix:
     cells: tuple[tuple[EffectCurve, ...], ...]  # [row i][col j]
     totals: tuple[EffectCurve, ...] | None = None
 
-    @property
-    def p(self) -> int:
-        return len(self.names)
-
-    def cell(self, i: int, j: int) -> EffectCurve:
-        return self.cells[i][j]
-
 
 def effect_matrix(ctx: Estimation, kind: CurveKind | str = CurveKind.ATDEV
                   ) -> EffectMatrix:

@@ -10,17 +10,13 @@ written.
 
 from __future__ import annotations
 
-import csv
-import io as _io
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .data import EffectCurve, _format_rows, _staged
-from .dependence import CorrelationMatrix
 from .effects import EffectMatrix
 from .errors import DataError, NumericalError
 from .importance import ImportanceReport
@@ -29,8 +25,6 @@ SCHEMA = "atdev/1"
 
 __all__ = [
     "SCHEMA",
-    "BarData",
-    "HeatMapData",
     "bars_to_dict",
     "write_json",
     "write_text_atomic",
@@ -40,7 +34,6 @@ __all__ = [
     "heatmap_to_dict",
     "report_to_dict",
     "report_to_csv",
-    "corr_to_heatmap",
 ]
 
 
@@ -152,15 +145,12 @@ def curve_to_dict(curve: EffectCurve, meta: dict | None = None) -> dict:
 def curves_to_csv(curves: list[EffectCurve]) -> str:
     """Fixed flat schema: kind, j, k, grid, value, count. The k cell is
     empty for own-effect curves. Full-precision floats."""
-    out = _io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["kind", "j", "k", "grid", "value", "count"])
+    parts = ["kind,j,k,grid,value,count\n"]
     for c in curves:
-        kcell = "" if c.k is None else c.k
-        for g, v, n in zip(c.grid, c.values, c.counts):
-            w.writerow([c.kind.value, c.j, kcell, repr(float(g)),
-                        repr(float(v)), repr(float(n))])
-    return out.getvalue()
+        row = f"{c.kind.value},{c.j},{'' if c.k is None else c.k},%r,%r,%r\n"
+        cells = np.array([c.grid, c.values, c.counts], dtype=np.float64).T
+        parts.extend(_format_rows(cells, row))
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -188,64 +178,40 @@ def matrix_to_dict(em: EffectMatrix, scatter: list | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Heat maps, importance reports, correlation matrices
+# Heat maps, bar charts, importance reports
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HeatMapData:
-    """p x p display values. Scale 'signed' spans [-1, 1] (correlations,
-    symmetric); 'nonnegative' spans [0, max] (component importances may
-    be asymmetric)."""
-
-    names: tuple[str, ...]
-    values: np.ndarray
-    scale: str  # "signed" or "nonnegative"
-
-    def __post_init__(self):
-        if self.scale not in ("signed", "nonnegative"):
-            raise DataError(f"unknown heat map scale {self.scale!r}")
-        v = np.asarray(self.values)
-        if v.shape != (len(self.names), len(self.names)):
-            raise DataError("heat map shape does not match names")
-        if self.scale == "signed" and not np.allclose(v, v.T, atol=1e-12):
-            raise DataError("signed heat map must be symmetric")
-        if self.scale == "nonnegative" and np.any(v < 0):
-            raise DataError("nonnegative heat map has negative entries")
-
-
-def heatmap_to_dict(h: HeatMapData) -> dict:
+def heatmap_to_dict(names, values: np.ndarray, scale: str) -> dict:
+    """A heat map's p x p display values. Scale 'signed' spans [-1, 1]
+    (correlations, symmetric); 'nonnegative' spans [0, max] (component
+    importances may be asymmetric)."""
+    if scale not in ("signed", "nonnegative"):
+        raise DataError(f"unknown heat map scale {scale!r}")
+    v = np.asarray(values)
+    if v.shape != (len(names), len(names)):
+        raise DataError("heat map shape does not match names")
+    if scale == "signed" and not np.allclose(v, v.T, atol=1e-12):
+        raise DataError("signed heat map must be symmetric")
+    if scale == "nonnegative" and np.any(v < 0):
+        raise DataError("nonnegative heat map has negative entries")
     return {
         "schema": SCHEMA,
-        "names": list(h.names),
-        "values": h.values.tolist(),
-        "scale": h.scale,
+        "names": list(names),
+        "values": v.tolist(),
+        "scale": scale,
     }
 
 
-def corr_to_heatmap(cm: CorrelationMatrix) -> HeatMapData:
-    return HeatMapData(names=cm.names, values=cm.values, scale="signed")
-
-
-@dataclass(frozen=True)
-class BarData:
-    """Labeled nonnegative values for a bar chart export."""
-
-    label: str
-    names: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        if len(self.names) != len(self.values):
-            raise DataError("bar names/values length mismatch")
-
-
-def bars_to_dict(b: BarData) -> dict:
+def bars_to_dict(label: str, names, values: np.ndarray) -> dict:
+    """Labeled nonnegative values for a bar chart."""
+    if len(names) != len(values):
+        raise DataError("bar names/values length mismatch")
     return {
         "schema": SCHEMA,
-        "label": b.label,
-        "names": list(b.names),
-        "values": np.asarray(b.values).tolist(),
+        "label": label,
+        "names": list(names),
+        "values": np.asarray(values).tolist(),
     }
 
 
@@ -261,12 +227,8 @@ def report_to_dict(r: ImportanceReport) -> dict:
 
 def report_to_csv(r: ImportanceReport) -> str:
     """Flat cell form: row variable, column variable, cell variance."""
-    out = _io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["i", "j", "v_ij"])
-    for i in range(r.p):
-        for j in range(r.p):
-            w.writerow([i, j, repr(float(r.v[i, j]))])
-    return out.getvalue()
+    cells = "".join(f"{i},{j},%r\n" for i in range(r.p) for j in range(r.p))
+    v = np.asarray(r.v, dtype=np.float64).reshape(1, -1)
+    return "i,j,v_ij\n" + "".join(_format_rows(v, cells))
 
 

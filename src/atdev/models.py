@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, _FORMAT_ROWS, _check_index, _format_rows, _staged
+from .data import Dataset, _FORMAT_ROWS, _check_index, _format_rows
 from .errors import DataError, ModelError, NumericalError
 
 __all__ = [
@@ -374,10 +374,6 @@ class MlpModel(Predictor):
             raise ModelError("bad weights payload: non-finite weight")
         return model
 
-    def save(self, path: str | Path) -> None:
-        with _staged(Path(path)) as f:
-            f.write(json.dumps(self.to_dict()))
-
     @staticmethod
     def load(path: str | Path) -> "MlpModel":
         path = Path(path)
@@ -385,7 +381,7 @@ class MlpModel(Predictor):
             raise ModelError(f"no such weights file: {path}")
         try:
             payload = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise ModelError(f"bad weights file {path}: {exc}") from exc
         return MlpModel.from_dict(payload)
 
@@ -699,19 +695,26 @@ def _write_rows(f, x: np.ndarray) -> None:
         f.write(text.encode())
 
 
-def _row_template(x: np.ndarray, j: int) -> tuple[bytes, list[int]]:
+def _row_template(x: np.ndarray, j: int) -> tuple[bytearray, np.ndarray]:
     """The request body of x with a NUL byte in place of column j, and the
-    offset of each row's first byte plus the body's length (N + 1
+    offset of each row's first byte plus the body's length (N + 1 int64
     offsets): with the NUL replaced by a decimal v, rows i0 .. i1 - 1 are
     the text of those rows with column j set to v. Every cell outside
-    column j is formatted once."""
+    column j is formatted once, ``_FORMAT_ROWS`` rows at a time, so only
+    the body and its offsets grow with N."""
     row = " ".join(["%r"] * j + ["\0"] + ["%r"] * (x.shape[1] - 1 - j)) + "\n"
-    body = "".join(_format_rows(np.delete(x, j, axis=1), row)).encode()
-    ends = np.flatnonzero(np.frombuffer(body, dtype=np.uint8) == ord("\n"))
-    return body, [0, *(ends + 1).tolist()]
+    body = bytearray()
+    starts = np.zeros(len(x) + 1, dtype=np.int64)
+    for s in range(0, len(x), _FORMAT_ROWS):
+        rest = np.delete(x[s:s + _FORMAT_ROWS], j, axis=1)
+        block = "".join(_format_rows(rest, row)).encode()
+        ends = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
+        starts[s + 1:s + 1 + len(ends)] = ends + (len(body) + 1)
+        body += block
+    return body, starts
 
 
-def _write_swept(f, template: tuple[bytes, list[int]], p: int,
+def _write_swept(f, template: tuple[bytearray, np.ndarray], p: int,
                  values: np.ndarray, rows: tuple[int, int]) -> None:
     """Write swept rows [r0, r1) as ``_write_rows`` writes those rows. A
     block of one value replaces every NUL with its decimal; per-row values

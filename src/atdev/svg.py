@@ -1,15 +1,14 @@
 """Static SVG rendering for curves, matrices, heat maps and bars.
 
 Deliberately small: axes, polylines, rect grids and text labels built
-from f-strings. The data files are the contract; these pictures are a
-convenience behind a CLI flag, with no styling knobs.
+from f-strings. The data files are the contract: each chart is drawn from
+its ``atdev/1`` JSON payload and a title alone, behind a CLI flag, with
+no styling knobs.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .data import EffectCurve
 
 __all__ = [
     "curve_chart",
@@ -17,6 +16,11 @@ __all__ = [
     "heatmap_chart",
     "bar_chart",
 ]
+
+# sizes in pixels: the curve and bar canvases, a matrix and a heat map cell
+_CURVE_W, _CURVE_H = 560, 380
+_BAR_W, _BAR_H = 460, 300
+_MATRIX_CELL, _HEAT_CELL = 130, 56
 
 _PALETTE = ("#1965b0", "#dc050c", "#4eb265", "#f7a800", "#882e72", "#777777")
 
@@ -77,68 +81,70 @@ def _frame(cv: _Canvas, x0, y0, w, h, xlim, ylim, xlab="", ylab=""):
         cv.line(x0, fy, x0 + w, fy, stroke="#ccc")
 
 
-def _scaled(grid, values, x0, y0, w, h, xlim, ylim):
-    gx = x0 + (grid - xlim[0]) / (xlim[1] - xlim[0]) * w
-    gy = y0 + h - (values - ylim[0]) / (ylim[1] - ylim[0]) * h
+def _scaled(c: dict, x0, y0, w, h, xlim, ylim):
+    """A curve payload's points in canvas coordinates."""
+    gx = x0 + np.subtract(c["grid"], xlim[0]) / (xlim[1] - xlim[0]) * w
+    gy = y0 + h - np.subtract(c["values"], ylim[0]) / (ylim[1] - ylim[0]) * h
     return list(zip(gx, gy))
 
 
-def _limits(curves: list[EffectCurve]) -> tuple[tuple[float, float], tuple[float, float]]:
-    xs = np.concatenate([c.grid for c in curves])
-    ys = np.concatenate([c.values for c in curves])
+def _limits(curves: list[dict]) -> tuple[tuple[float, float], tuple[float, float]]:
+    xs = np.concatenate([c["grid"] for c in curves])
+    ys = np.concatenate([c["values"] for c in curves])
     xlim = (float(xs.min()), float(xs.max()))
     lo, hi = float(ys.min()), float(ys.max())
     pad = 0.05 * (hi - lo) if hi > lo else 1.0
     return xlim, (lo - pad, hi + pad)
 
 
-def curve_chart(curves: list[EffectCurve], labels: list[str],
-                title: str = "", width: int = 560, height: int = 380) -> str:
-    """Overlay of one or more curves on shared axes with a legend."""
-    cv = _Canvas(width, height)
+def curve_chart(payload: dict, title: str) -> str:
+    """The payload's ``curves`` (label: curve) on shared axes, a legend."""
+    curves = payload["curves"]
+    cv = _Canvas(_CURVE_W, _CURVE_H)
     x0, y0 = 52, 34
-    w, h = width - x0 - 16, height - y0 - 52
-    xlim, ylim = _limits(curves)
-    cv.text(width / 2, 20, title, size=13, anchor="middle")
+    w, h = _CURVE_W - x0 - 16, _CURVE_H - y0 - 52
+    xlim, ylim = _limits(list(curves.values()))
+    cv.text(_CURVE_W / 2, 20, title, size=13, anchor="middle")
     _frame(cv, x0, y0, w, h, xlim, ylim)
-    for idx, (c, lab) in enumerate(zip(curves, labels)):
+    for idx, (lab, c) in enumerate(curves.items()):
         color = _PALETTE[idx % len(_PALETTE)]
-        cv.polyline(_scaled(c.grid, c.values, x0, y0, w, h, xlim, ylim), color)
+        cv.polyline(_scaled(c, x0, y0, w, h, xlim, ylim), color)
         cv.line(x0 + 8, y0 + 12 + 14 * idx, x0 + 28, y0 + 12 + 14 * idx,
                 stroke=color, width=2)
         cv.text(x0 + 33, y0 + 16 + 14 * idx, lab, size=10)
     return cv.to_string()
 
 
-def matrix_chart(bundle, cell_size: int = 130, title: str = "") -> str:
-    """Small-multiples grid of the p x p matrix cells; row = derivative
+def matrix_chart(payload: dict, title: str) -> str:
+    """Small-multiples grid of the p x p matrix ``cells``; row = derivative
     variable, column = conditioning variable."""
-    p = bundle.p
+    names, cells, size = payload["names"], payload["cells"], _MATRIX_CELL
+    p = len(names)
     pad, top = 46, 30
-    width = pad + p * cell_size + 10
-    height = top + p * cell_size + 34
+    width = pad + p * size + 10
+    height = top + p * size + 34
     cv = _Canvas(width, height)
     cv.text(width / 2, 18, title, size=13, anchor="middle")
-    _, ylim = _limits([c for row in bundle.cells for c in row])
+    _, ylim = _limits([c for row in cells for c in row])
     for i in range(p):
-        cv.text(pad - 6, top + i * cell_size + cell_size / 2, bundle.names[i],
+        cv.text(pad - 6, top + i * size + size / 2, names[i],
                 size=10, anchor="end")
         for j in range(p):
-            x0 = pad + j * cell_size + 4
-            y0 = top + i * cell_size + 4
-            w = h = cell_size - 10
+            x0 = pad + j * size + 4
+            y0 = top + i * size + 4
+            w = h = size - 10
             if i == 0:
-                cv.text(x0 + w / 2, top - 6, bundle.names[j], size=10,
+                cv.text(x0 + w / 2, top - 6, names[j], size=10,
                         anchor="middle")
-            cell = bundle.cell(i, j)
-            xlim = (float(cell.grid.min()), float(cell.grid.max()))
+            cell = cells[i][j]
+            xlim = (float(np.min(cell["grid"])), float(np.max(cell["grid"])))
             cv.rect(x0, y0, w, h, fill="#fcfcfc", stroke="#aaa")
             if ylim[0] < 0 < ylim[1]:
                 fy = y0 + h * (1 - (0 - ylim[0]) / (ylim[1] - ylim[0]))
                 cv.line(x0, fy, x0 + w, fy, stroke="#ddd")
             color = _PALETTE[0] if i == j else _PALETTE[1]
-            cv.polyline(_scaled(cell.grid, cell.values, x0, y0, w, h,
-                                xlim, ylim), color, width=1.2)
+            cv.polyline(_scaled(cell, x0, y0, w, h, xlim, ylim), color,
+                        width=1.2)
     return cv.to_string()
 
 
@@ -161,39 +167,41 @@ def _heat_color(frac: float) -> str:
     return f"rgb({r},{g},{b})"
 
 
-def heatmap_chart(h, title: str = "", cell: int = 56) -> str:
-    """Colored grid; signed scale is blue-white-red over [-1, 1],
-    nonnegative is dark-to-bright over [0, max]."""
-    p = len(h.names)
+def heatmap_chart(payload: dict, title: str) -> str:
+    """Colored grid of the payload's p x p ``values``; signed scale is
+    blue-white-red over [-1, 1], nonnegative is dark-to-bright over [0, max]."""
+    names, scale, values = payload["names"], payload["scale"], payload["values"]
+    p, cell = len(names), _HEAT_CELL
     pad, top = 52, 34
     cv = _Canvas(pad + p * cell + 12, top + p * cell + 30)
     cv.text((pad + p * cell) / 2, 18, title, size=13, anchor="middle")
-    vmax = float(np.max(h.values)) if h.scale == "nonnegative" else 1.0
+    vmax = float(np.max(values)) if scale == "nonnegative" else 1.0
     for i in range(p):
-        cv.text(pad - 6, top + i * cell + cell / 2 + 4, h.names[i],
+        cv.text(pad - 6, top + i * cell + cell / 2 + 4, names[i],
                 size=10, anchor="end")
-        cv.text(pad + i * cell + cell / 2, top + p * cell + 14, h.names[i],
+        cv.text(pad + i * cell + cell / 2, top + p * cell + 14, names[i],
                 size=10, anchor="middle")
         for j in range(p):
-            v = float(h.values[i, j])
-            fill = _signed_color(v) if h.scale == "signed" \
+            v = float(values[i][j])
+            fill = _signed_color(v) if scale == "signed" \
                 else _heat_color(v / vmax if vmax > 0 else 0.0)
             cv.rect(pad + j * cell, top + i * cell, cell, cell, fill=fill,
                     stroke="#fff")
-            dark = abs(v) < 0.55 * vmax if h.scale == "nonnegative" else abs(v) < 0.6
+            dark = abs(v) < 0.55 * vmax if scale == "nonnegative" else abs(v) < 0.6
             cv.text(pad + j * cell + cell / 2, top + i * cell + cell / 2 + 4,
                     f"{v:.2g}", size=9, anchor="middle",
-                    color="#eee" if dark and h.scale == "nonnegative" else "#222")
+                    color="#eee" if dark and scale == "nonnegative" else "#222")
     return cv.to_string()
 
 
-def bar_chart(names: list[str], values: np.ndarray, title: str = "",
-              width: int = 460, height: int = 300) -> str:
-    cv = _Canvas(width, height)
+def bar_chart(payload: dict, title: str) -> str:
+    """One bar per name of the payload's nonnegative ``values``."""
+    names, values = payload["names"], payload["values"]
+    cv = _Canvas(_BAR_W, _BAR_H)
     x0, y0 = 52, 34
-    w, h = width - x0 - 16, height - y0 - 52
+    w, h = _BAR_W - x0 - 16, _BAR_H - y0 - 52
     vmax = float(np.max(values)) if len(values) and np.max(values) > 0 else 1.0
-    cv.text(width / 2, 20, title, size=13, anchor="middle")
+    cv.text(_BAR_W / 2, 20, title, size=13, anchor="middle")
     cv.rect(x0, y0, w, h, fill="#fcfcfc", stroke="#999")
     cv.text(x0 - 4, y0 + 9, f"{vmax:.3g}", size=9, anchor="end")
     cv.text(x0 - 4, y0 + h, "0", size=9, anchor="end")

@@ -194,8 +194,8 @@ def test_a06_transfer_is_asymmetric_under_directed_dependence(d623):
     cell is flat and the variance table is lopsided."""
     model = catalog_model("case_623")
     em = effect_matrix(Estimation(model, d623), CurveKind.ATDEV)
-    flat = uncentered_max(em.cell(4, 2))
-    spread = em.cell(2, 4).values
+    flat = uncentered_max(em.cells[4][2])
+    spread = em.cells[2][4].values
     rng_ = float(spread.max() - spread.min())
     assert flat < 0.02, f"mirror cell amplitude {flat:.4f}"
     assert rng_ > 0.2, f"transfer cell range {rng_:.4f}"

@@ -13,6 +13,7 @@ from atdev import (Dataset, SimSpec, catalog_model, generate, load_csv,
                    save_csv)
 import atdev.cli
 import atdev.io
+import atdev.svg as asvg
 from atdev.cli import main
 from atdev.models import Predictor
 from conftest import SCORER
@@ -367,6 +368,18 @@ class TestConfigPrecedence:
         rc = main(["effects", "--config", str(tmp_path / "absent.json")])
         assert rc == 1
 
+    @pytest.mark.parametrize("kind, message", [
+        ("directory", "cannot read config file"),
+        ("not-utf8", "is not valid JSON")])
+    def test_unreadable_config_file(self, tmp_path, capsys, kind, message):
+        cfg = tmp_path
+        if kind == "not-utf8":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_bytes(b'{"k_bins": \xff}')
+        assert main(["effects", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err
+
     def test_out_dir_env_fallback(self, tmp_path, monkeypatch):
         target = tmp_path / "from_env"
         monkeypatch.setenv("ATDEV_OUT_DIR", str(target))
@@ -554,6 +567,36 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
         assert not list(out.glob("*.json")) and not list(out.glob("*.csv"))
 
+
+    @pytest.mark.parametrize("case", ["data-dir", "weights-dir",
+                                      "out-dir-file", "a/b", "a\0b"])
+    def test_unusable_path_exits_2_with_one_line(self, data622, tmp_path,
+                                                 capsys, case):
+        # An OS error on an input or output path, and a variable name that
+        # is not one file-name component, are data errors: exit 2, one
+        # "error:" line, no traceback and no file left.
+        run = ["importance", "--data", data622, "--response", "y",
+               "--model-id", "case_622"]
+        out = tmp_path / "out"
+        if case == "data-dir":
+            run[2] = str(tmp_path)
+        elif case == "weights-dir":
+            run[-2:] = ["--mlp-weights", str(tmp_path)]
+        elif case == "out-dir-file":
+            out.write_text("")
+        else:  # a variable name that cannot be part of a file name
+            d = load_csv(data622, has_response=True, response_name="y")
+            path = tmp_path / "named.csv"
+            save_csv(Dataset(names=["x1", case, "x3"], columns=d.matrix(),
+                             response=d.response), path)
+            run = ["effects", "--data", str(path), "--response", "y",
+                   "--model-id", "case_622", "--k-bins", "10"]
+        assert main([*run, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if case.startswith("a"):
+            assert repr(case) in err
+            assert not list(out.rglob("*"))
 
     def test_non_utf8_scorer_output_exits_2(self, data622, tmp_path, capsys):
         out = tmp_path / "broken"
@@ -900,6 +943,37 @@ class TestOutputNames:
         assert rc == 0
         assert {p.name for p in out.iterdir()} == \
             files | jsons | (svgs if svg else set())
+
+
+# stem prefix: (chart, the title the command gives it, from its payload)
+_CHARTS = {
+    "overlay_": (asvg.curve_chart, lambda payload: payload["variable"]),
+    "matrix_": (asvg.matrix_chart, lambda payload: payload["kind"]),
+    "components_heatmap": (asvg.heatmap_chart,
+                           lambda payload: "effect components"),
+    "correlation_heatmap": (asvg.heatmap_chart, lambda payload: "correlation"),
+    "component_totals_bars": (asvg.bar_chart, lambda payload: payload["label"]),
+    "derivative_energy_bars": (asvg.bar_chart,
+                               lambda payload: payload["label"]),
+}
+
+
+class TestChartsFromPayloads:
+    def test_each_svg_is_drawn_from_its_json_alone(self, data622, tmp_path):
+        out = tmp_path / "out"
+        for command in (["effects"], ["matrix", "--kind", "ATDEV"],
+                        ["matrix", "--kind", "LE"], ["heatmap"]):
+            assert main([*command, "--data", data622, "--response", "y",
+                         "--model-id", "case_622", "--k-bins", "12",
+                         "--out-dir", str(out), "--svg"]) == 0
+        svgs = sorted(out.glob("*.svg"))
+        assert len(svgs) == 6 + 2 + 4
+        for path in svgs:
+            (chart, title), = [v for prefix, v in _CHARTS.items()
+                               if path.stem.startswith(prefix)]
+            payload = load_json(path.with_suffix(".json"))
+            assert chart(payload, title(payload)).encode() == \
+                path.read_bytes(), path.name
 
 
 class TestNonFiniteEstimates:

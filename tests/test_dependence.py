@@ -127,22 +127,22 @@ class TestCorrMatrix:
     def test_strong_pairwise_structure(self, d621):
         cm = corr_matrix(d621)
         # signs follow the generating equations; magnitudes are stable
-        assert abs(cm.values[0, 1] - 0.9773) < 0.005
-        assert abs(cm.values[0, 2] - (-0.9853)) < 0.005
-        assert abs(cm.values[1, 2] - (-0.9627)) < 0.005
+        assert abs(cm[0, 1] - 0.9773) < 0.005
+        assert abs(cm[0, 2] - (-0.9853)) < 0.005
+        assert abs(cm[1, 2] - (-0.9627)) < 0.005
 
     def test_symmetric_unit_diagonal(self, d621):
         cm = corr_matrix(d621)
-        assert np.allclose(cm.values, cm.values.T, atol=1e-12)
-        assert np.allclose(np.diag(cm.values), 1.0)
-        assert np.all(np.abs(cm.values) <= 1.0 + 1e-12)
+        assert np.allclose(cm, cm.T, atol=1e-12)
+        assert np.allclose(np.diag(cm), 1.0)
+        assert np.all(np.abs(cm) <= 1.0 + 1e-12)
 
     def test_self_and_mirror(self):
         x = np.random.default_rng(8).normal(size=500)
         d = Dataset(names=["a", "b"], columns=[x, -x])
         cm = corr_matrix(d)
-        assert np.isclose(cm.values[0, 0], 1.0)
-        assert np.isclose(cm.values[0, 1], -1.0)
+        assert np.isclose(cm[0, 0], 1.0)
+        assert np.isclose(cm[0, 1], -1.0)
 
     def test_constant_column_rejected(self):
         d = Dataset(names=["a", "b"], columns=[np.zeros(9), np.arange(9.0)])
@@ -160,8 +160,8 @@ class TestCorrMatrix:
             warnings.simplefilter("error")
             cm = corr_matrix(Dataset(names=["a", "b", "c"], columns=cols))
         want = np.corrcoef([cols[0], cols[1] * 1e-160, cols[2]])
-        assert np.allclose(cm.values, want, rtol=1e-12, atol=0.0)
-        assert abs(cm.values[0, 1]) > 0.01
+        assert np.allclose(cm, want, rtol=1e-12, atol=0.0)
+        assert abs(cm[0, 1]) > 0.01
 
 
 class TestConstantColumns:
@@ -192,7 +192,7 @@ class TestConstantColumns:
         assert np.all(np.isfinite(dep.slopes))
         assert abs(ols_line(a, b)[0] / 1e170 - 1.0) < 0.05
         want = np.corrcoef(a * 1e170, b)[0, 1]
-        assert abs(corr_matrix(d).values[0, 1] - want) < 1e-12
+        assert abs(corr_matrix(d)[0, 1] - want) < 1e-12
 
 
 class TestExtremeScales:

@@ -304,16 +304,16 @@ class TestEffectMatrix:
             for j in range(5):
                 if i == j:
                     continue
-                mask = inner_mask(d61.column(j), em.cell(i, j).grid)
-                assert uncentered_max(em.cell(i, j), mask) < 0.02
+                mask = inner_mask(d61.column(j), em.cells[i][j].grid)
+                assert uncentered_max(em.cells[i][j], mask) < 0.02
 
     def test_absent_variable_cell_is_dark(self, d623):
         model = catalog_model("case_623")
         em = effect_matrix(Estimation(model, d623), CurveKind.ATDEV)
         # x5 never enters the response: nothing transfers through it
-        assert uncentered_max(em.cell(4, 2)) < 1e-12
+        assert uncentered_max(em.cells[4][2]) < 1e-12
         # but x3's effect transfers onto the x5 axis
-        spread = em.cell(2, 4).values
+        spread = em.cells[2][4].values
         assert float(spread.max() - spread.min()) > 0.2
 
     def test_totals_are_cell_sums_and_match_standalone(self, d622):
@@ -321,7 +321,7 @@ class TestEffectMatrix:
         ctx = Estimation(model, d622)
         em = effect_matrix(ctx, CurveKind.ATDEV)
         for j in range(3):
-            summed = np.sum([em.cell(i, j).values for i in range(3)], axis=0)
+            summed = np.sum([em.cells[i][j].values for i in range(3)], axis=0)
             assert np.allclose(em.totals[j].values, summed, atol=1e-12)
             standalone = center(atdev(ctx, j))
             assert np.allclose(em.totals[j].values, standalone.values,
@@ -332,7 +332,7 @@ class TestEffectMatrix:
         em = effect_matrix(Estimation(model, d61, k_bins=30), CurveKind.LE)
         assert em.totals is None
         # constant own derivative centers away to nothing
-        assert uncentered_max(em.cell(0, 0)) < 1e-12
+        assert uncentered_max(em.cells[0][0]) < 1e-12
 
     def test_matrix_kind_validation(self, d61):
         with pytest.raises(DataError):
@@ -346,7 +346,7 @@ class TestEffectMatrix:
         ctx = Estimation(model, d, k_bins=20)
         em = effect_matrix(ctx, CurveKind.ATDEV)
         own = center(ale(ctx, 0))
-        assert np.allclose(em.cell(0, 0).values, own.values, atol=1e-12)
+        assert np.allclose(em.cells[0][0].values, own.values, atol=1e-12)
         assert np.allclose(em.totals[0].values, own.values, atol=1e-12)
 
 

@@ -16,10 +16,7 @@ from atdev.errors import DataError, NumericalError
 from atdev.importance import ImportanceReport
 from atdev.io import (
     SCHEMA,
-    BarData,
-    HeatMapData,
     bars_to_dict,
-    corr_to_heatmap,
     curve_to_dict,
     curves_to_csv,
     heatmap_to_dict,
@@ -117,6 +114,54 @@ class TestCurveCsv:
             assert np.array_equal(cells[:, 2], c.counts)
 
 
+def csv_writer_curves(curves) -> str:
+    """curves_to_csv through the csv module: a repr per float cell."""
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(["kind", "j", "k", "grid", "value", "count"])
+    for c in curves:
+        for g, v, n in zip(c.grid, c.values, c.counts):
+            w.writerow([c.kind.value, c.j, "" if c.k is None else c.k,
+                        repr(float(g)), repr(float(v)), repr(float(n))])
+    return out.getvalue()
+
+
+def csv_writer_report(r) -> str:
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(["i", "j", "v_ij"])
+    for i in range(r.p):
+        for j in range(r.p):
+            w.writerow([i, j, repr(float(r.v[i, j]))])
+    return out.getvalue()
+
+
+class TestCsvText:
+    """The CSV writers format a block of rows per operation, and write
+    what the csv module writes with a repr per float cell."""
+
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 8193])
+    def test_curves_equal_the_csv_module(self, n):
+        rng = np.random.default_rng(n)
+        curves = []
+        for seed, kind, k in ((n, CurveKind.ALE, None),
+                              (n + 1, CurveKind.ACE, 2)):
+            grid = np.unique(float_array(n + 20, seed))[:n]
+            curves.append(EffectCurve(
+                kind=kind, j=1, k=k, grid=grid,
+                values=float_array(n, seed + 7),
+                counts=rng.integers(0, 10**6, n).astype(np.float64)))
+        assert curves_to_csv(curves) == csv_writer_curves(curves)
+
+    @pytest.mark.parametrize("p", [1, 3, 70])
+    def test_report_equals_the_csv_module(self, p):
+        v = np.abs(float_array(p * p, p)).reshape(p, p)
+        v[v > 1e305] = 1e305
+        r = ImportanceReport(names=tuple(f"x{i}" for i in range(p)), v=v,
+                             v_plus=v.sum(axis=0), dgsm=np.ones(p))
+        assert report_to_csv(r) == csv_writer_report(r)
+
+
 class TestMatrixBundle:
     def test_round_trip(self):
         em, _ = small_matrix()
@@ -126,7 +171,7 @@ class TestMatrixBundle:
         for i in range(2):
             for j in range(2):
                 assert np.array_equal(back["cells"][i][j]["values"],
-                                      em.cell(i, j).values)
+                                      em.cells[i][j].values)
         assert len(back["totals"]) == 2
         for a, b in zip(back["totals"], em.totals):
             assert np.array_equal(a["values"], b.values)
@@ -142,49 +187,46 @@ class TestMatrixBundle:
 class TestHeatMap:
     def test_signed_must_be_symmetric(self):
         with pytest.raises(DataError):
-            HeatMapData(names=("a", "b"),
-                        values=np.array([[1.0, 0.5], [0.2, 1.0]]),
-                        scale="signed")
+            heatmap_to_dict(("a", "b"), np.array([[1.0, 0.5], [0.2, 1.0]]),
+                            "signed")
 
     def test_nonnegative_rejects_negatives(self):
         with pytest.raises(DataError):
-            HeatMapData(names=("a", "b"),
-                        values=np.array([[1.0, -0.5], [0.2, 1.0]]),
-                        scale="nonnegative")
+            heatmap_to_dict(("a", "b"), np.array([[1.0, -0.5], [0.2, 1.0]]),
+                            "nonnegative")
 
     def test_unknown_scale(self):
         with pytest.raises(DataError):
-            HeatMapData(names=("a",), values=np.ones((1, 1)), scale="rainbow")
+            heatmap_to_dict(("a",), np.ones((1, 1)), "rainbow")
 
     def test_shape_must_match_names(self):
         with pytest.raises(DataError):
-            HeatMapData(names=("a", "b"), values=np.ones((3, 3)),
-                        scale="nonnegative")
+            heatmap_to_dict(("a", "b"), np.ones((3, 3)), "nonnegative")
 
     def test_correlation_round_trip(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=400)
         d = Dataset(names=["a", "b"], columns=[x, x + rng.normal(size=400)])
-        h = corr_to_heatmap(corr_matrix(d))
-        assert h.scale == "signed"
-        back = through_json(heatmap_to_dict(h))
-        assert np.array_equal(back["values"], h.values)
-        assert back["names"] == list(h.names)
+        values = corr_matrix(d)
+        h = heatmap_to_dict(d.names, values, "signed")
+        assert h["scale"] == "signed"
+        back = through_json(h)
+        assert np.array_equal(back["values"], values)
+        assert back["names"] == list(d.names)
         assert back["scale"] == "signed"
 
 
 class TestBarsAndReport:
     def test_bars_round_trip(self):
-        b = BarData(label="energy", names=("x1", "x2"),
-                    values=np.array([1.5, 0.25]))
-        back = through_json(bars_to_dict(b))
+        values = np.array([1.5, 0.25])
+        back = through_json(bars_to_dict("energy", ("x1", "x2"), values))
         assert back["label"] == "energy"
         assert back["names"] == ["x1", "x2"]
-        assert np.array_equal(back["values"], b.values)
+        assert np.array_equal(back["values"], values)
 
     def test_bars_length_mismatch(self):
         with pytest.raises(DataError):
-            BarData(label="x", names=("a",), values=np.array([1.0, 2.0]))
+            bars_to_dict("x", ("a",), np.array([1.0, 2.0]))
 
     def test_report_round_trip(self):
         v = np.array([[0.5, 0.1], [0.0, 0.2]])

@@ -18,6 +18,7 @@ from atdev import (Estimation, SimSpec, catalog_model, custom_model, fit_mlp,
 from atdev.data import Dataset
 from atdev.errors import DataError, ModelError, NumericalError
 from atdev.gradients import check_gradient, fd_step, gradient_table
+from atdev.io import write_json
 from atdev.models import (CATALOG_IDS, ROW_BUDGET, AnalyticModel, MlpModel,
                           Predictor, _parse_scores, _write_rows)
 from helpers import failing_open, take
@@ -317,7 +318,7 @@ class TestMlp:
     def test_weights_round_trip(self, tmp_path, mlp61):
         model, _, train = mlp61
         path = tmp_path / "w.json"
-        model.save(path)
+        write_json(path, model.to_dict())
         back = MlpModel.load(path)
         x = train.matrix()[:50]
         assert np.array_equal(back.predict(x), model.predict(x))
@@ -326,7 +327,7 @@ class TestMlp:
         monkeypatch.setattr(atdev.data, "open", failing_open(0),
                             raising=False)
         with pytest.raises(OSError, match="No space left"):
-            mlp61[0].save(tmp_path / "w.json")
+            write_json(tmp_path / "w.json", mlp61[0].to_dict())
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("change, message", [
@@ -352,6 +353,12 @@ class TestMlp:
             MlpModel.load(bad)
         with pytest.raises(ModelError):
             MlpModel.load(tmp_path / "absent.json")
+
+    def test_weights_file_that_is_not_utf8(self, tmp_path):
+        bad = tmp_path / "w.json"
+        bad.write_bytes(b"\xff{}")
+        with pytest.raises(ModelError, match="bad weights file"):
+            MlpModel.load(bad)
 
 
 def split(d: Dataset, n_train: int) -> tuple[Dataset, Dataset]:
@@ -614,6 +621,23 @@ class TestRowBudget:
         # unblocked N x 40 layer would add 8 * 6R * 40 bytes.
         assert above_output[1] <= above_output[0] + 6 * ROW_BUDGET * 5 + 4096
         assert above_output[0] < 2 * BLOCK * 40 * 8
+
+    def test_sweep_template_holds_little_beyond_its_text(self):
+        # The template's text and its 8-byte row offsets grow with N; a
+        # str, bytes and list-of-ints copy of all N rows would add about
+        # 90 bytes a row more.
+        rng = np.random.default_rng(9)
+        above_text, sizes = [], (25_000, 100_000)
+        for n in sizes:
+            x = rng.uniform(-1.0, 1.0, (n, 5))
+            tracemalloc.start()
+            try:
+                body, _ = models._row_template(x, 2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            above_text.append(peak - len(body))
+        assert above_text[1] - above_text[0] <= 48 * (sizes[1] - sizes[0])
 
 
 class TestExternal:

@@ -52,7 +52,7 @@ def test_matrix_totals_are_centered_atdev(problem):
     for j in range(d.p):
         standalone = center(atdev(ctx, j))
         assert close(em.totals[j].values, standalone.values)
-        summed = np.sum([em.cell(i, j).values for i in range(d.p)], axis=0)
+        summed = np.sum([em.cells[i][j].values for i in range(d.p)], axis=0)
         assert close(em.totals[j].values, summed)
 
 
@@ -66,9 +66,9 @@ def test_matrix_cells_are_centered_standalone_curves(problem):
     for j in range(d.p):
         for i in range(d.p):
             own = ale(ctx, j) if i == j else ace(ctx, i, j)
-            assert close(em.cell(i, j).values, center(own).values)
+            assert close(em.cells[i][j].values, center(own).values)
             local = le_curve(ctx, i, j)
-            assert close(le.cell(i, j).values, center(local).values)
+            assert close(le.cells[i][j].values, center(local).values)
 
 
 @settings(max_examples=40, deadline=None)
