@@ -268,7 +268,8 @@ def load_csv(path: str | Path, has_response: bool = False,
     With ``has_response``, the response column is picked by name
     (defaulting to the last column). Any cell that does not parse as a
     finite number is reported with its row and column location. A UTF-8
-    byte-order mark before the header is dropped.
+    byte-order mark before the header is dropped; bytes that are not
+    UTF-8 are a ``DataError``.
 
     A file is parsed once per content: its parsed body is kept in ``$XDG_CACHE_HOME/atdev/csv-1/`` (``~/.cache/atdev/csv-1/``
     by default) under the blake2b digest of the file's bytes, and a later
@@ -281,27 +282,30 @@ def load_csv(path: str | Path, has_response: bool = False,
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if len(set(header)) != len(header):
-            raise DataError(f"{path}: duplicate column names in header")
-        lines, digest, stamp = _scan(path)
-        entry = _cache_entry(digest)
-        body = None if entry is None else _read_entry(entry, len(header),
-                                                       lines - 1)
-        parsed = body is None
-        if parsed:
-            # A quoted header cell may span lines, which skiprows=1 would
-            # miss.
-            if reader.line_num == 1:
-                body = _fast_body(path, len(header), lines - 1)
-            if body is None:
-                body = _parse_cells(path, reader, header)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            header = [h.strip() for h in header]
+            if len(set(header)) != len(header):
+                raise DataError(f"{path}: duplicate column names in header")
+            lines, digest, stamp = _scan(path)
+            entry = _cache_entry(digest)
+            body = None if entry is None else _read_entry(
+                entry, len(header), lines - 1)
+            parsed = body is None
+            if parsed:
+                # A quoted header cell may span lines, which skiprows=1
+                # would miss.
+                if reader.line_num == 1:
+                    body = _fast_body(path, len(header), lines - 1)
+                if body is None:
+                    body = _parse_cells(path, reader, header)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     data = body
     response = None
     if has_response:

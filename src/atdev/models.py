@@ -15,12 +15,12 @@ import os
 import select
 import subprocess
 import tempfile
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class Predictor:
     ``gradient`` returning N x p partial derivatives."""
 
     p: int
-    has_analytic_gradient: bool = False
+    has_analytic_gradient: ClassVar[bool] = False
     _block_rows: int | None = None  # None: ROW_BUDGET
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -120,16 +120,13 @@ class Predictor:
     def _blocked(self, x: np.ndarray, evaluate, width: int | None = None
                  ) -> np.ndarray:
         """Check x, then fill one preallocated output (N values, or N x
-        width) from x's blocks of at most ``_block_rows`` rows (by default
-        ``ROW_BUDGET``). ``evaluate`` maps the iterator of blocks to an
-        iterator of their results, in order."""
+        width) with ``evaluate`` of each of x's blocks of at most
+        ``_block_rows`` rows (by default ``ROW_BUDGET``)."""
         x = self._check_input(x)
         out = np.empty(len(x) if width is None else (len(x), width))
-        starts = range(0, len(x), self._block_rows or ROW_BUDGET)
-        results = evaluate(x[s:s + starts.step] for s in starts)
-        # results first, so that evaluate runs to its end
-        for values, s in zip(results, starts):
-            out[s:s + len(values)] = values
+        step = self._block_rows or ROW_BUDGET
+        for s in range(0, len(x), step):
+            out[s:s + step] = evaluate(x[s:s + step])
         return out
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
@@ -171,7 +168,7 @@ class AnalyticModel(Predictor):
     p: int
     terms: tuple[Term, ...]
     model_id: str = "custom"
-    has_analytic_gradient: bool = True
+    has_analytic_gradient: ClassVar[bool] = True
 
     def __post_init__(self):
         if not self.terms:
@@ -184,10 +181,10 @@ class AnalyticModel(Predictor):
                     raise ModelError("term powers must be >= 1 (constants: empty dict)")
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self._blocked(x, partial(map, self._predict_rows))
+        return self._blocked(x, self._predict_rows)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self._blocked(x, partial(map, self._gradient_rows), self.p)
+        return self._blocked(x, self._gradient_rows, self.p)
 
     def _predict_rows(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros(len(x))
@@ -305,7 +302,7 @@ class MlpModel(Predictor):
     b1: np.ndarray  # H
     w2: np.ndarray  # H
     b2: float
-    has_analytic_gradient: bool = True
+    has_analytic_gradient: ClassVar[bool] = True
     _block_rows = 1024
 
     @property
@@ -317,10 +314,10 @@ class MlpModel(Predictor):
         return self.w1.shape[0]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self._blocked(x, partial(map, self._predict_rows))
+        return self._blocked(x, self._predict_rows)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self._blocked(x, partial(map, self._gradient_rows), self.p)
+        return self._blocked(x, self._gradient_rows, self.p)
 
     def _hidden(self, x: np.ndarray) -> np.ndarray:
         """tanh(W1 x + b1) for each row, in one array."""
@@ -558,23 +555,22 @@ _TIMEOUT_S = 600
 
 
 class ExternalModel(Predictor):
-    """Scores rows through a child process, one spawn per block of at
-    most ``ROW_BUDGET`` rows: a block of ``predict``, or a chunk of a
-    column sweep, whose request is assembled from each cell of x outside
-    the swept column formatted once.
+    """Scores rows through a child process, one spawn per chunk of at
+    most ``ROW_BUDGET`` rows of a column sweep. ``predict`` is the one
+    block of a sweep that sets column 0 to itself, so every request,
+    observed rows included, is assembled from each cell of x outside the
+    swept column formatted once.
 
     Wire format: a header line ``N p``, then N rows of p space-separated
     decimals (Python ``repr`` of each float64) on stdin; the child must
     answer with exactly N lines of one decimal each and exit 0. Anything
     else, output that is not UTF-8 text included, is a protocol error.
     The request, the answer and the child's stderr all pass through
-    temporary files, so no child blocks on a full pipe. Calls are
-    serialized with a lock so the facade is thread-safe, but one call may
-    have two children running: the next block's scorer starts while the
+    temporary files, so no child blocks on a full pipe. Concurrent calls
+    share no state: each has its own scorers and files. One call may
+    have two children running: the next chunk's scorer starts while the
     previous one's answer is awaited.
     """
-
-    has_analytic_gradient = False
 
     def __init__(self, cmd: list[str], p: int):
         if not cmd:
@@ -583,39 +579,35 @@ class ExternalModel(Predictor):
             raise ModelError("arity must be >= 1")
         self.cmd = list(cmd)
         self.p = p
-        self._lock = threading.Lock()
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self._blocked(x, lambda blocks: self._scores(
-            (len(b), partial(_write_rows, x=b)) for b in blocks))
+        x = self._check_input(x)
+        if len(x) == 0:
+            return np.empty(0)
+        # the one block, unpacked, so the sweep runs to its end
+        (scores,) = self.sweep(x, 0, x[None, :, 0])
+        return scores
 
     def _score_swept(self, x: np.ndarray, j: int, values: np.ndarray, chunks):
         """One spawn a chunk, written without building it: x is formatted
         once per sweep, with a NUL for column j, and a block's rows are a
-        slice of that text with each NUL filled by the block's decimals."""
+        slice of that text with each NUL filled by the block's decimals.
+        Up to ``_IN_FLIGHT`` scorers run at once; when one fails, the
+        others are killed and reaped before the error propagates."""
         template = _row_template(x, j)
-        return self._scores((r1 - r0, partial(_write_swept, template=template,
-                                              p=self.p, values=values,
-                                              rows=(r0, r1)))
-                            for r0, r1 in chunks)
-
-    def _scores(self, spawns):
-        """Score each ``(rows, write)`` request in order, yielding its
-        scores, under the lock. Up to ``_IN_FLIGHT`` scorers run at once;
-        when one fails, the others are killed and reaped before the error
-        propagates."""
         running: deque[_Scorer] = deque()
-        with self._lock:
-            try:
-                for rows, write in spawns:
-                    if len(running) == _IN_FLIGHT:
-                        yield running.popleft().scores()
-                    running.append(_Scorer(self.cmd, rows, write))
-                while running:
+        try:
+            for r0, r1 in chunks:
+                if len(running) == _IN_FLIGHT:
                     yield running.popleft().scores()
-            finally:
-                for child in running:
-                    child.close()
+                running.append(_Scorer(self.cmd, r1 - r0, partial(
+                    _write_swept, template=template, p=self.p,
+                    values=values, rows=(r0, r1))))
+            while running:
+                yield running.popleft().scores()
+        finally:
+            for child in running:
+                child.close()
 
 
 class _Scorer:
@@ -686,15 +678,6 @@ def _wait(proc: subprocess.Popen, timeout: float) -> None:
     proc.wait()
 
 
-def _write_rows(f, x: np.ndarray) -> None:
-    """Write the request (header, then one line of ``repr`` decimals per
-    row) to the binary file f, a block of rows per format operation."""
-    n, p = x.shape
-    f.write(f"{n} {p}\n".encode())
-    for text in _format_rows(x, " ".join(["%r"] * p) + "\n"):
-        f.write(text.encode())
-
-
 def _row_template(x: np.ndarray, j: int) -> tuple[bytearray, np.ndarray]:
     """The request body of x with a NUL byte in place of column j, and the
     offset of each row's first byte plus the body's length (N + 1 int64
@@ -716,10 +699,11 @@ def _row_template(x: np.ndarray, j: int) -> tuple[bytearray, np.ndarray]:
 
 def _write_swept(f, template: tuple[bytearray, np.ndarray], p: int,
                  values: np.ndarray, rows: tuple[int, int]) -> None:
-    """Write swept rows [r0, r1) as ``_write_rows`` writes those rows. A
-    block of one value replaces every NUL with its decimal; per-row values
-    fill the NULs of ``_FORMAT_ROWS`` rows at a time in one format (float
-    decimals hold no other ``%``)."""
+    """Write the request of swept rows [r0, r1): the header, then one
+    line of ``repr`` decimals a row. A block of one value replaces every
+    NUL with its decimal; per-row values fill the NULs of ``_FORMAT_ROWS``
+    rows at a time in one format (float decimals hold no other ``%``, and
+    ``%a`` of a float is its ``repr``)."""
     (body, starts), (r0, r1) = template, rows
     f.write(f"{r1 - r0} {p}\n".encode())
     for g, i0, i1 in _segments(len(starts) - 1, r0, r1):

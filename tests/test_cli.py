@@ -598,6 +598,17 @@ class TestExitCodes:
             assert repr(case) in err
             assert not list(out.rglob("*"))
 
+    def test_non_utf8_data_exits_2_with_one_line(self, tmp_path, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes("x1,x2,y\n1,2,3\n4,5,\u00e9\n".encode("latin-1"))
+        rc = main(["importance", "--data", str(data), "--response", "y",
+                   "--model-id", "multiplicative",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not UTF-8 text" in err
+
     def test_non_utf8_scorer_output_exits_2(self, data622, tmp_path, capsys):
         out = tmp_path / "broken"
         cmd = f"{shlex.quote(sys.executable)} {shlex.quote(str(SCORER))} binary"

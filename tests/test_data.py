@@ -155,6 +155,26 @@ class TestLoadCsv:
         assert by_name.names == ["x2", "y"]
         assert np.array_equal(by_name.response, [1.0, 4.0])
 
+    def test_non_utf8_header_is_a_data_error(self, tmp_path):
+        # A UTF-16 byte-order mark: the header read fails to decode.
+        f = tmp_path / "t.csv"
+        f.write_bytes(b"\xff\xfe" + "x1,y\n1,2\n".encode("utf-16-le"))
+        with pytest.raises(DataError) as exc:
+            load_csv(f)
+        assert str(exc.value).startswith(f"{f}: not UTF-8 text")
+
+    def test_non_utf8_byte_deep_in_the_body_is_a_data_error(self, tmp_path):
+        # Past the first 8 KiB, np.loadtxt turns the body down and the
+        # cell parser's read is the one that fails to decode.
+        f = tmp_path / "t.csv"
+        body = ["0.5,0.25"] * 5_000
+        body[4_000] = "0.5,\xff"
+        f.write_bytes(("x1,x2\n" + "\n".join(body) + "\n").encode("latin-1"))
+        assert f.read_bytes().index(b"\xff") > 8192
+        with pytest.raises(DataError) as exc:
+            load_csv(f)
+        assert str(exc.value).startswith(f"{f}: not UTF-8 text")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_csv(tmp_path / "absent.csv")

@@ -1,9 +1,11 @@
 """Predictor backends: polynomial catalog, trained network, external
 scoring process."""
 
+import dataclasses
 import io
 import os
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -20,7 +22,8 @@ from atdev.errors import DataError, ModelError, NumericalError
 from atdev.gradients import check_gradient, fd_step, gradient_table
 from atdev.io import write_json
 from atdev.models import (CATALOG_IDS, ROW_BUDGET, AnalyticModel, MlpModel,
-                          Predictor, _parse_scores, _write_rows)
+                          Predictor, _parse_scores, _row_template,
+                          _write_swept)
 from helpers import failing_open, take
 from mlp_reference import reference_fit_mlp
 
@@ -54,6 +57,17 @@ class TestAnalytic:
         want = (0.2 + (3 * 0.25 - 1) / 2 + (4 * (-0.064) - 3 * (-0.4)) / 2
                 + 0.8 * 0.5 * 0.1)
         assert np.isclose(m.predict(x)[0], want)
+
+    def test_analytic_gradient_is_a_class_attribute(self):
+        # Not a dataclass field, so no constructor can switch a closed-form
+        # gradient over to finite differences.
+        for cls in (AnalyticModel, MlpModel):
+            assert "has_analytic_gradient" not in {
+                f.name for f in dataclasses.fields(cls)}
+            assert cls.has_analytic_gradient
+        with pytest.raises(TypeError):
+            AnalyticModel(p=1, terms=((1.0, {0: 1}),),
+                          has_analytic_gradient=False)
 
     def test_unused_column_has_zero_gradient(self):
         m = catalog_model("case_623")
@@ -676,6 +690,39 @@ class TestExternal:
         with pytest.raises(ModelError):
             ext.predict(np.zeros((2, 2)))
 
+    def test_no_rows_spawn_nothing(self):
+        # The command cannot be spawned, so any spawn would raise.
+        ext = wrap_external(["/no/such/binary"], p=2)
+        out = ext.predict(np.empty((0, 2)))
+        assert out.shape == (0,) and out.dtype == np.float64
+        with pytest.raises(ModelError, match="width"):
+            ext.predict(np.empty((0, 3)))
+
+    def test_calls_inside_an_open_sweep_do_not_block(self, scorer_path,
+                                                      monkeypatch):
+        # A predict and a second sweep while a sweep is open, with one of
+        # its scorers still running: calls share no state, so neither
+        # waits for the open sweep. Run in a thread so that a hang fails.
+        monkeypatch.setattr(models, "ROW_BUDGET", 7)
+        ext = wrap_external([sys.executable, scorer_path, "sum"], p=2)
+        x = np.arange(10.0).reshape(5, 2)
+        results = []
+
+        def run():
+            for block in ext.sweep(x, 0, [[0.0], [1.0], [2.0]]):
+                results.append((block, ext.predict(x),
+                                list(ext.sweep(x, 1, [[-1.0]]))))
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "a call inside an open sweep hung"
+        assert len(results) == 3
+        for z, (block, scores, (second,)) in enumerate(results):
+            assert np.array_equal(block, z + x[:, 1])
+            assert np.array_equal(scores, x.sum(axis=1))
+            assert np.array_equal(second, x[:, 0] - 1.0)
+
     def test_no_analytic_gradient(self, scorer_path):
         ext = wrap_external([sys.executable, scorer_path], p=2)
         assert not ext.has_analytic_gradient
@@ -690,6 +737,8 @@ class TestExternal:
         assert np.array_equal(ext.predict(x), x[:, 0])
         assert sorted(len(parse_request(r)) for r in recorded(tmp_path)) \
             == [6, 7, 7]
+        assert recorded(tmp_path) == sorted(
+            per_cell_writer(x[s:s + 7]) for s in range(0, 20, 7))
 
     def test_empty_command_rejected(self):
         with pytest.raises(ModelError):
@@ -781,23 +830,30 @@ class TestWire:
     EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, 1e16, 1e-5, 0.1,
                 -1.7976931348623157e308, -5e-324, 2.0 ** 53 + 2, 1 / 3]
 
+    @staticmethod
+    def written(x: np.ndarray, j: int) -> bytes:
+        """The request ``predict`` writes for x, with the template's
+        placeholder in column j: one block, each row's own value."""
+        buf = io.BytesIO()
+        _write_swept(buf, _row_template(x, j), x.shape[1], x[None, :, j],
+                     (0, len(x)))
+        return buf.getvalue()
+
     def test_encoder_matches_per_cell_repr(self):
         x = np.array(self.EXTREMES).reshape(-1, 2)
-        buf = io.BytesIO()
-        _write_rows(buf, x)
-        assert buf.getvalue() == per_cell_writer(x)
+        for j in (0, 1):
+            assert self.written(x, j) == per_cell_writer(x)
 
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 9_000), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @given(st.integers(1, 9_000), st.integers(1, 4), st.integers(0, 2**32 - 1))
     def test_encoder_matches_per_cell_repr_on_random_bits(self, n, p, seed):
-        # Blocks of rows span the encoder's block size.
+        # Blocks of rows span the encoder's block size; one row is a
+        # block of one value, which takes the writer's other branch.
         bits = np.random.default_rng(seed).integers(0, 2**64, (n, p),
                                                     dtype=np.uint64)
         x = bits.view(np.float64)
         x = np.where(np.isfinite(x), x, 1.5)
-        buf = io.BytesIO()
-        _write_rows(buf, x)
-        assert buf.getvalue() == per_cell_writer(x)
+        assert self.written(x, seed % p) == per_cell_writer(x)
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(allow_nan=False), max_size=400),
