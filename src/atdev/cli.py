@@ -321,9 +321,9 @@ def _custom_terms(terms: list) -> list[tuple[float, dict[int, int]]]:
 
 def _estimation(body: Callable) -> Callable:
     """The run step of the estimation commands (``_RUNS``): check the
-    options, load the dataset, build the model, open the emitter and
-    build the run's context and its gradient table; ``body(s, ctx, em)``
-    then only computes and writes."""
+    options, load the dataset, resolve effects' ``columns`` to indices,
+    build the model, open the emitter and build the run's context and its
+    gradient table; ``body(s, ctx, em)`` then only computes and writes."""
 
     def run(s) -> None:
         columns = getattr(s, "columns", None) or []
@@ -348,6 +348,15 @@ def _estimation(body: Callable) -> Callable:
         terms = _custom_terms(s.terms) if custom else None
         d = load_csv(s.data, has_response=s.response is not None,
                      response_name=s.response)
+        if hasattr(s, "columns"):
+            # effects writes files named after its variables: resolve and
+            # check the names before anything is scored.
+            s.columns = ([d.index_of(c) for c in s.columns] if s.columns
+                         else range(d.p))
+            for j in s.columns:
+                if "/" in d.names[j] or "\0" in d.names[j]:
+                    raise DataError(f"variable {d.names[j]!r} cannot be part "
+                                    f"of a file name: it holds a '/' or a NUL")
         if custom:
             model = custom_model(d.p, terms)
         elif s.model_id:
@@ -423,12 +432,7 @@ def _cmd_effects(s, ctx, em) -> None:
     meta = {"k_bins": s.k_bins, "dependence": s.dependence,
             "gradient_method": ctx.table.method,
             "smooth_marginal": s.smooth_marginal}
-    columns = [d.index_of(c) for c in s.columns] if s.columns else range(d.p)
-    for j in columns:
-        if "/" in d.names[j] or "\0" in d.names[j]:
-            raise DataError(f"variable {d.names[j]!r} cannot be part of a "
-                            f"file name: it holds a '/' or a NUL")
-    for j in columns:
+    for j in s.columns:
         name = d.names[j]
         pd_c = pdp(ctx, j)
         mg_c = marginal(ctx, j, smooth=s.smooth_marginal)

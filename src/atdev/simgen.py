@@ -1,9 +1,10 @@
 """Synthetic data generators and closed-form reference curves.
 
-Each named case draws predictors (uniform on [-1, 1], possibly with
-linear dependence plus Gaussian noise, or a bivariate normal pair) and a
-noisy polynomial response. Fixed seeds give bit-identical datasets; the
-RNG is NumPy's default_rng (PCG64).
+Each named case has one recipe, ``_columns``, that builds its predictors
+from independent draws. ``generate`` runs it on random draws (NumPy's
+default_rng, PCG64; fixed seeds give bit-identical datasets) and adds a
+noisy polynomial response; ``theoretical_r2`` runs it on Gauss
+quadrature nodes, so its signal variance is exact for every case.
 
 The reference-curve side evaluates the exact effect curves implied by a
 polynomial model together with a linear conditional-mean assumption
@@ -15,6 +16,7 @@ raise, never guess.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,15 +38,17 @@ __all__ = [
     "oracle",
 ]
 
-CASES = (
-    "indep_61",
-    "additive_621",
-    "interaction_622",
-    "complex_623",
-    "le_71_indep",
-    "le_71_corr",
-    "bivariate_normal",
-)
+# The response polynomial of each case; bivariate_normal takes its model
+# from the spec.
+_POLYNOMIALS = {
+    "indep_61": "case_61",
+    "additive_621": "case_621",
+    "interaction_622": "case_622",
+    "complex_623": "case_623",
+    "le_71_indep": "case_623",
+    "le_71_corr": "case_623",
+}
+CASES = (*_POLYNOMIALS, "bivariate_normal")
 
 # Two-input catalog entries usable with the bivariate_normal case.
 BIVARIATE_MODELS = ("additive_linear", "multiplicative", "quad_plus_interaction")
@@ -74,6 +78,9 @@ class SimSpec:
                             f"choose from {CASES}")
         if self.n < 1:
             raise DataError("need at least one row")
+        if not all(map(math.isfinite,
+                       (self.noise_sd, self.rho, *self.mean, *self.sigma))):
+            raise DataError("noise sd, rho, mean and sigma must be finite")
         if self.noise_sd < 0:
             raise DataError("noise sd must be >= 0")
         if self.case == "bivariate_normal":
@@ -87,105 +94,77 @@ class SimSpec:
 
 def signal_model(spec: SimSpec) -> AnalyticModel:
     """The noiseless response polynomial behind a case."""
-    table = {
-        "indep_61": "case_61",
-        "additive_621": "case_621",
-        "interaction_622": "case_622",
-        "complex_623": "case_623",
-        "le_71_indep": "case_623",
-        "le_71_corr": "case_623",
-    }
     if spec.case == "bivariate_normal":
         return catalog_model(spec.model, p=2)
-    return catalog_model(table[spec.case])
+    return catalog_model(_POLYNOMIALS[spec.case])
+
+
+def _columns(spec: SimSpec, u, e, z) -> list[np.ndarray]:
+    """The case's predictor columns built from its independent draws,
+    taken in column order, each dependence noise right after its parent:
+    ``u()`` is uniform on [-1, 1], ``e()`` N(0, noise_sd^2) and ``z()``
+    N(0, 1). This order is part of the reproducibility contract.
+    """
+    if spec.case in ("indep_61", "le_71_indep"):
+        return [u() for _ in range(5)]
+    if spec.case == "additive_621":
+        x1 = u()
+        return [x1, 0.8 * x1 + e(), -x1 + e()]
+    if spec.case == "interaction_622":
+        x1 = u()
+        return [x1, -x1 + e(), u()]
+    if spec.case in ("complex_623", "le_71_corr"):
+        x1, x2, x3 = u(), u(), u()
+        return [x1, x2, x3, x2 + e(), -x3 + e()]
+    z1, z2 = z(), z()
+    (m1, m2), (s1, s2), r = spec.mean, spec.sigma, spec.rho
+    return [m1 + s1 * z1, m2 + s2 * (r * z1 + np.sqrt(1.0 - r * r) * z2)]
 
 
 def generate(spec: SimSpec) -> Dataset:
-    """Draw the dataset. Columns are drawn in index order, each
-    dependence noise immediately after its parent column, response noise
-    last; this order is part of the reproducibility contract.
-    """
+    """Draw the dataset: the case's columns from ``_columns``, then the
+    response noise."""
     rng = np.random.default_rng(spec.seed)
     n, sd = spec.n, spec.noise_sd
-    u = lambda: rng.uniform(-1.0, 1.0, n)
-    e = lambda: rng.normal(0.0, sd, n)
-
-    if spec.case in ("indep_61", "le_71_indep"):
-        cols = [u() for _ in range(5)]
-    elif spec.case == "additive_621":
-        x1 = u()
-        cols = [x1, 0.8 * x1 + e(), -x1 + e()]
-    elif spec.case == "interaction_622":
-        x1 = u()
-        x2 = -x1 + e()
-        cols = [x1, x2, u()]
-    elif spec.case in ("complex_623", "le_71_corr"):
-        x1, x2, x3 = u(), u(), u()
-        cols = [x1, x2, x3, x2 + e(), -x3 + e()]
-    else:
-        z1 = rng.standard_normal(n)
-        z2 = rng.standard_normal(n)
-        m1, m2 = spec.mean
-        s1, s2 = spec.sigma
-        r = spec.rho
-        cols = [m1 + s1 * z1,
-                m2 + s2 * (r * z1 + np.sqrt(1.0 - r * r) * z2)]
-
-    model = signal_model(spec)
-    x = np.column_stack(cols)
-    y = model.predict(x) + rng.normal(0.0, sd, n)
-    names = [f"x{i + 1}" for i in range(len(cols))]
-    return Dataset(names=names, columns=x, response=y)
-
-
-def _even_moment(power: int) -> float:
-    # E[t^power] for t uniform on [-1, 1], even powers.
-    return 1.0 / (power + 1)
-
-
-def _bivariate_signal_variance(spec: SimSpec) -> float:
-    # Gauss-Hermite tensor quadrature; exact for polynomial signals.
-    nodes, weights = np.polynomial.hermite_e.hermegauss(16)
-    z1, z2 = np.meshgrid(nodes, nodes, indexing="ij")
-    w = np.outer(weights, weights).ravel() / (2.0 * np.pi)
-    m1, m2 = spec.mean
-    s1, s2 = spec.sigma
-    r = spec.rho
-    x1 = m1 + s1 * z1.ravel()
-    x2 = m2 + s2 * (r * z1.ravel() + np.sqrt(1.0 - r * r) * z2.ravel())
-    f = signal_model(spec).predict(np.column_stack([x1, x2]))
-    mean = float(np.dot(w, f))
-    return float(np.dot(w, (f - mean) ** 2))
+    x = np.column_stack(_columns(
+        spec, lambda: rng.uniform(-1.0, 1.0, n),
+        lambda: rng.normal(0.0, sd, n), lambda: rng.standard_normal(n)))
+    y = signal_model(spec).predict(x) + rng.normal(0.0, sd, n)
+    return Dataset(names=[f"x{i + 1}" for i in range(x.shape[1])],
+                   columns=x, response=y)
 
 
 def _signal_variance(spec: SimSpec) -> float:
-    sd2 = spec.noise_sd ** 2
-    var_u = _even_moment(2)                      # Var of a uniform column
-    var_sq = _even_moment(4) - _even_moment(2) ** 2   # Var(t^2)
-    var_herm3 = (4.0 * _even_moment(6) - 6.0 * _even_moment(4)
-                 + 2.25 * _even_moment(2))       # Var(2t^3 - 1.5t)
-    if spec.case == "indep_61":
-        # x1 + x2^2 + x3^3 + 0.8 x2 x4, all independent
-        return var_u + var_sq + _even_moment(6) + 0.64 * var_u ** 2
-    if spec.case == "additive_621":
-        # x1^2 + x2 with x2 = 0.8 x1 + e
-        return var_sq + 0.64 * var_u + sd2
-    if spec.case == "interaction_622":
-        # x1 + x2 + x1 x2 with x2 = -x1 + e collapses to e(1 + x1) - x1^2
-        return sd2 * (1.0 + var_u) + var_sq
-    if spec.case in ("complex_623", "le_71_corr"):
-        # x2 block collapses to 2.3 x2^2 + 0.8 x2 e4 (+ const)
-        return var_u + 5.29 * var_sq + 0.64 * var_u * sd2 + var_herm3
-    if spec.case == "le_71_indep":
-        return var_u + 2.25 * var_sq + var_herm3 + 0.64 * var_u ** 2
-    return _bivariate_signal_variance(spec)
+    """Var f(X), exact: the case's recipe run on a tensor Gauss rule.
+    Draw d puts 6 nodes on axis -1 - d (Gauss-Legendre for ``u``,
+    Gauss-Hermite for ``e``, scaled by noise_sd, and for ``z``), so the
+    columns broadcast to the node grid and ``w`` to its probabilities.
+    The rule is exact to degree 11, so for any f of degree <= 5 in each
+    draw; the cases' f have degree <= 3."""
+    legendre = np.polynomial.legendre.leggauss(6)
+    hermite = np.polynomial.hermite_e.hermegauss(6)
+    w = np.ones(())
+
+    def draw(nodes, weights, scale=1.0):
+        nonlocal w
+        shape = (-1,) + (1,) * w.ndim
+        w = w * (weights / weights.sum()).reshape(shape)
+        return scale * nodes.reshape(shape)
+
+    cols = _columns(spec, lambda: draw(*legendre),
+                    lambda: draw(*hermite, spec.noise_sd),
+                    lambda: draw(*hermite))
+    x = np.column_stack([np.broadcast_to(c, w.shape).ravel() for c in cols])
+    f = signal_model(spec).predict(x)
+    mean = float(w.ravel() @ f)
+    return float(w.ravel() @ (f - mean) ** 2)
 
 
 def theoretical_r2(spec: SimSpec) -> float:
-    """Fraction of response variance carried by the noiseless signal."""
+    """Fraction of response variance carried by the noiseless signal,
+    Var f / (Var f + noise_sd^2)."""
     v = _signal_variance(spec)
-    denom = v + spec.noise_sd ** 2
-    return v / denom if denom > 0 else 0.0
+    return v / (v + spec.noise_sd ** 2)
 
 
 # ---------------------------------------------------------------------------

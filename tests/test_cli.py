@@ -598,6 +598,33 @@ class TestExitCodes:
             assert repr(case) in err
             assert not list(out.rglob("*"))
 
+    @pytest.mark.parametrize("case", ["nope", "a/b", "a\0b"])
+    def test_bad_effects_variable_exits_2_before_scoring(self, data622,
+                                                         tmp_path, capsys,
+                                                         case):
+        # An unknown --columns name, or a variable that cannot be part of
+        # a file name, stops the run before the scorer sees one request.
+        log = tmp_path / "requests"
+        log.mkdir()
+        data = data622
+        if case != "nope":
+            d = load_csv(data622, has_response=True, response_name="y")
+            data = str(tmp_path / "named.csv")
+            save_csv(Dataset(names=["x1", case, "x3"], columns=d.matrix(),
+                             response=d.response), data)
+        cmd = shlex.join([sys.executable, str(SCORER), "record", str(log),
+                          "poly3"])
+        run = ["effects", "--data", data, "--response", "y",
+               "--external-cmd", cmd, "--k-bins", "10",
+               "--out-dir", str(tmp_path / "out")]
+        if case == "nope":
+            run += ["--columns", "x1", "nope"]
+        assert main(run) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(case) in err
+        assert not list(log.iterdir())
+
     def test_non_utf8_data_exits_2_with_one_line(self, tmp_path, capsys):
         data = tmp_path / "latin1.csv"
         data.write_bytes("x1,x2,y\n1,2,3\n4,5,\u00e9\n".encode("latin-1"))

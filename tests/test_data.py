@@ -431,7 +431,8 @@ class TestParseCache:
 
     def test_a_load_imports_no_openssl(self, tmp_path, cache):
         # hashlib loads OpenSSL's libcrypto, which costs every CLI
-        # process a few MB of resident memory.
+        # process a few MB of resident memory; numpy.polynomial and
+        # numpy.random are loaded only by the commands that use them.
         f = _csv(tmp_path / "t.csv")
         script = textwrap.dedent(f"""
             import sys
@@ -439,7 +440,8 @@ class TestParseCache:
             from atdev.data import load_csv
             load_csv({str(f)!r})
             load_csv({str(f)!r})
-            print(sorted({{"hashlib", "_hashlib"}} & set(sys.modules)))
+            print(sorted({{"hashlib", "_hashlib", "numpy.polynomial",
+                           "numpy.random"}} & set(sys.modules)))
         """)
         run = subprocess.run([sys.executable, "-c", script],
                              capture_output=True, text=True, timeout=120)

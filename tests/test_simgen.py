@@ -16,10 +16,82 @@ from atdev import (
 )
 from atdev.dependence import ols_line
 from atdev.errors import DataError, NoOracleError
+from atdev.simgen import _signal_variance
+
+BIVARIATE = dict(mean=(0.5, -1.0), sigma=(2.0, 0.3), rho=0.6,
+                 model="quad_plus_interaction")
 
 
 def spec(case, n=1000, **kw):
     return SimSpec(case=case, n=n, **kw)
+
+
+def direct_draws(s):
+    """The dataset from default_rng calls made here in the documented
+    order: every draw of a row's columns in column order, each dependence
+    noise right after its parent, then the response noise."""
+    rng = np.random.default_rng(s.seed)
+    n, sd = s.n, s.noise_sd
+    if s.case in ("indep_61", "le_71_indep"):
+        cols = [rng.uniform(-1.0, 1.0, n) for _ in range(5)]
+    elif s.case == "additive_621":
+        x1 = rng.uniform(-1.0, 1.0, n)
+        e2 = rng.normal(0.0, sd, n)
+        e3 = rng.normal(0.0, sd, n)
+        cols = [x1, 0.8 * x1 + e2, -x1 + e3]
+    elif s.case == "interaction_622":
+        x1 = rng.uniform(-1.0, 1.0, n)
+        e2 = rng.normal(0.0, sd, n)
+        x3 = rng.uniform(-1.0, 1.0, n)
+        cols = [x1, -x1 + e2, x3]
+    elif s.case in ("complex_623", "le_71_corr"):
+        x1, x2, x3 = (rng.uniform(-1.0, 1.0, n) for _ in range(3))
+        e4 = rng.normal(0.0, sd, n)
+        e5 = rng.normal(0.0, sd, n)
+        cols = [x1, x2, x3, x2 + e4, -x3 + e5]
+    else:
+        z1 = rng.standard_normal(n)
+        z2 = rng.standard_normal(n)
+        (m1, m2), (s1, s2), r = s.mean, s.sigma, s.rho
+        cols = [m1 + s1 * z1,
+                m2 + s2 * (r * z1 + np.sqrt(1.0 - r * r) * z2)]
+    x = np.column_stack(cols)
+    return x, signal_model(s).predict(x) + rng.normal(0.0, sd, n)
+
+
+def closed_form_variance(s):
+    """Var f(X) worked out by hand for each case. E t^k = 1 / (k + 1)
+    for t uniform on [-1, 1] and even k; a bivariate signal is a
+    quadratic form x'Ax + b'x of a Gaussian pair, whose variance is
+    2 tr((A S)^2) + (b + 2 A m)' S (b + 2 A m)."""
+    sd2 = s.noise_sd ** 2
+    m2, m4, m6 = 1.0 / 3.0, 1.0 / 5.0, 1.0 / 7.0
+    var_u = m2                          # Var of a uniform column
+    var_sq = m4 - m2 ** 2               # Var(t^2)
+    var_herm3 = 4.0 * m6 - 6.0 * m4 + 2.25 * m2   # Var(2t^3 - 1.5t)
+    if s.case == "indep_61":
+        # x1 + x2^2 + x3^3 + 0.8 x2 x4, all independent
+        return var_u + var_sq + m6 + 0.64 * var_u ** 2
+    if s.case == "additive_621":
+        # x1^2 + x2 with x2 = 0.8 x1 + e
+        return var_sq + 0.64 * var_u + sd2
+    if s.case == "interaction_622":
+        # x1 + x2 + x1 x2 with x2 = -x1 + e collapses to e(1 + x1) - x1^2
+        return sd2 * (1.0 + var_u) + var_sq
+    if s.case in ("complex_623", "le_71_corr"):
+        # x2 block collapses to 2.3 x2^2 + 0.8 x2 e4 (+ const)
+        return var_u + 5.29 * var_sq + 0.64 * var_u * sd2 + var_herm3
+    if s.case == "le_71_indep":
+        return var_u + 2.25 * var_sq + var_herm3 + 0.64 * var_u ** 2
+    (s1, s2), r = s.sigma, s.rho
+    cov = np.array([[s1 * s1, r * s1 * s2], [r * s1 * s2, s2 * s2]])
+    a, b = {"additive_linear": (np.zeros((2, 2)), np.ones(2)),
+            "multiplicative": (np.array([[0.0, 0.5], [0.5, 0.0]]),
+                               np.zeros(2)),
+            "quad_plus_interaction": (np.array([[1.0, 0.5], [0.5, 0.0]]),
+                                      np.zeros(2))}[s.model]
+    g = b + 2.0 * a @ np.asarray(s.mean)
+    return float(2.0 * np.trace(a @ cov @ a @ cov) + g @ cov @ g)
 
 
 class TestGenerate:
@@ -47,6 +119,16 @@ class TestGenerate:
     def test_empty_draw_rejected(self):
         with pytest.raises(DataError):
             SimSpec(case="indep_61", n=0)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("case", CASES)
+    def test_draws_follow_the_documented_order(self, case, seed):
+        s = spec(case, n=700, seed=seed, noise_sd=0.3,
+                 **(BIVARIATE if case == "bivariate_normal" else {}))
+        d = generate(s)
+        x, y = direct_draws(s)
+        assert d.matrix().tobytes() == x.tobytes()
+        assert d.response.tobytes() == y.tobytes()
 
     def test_uniform_column_moments(self):
         n = 50_000
@@ -83,8 +165,42 @@ class TestGenerate:
         with pytest.raises(DataError):
             SimSpec(case="bivariate_normal", n=10, model="case_61")
 
+    @pytest.mark.parametrize("case", ["indep_61", "bivariate_normal"])
+    @pytest.mark.parametrize("field, value", [
+        ("noise_sd", float("nan")), ("noise_sd", float("inf")),
+        ("rho", float("nan")), ("mean", (0.0, float("nan"))),
+        ("mean", (float("-inf"), 0.0)), ("sigma", (float("nan"), 1.0)),
+        ("sigma", (1.0, float("inf")))])
+    def test_non_finite_parameters_rejected(self, case, field, value):
+        # A NaN noise once gave theoretical_r2 == 0.0, a plausible number.
+        with pytest.raises(DataError, match="finite"):
+            SimSpec(case=case, n=10, **{field: value})
+
 
 class TestTheoreticalR2:
+    @pytest.mark.parametrize("noise_sd", [0.0, 0.1, 0.7])
+    @pytest.mark.parametrize("case", [c for c in CASES
+                                      if c != "bivariate_normal"])
+    def test_quadrature_matches_the_closed_forms(self, case, noise_sd):
+        s = spec(case, noise_sd=noise_sd)
+        v = closed_form_variance(s)
+        assert abs(_signal_variance(s) - v) < 1e-12
+        assert abs(theoretical_r2(s) - v / (v + noise_sd ** 2)) < 1e-12
+
+    @pytest.mark.parametrize("noise_sd", [0.1, 0.7])
+    @pytest.mark.parametrize("mean, sigma", [((0.0, 0.0), (1.0, 1.0)),
+                                             ((0.5, -1.0), (2.0, 0.3))])
+    @pytest.mark.parametrize("rho", [-0.8, 0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("model", ["additive_linear", "multiplicative",
+                                       "quad_plus_interaction"])
+    def test_bivariate_quadrature_matches_the_closed_form(
+            self, model, rho, mean, sigma, noise_sd):
+        s = spec("bivariate_normal", noise_sd=noise_sd, rho=rho, mean=mean,
+                 sigma=sigma, model=model)
+        v = closed_form_variance(s)
+        assert abs(_signal_variance(s) - v) < 1e-12 * max(1.0, v)
+        assert abs(theoretical_r2(s) - v / (v + noise_sd ** 2)) < 1e-12
+
     def test_independent_additive_case(self):
         r2 = theoretical_r2(spec("indep_61"))
         assert abs(r2 - 0.9845) < 1e-3
