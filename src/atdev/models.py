@@ -44,7 +44,7 @@ __all__ = [
 # Rows per model evaluation. ``predict`` and ``gradient`` work through
 # blocks of at most this many rows (fewer where a backend sets
 # ``_block_rows``), an external scorer is sent at most this many a spawn,
-# and a column sweep scores its rows in chunks of this many.
+# and a sweep scores its rows in chunks of this many.
 ROW_BUDGET = 32_768
 
 
@@ -70,52 +70,63 @@ class Predictor:
         return np.array([block.mean() for block in
                          self.sweep(x, j, _grid_values(grid))])
 
-    def sweep(self, x: np.ndarray, j: int, values: np.ndarray):
-        """Generate the N scores of each block g: x with column j set to
-        ``values[g]``, from K x N values, or K x 1 for one value a block.
+    def sweep(self, x: np.ndarray, j, values):
+        """Generate the N scores of each block g: x with column ``j[g]``
+        set to ``values[g]``. j is one column for every block or one a
+        block; values holds K blocks of N values, or of one value each,
+        as a K x N or K x 1 array or any sequence of K such rows, which
+        may make each block when it is asked for. A block is made when
+        its first chunk is scored and dropped before the next is made, so
+        one sweep can hold many columns' blocks without holding them at
+        once.
         ``_score_swept``, the one step backends differ in, scores chunks of
         ``ROW_BUDGET`` swept rows cut across blocks. The arguments are
         checked before anything is scored; x is never written."""
-        x, values = self._check_sweep(x, j, values)
-        n, rows = len(x), len(values) * len(x)
+        x, columns = self._check_sweep(x, j, values)
+        n, rows = len(x), len(columns) * len(x)
         chunks = [(r, min(r + ROW_BUDGET, rows))
                   for r in range(0, rows, ROW_BUDGET)]
+        block = _Latest(lambda g: np.asarray(values[g], dtype=np.float64))
         parts = []
         # scores first, so that _score_swept runs to its end
-        for scores, (r0, r1) in zip(self._score_swept(x, j, values, chunks),
-                                    chunks):
+        for scores, (r0, r1) in zip(
+                self._score_swept(x, columns, block, chunks), chunks):
             for g, i0, i1 in _segments(n, r0, r1):
                 parts.append(scores[g * n + i0 - r0:g * n + i1 - r0])
                 if i1 == n:
                     yield np.concatenate(parts)
                     parts = []
 
-    def _score_swept(self, x: np.ndarray, j: int, values: np.ndarray, chunks):
+    def _score_swept(self, x: np.ndarray, columns: list, block, chunks):
         """The scores of each chunk ``(r0, r1)`` of swept rows, in order:
-        the chunk is built from contiguous slices of x and predicted."""
-        values = np.broadcast_to(values, (len(values), len(x)))
-        buf = np.empty((min(ROW_BUDGET, values.size), self.p))
+        the chunk is built from contiguous slices of x, with column
+        ``columns[g]`` of block g's rows set from ``block(g)``, and
+        predicted."""
+        buf = np.empty((min(ROW_BUDGET, len(columns) * len(x)), self.p))
         for r0, r1 in chunks:
             for g, i0, i1 in _segments(len(x), r0, r1):
                 o = r0 - len(x) * g
                 buf[i0 - o:i1 - o] = x[i0:i1]
-                buf[i0 - o:i1 - o, j] = values[g, i0:i1]
+                buf[i0 - o:i1 - o, columns[g]] = _block_rows(block(g), i0, i1)
             yield self.predict(buf[:r1 - r0])
 
-    def _check_sweep(self, x: np.ndarray, j: int, values: np.ndarray):
-        """x and values, checked: x a model input of at least one row, j
-        an integer in [0, p), values finite, K x N or K x 1."""
+    def _check_sweep(self, x: np.ndarray, j, values):
+        """x, checked, and the column of each of values' K blocks: x a
+        model input of at least one row, j an integer in [0, p) or K of
+        them, and each block N or 1 finite values. Each block is made
+        and dropped in turn."""
         x = self._check_input(x)
         if len(x) == 0:
             raise ModelError("a column sweep needs at least one row")
-        _check_index(j, self.p, ModelError)
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[1] not in (1, len(x)):
-            raise ModelError(f"swept values must be K x {len(x)} or K x 1, "
-                             f"got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise NumericalError("non-finite swept value")
-        return x, values
+        columns = [j] * len(values) if np.ndim(j) == 0 else list(j)
+        if len(columns) != len(values):
+            raise ModelError(f"{len(columns)} swept columns for "
+                             f"{len(values)} blocks")
+        for c in columns:
+            _check_index(c, self.p, ModelError)
+        for g in range(len(values)):
+            _check_block(values[g], len(x))
+        return x, columns
 
     def _blocked(self, x: np.ndarray, evaluate, width: int | None = None
                  ) -> np.ndarray:
@@ -143,6 +154,39 @@ def _segments(n: int, r0: int, r1: int):
     in order: rows i0 .. i1 - 1 of x, swept rows g N + i0 .. g N + i1 - 1."""
     for g in range(r0 // n, (r1 - 1) // n + 1):
         yield g, max(r0 - g * n, 0), min(r1 - g * n, n)
+
+
+def _check_block(values, n: int) -> None:
+    """ModelError unless a block's values are N or 1 numbers,
+    NumericalError unless they are finite."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1 or len(values) not in (1, n):
+        raise ModelError(f"swept values must be K x {n} or K x 1, got a "
+                         f"block of shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise NumericalError("non-finite swept value")
+
+
+def _block_rows(values: np.ndarray, i0: int, i1: int) -> np.ndarray:
+    """A block's values for its rows i0 .. i1 - 1: one value a block is
+    every row's."""
+    return values if len(values) == 1 else values[i0:i1]
+
+
+class _Latest:
+    """``make(key)`` for the last key asked for only: the value of the
+    previous key is dropped before a new key's is made, so callers that
+    hold no value of their own between calls hold one at a time."""
+
+    def __init__(self, make):
+        self.make, self.key, self.value = make, None, None
+
+    def __call__(self, key):
+        if key != self.key:
+            self.key = self.value = None
+            self.value = self.make(key)
+            self.key = key
+        return self.value
 
 
 def _grid_values(grid: np.ndarray) -> np.ndarray:
@@ -180,11 +224,15 @@ class AnalyticModel(Predictor):
                 if a < 1:
                     raise ModelError("term powers must be >= 1 (constants: empty dict)")
 
+    # A term may overflow at a finite row. Its value is inf or nan then,
+    # and the caller's finite check raises; numpy's warning is not shown.
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self._blocked(x, self._predict_rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._blocked(x, self._predict_rows)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self._blocked(x, self._gradient_rows, self.p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._blocked(x, self._gradient_rows, self.p)
 
     def _predict_rows(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros(len(x))
@@ -212,7 +260,8 @@ class AnalyticModel(Predictor):
         """Exact in one pass over the rows: as a polynomial in x_j,
         f = sum_a x_j^a c_a(x_-j), so the sweep average at z is
         sum_a z^a mean(c_a)."""
-        x, grid = self._check_sweep(x, j, _grid_values(grid))
+        grid = _grid_values(grid)
+        x, _ = self._check_sweep(x, j, grid)
         grid = grid[:, 0]
         c: dict[int, float] = {}
         for coef, powers in self.terms:
@@ -556,7 +605,8 @@ _TIMEOUT_S = 600
 
 class ExternalModel(Predictor):
     """Scores rows through a child process, one spawn per chunk of at
-    most ``ROW_BUDGET`` rows of a column sweep. ``predict`` is the one
+    most ``ROW_BUDGET`` rows of a sweep, whose chunks may cross from one
+    block, and one swept column, to the next. ``predict`` is the one
     block of a sweep that sets column 0 to itself, so every request,
     observed rows included, is assembled from each cell of x outside the
     swept column formatted once.
@@ -588,21 +638,24 @@ class ExternalModel(Predictor):
         (scores,) = self.sweep(x, 0, x[None, :, 0])
         return scores
 
-    def _score_swept(self, x: np.ndarray, j: int, values: np.ndarray, chunks):
+    def _score_swept(self, x: np.ndarray, columns: list, block, chunks):
         """One spawn a chunk, written without building it: x is formatted
-        once per sweep, with a NUL for column j, and a block's rows are a
-        slice of that text with each NUL filled by the block's decimals.
-        Up to ``_IN_FLIGHT`` scorers run at once; when one fails, the
-        others are killed and reaped before the error propagates."""
-        template = _row_template(x, j)
+        once per swept column, with a NUL for that column, when the
+        column's first block is written, and the previous column's text
+        is dropped first; a block's rows are a slice of that text with
+        each NUL filled by the block's decimals. Up to ``_IN_FLIGHT``
+        scorers run at once; when one fails, the others are killed and
+        reaped before the error propagates."""
+        text = _Latest(partial(_row_template, x))
         running: deque[_Scorer] = deque()
         try:
             for r0, r1 in chunks:
                 if len(running) == _IN_FLIGHT:
                     yield running.popleft().scores()
                 running.append(_Scorer(self.cmd, r1 - r0, partial(
-                    _write_swept, template=template, p=self.p,
-                    values=values, rows=(r0, r1))))
+                    _write_swept, p=self.p, rows=r1 - r0,
+                    template=lambda g: text(columns[g]), block=block,
+                    segments=_segments(len(x), r0, r1))))
             while running:
                 yield running.popleft().scores()
         finally:
@@ -697,24 +750,33 @@ def _row_template(x: np.ndarray, j: int) -> tuple[bytearray, np.ndarray]:
     return body, starts
 
 
-def _write_swept(f, template: tuple[bytearray, np.ndarray], p: int,
-                 values: np.ndarray, rows: tuple[int, int]) -> None:
-    """Write the request of swept rows [r0, r1): the header, then one
-    line of ``repr`` decimals a row. A block of one value replaces every
-    NUL with its decimal; per-row values fill the NULs of ``_FORMAT_ROWS``
-    rows at a time in one format (float decimals hold no other ``%``, and
-    ``%a`` of a float is its ``repr``)."""
-    (body, starts), (r0, r1) = template, rows
-    f.write(f"{r1 - r0} {p}\n".encode())
-    for g, i0, i1 in _segments(len(starts) - 1, r0, r1):
-        if values.shape[1] == 1:
-            f.write(body[starts[i0]:starts[i1]].replace(
-                b"\0", repr(float(values[g, 0])).encode()))
-            continue
-        for s in range(i0, i1, _FORMAT_ROWS):
-            e = min(s + _FORMAT_ROWS, i1)
-            f.write(body[starts[s]:starts[e]].replace(b"\0", b"%a")
-                    % tuple(values[g, s:e].tolist()))
+def _write_swept(f, p: int, rows: int, template, block, segments) -> None:
+    """Write a request of ``rows`` swept rows: the header, then for each
+    segment ``(g, i0, i1)`` rows i0 .. i1 - 1 of block g, from its row
+    template ``template(g)`` and its values ``block(g)``. Neither is held
+    past its segment, so a caller that makes them one at a time holds
+    one of each."""
+    f.write(f"{rows} {p}\n".encode())
+    for g, i0, i1 in segments:
+        _write_rows(f, template(g), block(g), i0, i1)
+
+
+def _write_rows(f, template: tuple[bytearray, np.ndarray],
+                values: np.ndarray, i0: int, i1: int) -> None:
+    """Write rows i0 .. i1 - 1 of a block, one line of ``repr`` decimals
+    a row. A block of one value replaces every NUL with its decimal;
+    per-row values fill the NULs of ``_FORMAT_ROWS`` rows at a time in
+    one format (float decimals hold no other ``%``, and ``%a`` of a float
+    is its ``repr``)."""
+    body, starts = template
+    if len(values) == 1:
+        f.write(body[starts[i0]:starts[i1]].replace(
+            b"\0", repr(float(values[0])).encode()))
+        return
+    for s in range(i0, i1, _FORMAT_ROWS):
+        e = min(s + _FORMAT_ROWS, i1)
+        f.write(body[starts[s]:starts[e]].replace(b"\0", b"%a")
+                % tuple(values[s:e].tolist()))
 
 
 def _parse_scores(stdout: bytes, n: int) -> np.ndarray:

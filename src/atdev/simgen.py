@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import CurveKind, Dataset
-from .dependence import ols_line
+from .dependence import _pow2_scaled, ols_line
 from .errors import DataError, NoOracleError
 from .models import AnalyticModel, catalog_model
 
@@ -134,8 +134,13 @@ def generate(spec: SimSpec) -> Dataset:
                    columns=x, response=y)
 
 
-def _signal_variance(spec: SimSpec) -> float:
-    """Var f(X), exact: the case's recipe run on a tensor Gauss rule.
+def _signal_variance(spec: SimSpec) -> tuple[float, int]:
+    """Var f(X) / 4^e and e, exact: the case's recipe run on a tensor
+    Gauss rule, with f - E f divided by 2^e, e the exponent of its largest
+    magnitude, so the variance is finite wherever f is. Scaling by a power
+    of two is exact: 4^e times the first is Var f, the same double,
+    wherever that is finite.
+
     Draw d puts 6 nodes on axis -1 - d (Gauss-Legendre for ``u``,
     Gauss-Hermite for ``e``, scaled by noise_sd, and for ``z``), so the
     columns broadcast to the node grid and ``w`` to its probabilities.
@@ -155,16 +160,19 @@ def _signal_variance(spec: SimSpec) -> float:
                     lambda: draw(*hermite, spec.noise_sd),
                     lambda: draw(*hermite))
     x = np.column_stack([np.broadcast_to(c, w.shape).ravel() for c in cols])
-    f = signal_model(spec).predict(x)
-    mean = float(w.ravel() @ f)
-    return float(w.ravel() @ (f - mean) ** 2)
+    # a non-finite f is left to the caller's finite checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = signal_model(spec).predict(x)
+        centred, e = _pow2_scaled(f - float(w.ravel() @ f))
+        return float(w.ravel() @ centred ** 2), e
 
 
 def theoretical_r2(spec: SimSpec) -> float:
     """Fraction of response variance carried by the noiseless signal,
-    Var f / (Var f + noise_sd^2)."""
-    v = _signal_variance(spec)
-    return v / (v + spec.noise_sd ** 2)
+    Var f / (Var f + noise_sd^2), formed from Var f and noise_sd both
+    divided by the same power of two."""
+    v, e = _signal_variance(spec)
+    return v / (v + float(np.ldexp(spec.noise_sd, -e)) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,15 @@ class TestSimulate:
         assert (meta["mean"], meta["sigma"], meta["rho"], meta["model"]) == (
             list(spec.mean), list(spec.sigma), spec.rho, spec.model)
 
+    def test_a_wide_finite_setting_has_a_finite_r2(self, tmp_path):
+        # Var f is about 1e320 at sigma 1e80, past the largest double,
+        # where the data are finite.
+        assert main(["simulate", "--case", "bivariate_normal", "--sigma",
+                     "1e80", "1", "--bn-model", "quad_plus_interaction",
+                     "--n", "10", "--out-dir", str(tmp_path)]) == 0
+        meta = load_json(tmp_path / "bivariate_normal.meta.json")
+        assert meta["theoretical_r2"] == 1.0
+
 
 class TestEffects:
     def test_writes_curve_files_per_variable(self, data622, tmp_path):
@@ -216,9 +225,10 @@ class TestEffects:
         assert rc == 0
         heads = [path.read_bytes().split(b"\n", 1)[0]
                  for path in log.glob("*.req")]
-        # 6000-row probes, 36 000 swept rows a column in spawns of 32 768
-        # and 3232, and the observed rows once
-        assert sorted(heads) == sorted([b"6000 3"] * 3 + [b"32768 3"] * 3
+        # the 18 000 probe rows of all three columns in one spawn, 36 000
+        # swept rows a column in spawns of 32 768 and 3232, and the
+        # observed rows once
+        assert sorted(heads) == sorted([b"18000 3"] + [b"32768 3"] * 3
                                        + [b"3232 3"] * 3 + [b"3000 3"])
 
 
@@ -784,6 +794,19 @@ class TestSubprocessEntry:
             capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
         assert (tmp_path / "indep_61.meta.json").exists()
+
+    def test_an_overflowing_response_is_one_error_line(self, tmp_path):
+        # x1^2 overflows at sigma 1e200: numpy's overflow warning is not
+        # printed ahead of the one error line.
+        run = subprocess.run(
+            [sys.executable, "-m", "atdev.cli", "simulate", "--case",
+             "bivariate_normal", "--sigma", "1e200", "1", "--bn-model",
+             "quad_plus_interaction", "--n", "10", "--out-dir",
+             str(tmp_path)],
+            capture_output=True, text=True, timeout=120)
+        assert run.returncode == 2
+        assert run.stderr.startswith("error:")
+        assert len(run.stderr.splitlines()) == 1, run.stderr
 
 
 def _run_with_config(command, config, tmp_path, *flags):

@@ -5,13 +5,15 @@ import dataclasses
 import io
 import os
 import sys
+import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import atdev.data
@@ -155,6 +157,11 @@ class TestPartialDependence:
                 next(model.sweep(x, 0, bad))
         with pytest.raises(NumericalError):
             next(model.sweep(x, 0, [np.ones(4), [0.0, 0.0, np.inf, 0.0]]))
+        # One swept column a block: K of them, each a column index.
+        with pytest.raises(ModelError, match="2 swept columns for 1 blocks"):
+            next(model.sweep(x, [0, 1], [[0.0]]))
+        with pytest.raises(ModelError, match="column index"):
+            next(model.sweep(x, [0, 3], [[0.0], [1.0]]))
         assert recorded(tmp_path) == []
         # The last column and an integer of numpy's own are fine.
         assert len(model.partial_dependence(x, np.int64(2), grid)) == 2
@@ -453,6 +460,47 @@ class ScoredOnly(Predictor):
         return self.model.predict(x)
 
 
+class Placed(ScoredOnly):
+    """A scorer whose answer depends on a row's place in its call: the
+    network's BLAS sums may depend on a row's place in its 1024-row
+    block, and this scorer adds that place (in units of 2^-30), so a
+    probe scored at another place reads differently."""
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        return self.model.predict(x) + np.arange(len(x)) % BLOCK * 2.0 ** -30
+
+
+def stacked_probes(x: np.ndarray, steps) -> np.ndarray:
+    """The finite-difference probes as one copy, in sweep order:
+    [x + h_0 e_0; x - h_0 e_0; x + h_1 e_1; ...]."""
+    blocks = []
+    for j, h in enumerate(steps):
+        up, down = x.copy(), x.copy()
+        up[:, j] += h
+        down[:, j] -= h
+        blocks += [up, down]
+    return np.concatenate(blocks)
+
+
+def budget_chunks(rows: np.ndarray) -> list[np.ndarray]:
+    """Rows cut every ROW_BUDGET rows, as a sweep cuts its swept rows."""
+    budget = models.ROW_BUDGET
+    return [rows[r:r + budget] for r in range(0, len(rows), budget)]
+
+
+def chunked_differences(model: Predictor, x: np.ndarray,
+                        steps) -> np.ndarray:
+    """The finite-difference table the long way: the stacked probes
+    predicted chunk by chunk, and each column's down block subtracted
+    from its up block."""
+    f = np.concatenate([model.predict(c)
+                        for c in budget_chunks(stacked_probes(x, steps))])
+    n = len(x)
+    return np.column_stack([(f[2 * j * n:(2 * j + 1) * n]
+                             - f[(2 * j + 1) * n:(2 * j + 2) * n]) / (2.0 * h)
+                            for j, h in enumerate(steps)])
+
+
 class TestRowBudget:
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([ROW_BUDGET - 1, ROW_BUDGET, ROW_BUDGET + 1,
@@ -558,45 +606,77 @@ class TestRowBudget:
         x[4] = TestWire.EXTREMES[0], TestWire.EXTREMES[3]
         table = gradient_table(
             recording_scorer(scorer_path, tmp_path, p=2, mode=("cube",)), x)
-        # 2N = 20 probe rows a column: spawns of 7, 7 and 6 rows.
+        # 2Np = 40 probe rows in one sweep: five spawns of 7 rows and one
+        # of 5.
         assert sorted(len(parse_request(r)) for r in recorded(tmp_path)) \
-            == [6, 6, 7, 7, 7, 7]
-        # The second spawn of a column holds the last up probes and the
-        # first down probes: each request is its chunk of the stacked
-        # probes, byte for byte.
-        chunks = []
-        for j, h in enumerate(table.steps):
-            up, down = x.copy(), x.copy()
-            up[:, j] += h
-            down[:, j] -= h
-            probes = np.concatenate([up, down])
-            chunks += [probes[r:r + 7] for r in range(0, 20, 7)]
+            == [5, 7, 7, 7, 7, 7]
+        # The third spawn holds the last down probes of column 0 and the
+        # first up probes of column 1: each request is its chunk of the
+        # stacked probes, byte for byte.
+        chunks = budget_chunks(stacked_probes(x, table.steps))
         assert recorded(tmp_path) == sorted(map(per_cell_writer, chunks))
         assert np.allclose(table.values[:, 0], 3.0 * x[:, 0] ** 2, atol=1e-6)
 
     def test_fd_probes_keep_their_place_in_each_1024_row_block(self):
-        # The network's BLAS sums may depend on a row's place in its
-        # 1024-row block; this scorer adds that place (in units of 2^-30),
-        # so a probe scored at another place reads differently.
-        class Placed(ScoredOnly):
-            def predict(self, x):
-                return (self.model.predict(x)
-                        + np.arange(len(x)) % BLOCK * 2.0 ** -30)
-
-        # 2N = R + 10: the first chunk holds the up probes and all but 10
-        # down probes.
+        # 2N = R + 10: the first chunk holds column 0's up probes and all
+        # but 10 of its down probes, the second those 10 and column 1's
+        # probes up to 20 rows short of their end.
         rng = np.random.default_rng(8)
         model = Placed(random_network(rng, 3, 8))
         n = ROW_BUDGET // 2 + 5
         x = rng.uniform(-1.0, 1.0, (n, 3))
         table = gradient_table(model, x)
-        for j, h in enumerate(table.steps):
-            probes = np.concatenate([x, x])
-            probes[:n, j] += h
-            probes[n:, j] -= h
-            f = model.predict(probes)
-            assert table.values[:, j].tobytes() == \
-                ((f[:n] - f[n:]) / (2.0 * h)).tobytes()
+        assert table.values.tobytes() == \
+            chunked_differences(model, x, table.steps).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @example(10, 3, 7, "external", 0)
+    @example(4, 2, 16, "placed", 1)
+    @given(st.integers(1, 40), st.integers(1, 4), st.integers(1, 40),
+           st.sampled_from(["polynomial", "placed", "external"]),
+           st.integers(0, 2**32 - 1))
+    def test_fd_table_equals_the_stacked_probes_cut_at_the_budget(
+            self, scorer_path, n, p, budget, backend, seed):
+        """Chunks cut across blocks and columns, one chunk may hold many
+        columns' probes, and the table is the stacked probes' bit for
+        bit; every external request is its chunk's per-cell text."""
+        rng = np.random.default_rng(seed)
+        if backend == "external":
+            # a process a spawn: at most 16 spawns
+            n, budget = n % 8 + 1, budget % 9 + 4
+        x = rng.uniform(-1.0, 1.0, (n, p))
+        with mock.patch.object(models, "ROW_BUDGET", budget), \
+                tempfile.TemporaryDirectory() as log:
+            model = {
+                "polynomial": lambda: ScoredOnly(custom_model(
+                    p, [(1.0, {0: 3}), (-0.5, {p - 1: 2}), (0.25, {})])),
+                "placed": lambda: Placed(random_network(rng, p, 5)),
+                "external": lambda: recording_scorer(scorer_path, log, p=p),
+            }[backend]()
+            table = gradient_table(model, x)
+            chunks = budget_chunks(stacked_probes(x, table.steps))
+            if backend == "external":
+                assert recorded(log) == sorted(map(per_cell_writer, chunks))
+                model = wrap_external([sys.executable, scorer_path, "sum"],
+                                      p=p)
+            want = chunked_differences(model, x, table.steps)
+        assert table.values.tobytes() == want.tobytes()
+
+    def test_failure_in_the_second_fd_chunk_reaps_every_scorer(
+            self, scorer_path, tmp_path, monkeypatch):
+        # Column 0's probes fill the first chunk; the second chunk starts
+        # with column 1's up probes, whose first cell is the first row's
+        # x_0, which the scorer refuses.
+        monkeypatch.setattr(models, "ROW_BUDGET", 8)
+        x = np.column_stack([np.full(4, 3.0), np.arange(4.0)])
+        ext = recording_scorer(scorer_path, tmp_path, p=2,
+                               mode=("failat", "3.0"))
+        with pytest.raises(ModelError, match="scorer exited 9: refusing"):
+            gradient_table(ext, x, h=0.5)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        firsts = sorted(parse_request(r)[0, 0] for r in recorded(tmp_path))
+        assert firsts == [3.0, 3.5]
 
     def test_fd_table_memory_grows_less_than_the_probe_copy(self):
         # A 2N x p copy of the probes would add 16 p bytes a row; the
@@ -770,9 +850,8 @@ class TestExternal:
             probes.append(np.concatenate([up, dn]))
         table = gradient_table(
             recording_scorer(scorer_path, tmp_path, p=3, mode=("cube",)), x)
-        sent = recorded(tmp_path)
-        assert sorted(len(parse_request(r)) for r in sent) == [100, 100, 100]
-        assert sent == sorted(per_cell_writer(t) for t in probes)
+        # 2Np = 300 probe rows: one spawn for all three columns
+        assert recorded(tmp_path) == [per_cell_writer(np.concatenate(probes))]
         assert np.array_equal(table.values, np.column_stack(separate))
 
 
@@ -835,8 +914,8 @@ class TestWire:
         """The request ``predict`` writes for x, with the template's
         placeholder in column j: one block, each row's own value."""
         buf = io.BytesIO()
-        _write_swept(buf, _row_template(x, j), x.shape[1], x[None, :, j],
-                     (0, len(x)))
+        _write_swept(buf, x.shape[1], len(x), lambda _: _row_template(x, j),
+                     lambda _: x[:, j], [(0, 0, len(x))])
         return buf.getvalue()
 
     def test_encoder_matches_per_cell_repr(self):

@@ -177,6 +177,13 @@ class TestGenerate:
             SimSpec(case=case, n=10, **{field: value})
 
 
+def signal_variance(s: SimSpec) -> float:
+    """Var f from the scaled quadrature: 4^e times its scaled value."""
+    v, e = _signal_variance(s)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(v, 2 * e))
+
+
 class TestTheoreticalR2:
     @pytest.mark.parametrize("noise_sd", [0.0, 0.1, 0.7])
     @pytest.mark.parametrize("case", [c for c in CASES
@@ -184,7 +191,7 @@ class TestTheoreticalR2:
     def test_quadrature_matches_the_closed_forms(self, case, noise_sd):
         s = spec(case, noise_sd=noise_sd)
         v = closed_form_variance(s)
-        assert abs(_signal_variance(s) - v) < 1e-12
+        assert abs(signal_variance(s) - v) < 1e-12
         assert abs(theoretical_r2(s) - v / (v + noise_sd ** 2)) < 1e-12
 
     @pytest.mark.parametrize("noise_sd", [0.1, 0.7])
@@ -198,7 +205,10 @@ class TestTheoreticalR2:
         s = spec("bivariate_normal", noise_sd=noise_sd, rho=rho, mean=mean,
                  sigma=sigma, model=model)
         v = closed_form_variance(s)
-        assert abs(_signal_variance(s) - v) < 1e-12 * max(1.0, v)
+        assert abs(signal_variance(s) - v) < 1e-12 * max(1.0, v)
+        # The scaled ratio is the unscaled one, bit for bit.
+        v = signal_variance(s)
+        assert theoretical_r2(s) == v / (v + noise_sd ** 2)
         assert abs(theoretical_r2(s) - v / (v + noise_sd ** 2)) < 1e-12
 
     def test_independent_additive_case(self):
@@ -211,6 +221,14 @@ class TestTheoreticalR2:
 
     def test_noiseless_signal_is_perfect(self):
         assert theoretical_r2(spec("indep_61", noise_sd=0.0)) == 1.0
+
+    def test_signal_variance_past_the_largest_double(self):
+        # Var f is about 1e320 at sigma 1e80; the noise is nothing next
+        # to it.
+        s = spec("bivariate_normal", sigma=(1e80, 1.0),
+                 model="quad_plus_interaction")
+        assert np.isinf(signal_variance(s))
+        assert theoretical_r2(s) == 1.0
 
     @pytest.mark.parametrize("case", [c for c in CASES
                                       if c != "bivariate_normal"])
