@@ -18,8 +18,7 @@ from .effects import (DEFAULT_BINS, EffectMatrix, Estimation, ace, ale,
 from .errors import (AtdevError, DataError, ModelError, NoOracleError,
                      NumericalError, UsageError)
 from .gradients import GradientTable, check_gradient, gradient_table
-from .importance import (ImportanceReport, atdev_importance, build_report,
-                         dgsm)
+from .importance import ImportanceReport, build_report, dgsm
 from .models import (AnalyticModel, CATALOG_IDS, ExternalModel, FitReport,
                      MlpModel, Predictor, catalog_model, custom_model,
                      fit_mlp, wrap_external)
@@ -35,7 +34,7 @@ __all__ = [
     "FitReport", "GradientTable", "ImportanceReport", "MlpModel",
     "ModelError", "NoOracleError", "NumericalError", "OracleCurve",
     "OracleParams", "Predictor", "SimSpec", "UsageError", "ace", "ale",
-    "atdev", "atdev_importance", "atdev_terms", "build_report",
+    "atdev", "atdev_terms", "build_report",
     "catalog_model", "center", "check_gradient", "corr_matrix",
     "custom_model", "dgsm", "effect_matrix", "fit_dependence", "fit_mlp",
     "generate", "gradient_table", "le_curve",

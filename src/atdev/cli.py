@@ -134,13 +134,14 @@ _PAIR = _Kind("two finite numbers",
               lambda v: (isinstance(v, list) and len(v) == 2
                          and all(map(_is_number, v))),
               float, 2, cast=lambda v: (float(v[0]), float(v[1])))
-_FLOATS = _Kind("a list of finite numbers",
-                lambda v: isinstance(v, list) and all(map(_is_number, v)),
+_FLOATS = _Kind("a non-empty list of finite numbers",
+                lambda v: (isinstance(v, list) and len(v) > 0
+                           and all(map(_is_number, v))),
                 float, "+")
 _BOOL = _Kind("true or false", lambda v: isinstance(v, bool))
 _STR = _Kind("a string", lambda v: isinstance(v, str))
-_STRS = _Kind("a list of strings",
-              lambda v: (isinstance(v, list)
+_STRS = _Kind("a non-empty list of strings",
+              lambda v: (isinstance(v, list) and len(v) > 0
                          and all(isinstance(s, str) for s in v)),
               nargs="+")
 _TERMS = _Kind("a list of [coefficient, {column: power}] terms",
@@ -181,7 +182,7 @@ _OPTIONS = (
          check=_at_least(0)),
     # simulate
     _Opt("case", ("simulate",), _STR, choices=CASES, required=True),
-    _Opt("n", ("simulate",), _INT, 100_000, check=_at_least(1)),
+    _Opt("n", ("simulate",), _INT, 100_000, check=_at_least(2)),
     _Opt("noise_sd", ("simulate",), _FLOAT, 0.1,
          check=(lambda v: v >= 0, ">= 0")),
     # read by the bivariate_normal case only; SimSpec holds the defaults

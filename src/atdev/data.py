@@ -16,7 +16,9 @@ import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 from numpy.lib import format as npformat
@@ -159,6 +161,14 @@ class BinScheme:
     def widths(self) -> np.ndarray:
         return np.diff(self.edges)
 
+    def means(self, columns: Iterable[np.ndarray]) -> np.ndarray:
+        """Per-bin means of the N-vectors that ``columns`` yields, as a
+        K x m array. They are summed one at a time, so a generator keeps
+        one vector alive, not m."""
+        sums = map(partial(np.bincount, self.bin_of, minlength=self.k),
+                   columns)
+        return np.column_stack(list(sums)) / self.counts[:, None]
+
 
 def bin_index(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Index of the half-open bin ``[e_i, e_{i+1})`` holding each value,
@@ -174,8 +184,8 @@ class EffectCurve:
 
     ``counts`` carries the empirical weight of each grid point (bin member
     counts), which is what centering and variance summaries integrate
-    against. ``k`` is the row variable for cross curves (ACE, LEcross) and
-    None otherwise. A NaN or infinite grid point or value is a
+    against; they must total more than 0. ``k`` is the row variable for
+    cross curves (ACE, LEcross) and None otherwise. A NaN or infinite grid point or value is a
     NumericalError: an estimate that overflowed is never passed on.
     """
 
@@ -200,12 +210,18 @@ class EffectCurve:
             raise DataError("curve grid must be strictly increasing")
         if np.any(self.counts < 0):
             raise DataError("negative bin count")
+        if not self.counts.sum() > 0:
+            raise DataError("curve bin counts must total more than 0")
 
     def weighted_mean(self) -> float:
-        total = float(self.counts.sum())
-        if total == 0:
-            return float(np.mean(self.values))
-        return float(np.dot(self.values, self.counts) / total)
+        """Mean of the values against the counts."""
+        return float(np.dot(self.values, self.counts) / self.counts.sum())
+
+    def weighted_variance(self) -> float:
+        """Variance of the values against the counts: the empirical
+        distribution of the conditioning variable."""
+        return float(np.dot((self.values - self.weighted_mean()) ** 2,
+                            self.counts) / self.counts.sum())
 
 
 def center(curve: EffectCurve) -> EffectCurve:

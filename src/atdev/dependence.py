@@ -107,22 +107,19 @@ def fit_dependence(d: Dataset, j: int, kind: str = "linear",
         return DependenceModel(j=j, edges=ends, slopes=slopes[None, :])
 
     scheme = quantile_bins(d, j, bins)
-    kb, bin_of = scheme.k, scheme.bin_of
-    counts = scheme.counts.astype(np.float64)
+    levels = scheme.means(map(d.column, range(d.p)))
+    kb = scheme.k
+    lo = np.maximum(np.arange(kb) - 1, 0)
+    hi = np.minimum(np.arange(kb) + 1, kb - 1)
     # Knot abscissa is the bin mean of x_j (not the midpoint) so that on
     # exactly linear data every difference quotient reproduces the global
     # OLS slope to machine precision.
-    anchor = np.bincount(bin_of, weights=xj, minlength=kb) / counts
+    run = levels[hi, j] - levels[lo, j]
+    ok = run != 0.0
     bin_slopes = np.tile(slopes, (kb, 1))
     for k in range(d.p):
-        if k == j:
-            continue
-        level = np.bincount(bin_of, weights=d.column(k), minlength=kb) / counts
-        lo = np.maximum(np.arange(kb) - 1, 0)
-        hi = np.minimum(np.arange(kb) + 1, kb - 1)
-        run = anchor[hi] - anchor[lo]
-        ok = run != 0.0
-        bin_slopes[ok, k] = (level[hi] - level[lo])[ok] / run[ok]
+        if k != j:
+            bin_slopes[ok, k] = (levels[hi, k] - levels[lo, k])[ok] / run[ok]
     return DependenceModel(j=j, edges=scheme.edges, slopes=bin_slopes)
 
 

@@ -17,10 +17,10 @@ the bins of x_j and the dependence slopes S[:, k] = dm_k/dx_j
 (S[:, j] = 1). The context builds each fact once, when first asked.
 
 The four derivative curves are one quantity: the kernel ``_binned``
-takes the per-bin means of G * S over the x_j bins, and one entry,
-``_anchor_curves``, runs it per anchor. Column k integrated along the
-bins is ale (k = j) or ace through x_k; atdev is their sum; not
-integrated, with S = 1, it is le_curve. ``effect_matrix`` is that entry
+takes the per-bin means (``BinScheme.means``) of G * S over the x_j
+bins, and one entry, ``_anchor_curves``, runs it per anchor. Column k
+integrated along the bins is ale (k = j) or ace through x_k; atdev is
+their sum; not integrated, with S = 1, it is le_curve. ``effect_matrix`` is that entry
 run once per anchor.
 
 Integration is a cumulative midpoint rule from the observed minimum: the
@@ -108,13 +108,10 @@ def _binned(g: np.ndarray, scheme: BinScheme, cols: list[int] | range,
     g * slopes (slopes default to 1), as a K x len(cols) array. With
     ``integrate`` each column is accumulated along the bins by the
     midpoint rule."""
-    # Column by column: a whole N x m integrand costs more to allocate
-    # than the per-column loop costs to run.
-    sums = np.column_stack([
-        np.bincount(scheme.bin_of, minlength=scheme.k,
-                    weights=g[:, c] if slopes is None else g[:, c] * slopes[:, c])
-        for c in cols])
-    means = sums / scheme.counts[:, None]
+    # A generator, column by column: a whole N x m integrand costs more
+    # to allocate than the per-column loop costs to run.
+    means = scheme.means(g[:, c] if slopes is None else g[:, c] * slopes[:, c]
+                         for c in cols)
     if not integrate:
         return means
     # Accumulate mean*width from the first edge; midpoint value backs off
@@ -182,7 +179,7 @@ def marginal(ctx: Estimation, j: int, smooth: int = 0) -> EffectCurve:
     windows, so it cuts per-bin sampling noise without flattening shape.
     """
     scheme = ctx.bins(j)
-    values = _binned(ctx.fx[:, None], scheme, [0], integrate=False)[:, 0]
+    values = scheme.means([ctx.fx])[:, 0]
     if smooth > 0:
         values = _local_quadratic(scheme.midpoints, values,
                                   scheme.counts.astype(np.float64), smooth)

@@ -409,6 +409,10 @@ class TestConfigPrecedence:
         ({"center": "false"}, "'center' must be true or false, got 'false'"),
         ({"center": 0}, "'center' must be true or false, got 0"),
         ({"svg": "yes"}, "'svg' must be true or false, got 'yes'"),
+        ({"columns": []}, "'columns' must be a non-empty list of strings, "
+                          "got []"),
+        ({"coeffs": [], "model_id": "additive_linear"},
+         "'coeffs' must be a non-empty list of finite numbers, got []"),
     ])
     def test_config_values_must_have_their_type(self, data622, tmp_path,
                                                  capsys, config, message):
@@ -819,7 +823,7 @@ class TestConfigKeys:
     @pytest.mark.parametrize("command, config, message", [
         ("effects", {"kbins": 7}, "unknown config key 'kbins'"),
         ("effects", {"columns": "x1"},
-         "'columns' must be a list of strings, got 'x1'"),
+         "'columns' must be a non-empty list of strings, got 'x1'"),
         ("effects", {"external_cmd": 5}, "'external_cmd' must be a string"),
         ("effects", {"data": 5}, "'data' must be a string, got 5"),
         ("effects", {"out_dir": 5}, "'out_dir' must be a string, got 5"),

@@ -24,7 +24,7 @@ IDS = [f"{command}-{opt.name}" for command, opt in PAIRS]
 
 # Out-of-range values of every option with a check.
 OUT_OF_RANGE = {
-    "n": [0], "noise_sd": [-1.0], "rho": [1.0, -1.0],
+    "n": [0, 1], "noise_sd": [-1.0], "rho": [1.0, -1.0],
     "sigma": [[0.0, 1.0], [1.0, -2.0]], "hidden": [0], "max_epochs": [0],
     "patience": [-1], "valid_frac": [0.0, 1.0], "learning_rate": [0.0],
     "batch_size": [0], "fd_step": [0.0], "k_bins": [1],

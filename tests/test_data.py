@@ -579,6 +579,16 @@ class TestQuantileBins:
         assert np.allclose(s.midpoints, (s.edges[:-1] + s.edges[1:]) / 2)
         assert np.allclose(s.widths.sum(), s.edges[-1] - s.edges[0])
 
+    def test_means_are_the_members_means(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(500, 3))
+        s = quantile_bins(Dataset(names=["a", "b", "c"], columns=x), 1, 7)
+        got = s.means(x[:, c] for c in range(3))
+        assert got.shape == (s.k, 3)
+        for b in range(s.k):
+            assert np.allclose(got[b], x[s.bin_of == b].mean(axis=0),
+                               rtol=1e-13, atol=1e-15)
+
 
 class TestCenter:
     def test_unweighted(self):
@@ -616,6 +626,20 @@ class TestEffectCurve:
     def test_negative_counts_rejected(self):
         with pytest.raises(DataError):
             curve([1.0, 2.0], counts=[1.0, -1.0])
+
+    def test_counts_must_total_more_than_zero(self):
+        # no weights to center or take a variance against: an unweighted
+        # fallback would center these values to [-2, -1, 3]
+        with pytest.raises(DataError, match="total more than 0"):
+            curve([0.0, 1.0, 5.0], counts=[0.0, 0.0, 0.0])
+        with pytest.raises(DataError, match="total more than 0"):
+            curve([])
+
+    def test_weighted_moments(self):
+        c = curve([0.0, 1.0, 5.0], counts=[1.0, 2.0, 1.0])
+        assert c.weighted_mean() == 1.75
+        assert c.weighted_variance() == (1.75 ** 2 + 2 * 0.75 ** 2
+                                         + 3.25 ** 2) / 4
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_curve_is_a_numerical_error(self, bad):

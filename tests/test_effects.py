@@ -1,6 +1,8 @@
 """Effect-curve estimators checked against closed-form references and a
 brute-force Monte Carlo draw."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from atdev import (
     oracle,
     params_from_data,
     pdp,
+    quantile_bins,
     signal_model,
 )
 from atdev.data import bin_index
@@ -235,6 +238,25 @@ class TestAtdev:
         mask = inner_mask(d621.column(1), scheme.midpoints)
         assert max_gap(total, cond, mask) < 0.05
 
+    def test_terms_hold_one_integrand_column_at_a_time(self):
+        # Beyond the N x p slope table, the kernel keeps one N-vector
+        # integrand alive, 8 (p + 1) bytes a row; a second live column,
+        # or all p of them, would add 8 or 8 (p - 1) more.
+        model = catalog_model("case_623")
+        peaks, sizes = [], (20_000, 80_000)
+        for n in sizes:
+            ctx = Estimation(model, generate(SimSpec(case="complex_623",
+                                                     n=n, seed=1)))
+            ctx.table, ctx.bins(2), ctx.dep(2)
+            tracemalloc.start()
+            try:
+                atdev_terms(ctx, 2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_row = (peaks[1] - peaks[0]) / (sizes[1] - sizes[0])
+        assert per_row < 8 * (5 + 2)
+
 
 class TestLeCurve:
     def test_own_profile_reads_the_cubic_derivative(self, d71i):
@@ -415,3 +437,33 @@ class TestAgainstBruteForce:
             se = float(np.sqrt(np.var(ref) / len(ref)
                                + np.var(est_f) / len(est_f)))
             assert abs(inside_est - float(np.mean(ref))) < 3.0 * se
+
+    def test_local_linear_anchor_and_level_means(self):
+        # The local_linear slopes are difference quotients of the per-bin
+        # means of x1 (the anchor) and x2 (the level); both land on a
+        # second draw's conditional means.
+        d = generate(SimSpec(case="bivariate_normal", n=100_000, seed=9,
+                             rho=0.5, model="quad_plus_interaction"))
+        dep = fit_dependence(d, 0, "local_linear", bins=20)
+        scheme = quantile_bins(d, 0, 20)
+        members = [scheme.bin_of == b for b in range(scheme.k)]
+        means = np.array([[d.column(c)[m].mean() for c in (0, 1)]
+                          for m in members])
+        lo = np.maximum(np.arange(scheme.k) - 1, 0)
+        hi = np.minimum(np.arange(scheme.k) + 1, scheme.k - 1)
+        quotient = ((means[hi, 1] - means[lo, 1])
+                    / (means[hi, 0] - means[lo, 0]))
+        assert np.allclose(dep.slopes[:, 1], quotient, rtol=1e-12)
+
+        rng = np.random.default_rng(4321)
+        z1 = rng.standard_normal(1_000_000)
+        z2 = rng.standard_normal(1_000_000)
+        draw = (z1, 0.5 * z1 + np.sqrt(1.0 - 0.25) * z2)
+        bins = bin_index(scheme.edges, z1)
+        for b in (1, 10, 18):
+            for c in (0, 1):
+                ref = draw[c][bins == b]
+                own = d.column(c)[members[b]]
+                se = float(np.sqrt(np.var(ref) / len(ref)
+                                   + np.var(own) / len(own)))
+                assert abs(means[b, c] - float(np.mean(ref))) < 3.0 * se

@@ -13,7 +13,6 @@ from atdev import (
     EffectCurve,
     Estimation,
     ale,
-    atdev_importance,
     build_report,
     catalog_model,
     center,
@@ -22,7 +21,7 @@ from atdev import (
 )
 from atdev.dependence import DependenceModel
 from atdev.errors import DataError, NumericalError
-from atdev.importance import ImportanceReport, weighted_variance
+from atdev.importance import ImportanceReport
 from conftest import BRUTEFORCE
 from helpers import GivenDependence, scaled
 
@@ -40,23 +39,34 @@ def uniform_data(p, n=20_000, seed=3):
                    columns=[rng.uniform(-1, 1, n) for _ in range(p)])
 
 
+def weighted_variance(curve: EffectCurve) -> float:
+    """The count-weighted variance, operation for operation as the report
+    is meant to take it: the weighted mean, then the weighted mean of the
+    squared deviations."""
+    w = curve.counts
+    total = float(w.sum())
+    mean = float(np.dot(curve.values, w) / total)
+    return float(np.dot((curve.values - mean) ** 2, w) / total)
+
+
 class TestWeightedVariance:
     def test_flat_curve_has_none(self):
-        assert weighted_variance(flat_curve()) == 0.0
+        assert flat_curve().weighted_variance() == 0.0
 
     def test_weights_matter(self):
         c = EffectCurve(kind=CurveKind.ALE, j=0, grid=np.array([0.0, 1.0]),
                         values=np.array([0.0, 1.0]),
                         counts=np.array([3.0, 1.0]))
         # mean 1/4, variance 3/16
-        assert abs(weighted_variance(c) - 3.0 / 16.0) < 1e-12
+        assert abs(c.weighted_variance() - 3.0 / 16.0) < 1e-12
 
     def test_centering_does_not_change_it(self):
         rng = np.random.default_rng(1)
         c = EffectCurve(kind=CurveKind.ALE, j=0, grid=np.arange(8.0),
                         values=rng.normal(size=8),
                         counts=rng.integers(1, 9, 8).astype(np.float64))
-        assert abs(weighted_variance(c) - weighted_variance(center(c))) < 1e-12
+        assert abs(c.weighted_variance()
+                   - center(c).weighted_variance()) < 1e-12
 
 
 class TestMatrixImportance:
@@ -66,24 +76,22 @@ class TestMatrixImportance:
         ctx = GivenDependence(model, d, lambda j: DependenceModel(
             j=j, edges=np.array([-1.0, 1.0]), slopes=np.zeros((1, 3))),
             k_bins=40)
-        em = effect_matrix(ctx, CurveKind.ATDEV)
-        v, v_plus = atdev_importance(em)
+        rep = build_report(ctx)
+        v = rep.v
         off = v[~np.eye(3, dtype=bool)]
         assert np.all(off == 0.0)
-        assert np.allclose(v_plus, np.diag(v))
+        assert np.allclose(rep.v_plus, np.diag(v))
         for j in range(3):
-            own = weighted_variance(ale(ctx, j))
+            own = ale(ctx, j).weighted_variance()
             assert abs(v[j, j] - own) < 1e-12
 
     def test_transfer_cells_dominate_their_mirrors(self, d623):
         model = catalog_model("case_623")
-        em = effect_matrix(Estimation(model, d623), CurveKind.ATDEV)
-        v, v_plus = atdev_importance(em)
+        v = build_report(Estimation(model, d623)).v
         assert np.all(v >= 0.0)
         # x2 drives x4's column far more than x4 drives x2's
         assert v[1, 3] > 10.0 * v[3, 1]
         assert v[2, 4] > 10.0 * v[4, 2]
-        assert np.allclose(v_plus, v.sum(axis=0), atol=1e-15)
 
     def test_constant_model_scores_zero_everywhere(self):
         d = uniform_data(2, n=2_000)
@@ -101,11 +109,20 @@ class TestMatrixImportance:
         assert np.allclose(tripled.v, 9.0 * base.v, rtol=1e-10, atol=1e-14)
         assert np.allclose(tripled.dgsm, 9.0 * base.dgsm, rtol=1e-10)
 
-    def test_wrong_matrix_kind_rejected(self, d61):
-        em = effect_matrix(Estimation(catalog_model("case_61"), d61,
-                                      k_bins=20), CurveKind.LE)
-        with pytest.raises(DataError):
-            atdev_importance(em)
+    @pytest.mark.parametrize("dependence", ["linear", "local_linear",
+                                            "zero"])
+    def test_v_is_each_cells_weighted_variance(self, d623, dependence):
+        model = catalog_model("case_623")
+        if dependence == "zero":
+            ctx = GivenDependence(model, d623, lambda j: DependenceModel(
+                j=j, edges=np.array([-10.0, 10.0]), slopes=np.zeros((1, 5))))
+        else:
+            ctx = Estimation(model, d623, dependence=dependence)
+        cells = effect_matrix(ctx, CurveKind.ATDEV).cells
+        want = np.array([[weighted_variance(c) for c in row] for row in cells])
+        rep = build_report(ctx)
+        assert np.array_equal(rep.v, want)
+        assert np.array_equal(rep.v_plus, want.sum(axis=0))
 
 
 class TestDgsm:
@@ -135,31 +152,25 @@ class TestDgsm:
 
 
 class TestReport:
-    def test_column_totals_must_agree(self):
-        v = np.array([[1.0, 0.0], [0.0, 2.0]])
-        with pytest.raises(DataError):
-            ImportanceReport(names=("a", "b"), v=v,
-                             v_plus=np.array([1.0, 1.0]),
-                             dgsm=np.zeros(2))
+    def test_column_totals_are_derived(self):
+        v = np.array([[1.0, 0.5], [0.25, 2.0]])
+        rep = ImportanceReport(names=("a", "b"), v=v, dgsm=np.zeros(2))
+        assert np.array_equal(rep.v_plus, [1.25, 2.5])
 
     def test_negative_values_rejected(self):
         v = np.array([[-1.0, 0.0], [0.0, 2.0]])
         with pytest.raises(DataError):
-            ImportanceReport(names=("a", "b"), v=v, v_plus=v.sum(axis=0),
-                             dgsm=np.zeros(2))
+            ImportanceReport(names=("a", "b"), v=v, dgsm=np.zeros(2))
 
     @pytest.mark.parametrize("field, column", [
         ("v", "b"), ("v_plus", "b"), ("dgsm", "a")])
     def test_non_finite_values_name_field_and_column(self, field, column):
-        # checked before the totals, which NaN would fail with a
-        # message that blames the matrix
-        values = {"v": np.array([[1.0, 0.0], [0.0, 2.0]]),
-                  "v_plus": np.array([1.0, 2.0]), "dgsm": np.ones(2)}
-        values[field] = values[field].copy()
+        values = {"v": np.array([[1.0, 0.0], [0.0, 2.0]]), "dgsm": np.ones(2)}
         if field == "v":
             values["v"][1, 1] = np.nan
         elif field == "v_plus":
-            values["v_plus"][1] = np.inf
+            # finite cells whose column sum overflows
+            values["v"][:, 1] = 1e308
         else:
             values["dgsm"][0] = np.inf
         with pytest.raises(NumericalError,
@@ -170,7 +181,6 @@ class TestReport:
         model = catalog_model("case_622")
         rep = build_report(Estimation(model, d622, k_bins=50))
         assert rep.p == 3
-        assert np.allclose(rep.v_plus, rep.v.sum(axis=0), atol=1e-15)
         assert np.all(rep.dgsm >= 0.0)
         # the interaction pair carries all the importance; x3 is inert
         assert rep.v_plus[0] > 10.0 * rep.v_plus[2]

@@ -158,7 +158,7 @@ class TestCsvText:
         v = np.abs(float_array(p * p, p)).reshape(p, p)
         v[v > 1e305] = 1e305
         r = ImportanceReport(names=tuple(f"x{i}" for i in range(p)), v=v,
-                             v_plus=v.sum(axis=0), dgsm=np.ones(p))
+                             dgsm=np.ones(p))
         assert report_to_csv(r) == csv_writer_report(r)
 
 
@@ -230,7 +230,7 @@ class TestBarsAndReport:
 
     def test_report_round_trip(self):
         v = np.array([[0.5, 0.1], [0.0, 0.2]])
-        r = ImportanceReport(names=("x1", "x2"), v=v, v_plus=v.sum(axis=0),
+        r = ImportanceReport(names=("x1", "x2"), v=v,
                              dgsm=np.array([1.0, 2.0]))
         back = through_json(report_to_dict(r))
         assert np.array_equal(back["v"], r.v)
@@ -239,7 +239,7 @@ class TestBarsAndReport:
 
     def test_report_csv_has_one_row_per_cell(self):
         v = np.array([[0.5, 0.1], [0.0, 0.2]])
-        r = ImportanceReport(names=("x1", "x2"), v=v, v_plus=v.sum(axis=0),
+        r = ImportanceReport(names=("x1", "x2"), v=v,
                              dgsm=np.array([1.0, 2.0]))
         lines = report_to_csv(r).strip().splitlines()
         assert lines[0] == "i,j,v_ij"
