@@ -57,6 +57,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _Once(argparse.Action):
+    """Stores a list flag's values; a second use of the flag is a usage
+    error, where argparse's own ``store`` would keep the last one only."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(self, "given more than once")
+        setattr(namespace, self.dest, values)
+
+
 class _Emitter:
     """Writes command outputs, charts as SVG too when ``svg`` is set. Used
     as a context manager, it tears down everything it wrote when the body
@@ -551,6 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
             else:
                 kw = {"type": opt.kind.type, "nargs": opt.kind.nargs,
                       "choices": opt.choices}
+                if opt.kind.nargs is not None:
+                    kw["action"] = _Once
             sp.add_argument(opt.flag, dest=opt.name, help=opt.help, **kw)
     return parser
 

@@ -122,10 +122,10 @@ def _central_differences(model: Predictor, x: np.ndarray,
 def gradient_table(model: Predictor, d: Dataset | np.ndarray,
                    h: float | None = None) -> GradientTable:
     """All partials at once; finite differences cost one sweep of 2Np
-    rows, so ceil(2Np / ROW_BUDGET) scoring calls. ``h`` overrides the
-    automatic per-column step (FD path only). A step that rounding loses
-    or that overflows at some row is a DataError, raised before any
-    scoring call."""
+    rows, scored in the chunks the model plans (``Predictor._chunks``).
+    ``h`` overrides the automatic per-column step (FD path only). A step
+    that rounding loses or that overflows at some row is a DataError,
+    raised before any scoring call."""
     x = _rows(d)
     if model.has_analytic_gradient:
         g = model.gradient(x)

@@ -16,6 +16,7 @@ import select
 import subprocess
 import tempfile
 import time
+import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
@@ -43,8 +44,8 @@ __all__ = [
 
 # Rows per model evaluation. ``predict`` and ``gradient`` work through
 # blocks of at most this many rows (fewer where a backend sets
-# ``_block_rows``), an external scorer is sent at most this many a spawn,
-# and a sweep scores its rows in chunks of this many.
+# ``_block_rows``), and a sweep scores its rows in chunks of this many; an
+# external scorer is sent at most twice this many a spawn.
 ROW_BUDGET = 32_768
 
 
@@ -79,13 +80,13 @@ class Predictor:
         its first chunk is scored and dropped before the next is made, so
         one sweep can hold many columns' blocks without holding them at
         once.
-        ``_score_swept``, the one step backends differ in, scores chunks of
-        ``ROW_BUDGET`` swept rows cut across blocks. The arguments are
-        checked before anything is scored; x is never written."""
+        The swept rows are scored in the chunks ``_chunks`` plans, cut
+        across blocks, by ``_score_swept``: the two steps backends differ
+        in. The arguments are checked before anything is scored; x is
+        never written."""
         x, columns = self._check_sweep(x, j, values)
-        n, rows = len(x), len(columns) * len(x)
-        chunks = [(r, min(r + ROW_BUDGET, rows))
-                  for r in range(0, rows, ROW_BUDGET)]
+        n = len(x)
+        chunks = self._chunks(len(columns) * n)
         block = _Latest(lambda g: np.asarray(values[g], dtype=np.float64))
         parts = []
         # scores first, so that _score_swept runs to its end
@@ -96,6 +97,14 @@ class Predictor:
                 if i1 == n:
                     yield np.concatenate(parts)
                     parts = []
+
+    def _chunks(self, rows: int) -> list[tuple[int, int]]:
+        """The chunks ``(r0, r1)`` a sweep of ``rows`` swept rows is scored
+        in: ``ROW_BUDGET`` rows each, the last one short, so a chunk
+        starts at a multiple of any block length that divides
+        ``ROW_BUDGET``."""
+        return [(r, min(r + ROW_BUDGET, rows))
+                for r in range(0, rows, ROW_BUDGET)]
 
     def _score_swept(self, x: np.ndarray, columns: list, block, chunks):
         """The scores of each chunk ``(r0, r1)`` of swept rows, in order:
@@ -604,12 +613,15 @@ _TIMEOUT_S = 600
 
 
 class ExternalModel(Predictor):
-    """Scores rows through a child process, one spawn per chunk of at
-    most ``ROW_BUDGET`` rows of a sweep, whose chunks may cross from one
-    block, and one swept column, to the next. ``predict`` is the one
-    block of a sweep that sets column 0 to itself, so every request,
-    observed rows included, is assembled from each cell of x outside the
-    swept column formatted once.
+    """Scores rows through a child process, one spawn per chunk of a
+    sweep, whose chunks may cross from one block, and one swept column,
+    to the next. A sweep of R rows goes out as ⌈R / 2 ``ROW_BUDGET``⌉
+    requests, a count rounded up to a multiple of ``_IN_FLIGHT`` when R
+    exceeds ``ROW_BUDGET``, whose sizes differ by at most one row
+    (``_chunks``). ``predict`` is the one block of a sweep that sets
+    column 0 to itself, so every request, observed rows included, is
+    assembled from each cell of x outside the swept column formatted
+    once.
 
     Wire format: a header line ``N p``, then N rows of p space-separated
     decimals (Python ``repr`` of each float64) on stdin; the child must
@@ -637,6 +649,18 @@ class ExternalModel(Predictor):
         # the one block, unpacked, so the sweep runs to its end
         (scores,) = self.sweep(x, 0, x[None, :, 0])
         return scores
+
+    def _chunks(self, rows: int) -> list[tuple[int, int]]:
+        """m requests cut at ``rows i // m``: m is the fewest that hold
+        at most 2 ``ROW_BUDGET`` rows each, since every spawn costs a
+        start-up; the cap bounds the scorer's memory, which grows with
+        its request. Above ``ROW_BUDGET`` rows, m is rounded up to a
+        multiple of ``_IN_FLIGHT``, so that every scorer slot gets an
+        equal share of the sweep."""
+        m = -(-rows // (2 * ROW_BUDGET))
+        if rows > ROW_BUDGET:
+            m = -(-m // _IN_FLIGHT) * _IN_FLIGHT
+        return [(rows * i // m, rows * (i + 1) // m) for i in range(m)]
 
     def _score_swept(self, x: np.ndarray, columns: list, block, chunks):
         """One spawn a chunk, written without building it: x is formatted
@@ -780,15 +804,23 @@ def _write_rows(f, template: tuple[bytearray, np.ndarray],
 
 
 def _parse_scores(stdout: bytes, n: int) -> np.ndarray:
-    """The n scores in a scorer's answer. One vectorized parse; when it
-    fails or counts wrong, a token-by-token pass names the first problem.
-    Bytes that are not UTF-8 stay in their token and fail it."""
-    try:
-        values = np.array(stdout.split(), dtype=np.float64)
-        if len(values) == n:
-            return values
-    except ValueError:
-        pass
+    """The n scores in a scorer's answer. One vectorized parse that
+    builds no token list; when it stops short of the end, counts wrong
+    or reads a value that is not finite, a token-by-token pass reads
+    the answer as ``float`` does and names the first problem. Bytes
+    that are not UTF-8 stay in their token and fail it."""
+    # numpy reads text that is all whitespace as [-1.0], and reads NaN
+    # unlike float: without its sign, and from "nan(1)" too
+    if not stdout.isspace():
+        try:
+            with warnings.catch_warnings():
+                # older numpy warns, rather than raises, when it stops short
+                warnings.simplefilter("error", DeprecationWarning)
+                values = np.fromstring(stdout, dtype=np.float64, sep=" ")
+            if len(values) == n and np.isfinite(values).all():
+                return values
+        except (DeprecationWarning, ValueError):
+            pass
     out = stdout.decode(errors="replace").split()
     if len(out) != n:
         raise ModelError(

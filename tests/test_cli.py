@@ -226,10 +226,10 @@ class TestEffects:
         heads = [path.read_bytes().split(b"\n", 1)[0]
                  for path in log.glob("*.req")]
         # the 18 000 probe rows of all three columns in one spawn, 36 000
-        # swept rows a column in spawns of 32 768 and 3232, and the
-        # observed rows once
-        assert sorted(heads) == sorted([b"18000 3"] + [b"32768 3"] * 3
-                                       + [b"3232 3"] * 3 + [b"3000 3"])
+        # swept rows a column in two spawns of 18 000, and the observed
+        # rows once
+        assert sorted(heads) == sorted([b"18000 3"] + [b"18000 3"] * 6
+                                       + [b"3000 3"])
 
 
 class TestMatrixCommand:

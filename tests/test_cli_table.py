@@ -152,6 +152,24 @@ def test_flags_and_config_file_write_the_same_bytes(tmp_path, command):
             (tmp_path / "cfg" / name).read_bytes(), name
 
 
+LISTS = [(command, opt) for command, opt in PAIRS if opt.kind.nargs]
+
+
+@pytest.mark.parametrize("command, opt", LISTS,
+                         ids=[f"{c}-{o.name}" for c, o in LISTS])
+def test_a_repeated_list_flag_is_a_usage_error(tmp_path, capsys, command,
+                                               opt):
+    # argparse's own rule would keep the second list and drop the first
+    out = tmp_path / "never"
+    v = valid_value(opt)
+    argv = [command, *required_flags(command, opt.name), "--out-dir",
+            str(out), *as_flags(opt, v), *as_flags(opt, v[::-1])]
+    assert main(argv) == 1
+    assert f"argument {opt.flag}: given more than once" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_every_checked_option_has_out_of_range_values():
     assert sorted(OUT_OF_RANGE) == sorted({opt.name for opt in cli._OPTIONS
                                            if opt.check})

@@ -23,9 +23,9 @@ from atdev.data import Dataset
 from atdev.errors import DataError, ModelError, NumericalError
 from atdev.gradients import check_gradient, fd_step, gradient_table
 from atdev.io import write_json
-from atdev.models import (CATALOG_IDS, ROW_BUDGET, AnalyticModel, MlpModel,
-                          Predictor, _parse_scores, _row_template,
-                          _write_swept)
+from atdev.models import (CATALOG_IDS, ROW_BUDGET, AnalyticModel,
+                          ExternalModel, MlpModel, Predictor, _parse_scores,
+                          _row_template, _write_swept)
 from helpers import failing_open, take
 from mlp_reference import reference_fit_mlp
 
@@ -171,13 +171,13 @@ class TestPartialDependence:
         assert ROW_BUDGET == 32_768
         for n, k, spawns in [
             (8_192, 3, [24_576]),  # N K below R: one spawn
-            (8_192, 4, [32_768]),  # N K at R: one full spawn
-            (8_192, 5, [32_768, 8_192]),  # above R: the last is not full
-            # R is not a multiple of N: the first spawn ends inside the
-            # fourth grid value's rows
-            (10_000, 4, [32_768, 7_232]),
-            # N above R: spawns run on across grid values
-            (40_000, 2, [32_768, 32_768, 14_464]),
+            (8_192, 4, [32_768]),  # N K at R: one spawn
+            # above R: an even count of equal spawns; the first ends
+            # inside the third grid value's rows
+            (8_192, 5, [20_480, 20_480]),
+            (10_000, 4, [20_000, 20_000]),
+            # N above R: spawns of up to 2R rows, one a grid value here
+            (40_000, 2, [40_000, 40_000]),
         ]:
             log = tmp_path / f"{n}x{k}"
             log.mkdir()
@@ -198,12 +198,15 @@ class TestPartialDependence:
             self, scorer_path, tmp_path, monkeypatch, j):
         monkeypatch.setattr(models, "ROW_BUDGET", 7)
         for n, spawns in [
-            # N = 20 over a budget of 7: spawns cut through the rows of
-            # every grid value, and one spawn holds the end of one grid
-            # value and the start of the next.
-            (20, [7] * 8 + [4]),
-            # N = 3: a spawn holds two grid values and a third's first row.
-            (3, [7, 2]),
+            # N = 20 over a budget of 7: 60 rows in six spawns of 10, two
+            # a grid value.
+            (20, [10] * 6),
+            # N = 13: spawns of 9 or 10 rows cut through the rows of every
+            # grid value, and the second holds the end of one grid value
+            # and the start of the next.
+            (13, [9, 10, 10, 10]),
+            # N = 3: a spawn holds one grid value and the next's first row.
+            (3, [4, 5]),
         ]:
             log = tmp_path / str(n)
             log.mkdir()
@@ -223,7 +226,7 @@ class TestPartialDependence:
     def test_sweep_leaves_x_untouched_when_scoring_fails(self, scorer_path,
                                                          tmp_path):
         ext = recording_scorer(scorer_path, tmp_path, p=2,
-                               mode=("failat", "40.0"))
+                               mode=("failat", "20.0"))
         x = np.column_stack([np.linspace(-1.0, 1.0, 8_192), np.ones(8_192)])
         before = x.copy()
         with pytest.raises(ModelError, match="scorer exited 9: refusing"):
@@ -231,7 +234,7 @@ class TestPartialDependence:
                                                    40.0]))
         calls = sorted((len(t), t[0, 0], t[-1, 0])
                        for t in map(parse_request, recorded(tmp_path)))
-        assert calls == [(8_192, 40.0, 40.0), (32_768, 0.0, 30.0)]
+        assert calls == [(20_480, 0.0, 20.0), (20_480, 20.0, 40.0)]
         assert x.tobytes() == before.tobytes()
 
     def test_failure_mid_sweep_reaps_every_scorer(self, scorer_path,
@@ -241,7 +244,7 @@ class TestPartialDependence:
         # Four calls of two grid values each; the second call fails.
         ext = recording_scorer(scorer_path, tmp_path, p=2,
                                mode=("failat", "20.0"))
-        x = np.column_stack([np.zeros(16_384), np.ones(16_384)])
+        x = np.column_stack([np.zeros(20_000), np.ones(20_000)])
         fds = sorted(os.listdir("/proc/self/fd"))
         with pytest.raises(ModelError) as exc:
             ext.partial_dependence(x, 0, np.arange(8) * 10.0)
@@ -606,14 +609,12 @@ class TestRowBudget:
         x[4] = TestWire.EXTREMES[0], TestWire.EXTREMES[3]
         table = gradient_table(
             recording_scorer(scorer_path, tmp_path, p=2, mode=("cube",)), x)
-        # 2Np = 40 probe rows in one sweep: five spawns of 7 rows and one
-        # of 5.
+        # 2Np = 40 probe rows in one sweep: ⌈40 / 14⌉ = 3 spawns rounded
+        # up to 4, so that two scorers share the table, of 10 rows each.
         assert sorted(len(parse_request(r)) for r in recorded(tmp_path)) \
-            == [5, 7, 7, 7, 7, 7]
-        # The third spawn holds the last down probes of column 0 and the
-        # first up probes of column 1: each request is its chunk of the
-        # stacked probes, byte for byte.
-        chunks = budget_chunks(stacked_probes(x, table.steps))
+            == [10, 10, 10, 10]
+        # Each request is its chunk of the stacked probes, byte for byte.
+        chunks = request_chunks(stacked_probes(x, table.steps))
         assert recorded(tmp_path) == sorted(map(per_cell_writer, chunks))
         assert np.allclose(table.values[:, 0], 3.0 * x[:, 0] ** 2, atol=1e-6)
 
@@ -654,8 +655,8 @@ class TestRowBudget:
                 "external": lambda: recording_scorer(scorer_path, log, p=p),
             }[backend]()
             table = gradient_table(model, x)
-            chunks = budget_chunks(stacked_probes(x, table.steps))
             if backend == "external":
+                chunks = request_chunks(stacked_probes(x, table.steps))
                 assert recorded(log) == sorted(map(per_cell_writer, chunks))
                 model = wrap_external([sys.executable, scorer_path, "sum"],
                                       p=p)
@@ -816,9 +817,47 @@ class TestExternal:
         x = np.arange(20.0).reshape(-1, 1)
         assert np.array_equal(ext.predict(x), x[:, 0])
         assert sorted(len(parse_request(r)) for r in recorded(tmp_path)) \
-            == [6, 7, 7]
+            == [10, 10]
         assert recorded(tmp_path) == sorted(
-            per_cell_writer(x[s:s + 7]) for s in range(0, 20, 7))
+            per_cell_writer(x[s:s + 10]) for s in range(0, 20, 10))
+
+    @settings(max_examples=20, deadline=None)
+    @example(4, (4, 3), 2)
+    @example(5, (0, 1), 1)
+    @given(st.integers(2, 9),
+           # R = a B + c: 1, B - 1, B, B + 1, 2B, 2B + 1, 4B + 3, 7B + 5
+           st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (2, 0), (2, 1),
+                            (4, 3), (7, 5)]),
+           st.integers(1, 3))
+    def test_requests_are_few_and_even(self, scorer_path, b, ac, p):
+        """A sweep of R rows goes out as ⌈R / 2B⌉ requests, rounded up to
+        an even count when R > B, of at most 2B rows each and sizes that
+        differ by at most one row, the swept rows in order."""
+        r = ac[0] * b + ac[1]
+        want = -(-r // (2 * b))
+        if r > b:
+            want += want % 2
+        # up to three blocks of N swept rows, so requests cross blocks
+        k = next(k for k in (3, 2, 1) if r % k == 0)
+        n = r // k
+        x = np.random.default_rng(r).uniform(-1.0, 1.0, (n, p))
+        grid = np.arange(k) * 0.5 - 1.0
+        with mock.patch.object(models, "ROW_BUDGET", b), \
+                tempfile.TemporaryDirectory() as log:
+            ext = recording_scorer(scorer_path, log, p=p)
+            plan = ext._chunks(r)
+            scores = np.concatenate(list(ext.sweep(x, p - 1, grid[:, None])))
+            sent = recorded(log)
+        sizes = [r1 - r0 for r0, r1 in plan]
+        assert len(plan) == want
+        assert max(sizes) <= 2 * b and max(sizes) - min(sizes) <= 1
+        assert [r0 for r0, _ in plan] == [0] + [r1 for _, r1 in plan[:-1]]
+        assert plan[-1][1] == r
+        rows = np.concatenate(swept_rows(x, p - 1, grid))
+        assert sent == sorted(per_cell_writer(rows[r0:r1])
+                              for r0, r1 in plan)
+        assert scores.tobytes() == np.array(
+            [sum(map(float, row)) for row in rows]).tobytes()
 
     def test_empty_command_rejected(self):
         with pytest.raises(ModelError):
@@ -891,12 +930,43 @@ def swept_rows(x: np.ndarray, j: int, grid: np.ndarray) -> list[np.ndarray]:
     return copies
 
 
+def split_parse(stdout: bytes, n: int) -> np.ndarray:
+    """The answer parser as it was before ``np.fromstring``: numpy over a
+    list of the answer's tokens, then the token pass."""
+    try:
+        values = np.array(stdout.split(), dtype=np.float64)
+        if len(values) == n:
+            return values
+    except ValueError:
+        pass
+    out = stdout.decode(errors="replace").split()
+    if len(out) != n:
+        raise ModelError(
+            f"external scorer protocol error: expected {n} values, "
+            f"got {len(out)}")
+    values = np.empty(n)
+    for i, tok in enumerate(out):
+        try:
+            values[i] = float(tok)
+        except ValueError:
+            raise ModelError(
+                f"external scorer protocol error: row {i} is not a "
+                f"number: {tok!r}") from None
+    return values
+
+
+def request_chunks(rows: np.ndarray) -> list[np.ndarray]:
+    """Rows cut into the requests of an external sweep, as
+    ``ExternalModel._chunks`` plans them."""
+    plan = ExternalModel(["unused"], p=1)._chunks(len(rows))
+    return [rows[r0:r1] for r0, r1 in plan]
+
+
 def swept_chunks(x: np.ndarray, j: int,
                  grid: np.ndarray) -> list[np.ndarray]:
-    """The rows each spawn of a sweep holds: the swept rows end to end,
-    cut every ROW_BUDGET rows."""
-    rows, budget = np.concatenate(swept_rows(x, j, grid)), models.ROW_BUDGET
-    return [rows[r:r + budget] for r in range(0, len(rows), budget)]
+    """The rows each spawn of an external sweep holds: the swept rows end
+    to end, cut into its requests."""
+    return request_chunks(np.concatenate(swept_rows(x, j, grid)))
 
 
 def predict_loop(model: Predictor, x: np.ndarray, j: int,
@@ -949,6 +1019,59 @@ class TestWire:
         # token pass reads them as the text protocol always did.
         stdout = "1.5\n\u0661\u0662\u00a0\n-0.0\n".encode()
         assert _parse_scores(stdout, 3).tolist() == [1.5, 12.0, -0.0]
+
+    ODD_TOKENS = [b"1_000", b"nan", b"-nan", b"NaN", b"inf", b"-inf",
+                  b"1e999", b"-1e999", b"1e-400", b"1.5abc", b"0x10",
+                  b"\xff", b"\xff\xfe", b"nan(1)", b"+7", b"-0.0", b".5",
+                  b"1.", b"e5", b"1e", b"1\x002", b"\x00",
+                  "\u0661\u0662".encode(), b"5e-324"]
+
+    SEPARATORS = [b"", b"\n", b"\r\n", b" ", b"\t", b"\n\n", b" \n",
+                  b"\n\x0b"]
+
+    @settings(max_examples=300, deadline=None)
+    @example([], b"", 0)
+    @example([], b"\n", 1)
+    @example([], b" \r\n", 0)
+    @example([(b"", b"1.5"), (b"\n", b"2.5")], b"\n", -1)
+    @example([(b"", b"1.5"), (b"\n", b"abc"), (b"\n", b"1.5")], b"\n", -2)
+    @example([(b"", b"-nan"), (b"\n", b"nan(1)")], b"\n", 0)
+    @example([(b"", b"1.5"), (b"\n", b"-nan")], b"\n", 0)
+    @given(st.lists(st.tuples(
+               st.sampled_from(SEPARATORS[1:]),
+               st.one_of(st.floats().map(lambda v: repr(v).encode()),
+                         st.sampled_from(ODD_TOKENS))), max_size=12),
+           st.sampled_from(SEPARATORS), st.integers(-2, 1))
+    def test_parse_equals_the_split_parser(self, tokens, tail, delta):
+        """Blank lines, CRLF, two numbers on a line and tokens the two
+        parsers read differently: the same values, bit for bit, or a
+        ModelError with the same message."""
+        stdout = b"".join(sep + tok for sep, tok in tokens) + tail
+        n = max(0, len(stdout.split()) + delta)
+
+        def outcome(parse):
+            try:
+                return parse(stdout, n).tobytes()
+            except ModelError as exc:
+                return str(exc)
+
+        assert outcome(_parse_scores) == outcome(split_parse)
+
+    def test_parse_holds_little_beyond_its_output(self):
+        values = np.random.default_rng(12).normal(size=65_536)
+        stdout = "".join(f"{v!r}\n" for v in values.tolist()).encode()
+        above = []
+        for parse in (_parse_scores, split_parse):
+            tracemalloc.start()
+            try:
+                out = parse(stdout, len(values))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.tobytes() == values.tobytes()
+            above.append(peak - out.nbytes)
+        # the split parser's list of 65 536 bytes objects takes about 4 MB
+        assert above[0] < 2**20 <= above[1]
 
     def test_round_trip_through_the_scorer_is_bit_exact(self, scorer_path):
         # With p = 1 the sum scorer echoes each value back as 0 + v,
