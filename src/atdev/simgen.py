@@ -6,12 +6,17 @@ default_rng, PCG64; fixed seeds give bit-identical datasets) and adds a
 noisy polynomial response; ``theoretical_r2`` runs it on Gauss
 quadrature nodes, so its signal variance is exact for every case.
 
-The reference-curve side evaluates the exact effect curves implied by a
-polynomial model together with a linear conditional-mean assumption
-between predictors. Slopes, intercepts and means are taken from the
-dataset under test, so estimator and reference see the same finite-sample
-dependence structure. Combinations without a worked-out closed form
-raise, never guess.
+The reference side gives the exact curves of a catalog polynomial f,
+each a polynomial in the anchor x_j, from two rules over f's terms.
+Under a linear conditional mean every other x_m sits on its fitted line
+c_mj + b_mj x_j: the Marginal and ATDEV are f itself, ALE integrates
+df/dx_j and the ACE through x_k integrates b_kj df/dx_k. Under
+independence every other x_m^a is averaged out to its sample moment:
+PD is f and LE or LEcross is df/dx_k. PD, Marginal and ATDEV drop
+their constant, as curves are compared after centering. Slopes, intercepts and moments
+are taken from the dataset under test, so estimator and reference see
+the same finite-sample dependence structure. ``_COVERAGE`` declares the
+(case, kind) pairs answered; every other pair raises, never guesses.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CurveKind, Dataset
+from .data import CurveKind, Dataset, _check_index
 from .dependence import _pow2_scaled, ols_line
 from .errors import DataError, NoOracleError
 from .models import AnalyticModel, catalog_model
@@ -223,172 +228,81 @@ class OracleCurve:
         return self.coeffs[degree] if degree < len(self.coeffs) else 0.0
 
 
-def _pair(P: OracleParams, k: int, j: int) -> tuple[float, float]:
-    return P.beta[(k, j)], P.c[(k, j)]
+# The (case, kind) pairs with a closed form; every other pair raises.
+# additive_621 and interaction_622 answer as their polynomials.
+_LINEAR_KINDS = frozenset({CurveKind.PD, CurveKind.MARGINAL, CurveKind.ALE,
+                           CurveKind.ACE, CurveKind.ATDEV})
+_COVERAGE = {
+    **dict.fromkeys((*BIVARIATE_MODELS, "case_621", "case_622"), _LINEAR_KINDS),
+    "le_71_indep": frozenset({CurveKind.LE, CurveKind.LE_CROSS}),
+}
+_ALIASES = {"additive_621": "case_621", "interaction_622": "case_622"}
 
 
-def _two_var_forms(model: str, P: OracleParams, j: int) -> dict:
-    """Curve coefficient tables for the two-input example models.
-
-    Keys: kind (ACE implicitly through the single other variable).
-    Coefficients ascending; constant terms left at zero since comparisons
-    happen after centering.
-    """
-    k = 1 - j
-    b, c = _pair(P, k, j)
-    if model == "additive_linear":
-        return {
-            CurveKind.PD: (0.0, 1.0),
-            CurveKind.ALE: (0.0, 1.0),
-            CurveKind.ACE: (0.0, b),
-            CurveKind.ATDEV: (0.0, 1.0 + b),
-            CurveKind.MARGINAL: (0.0, 1.0 + b),
-        }
-    if model == "multiplicative":
-        return {
-            CurveKind.PD: (0.0, P.mu[k]),
-            CurveKind.ALE: (0.0, c, b / 2.0),
-            CurveKind.ACE: (0.0, 0.0, b / 2.0),
-            CurveKind.ATDEV: (0.0, c, b),
-            CurveKind.MARGINAL: (0.0, c, b),
-        }
-    if model == "quad_plus_interaction":
-        if j == 0:
-            return {
-                CurveKind.PD: (0.0, P.mu[1], 1.0),
-                CurveKind.ALE: (0.0, c, 1.0 + b / 2.0),
-                CurveKind.ACE: (0.0, 0.0, b / 2.0),
-                CurveKind.ATDEV: (0.0, c, 1.0 + b),
-                CurveKind.MARGINAL: (0.0, c, 1.0 + b),
-            }
-        return {
-            CurveKind.PD: (0.0, P.mu[0]),
-            CurveKind.ALE: (0.0, c, b / 2.0),
-            CurveKind.ACE: (0.0, 2.0 * b * c, b * b + b / 2.0),
-            CurveKind.ATDEV: (0.0, c * (1.0 + 2.0 * b), b * b + b),
-            CurveKind.MARGINAL: (0.0, c * (1.0 + 2.0 * b), b * b + b),
-        }
-    raise NoOracleError(f"no reference curves for model {model!r}")
+def _derivative(terms, k: int) -> list:
+    """The terms of df/dx_k."""
+    return [(coef * powers[k],
+             {m: a - (m == k) for m, a in powers.items() if m != k or a > 1})
+            for coef, powers in terms if k in powers]
 
 
-def _case_621_forms(P: OracleParams, j: int) -> dict:
-    # f = x1^2 + x2 over (x1, x2, x3); x3 absent from the model.
-    out: dict = {}
-    if j == 0:
-        b, _ = _pair(P, 1, 0)
-        out[CurveKind.PD] = (0.0, 0.0, 1.0)
-        out[CurveKind.ALE] = (0.0, 0.0, 1.0)
-        out[(CurveKind.ACE, 1)] = (0.0, b)
-        out[(CurveKind.ACE, 2)] = (0.0,)
-        out[CurveKind.ATDEV] = (0.0, b, 1.0)
-        out[CurveKind.MARGINAL] = (0.0, b, 1.0)
-    elif j == 1:
-        b, c = _pair(P, 0, 1)
-        out[CurveKind.PD] = (0.0, 1.0)
-        out[CurveKind.ALE] = (0.0, 1.0)
-        out[(CurveKind.ACE, 0)] = (0.0, 2.0 * b * c, b * b)
-        out[(CurveKind.ACE, 2)] = (0.0,)
-        out[CurveKind.ATDEV] = (0.0, 1.0 + 2.0 * b * c, b * b)
-        out[CurveKind.MARGINAL] = (0.0, 1.0 + 2.0 * b * c, b * b)
-    else:
-        b1, c1 = _pair(P, 0, 2)
-        b2, _ = _pair(P, 1, 2)
-        out[CurveKind.PD] = (0.0,)
-        out[CurveKind.ALE] = (0.0,)
-        out[(CurveKind.ACE, 0)] = (0.0, 2.0 * b1 * c1, b1 * b1)
-        out[(CurveKind.ACE, 1)] = (0.0, b2)
-        out[CurveKind.ATDEV] = (0.0, 2.0 * b1 * c1 + b2, b1 * b1)
-        out[CurveKind.MARGINAL] = (0.0, 2.0 * b1 * c1 + b2, b1 * b1)
+def _in_xj(terms, j: int, other) -> np.ndarray:
+    """The terms as a polynomial in x_j, ascending coefficients, with
+    each x_m^a of another column replaced by the polynomial other(m, a)."""
+    poly = np.polynomial.polynomial
+    out = np.zeros(1)
+    for coef, powers in terms:
+        t = np.array([coef])
+        for m, a in powers.items():
+            t = poly.polymul(t, poly.polypow((0.0, 1.0), a) if m == j
+                             else other(m, a))
+        out = poly.polyadd(out, t)
     return out
-
-
-def _case_622_forms(P: OracleParams, j: int) -> dict:
-    # f = x1 + x2 + x1 x2 over (x1, x2, x3); x3 absent from the model.
-    out: dict = {}
-    if j in (0, 1):
-        k = 1 - j
-        b, c = _pair(P, k, j)
-        out[CurveKind.PD] = (0.0, 1.0 + P.mu[k])
-        out[CurveKind.ALE] = (0.0, 1.0 + c, b / 2.0)
-        out[(CurveKind.ACE, k)] = (0.0, b, b / 2.0)
-        out[(CurveKind.ACE, 2)] = (0.0,)
-        out[CurveKind.ATDEV] = (0.0, 1.0 + c + b, b)
-        out[CurveKind.MARGINAL] = (0.0, 1.0 + c + b, b)
-    else:
-        b1, c1 = _pair(P, 0, 2)
-        b2, c2 = _pair(P, 1, 2)
-        out[CurveKind.PD] = (0.0,)
-        out[CurveKind.ALE] = (0.0,)
-        out[(CurveKind.ACE, 0)] = (0.0, b1 * (1.0 + c2), b1 * b2 / 2.0)
-        out[(CurveKind.ACE, 1)] = (0.0, b2 * (1.0 + c1), b1 * b2 / 2.0)
-        out[CurveKind.ATDEV] = (0.0, b1 * (1.0 + c2) + b2 * (1.0 + c1), b1 * b2)
-        out[CurveKind.MARGINAL] = (0.0, b1 * (1.0 + c2) + b2 * (1.0 + c1), b1 * b2)
-    return out
-
-
-def _le_indep_forms(P: OracleParams, k: int, j: int) -> tuple[float, ...]:
-    # Conditional mean of each partial of the five-input polynomial under
-    # fully independent columns; constants use sample moments.
-    if k == 0:
-        return (1.0,)
-    if k == 1:
-        if j == 1:
-            return (0.8 * P.mu[3], 3.0)
-        if j == 3:
-            return (3.0 * P.mu[1], 0.8)
-        return (3.0 * P.mu[1] + 0.8 * P.mu[3],)
-    if k == 2:
-        if j == 2:
-            return (-1.5, 0.0, 6.0)
-        return (6.0 * P.m2[2] - 1.5,)
-    if k == 3:
-        if j == 1:
-            return (0.0, 0.8)
-        return (0.8 * P.mu[1],)
-    return (0.0,)
 
 
 def oracle(case: str, kind: CurveKind | str, j: int, params: OracleParams,
            k: int | None = None) -> OracleCurve:
     """Closed-form curve for a covered (case, kind, variable) combination.
 
-    ``case`` is a simulation case id or a two-input model id. Raises
+    ``case`` is a simulation case id or a two-input model id. ``k`` names
+    the column an ACE or LEcross curve runs through; a two-input ACE
+    defaults to the other column, and LE takes no k but j. Raises
     NoOracleError for anything without a derived form.
     """
     kind = CurveKind(kind)
-    alias = {"additive_621": "case_621", "interaction_622": "case_622"}
-    case = alias.get(case, case)
-
-    if case in ("case_61", "le_71_indep") and kind in (CurveKind.LE, CurveKind.LE_CROSS):
-        if case == "le_71_indep":
-            kk = j if k is None else k
-            return OracleCurve(case=case, kind=kind, j=j, k=None if kk == j else kk,
-                               coeffs=_le_indep_forms(params, kk, j))
+    case = _ALIASES.get(case, case)
+    if kind not in _COVERAGE.get(case, ()):
         raise NoOracleError(f"no reference curve for ({case}, {kind.value})")
+    f = catalog_model(_POLYNOMIALS.get(case, case), p=2)
+    _check_index(j, f.p, NoOracleError)
+    if kind is CurveKind.ACE and k is None and f.p == 2:
+        k = 1 - j
+    if kind is CurveKind.LE and k not in (None, j):
+        raise NoOracleError(f"an LE curve runs through its own column {j}")
+    if kind in (CurveKind.ACE, CurveKind.LE_CROSS):
+        _check_index(k, f.p, NoOracleError)
+        if k == j:
+            raise NoOracleError(f"no cross curve of column {j} through itself")
+    else:
+        k = None
 
-    if case in ("additive_linear", "multiplicative", "quad_plus_interaction"):
-        if j not in (0, 1):
-            raise NoOracleError(f"two-input model has no column {j}")
-        forms = _two_var_forms(case, params, j)
-        if kind not in forms:
-            raise NoOracleError(f"no reference curve for ({case}, {kind.value})")
-        if kind is CurveKind.ACE and k not in (1 - j, None):
-            raise NoOracleError(f"no cross effect through column {k}")
-        return OracleCurve(case=case, kind=kind, j=j,
-                           k=1 - j if kind is CurveKind.ACE else None,
-                           coeffs=forms[kind])
+    P, poly = params, np.polynomial.polynomial
 
-    if case in ("case_621", "case_622"):
-        if j not in (0, 1, 2):
-            raise NoOracleError(f"three-input case has no column {j}")
-        forms = _case_621_forms(params, j) if case == "case_621" \
-            else _case_622_forms(params, j)
-        key = (kind, k) if kind is CurveKind.ACE else kind
-        if key not in forms:
-            raise NoOracleError(
-                f"no reference curve for ({case}, {kind.value}, j={j}, k={k})")
-        return OracleCurve(case=case, kind=kind, j=j,
-                           k=k if kind is CurveKind.ACE else None,
-                           coeffs=forms[key])
+    def line(m, a):  # x_m on its fitted line in x_j
+        return poly.polypow((P.c[(m, j)], P.beta[(m, j)]), a)
 
-    raise NoOracleError(f"no reference curves for case {case!r}")
+    def moment(m, a):  # x_m averaged out; covered f average powers <= 2
+        return ((P.mu, P.m2)[a - 1][m],)
+
+    through = j if k is None else k
+    if kind in (CurveKind.LE, CurveKind.LE_CROSS):
+        coeffs = _in_xj(_derivative(f.terms, through), j, moment)
+    elif kind in (CurveKind.ALE, CurveKind.ACE):
+        slope = 1.0 if k is None else P.beta[(k, j)]
+        coeffs = poly.polyint(
+            slope * _in_xj(_derivative(f.terms, through), j, line))
+    else:
+        coeffs = _in_xj(f.terms, j, moment if kind is CurveKind.PD else line)
+        coeffs[0] = 0.0  # compared after centering
+    return OracleCurve(case=case, kind=kind, j=j, k=k,
+                       coeffs=tuple(map(float, poly.polytrim(coeffs))))

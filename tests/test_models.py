@@ -47,6 +47,16 @@ class TestAnalytic:
         m = catalog_model("quad_plus_interaction")
         assert m.predict(rows((2.0, 3.0)))[0] == 10.0
 
+    def test_three_input_additive_form(self):
+        m = catalog_model("case_621")
+        x = rows((-1.5, 0.25, 7.0))
+        assert m.predict(x)[0] == 2.25 + 0.25
+
+    def test_three_input_interaction_form(self):
+        m = catalog_model("case_622")
+        x = rows((2.0, -0.5, 7.0))
+        assert m.predict(x)[0] == 2.0 - 0.5 + 2.0 * (-0.5)
+
     def test_five_input_additive_form(self):
         m = catalog_model("case_61")
         x = rows((0.5, -0.5, 1.0, 0.25, 9.0))

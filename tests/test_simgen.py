@@ -292,6 +292,29 @@ class TestOracle:
                 assert np.allclose(own + cross, total, atol=1e-14)
                 assert np.allclose(cond, total, atol=1e-14)
 
+        # three inputs: the ACE terms run through each other column
+        for case in ("additive_621", "interaction_622"):
+            P3 = params_from_data(generate(spec(case, n=5_000, seed=4)))
+            for j in (0, 1, 2):
+                own = padded(oracle(case, CurveKind.ALE, j, P3))
+                cross = sum(padded(oracle(case, CurveKind.ACE, j, P3, k=k))
+                            for k in (0, 1, 2) if k != j)
+                total = padded(oracle(case, CurveKind.ATDEV, j, P3))
+                cond = padded(oracle(case, CurveKind.MARGINAL, j, P3))
+                assert np.allclose(own + cross, total, atol=1e-14)
+                assert np.allclose(cond, total, atol=1e-14)
+
+    def test_additive_621_spillover_column(self):
+        # f = x1^2 + x2 at anchor x3: x1 -> c1 + b1 x3 transfers
+        # d(x1^2)/dx1 = 2 x1, x2 -> c2 + b2 x3 transfers 1
+        P = params_from_data(generate(spec("additive_621", n=5_000, seed=4)))
+        b1, c1 = P.beta[(0, 2)], P.c[(0, 2)]
+        b2 = P.beta[(1, 2)]
+        via1 = oracle("additive_621", CurveKind.ACE, 2, P, k=0)
+        assert np.allclose(via1.coeffs, (0.0, 2.0 * b1 * c1, b1 * b1))
+        via2 = oracle("additive_621", CurveKind.ACE, 2, P, k=1)
+        assert np.allclose(via2.coeffs, (0.0, b2))
+
     def test_derivative_profiles_for_the_independent_case(self):
         d = generate(spec("le_71_indep", n=30_000, seed=2))
         P = params_from_data(d)
@@ -324,6 +347,17 @@ class TestOracle:
             oracle("multiplicative", CurveKind.ACE, 0, P, k=0)
         with pytest.raises(NoOracleError):
             oracle("multiplicative", CurveKind.PD, 5, P)
+        P5 = params_from_data(generate(spec("le_71_indep", n=500, seed=3)))
+        with pytest.raises(NoOracleError):  # no column 7 of five
+            oracle("le_71_indep", CurveKind.LE, 7, P5)
+        with pytest.raises(NoOracleError):  # no column 9 to run through
+            oracle("le_71_indep", CurveKind.LE_CROSS, 0, P5, k=9)
+        with pytest.raises(NoOracleError):  # LE is the own profile
+            oracle("le_71_indep", CurveKind.LE, 2, P5, k=3)
+        with pytest.raises(NoOracleError):  # LEcross needs another k
+            oracle("le_71_indep", CurveKind.LE_CROSS, 2, P5)
+        with pytest.raises(NoOracleError):
+            oracle("le_71_indep", CurveKind.LE_CROSS, 2, P5, k=2)
 
     def test_curve_evaluates_as_a_polynomial(self):
         ref = oracle("multiplicative", CurveKind.ALE, 0, self.params())
