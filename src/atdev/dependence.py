@@ -1,10 +1,9 @@
 """Pairwise dependence between predictors.
 
 For cross effects we need the slope of the conditional mean of one
-predictor given another, dm_k/dx_j. Two estimators: a single OLS line
-(``linear``) and per-bin OLS lines over a quantile partition
-(``local_linear``) for dependence that bends. Also a plain Pearson
-correlation matrix for reporting.
+predictor given another, dm_k/dx_j, on the anchor's curve bins: one OLS
+line (``linear``), or slopes over runs of ceil(K / 20) curve bins
+(``local_linear``) for dependence that bends. Also a Pearson correlation matrix.
 
 Per-bin slopes fitted independently are noisy where two columns are only
 weakly related, and that noise compounds into a random walk once the
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _check_index, bin_index, quantile_bins
+from .data import BinScheme, Dataset, bin_index
 from .errors import DataError, NumericalError
 
 __all__ = [
@@ -69,9 +68,9 @@ class DependenceModel:
     ``slopes`` is B x p: row b holds for x_j in bin b of the B + 1
     ``edges``. ``linear`` is the one-bin case, one OLS slope per column
     between the anchor's min and max; ``local_linear`` has one row per
-    quantile bin of the anchor (difference quotients of the binned
-    conditional means, one-sided at the ends), falling back to the OLS
-    slope where the anchor is locally constant.
+    run of ceil(K / 20) of the anchor's K curve bins (difference
+    quotients of the binned conditional means, one-sided at the ends),
+    falling back to the OLS slope where the anchor is locally constant.
     """
 
     j: int
@@ -87,28 +86,29 @@ class DependenceModel:
         return s
 
 
-def fit_dependence(d: Dataset, j: int, kind: str = "linear",
-                   bins: int = 20) -> DependenceModel:
-    """Fit dm_k/dx_j for all k against column j."""
+def fit_dependence(d: Dataset, scheme: BinScheme,
+                   kind: str = "linear") -> DependenceModel:
+    """Fit dm_k/dx_j for all k against the anchor of its curve bins ``scheme``."""
     if kind not in DEPENDENCE_KINDS:
         raise DataError(f"unknown dependence kind {kind!r}; "
                         f"choose from {DEPENDENCE_KINDS}")
-    _check_index(j, d.p)
+    j = scheme.j
     # Contiguous copies: each column is read several times below, and a
     # read of a column view of the shared row matrix moves all p columns.
     xj = np.ascontiguousarray(d.column(j))
-    ends = np.array([np.min(xj), np.max(xj)])
-    if ends[0] == ends[1]:
-        raise DataError(f"degenerate anchor {d.names[j]!r}: constant column")
     slopes = np.array([1.0 if k == j else
                        ols_line(xj, np.ascontiguousarray(d.column(k)))[0]
                        for k in range(d.p)])
     if kind == "linear":
-        return DependenceModel(j=j, edges=ends, slopes=slopes[None, :])
+        return DependenceModel(j=j, edges=scheme.edges[[0, -1]], slopes=slopes[None, :])
 
-    scheme = quantile_bins(d, j, bins)
-    levels = scheme.means(map(d.column, range(d.p)))
-    kb = scheme.k
+    # Runs of ceil(K / 20) curve bins, the last maybe short: edges are curve edges.
+    step = -(-scheme.k // 20)
+    starts = np.arange(0, scheme.k, step)
+    runs = BinScheme(j, np.r_[scheme.edges[starts], scheme.edges[-1]],
+                     scheme.bin_of // step, np.add.reduceat(scheme.counts, starts))
+    levels = runs.means(map(d.column, range(d.p)))
+    kb = runs.k
     lo = np.maximum(np.arange(kb) - 1, 0)
     hi = np.minimum(np.arange(kb) + 1, kb - 1)
     # Knot abscissa is the bin mean of x_j (not the midpoint) so that on
@@ -120,7 +120,7 @@ def fit_dependence(d: Dataset, j: int, kind: str = "linear",
     for k in range(d.p):
         if k != j:
             bin_slopes[ok, k] = (levels[hi, k] - levels[lo, k])[ok] / run[ok]
-    return DependenceModel(j=j, edges=scheme.edges, slopes=bin_slopes)
+    return DependenceModel(j=j, edges=runs.edges, slopes=bin_slopes)
 
 
 def corr_matrix(d: Dataset) -> np.ndarray:

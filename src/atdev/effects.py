@@ -95,9 +95,9 @@ class Estimation:
         return self._bins
 
     def dep(self, j: int) -> DependenceModel:
-        _check_index(j, self.data.p)
+        scheme = self.bins(j)
         if self._dep is None or self._dep.j != j:
-            self._dep = fit_dependence(self.data, j, self.dependence)
+            self._dep = fit_dependence(self.data, scheme, self.dependence)
         return self._dep
 
 

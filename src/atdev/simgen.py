@@ -266,7 +266,7 @@ def oracle(case: str, kind: CurveKind | str, j: int, params: OracleParams,
 
     ``case`` is a simulation case id or a two-input model id. ``k`` names
     the column an ACE or LEcross curve runs through; a two-input ACE
-    defaults to the other column, and LE takes no k but j. Raises
+    defaults to the other column, and every other kind takes no k but j. Raises
     NoOracleError for anything without a derived form.
     """
     kind = CurveKind(kind)
@@ -277,12 +277,12 @@ def oracle(case: str, kind: CurveKind | str, j: int, params: OracleParams,
     _check_index(j, f.p, NoOracleError)
     if kind is CurveKind.ACE and k is None and f.p == 2:
         k = 1 - j
-    if kind is CurveKind.LE and k not in (None, j):
-        raise NoOracleError(f"an LE curve runs through its own column {j}")
     if kind in (CurveKind.ACE, CurveKind.LE_CROSS):
         _check_index(k, f.p, NoOracleError)
         if k == j:
             raise NoOracleError(f"no cross curve of column {j} through itself")
+    elif k not in (None, j):
+        raise NoOracleError(f"a {kind.value} curve runs through its own column {j}")
     else:
         k = None
 

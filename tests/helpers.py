@@ -20,8 +20,8 @@ def take(d: Dataset, rows) -> Dataset:
 
 class GivenDependence(Estimation):
     """An estimation context whose dependence fit for anchor j is
-    ``fit(j)``: for fits its settings do not name, such as a zero slope
-    table or a local_linear fit on 25 bins."""
+    ``fit(j)``: for slope tables its settings do not name, such as a
+    table of zeros."""
 
     def __init__(self, model, d: Dataset, fit, **settings):
         super().__init__(model, d, **settings)

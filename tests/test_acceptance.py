@@ -26,7 +26,6 @@ from atdev import (
     center,
     check_gradient,
     effect_matrix,
-    fit_dependence,
     generate,
     gradient_table,
     marginal,
@@ -37,8 +36,7 @@ from atdev import (
 )
 from atdev.cli import main
 from conftest import BRUTEFORCE, DESK_SEED, SCORER
-from helpers import (GivenDependence, inner_mask, max_gap, poly_coeffs, take,
-                     uncentered_max)
+from helpers import inner_mask, max_gap, poly_coeffs, take, uncentered_max
 
 SMOOTH = 7
 DGSM_TARGETS = (1.000, 3.213, 3.450, 0.213, 0.0)
@@ -105,8 +103,7 @@ def test_a02_total_curve_matches_conditional_mean(d621, d622, d623,
         "complex_623": mlp623,
     }
     def worst_gap(model, d):
-        ctx = GivenDependence(model, d, lambda j: fit_dependence(
-            d, j, kind="local_linear", bins=25))
+        ctx = Estimation(model, d, dependence="local_linear")
         worst = 0.0
         for j in range(d.p):
             tot = total_curve(ctx, j)
@@ -169,7 +166,7 @@ def test_a05_interaction_case_separates_ale_from_sweep(d622, mlp622):
     bends at half the fitted slope while the analytic sweep stays
     linear; the network sweep's curvature is reported, not asserted."""
     ctx = Estimation(catalog_model("case_622"), d622)
-    b = fit_dependence(d622, 0).slopes[0, 1]
+    b = ctx.dep(0).slopes[0, 1]
     assert abs(b / 2.0 - (-0.49)) < 0.02  # context for the target below
 
     own = ale(ctx, 0)

@@ -7,11 +7,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from atdev import SimSpec, corr_matrix, fit_dependence, generate
+from atdev import (Estimation, SimSpec, catalog_model, corr_matrix,
+                   fit_dependence, generate, quantile_bins)
 from atdev.data import Dataset
 from atdev.dependence import ols_line
 from atdev.errors import DataError, NumericalError
 from ols_reference import reference_ols_line
+
+
+def fit(d, j, kind="linear", k_bins=100):
+    """The dependence fit of anchor j on its ``k_bins`` curve bins."""
+    return fit_dependence(d, quantile_bins(d, j, k_bins), kind)
+
+
+def context(d):
+    """An estimation context whose model is never called."""
+    return Estimation(catalog_model("additive_linear", p=d.p), d)
 
 
 def paired(n=50_000, seed=0, slope=0.8, noise=0.0):
@@ -24,7 +35,7 @@ def paired(n=50_000, seed=0, slope=0.8, noise=0.0):
 class TestLinearFit:
     def test_exact_line_recovered(self):
         d = paired(slope=0.8)
-        slope = fit_dependence(d, 0).slopes[0, 1]
+        slope = fit(d, 0).slopes[0, 1]
         intercept = ols_line(d.column(0), d.column(1))[1]
         assert abs(slope - 0.8) < 1e-10
         assert abs(intercept) < 1e-10
@@ -36,13 +47,13 @@ class TestLinearFit:
         x = rng.normal(size=10_000)
         y = 2.0 * x + rng.normal(size=10_000)
         d = Dataset(names=["a", "b"], columns=[x, y])
-        dep = fit_dependence(d, 0)
+        dep = fit(d, 0)
         want = np.cov(x, y, bias=True)[0, 1] / np.var(x)
         assert abs(dep.slopes[0, 1] - want) < 1e-10
 
     def test_residuals_orthogonal_to_anchor(self):
         d = generate(SimSpec(case="additive_621", n=40_000, seed=2))
-        dep = fit_dependence(d, 0)
+        dep = fit(d, 0)
         for k in (1, 2):
             intercept = ols_line(d.column(0), d.column(k))[1]
             resid = d.column(k) - (dep.slopes[0, k] * d.column(0) + intercept)
@@ -54,41 +65,42 @@ class TestLinearFit:
         x = rng.uniform(-1, 1, n)
         y = rng.uniform(-1, 1, n)
         d = Dataset(names=["a", "b"], columns=[x, y])
-        dep = fit_dependence(d, 0)
+        dep = fit(d, 0)
         resid = y - (dep.slopes[0, 1] * x + ols_line(x, y)[1])
         se = float(np.std(resid) / (np.std(x) * np.sqrt(n)))
         assert abs(dep.slopes[0, 1]) < 3.0 * se
 
     def test_strongly_anticorrelated_pair(self):
         d = generate(SimSpec(case="interaction_622", n=100_000, seed=5))
-        dep = fit_dependence(d, 0)
+        dep = fit(d, 0)
         assert abs(dep.slopes[0, 1] - (-0.98)) < 0.05
 
     def test_own_column_slope_is_one(self):
         d = paired(n=1000)
-        dep = fit_dependence(d, 0)
+        dep = fit(d, 0)
         assert np.all(dep.slopes_at(d.column(0))[:, 0] == 1.0)
 
     def test_constant_anchor_rejected(self):
         d = Dataset(names=["a", "b"], columns=[np.ones(50), np.arange(50.0)])
         with pytest.raises(DataError):
-            fit_dependence(d, 0)
+            context(d).dep(0)
 
     def test_unknown_kind_rejected(self):
         d = paired(n=100)
         with pytest.raises(DataError):
-            fit_dependence(d, 0, kind="splines")
+            fit(d, 0, kind="splines")
 
-    def test_anchor_out_of_range(self):
+    @pytest.mark.parametrize("j", [7, -1, True, 1.0])
+    def test_anchor_out_of_range(self, j):
         d = paired(n=100)
         with pytest.raises(DataError):
-            fit_dependence(d, 7)
+            context(d).dep(j)
 
 
 class TestLocalLinearFit:
     def test_exactly_linear_data_reproduces_global_slope(self):
         d = paired(slope=0.8)
-        dep = fit_dependence(d, 0, kind="local_linear", bins=25)
+        dep = fit(d, 0, kind="local_linear")
         assert np.max(np.abs(dep.slopes[:, 1] - 0.8)) < 1e-10
         # evaluation anywhere on the support agrees too
         probe = np.linspace(-0.99, 0.99, 57)
@@ -96,7 +108,7 @@ class TestLocalLinearFit:
 
     def test_piecewise_constant_within_bins(self):
         d = generate(SimSpec(case="additive_621", n=30_000, seed=4))
-        dep = fit_dependence(d, 0, kind="local_linear", bins=10)
+        dep = fit(d, 0, kind="local_linear", k_bins=10)
         mids = (dep.edges[:-1] + dep.edges[1:]) / 2.0
         for frac in (0.2, 0.45):
             inside = mids + frac * np.diff(dep.edges)
@@ -108,16 +120,28 @@ class TestLocalLinearFit:
         x = rng.uniform(-1, 1, 80_000)
         y = x * x + rng.normal(0, 0.05, 80_000)
         d = Dataset(names=["a", "b"], columns=[x, y])
-        dep = fit_dependence(d, 0, kind="local_linear", bins=25)
+        dep = fit(d, 0, kind="local_linear")
         # slope of E[y|x] = 2x: negative on the left, positive on the right
         assert dep.slopes_at(-0.8)[0, 1] < -1.2
         assert dep.slopes_at(0.8)[0, 1] > 1.2
         assert abs(dep.slopes_at(0.0)[0, 1]) < 0.4
 
+    @pytest.mark.parametrize("k_bins, runs", [(100, 20), (50, 17), (30, 15),
+                                               (7, 7)])
+    def test_one_bin_per_run_of_curve_bins(self, k_bins, runs):
+        # ceil(K / 20) curve bins a run, the last run possibly short
+        d = paired(n=10_000, noise=0.1)
+        scheme = quantile_bins(d, 0, k_bins)
+        dep = fit_dependence(d, scheme, kind="local_linear")
+        assert len(dep.slopes) == runs
+        step = -(-k_bins // 20)
+        assert np.array_equal(dep.edges[:-1], scheme.edges[:-1:step])
+        assert dep.edges[-1] == scheme.edges[-1]
+
     def test_finite_everywhere_on_observed_support(self):
         d = generate(SimSpec(case="complex_623", n=20_000, seed=1))
         for j in range(d.p):
-            dep = fit_dependence(d, j, kind="local_linear", bins=25)
+            dep = fit(d, j, kind="local_linear")
             for k in range(d.p):
                 vals = dep.slopes_at(d.column(j))[:, k]
                 assert np.all(np.isfinite(vals))
@@ -175,7 +199,7 @@ class TestConstantColumns:
         assert np.var(c) > 0.0
         d = Dataset(names=["c", "b"], columns=[c, b])
         with pytest.raises(DataError, match="'c': constant column"):
-            fit_dependence(d, 0)
+            context(d).dep(0)
         with pytest.raises(DataError, match="'c': constant column"):
             corr_matrix(d)
         assert ols_line(c, b) == (0.0, float(np.mean(b)))
@@ -188,7 +212,7 @@ class TestConstantColumns:
         b = 1e170 * a + rng.normal(0.0, 0.1, 1000)
         assert np.var(a) == 0.0
         d = Dataset(names=["a", "b"], columns=[a, b])
-        dep = fit_dependence(d, 0, kind)
+        dep = fit(d, 0, kind)
         assert np.all(np.isfinite(dep.slopes))
         assert abs(ols_line(a, b)[0] / 1e170 - 1.0) < 0.05
         want = np.corrcoef(a * 1e170, b)[0, 1]
@@ -205,7 +229,7 @@ class TestExtremeScales:
         x1 = rng.uniform(-1e160, 1e160, 1000)
         x2 = 1e-160 * x1 + rng.normal(0.0, 0.01, 1000)
         d = Dataset(names=["x1", "x2"], columns=[x1, x2])
-        dep = fit_dependence(d, j, kind)
+        dep = fit(d, j, kind)
         k = 1 - j
         want = 1e-160 if j == 0 else 1e160
         assert abs(ols_line(d.column(j), d.column(k))[0] / want - 1.0) < 0.01
@@ -230,7 +254,7 @@ class TestOlsLine:
         x2 = 1e-160 * x1 + rng.normal(0.0, 0.01, 1000)
         d = Dataset(names=["x1", "x2"], columns=[x1, x2])
         slope, intercept = np.polyfit(x1 * 1e-160, x2, 1)
-        dep = fit_dependence(d, 0)
+        dep = fit(d, 0)
         assert dep.slopes[0, 0] == 1.0
         assert abs(dep.slopes[0, 1] / 1e-160 - slope) < 1e-9
         assert abs(ols_line(x1, x2)[1] - intercept) < 1e-12
@@ -282,7 +306,7 @@ def test_linear_slope_table_is_the_ols_slopes_broadcast(seed, p, scales):
     d = Dataset(names=[f"x{i}" for i in range(p)],
                 columns=[x[:, i] * 10.0 ** scales[i] for i in range(p)])
     for j in range(p):
-        got = fit_dependence(d, j).slopes_at(d.column(j))
+        got = fit(d, j).slopes_at(d.column(j))
         want = [1.0 if k == j else ols_line(d.column(j), d.column(k))[0]
                 for k in range(p)]
         assert np.array_equal(got, np.broadcast_to(want, (d.n, p)))

@@ -142,17 +142,18 @@ class TestAle:
 
     def test_product_model_curvature_is_half_the_slope(self):
         d = uniform_pair()
-        curve = ale(Estimation(catalog_model("multiplicative"), d, k_bins=50), 0)
-        b = fit_dependence(d, 0).slopes[0, 1]
+        ctx = Estimation(catalog_model("multiplicative"), d, k_bins=50)
+        curve = ale(ctx, 0)
+        b = ctx.dep(0).slopes[0, 1]
         mask = inner_mask(d.column(0), curve.grid)
         coef = poly_coeffs(curve.grid, curve.values, 2, mask)
         assert abs(coef[2] - b / 2.0) < 0.02
 
     def test_own_quadratic_adds_to_transferred_curvature(self):
         d = uniform_pair()
-        curve = ale(Estimation(catalog_model("quad_plus_interaction"), d,
-                               k_bins=50), 0)
-        b = fit_dependence(d, 0).slopes[0, 1]
+        ctx = Estimation(catalog_model("quad_plus_interaction"), d, k_bins=50)
+        curve = ale(ctx, 0)
+        b = ctx.dep(0).slopes[0, 1]
         mask = inner_mask(d.column(0), curve.grid)
         coef = poly_coeffs(curve.grid, curve.values, 2, mask)
         assert abs(coef[2] - (1.0 + b / 2.0)) < 0.02
@@ -177,9 +178,9 @@ class TestAce:
 
     def test_product_model_transfer_curvature(self):
         d = uniform_pair()
-        dep = fit_dependence(d, 0)
-        curve = ace(Estimation(catalog_model("multiplicative"), d, k_bins=50),
-                    1, 0)
+        ctx = Estimation(catalog_model("multiplicative"), d, k_bins=50)
+        dep = ctx.dep(0)
+        curve = ace(ctx, 1, 0)
         mask = inner_mask(d.column(0), curve.grid)
         coef = poly_coeffs(curve.grid, curve.values, 2, mask)
         assert abs(coef[2] - dep.slopes[0, 1] / 2.0) < 0.02
@@ -230,8 +231,7 @@ class TestAtdev:
 
     def test_matches_conditional_mean_curve(self, d621):
         model = catalog_model("case_621")
-        ctx = GivenDependence(model, d621, lambda j: fit_dependence(
-            d621, j, kind="local_linear", bins=25))
+        ctx = Estimation(model, d621, dependence="local_linear")
         scheme = ctx.bins(1)
         total = atdev(ctx, 1)
         cond = marginal(ctx, 1, smooth=7)
@@ -280,9 +280,9 @@ class TestLeCurve:
 
     def test_cross_profile_under_strong_dependence(self, d71c):
         model = signal_model(SimSpec(case="le_71_corr", n=1))
-        dep = fit_dependence(d71c, 4)
-        b = dep.slopes[0, 2]
-        curve = le_curve(Estimation(model, d71c), 2, 4)
+        ctx = Estimation(model, d71c)
+        b = ctx.dep(4).slopes[0, 2]
+        curve = le_curve(ctx, 2, 4)
         mask = inner_mask(d71c.column(4), curve.grid)
         coef = poly_coeffs(curve.grid, curve.values, 2, mask)
         # E[6 x3^2 - 1.5 | x5] bends like 6 b^2 x5^2
@@ -444,8 +444,8 @@ class TestAgainstBruteForce:
         # second draw's conditional means.
         d = generate(SimSpec(case="bivariate_normal", n=100_000, seed=9,
                              rho=0.5, model="quad_plus_interaction"))
-        dep = fit_dependence(d, 0, "local_linear", bins=20)
         scheme = quantile_bins(d, 0, 20)
+        dep = fit_dependence(d, scheme, "local_linear")
         members = [scheme.bin_of == b for b in range(scheme.k)]
         means = np.array([[d.column(c)[m].mean() for c in (0, 1)]
                           for m in members])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from atdev import (SimSpec, catalog_model, check_gradient, custom_model,
-                   fit_dependence, generate, gradient_table)
+                   fit_dependence, generate, gradient_table, quantile_bins)
 from atdev.data import Dataset
 from atdev.dependence import DependenceModel
 from atdev.errors import DataError, NumericalError
@@ -156,7 +156,7 @@ class TestTotals:
         x1 = rng.uniform(-1, 1, 4000)
         d = Dataset(names=["x1", "x2"], columns=[x1, 0.8 * x1])
         m = catalog_model("additive_linear", coeffs=[1.0, 1.0])
-        dep = fit_dependence(d, 0)
+        dep = fit_dependence(d, quantile_bins(d, 0, 100))
         total = total_derivatives(m, d, 0, dep)
         assert np.max(np.abs(total - 1.8)) < 1e-10
 
@@ -167,7 +167,7 @@ class TestTotals:
         from atdev import oracle, params_from_data
         d = generate(SimSpec(case="additive_621", n=30_000, seed=6))
         m = catalog_model("case_621")
-        dep = fit_dependence(d, 2)
+        dep = fit_dependence(d, quantile_bins(d, 2, 100))
         total = total_derivatives(m, d, 2, dep)
         P = params_from_data(d)
         ref = oracle("additive_621", "ATDEV", 2, P)

@@ -90,6 +90,27 @@ def test_atdev_integrates_binned_total_derivatives(problem):
 
 
 @settings(max_examples=40, deadline=None)
+@given(problems(), st.integers(2, 60))
+def test_local_linear_slopes_are_constant_on_every_curve_bin(problem, k_bins):
+    # One partition per anchor: the dependence edges are curve edges, so
+    # the slope S_k is one number on each curve bin and the ACE through
+    # k is the midpoint cumsum of S_k times the bin mean of g_k.
+    model, d, _, _ = problem
+    ctx = Estimation(model, d, k_bins=k_bins, dependence="local_linear")
+    for j in range(d.p):
+        scheme, dep = ctx.bins(j), ctx.dep(j)
+        assert np.all(np.isin(dep.edges, scheme.edges))
+        slopes = dep.slopes_at(scheme.midpoints)
+        means = scheme.means(ctx.table.values.T)
+        for k in range(d.p):
+            if k == j:
+                continue
+            contrib = slopes[:, k] * means[:, k] * scheme.widths
+            midpoint = np.cumsum(contrib) - contrib / 2.0
+            assert close(ace(ctx, k, j).values, midpoint)
+
+
+@settings(max_examples=40, deadline=None)
 @given(problems(), st.data())
 def test_ale_of_a_linear_model_is_exact_at_the_midpoints(problem, data):
     # df/dx_j = c_j in every row, so the accumulated bin means reach

@@ -358,6 +358,10 @@ class TestOracle:
             oracle("le_71_indep", CurveKind.LE_CROSS, 2, P5)
         with pytest.raises(NoOracleError):
             oracle("le_71_indep", CurveKind.LE_CROSS, 2, P5, k=2)
+        P3 = params_from_data(generate(spec("additive_621", n=500, seed=3)))
+        for kind in ("PD", "Marginal", "ALE", "ATDEV"):
+            with pytest.raises(NoOracleError):  # k is None or j
+                oracle("case_621", kind, 0, P3, k=2)
 
     def test_curve_evaluates_as_a_polynomial(self):
         ref = oracle("multiplicative", CurveKind.ALE, 0, self.params())
