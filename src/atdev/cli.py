@@ -18,6 +18,8 @@ chart is written by ``_Emitter.figure``: its JSON always, and an SVG
 under the same stem with --svg. Exit codes:
 0 success, 1 usage error, 2 data, model or file error, 3 numerical
 failure. A failing command removes whatever files it already wrote.
+Importing this module loads numpy with one BLAS thread unless the caller
+set OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -32,7 +34,18 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
+# OpenBLAS's idle worker spins about 0.13 s of CPU per process (2 vCPUs),
+# as no product here is big enough to give it work. Unless the caller chose
+# a count, numpy loads with one; the variable goes, so scorers never see it.
+_PIN_BLAS = {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+             "OMP_NUM_THREADS"}.isdisjoint(os.environ)
+if _PIN_BLAS:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as np
+finally:
+    if _PIN_BLAS:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import io as aio
 from . import svg as asvg
@@ -188,8 +201,7 @@ _MATRIX_KINDS = ("ATDEV", "LE")
 _OPTIONS = (
     _Opt("out_dir", ("simulate", "fit-mlp", *_RUNS), _STR, ".",
          help="output directory (or ATDEV_OUT_DIR)"),
-    _Opt("seed", ("simulate", "fit-mlp", "matrix"), _INT, 0,
-         check=_at_least(0)),
+    _Opt("seed", ("simulate", "fit-mlp"), _INT, 0, check=_at_least(0)),
     # simulate
     _Opt("case", ("simulate",), _STR, choices=CASES, required=True),
     _Opt("n", ("simulate",), _INT, 100_000, check=_at_least(2)),
@@ -242,7 +254,8 @@ _OPTIONS = (
     _Opt("svg", ("effects", "matrix", "heatmap"), _BOOL, False,
          help="also render SVG charts"),
     _Opt("kind", ("matrix",), _STR, "ATDEV", choices=_MATRIX_KINDS),
-    _Opt("scatter_cap", ("matrix",), _INT, 5000, check=_at_least(0),
+    _Opt("seed", ("matrix",), _INT, check=_at_least(0)),
+    _Opt("scatter_cap", ("matrix",), _INT, check=_at_least(0),
          help="max raw points per LE cell (default 5000)"),
 )
 
@@ -354,6 +367,11 @@ def _estimation(body: Callable) -> Callable:
         if s.fd_step is not None and not s.external_cmd:
             raise UsageError("--fd-step needs --external-cmd; the other model "
                              "sources have exact gradients")
+        if getattr(s, "kind", None) == "ATDEV":  # matrix's LE-only options
+            for flag, v in (("--scatter-cap", s.scatter_cap),
+                            ("--seed", s.seed)):
+                if v is not None:
+                    raise UsageError(f"{flag} needs --kind LE")
         if custom and not s.terms:
             raise UsageError("--model-id custom requires --terms")
         terms = _custom_terms(s.terms) if custom else None
@@ -498,7 +516,8 @@ def _cmd_matrix(s, ctx, em) -> None:
     matrix = effect_matrix(ctx, s.kind)
     scatter = histograms = None
     if s.kind == "LE":
-        scatter, histograms = _le_extras(ctx, cap=s.scatter_cap, seed=s.seed)
+        cap = 5000 if s.scatter_cap is None else s.scatter_cap
+        scatter, histograms = _le_extras(ctx, cap=cap, seed=s.seed or 0)
     em.figure(f"matrix_{s.kind.lower()}",
               aio.matrix_to_dict(matrix, scatter=scatter,
                                  histograms=histograms),

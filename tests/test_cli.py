@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: file outputs, config precedence, exit codes."""
 
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -477,8 +478,13 @@ class TestConfigPrecedence:
         payload = load_json(out / "matrix_le.json")
         assert all(len(cell["x"]) == 40 for cell in payload["scatter"])
         # Flags still win over the file.
-        assert main(argv + ["--kind", "ATDEV"]) == 0
-        assert (out / "matrix_atdev.json").exists()
+        assert main(argv + ["--scatter-cap", "7"]) == 0
+        payload = load_json(out / "matrix_le.json")
+        assert all(len(cell["x"]) == 7 for cell in payload["scatter"])
+        # ATDEV draws no scatter, so the file's scatter_cap is refused.
+        assert main(argv + ["--kind", "ATDEV"]) == 1
+        assert "--scatter-cap needs --kind LE" in capsys.readouterr().err
+        assert not (out / "matrix_atdev.json").exists()
         for config, message in [
             ({"kind": "le"}, "'kind' must be one of ('ATDEV', 'LE'), got 'le'"),
             ({"scatter_cap": "many"},
@@ -789,7 +795,37 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
+def _blas_name() -> str:
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+        return deps["blas"]["name"]
+    except (TypeError, KeyError):  # numpy builds that cannot say
+        return ""
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 class TestSubprocessEntry:
+    @pytest.mark.skipif(
+        sys.platform != "linux" or "openblas" not in _blas_name().lower()
+        or len(os.sched_getaffinity(0)) < 2,
+        reason="counts OpenBLAS's Linux threads; needs 2 CPUs for a worker")
+    @pytest.mark.parametrize("given, tasks", [
+        ({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+        ({"OMP_NUM_THREADS": "2"}, 2)])
+    def test_the_cli_loads_numpy_with_one_blas_thread_unless_told(self, given,
+                                                                  tasks):
+        # the idle OpenBLAS worker would spin CPU in every command
+        code = ("import json, os, atdev.cli; print(json.dumps("
+                "[len(os.listdir('/proc/self/task')), {k: os.environ[k] for k"
+                f" in {BLAS_VARS!r} if k in os.environ}}]))")
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+        run = subprocess.run([sys.executable, "-c", code], env={**env, **given},
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout) == [tasks, given]
+
     def test_module_invocation(self, tmp_path):
         run = subprocess.run(
             [sys.executable, "-m", "atdev.cli", "simulate", "--case",

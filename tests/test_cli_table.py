@@ -192,3 +192,39 @@ def test_out_of_range_values_are_usage_errors(tmp_path, capsys, command,
     assert opt.check is not None
     assert f"{opt.flag} must be {opt.check[1]}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("name, v", [("seed", 9), ("scatter_cap", 3)])
+def test_le_scatter_options_need_kind_le(tmp_path, capsys, name, v, source):
+    # ATDEV draws no scatter, so its seed and cap would change nothing
+    out = tmp_path / "never"
+    opt = next(o for o in cli._OPTIONS
+               if o.name == name and "matrix" in o.commands)
+    argv = ["matrix", "--data", str(tmp_path / "d.csv"), "--model-id",
+            "additive_linear", "--out-dir", str(out)]
+    if source == "flag":
+        argv += as_flags(opt, v)
+    else:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({name: v, "kind": "ATDEV"}))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 1
+    assert f"{opt.flag} needs --kind LE" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_le_scatter_defaults_are_seed_0_and_cap_5000(tmp_path):
+    # more rows than the cap, so both the cap and the seed's sample show
+    d = generate(SimSpec(case="interaction_622", n=5200, seed=9))
+    data = tmp_path / "d.csv"
+    save_csv(d, data)
+    run = ["matrix", "--data", str(data), "--response", "y", "--model-id",
+           "case_622", "--k-bins", "8", "--kind", "LE", "--out-dir"]
+    assert main([*run, str(tmp_path / "unset")]) == 0
+    assert main([*run, str(tmp_path / "set"), "--seed", "0",
+                 "--scatter-cap", "5000"]) == 0
+    payload = (tmp_path / "unset" / "matrix_le.json").read_bytes()
+    assert payload == (tmp_path / "set" / "matrix_le.json").read_bytes()
+    assert all(len(cell["x"]) == 5000
+               for cell in json.loads(payload)["scatter"])
