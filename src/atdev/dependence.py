@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BinScheme, Dataset, bin_index
+from .data import BinScheme, Dataset
 from .errors import DataError, NumericalError
 
 __all__ = [
@@ -71,17 +71,21 @@ class DependenceModel:
     run of ceil(K / 20) of the anchor's K curve bins (difference
     quotients of the binned conditional means, one-sided at the ends),
     falling back to the OLS slope where the anchor is locally constant.
+    Either way a slope is one number on each curve bin, and ``per_bin``
+    gives the estimators that K x p table; no row is looked up.
     """
 
     j: int
     edges: np.ndarray   # B + 1 anchor bin edges
     slopes: np.ndarray  # B x p
 
-    def slopes_at(self, x: np.ndarray | float) -> np.ndarray:
-        """dm_k/dx_j for every column k at x_j values, one row per value
-        (N x p); the own column is exactly 1."""
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        s = self.slopes[bin_index(self.edges, x)]
+    def per_bin(self, scheme: BinScheme) -> np.ndarray:
+        """dm_k/dx_j for every column k on each of the anchor's K curve
+        bins (K x p): the row of the slope bin that holds the curve bin's
+        left edge, which is row b // ceil(K / 20) under ``local_linear``
+        and the one row under ``linear``. The own column is exactly 1."""
+        rows = np.searchsorted(self.edges, scheme.edges[:-1], side="right") - 1
+        s = self.slopes[np.clip(rows, 0, len(self.slopes) - 1)]
         s[:, self.j] = 1.0
         return s
 

@@ -13,15 +13,18 @@ Six curves over a shared quantile-bin grid of the variable of interest:
 
 Every one of them, and ``effect_matrix``, reads a run's facts from one
 ``Estimation``: f at the observed rows, the gradient table G (N x p),
-the bins of x_j and the dependence slopes S[:, k] = dm_k/dx_j
-(S[:, j] = 1). The context builds each fact once, when first asked.
+the bins of x_j and the dependence slopes S[b, k] = dm_k/dx_j on each
+curve bin b (S[:, j] = 1). The context builds each fact once, when first
+asked.
 
-The four derivative curves are one quantity: the kernel ``_binned``
-takes the per-bin means (``BinScheme.means``) of G * S over the x_j
-bins, and one entry, ``_anchor_curves``, runs it per anchor. Column k
-integrated along the bins is ale (k = j) or ace through x_k; atdev is
-their sum; not integrated, with S = 1, it is le_curve. ``effect_matrix`` is that entry
-run once per anchor.
+The four derivative curves are one quantity. A slope is one number on
+each curve bin, so the per-bin mean of g_k * S_k is S[b, k] times the
+per-bin mean of g_k: one kernel, ``_anchor_curves``, takes the K x p bin
+means (``BinScheme.means``) of G's columns over the x_j bins and
+multiplies them by the K x p slope table, with no N x p product.
+Column k integrated along the bins is ale (k = j) or ace through x_k;
+atdev is their sum; not integrated, with S = 1, it is le_curve.
+``effect_matrix`` is that kernel run once per anchor.
 
 Integration is a cumulative midpoint rule from the observed minimum: the
 value at a bin midpoint is the full-width sum over earlier bins plus half
@@ -101,25 +104,6 @@ class Estimation:
         return self._dep
 
 
-def _binned(g: np.ndarray, scheme: BinScheme, cols: list[int] | range,
-            slopes: np.ndarray | None = None, integrate: bool = True) -> np.ndarray:
-    """The one estimator behind every derivative curve: per-bin means,
-    over the anchor's bins, of columns ``cols`` of the integrand
-    g * slopes (slopes default to 1), as a K x len(cols) array. With
-    ``integrate`` each column is accumulated along the bins by the
-    midpoint rule."""
-    # A generator, column by column: a whole N x m integrand costs more
-    # to allocate than the per-column loop costs to run.
-    means = scheme.means(g[:, c] if slopes is None else g[:, c] * slopes[:, c]
-                         for c in cols)
-    if not integrate:
-        return means
-    # Accumulate mean*width from the first edge; midpoint value backs off
-    # half of the current bin's full-width contribution.
-    contrib = means * scheme.widths[:, None]
-    return np.cumsum(contrib, axis=0) - contrib / 2.0
-
-
 def _kind(p: int, j: int, k: int, integrate: bool) -> CurveKind:
     """The naming rule of kernel column k for anchor j: ALE (k = j) or
     ACE when integrated, LE or LEcross when not. k must be a column
@@ -133,17 +117,24 @@ def _kind(p: int, j: int, k: int, integrate: bool) -> CurveKind:
 def _anchor_curves(ctx: Estimation, j: int, ks: list[int] | range,
                    integrate: bool = True
                    ) -> tuple[list[EffectCurve], np.ndarray, BinScheme]:
-    """The one entry behind every derivative curve of anchor j: runs the
-    kernel on columns ``ks`` of the gradient table over the bins of x_j,
-    weighted by the dependence slopes when an integrated column crosses
-    to k != j (by 1 otherwise). Returns a curve per k named by
-    ``_kind``, the kernel's K x len(ks) array and the bins."""
+    """The one entry behind every derivative curve of anchor j: the
+    per-bin means of columns ``ks`` of the gradient table over the bins
+    of x_j, times the bin's dependence slope when an integrated column
+    crosses to k != j (by 1 otherwise), accumulated along the bins when
+    ``integrate``. Returns a curve per k named by ``_kind``, the K x
+    len(ks) array of values and the bins."""
     kinds = [_kind(ctx.data.p, j, k, integrate) for k in ks]
     scheme = ctx.bins(j)
-    slopes = None
-    if integrate and any(k != j for k in ks):
-        slopes = ctx.dep(j).slopes_at(ctx.data.column(j))
-    acc = _binned(ctx.table.values, scheme, ks, slopes, integrate)
+    # A generator, column by column: a whole N x m copy of the table costs
+    # more to allocate than the per-column loop costs to run.
+    acc = scheme.means(ctx.table.values[:, k] for k in ks)
+    if integrate:
+        if any(k != j for k in ks):
+            acc = acc * ctx.dep(j).per_bin(scheme)[:, ks]
+        # Accumulate mean*width from the first edge; midpoint value backs
+        # off half of the current bin's full-width contribution.
+        contrib = acc * scheme.widths[:, None]
+        acc = np.cumsum(contrib, axis=0) - contrib / 2.0
     return ([_curve(kind, j, scheme, acc[:, c], k)
              for c, (kind, k) in enumerate(zip(kinds, ks))], acc, scheme)
 

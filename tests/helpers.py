@@ -1,6 +1,7 @@
 """Shared test utilities: polynomial fits on curve grids, support masks,
 curve comparison, dataset slicing, estimation contexts with a given
-dependence fit, scaled polynomials, and reading written JSON files."""
+dependence fit, scaled polynomials, reading written JSON files, and
+row-wise references for the binning and the derivative-curve kernel."""
 
 import json
 
@@ -107,3 +108,57 @@ def failing_open(writes_before_failure: int):
             self.f.close()
 
     return lambda *args, **kwargs: Full(real_open(*args, **kwargs))
+
+
+def bin_index(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Index of the half-open bin ``[e_i, e_{i+1})`` holding each value,
+    the last bin closed; values outside the edges are clamped into the
+    first/last bin. A searchsorted over every value."""
+    return np.clip(np.searchsorted(edges, x, side="right") - 1,
+                   0, len(edges) - 2)
+
+
+def reference_bins(x: np.ndarray, k: int):
+    """Equal-count bins the row-wise way, as (edges, bin_of, counts):
+    quantile edges of the unsorted column with ties merged, every row
+    looked up by ``bin_index``, and every empty bin merged into its right
+    neighbour (keep the first edge and the right edge of each non-empty
+    bin, and renumber the rows). A constant column has one edge and no
+    bins."""
+    edges = np.unique(np.quantile(x, np.linspace(0.0, 1.0, k + 1)))
+    if len(edges) < 2:
+        return edges, np.zeros(len(x), dtype=np.int64), np.zeros(0, np.int64)
+    bin_of = bin_index(edges, x)
+    counts = np.bincount(bin_of, minlength=len(edges) - 1)
+    full = counts > 0
+    renumber = np.cumsum(full) - 1
+    return (np.r_[edges[0], edges[1:][full]], renumber[bin_of],
+            counts[full].astype(np.int64))
+
+
+def slopes_at(dep, x) -> np.ndarray:
+    """The dependence slopes dm_k/dx_j at x_j values, one row per value
+    (N x p), each looked up in ``dep.edges``; the own column is exactly 1."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    s = dep.slopes[bin_index(dep.edges, x)]
+    s[:, dep.j] = 1.0
+    return s
+
+
+def rowwise_curves(ctx: Estimation, j: int, integrate: bool = True) -> np.ndarray:
+    """Every derivative curve of anchor j the row-wise way, as a K x p
+    array: each row's gradient times its own slope row (``slopes_at``,
+    or 1 when not integrated), then each bin's mean over its member
+    rows, accumulated by the midpoint rule when ``integrate``. Column k
+    is ALE (k = j) or the ACE through x_k; not integrated, LE or
+    LEcross."""
+    scheme = ctx.bins(j)
+    g = ctx.table.values
+    if integrate:
+        g = g * slopes_at(ctx.dep(j), ctx.data.column(j))
+    means = np.array([g[scheme.bin_of == b].mean(axis=0)
+                      for b in range(scheme.k)])
+    if not integrate:
+        return means
+    contrib = means * np.diff(scheme.edges)[:, None]
+    return np.cumsum(contrib, axis=0) - contrib / 2.0

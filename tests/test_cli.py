@@ -1116,3 +1116,39 @@ class TestNonFiniteEstimates:
         text = (out / "matrix_le.json").read_text()
         assert "NaN" not in text and "Infinity" not in text
         json.loads(text)
+
+
+class TestColumnAtTheDoubleRange:
+    """x2 spans +-1.7e308, so the two edges of its top bin sum past the
+    largest double: its midpoints are taken as a / 2 + b / 2, and
+    both commands run without a warning."""
+
+    @pytest.fixture()
+    def wide(self, tmp_path):
+        rng = np.random.default_rng(0)
+        x2 = 1.7e308 * rng.uniform(-1.0, 1.0, 500)
+        x2[:2] = -1.7e308, 1.7e308
+        d = Dataset(names=["x1", "x2"],
+                    columns=[rng.uniform(-1.0, 1.0, 500), x2],
+                    response=np.zeros(500))
+        path = tmp_path / "wide.csv"
+        save_csv(d, path)
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["effects", "importance"])
+    def test_exit_0_with_finite_increasing_grids(self, wide, tmp_path,
+                                                 capsys, command):
+        out = tmp_path / "out"
+        rc = main([command, "--data", wide, "--response", "y",
+                   "--model-id", "additive_linear", "--coeffs", "3", "0",
+                   "--out-dir", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        if command == "importance":
+            report = load_json(out / "importance.json")
+            assert np.all(np.isfinite(report["v"]))
+            return
+        for name in ("x1", "x2"):
+            for curve in load_json(out / f"curves_{name}.json")["curves"]:
+                grid = np.array(curve["grid"])
+                assert np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 import atdev.data
 from atdev import SimSpec, center, generate, load_csv, quantile_bins, save_csv
-from atdev.data import CurveKind, Dataset, EffectCurve, bin_index
+from atdev.data import BinScheme, CurveKind, Dataset, EffectCurve
 from atdev.errors import DataError, NumericalError
-from helpers import failing_open
+from helpers import bin_index, failing_open, reference_bins
 
 
 def curve(values, counts=None, grid=None):
@@ -567,6 +567,31 @@ class TestQuantileBins:
         assert np.array_equal(s.bin_of, bin_index(s.edges, x))
         assert np.array_equal(s.counts, np.bincount(s.bin_of, minlength=s.k))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 500),
+           st.integers(2, 150), st.sampled_from(["continuous", "integers",
+                                                  "levels"]))
+    def test_one_sort_matches_the_rowwise_reference(self, seed, n, k, shape):
+        # Edges, bin numbers and counts bit for bit against quantile edges
+        # of the unsorted column and a searchsorted per row, on continuous
+        # columns and on tied ones, whose empty bins are merged.
+        rng = np.random.default_rng(seed)
+        x = {"continuous": lambda: rng.normal(size=n),
+             "integers": lambda: rng.integers(-20, 21, n).astype(np.float64),
+             "levels": lambda: rng.choice([-1.5, 0.0, 0.25, 3.0],
+                                          size=n, p=[0.1, 0.6, 0.2, 0.1]),
+             }[shape]()
+        edges, bin_of, counts = reference_bins(x, k)
+        try:
+            s = quantile_bins(Dataset(names=["x"], columns=[x]), 0, k)
+        except DataError:
+            assert len(counts) < 2
+            return
+        assert np.array_equal(s.edges, edges)
+        assert s.bin_of.dtype == bin_of.dtype and s.counts.dtype == counts.dtype
+        assert np.array_equal(s.bin_of, bin_of)
+        assert np.array_equal(s.counts, counts)
+
     def test_assign_clamps_out_of_range(self):
         d = Dataset(names=["x"], columns=[np.array([0.0, 1.0, 2.0, 3.0])])
         s = quantile_bins(d, 0, 2)
@@ -578,6 +603,19 @@ class TestQuantileBins:
         s = quantile_bins(d, 0, 2)
         assert np.allclose(s.midpoints, (s.edges[:-1] + s.edges[1:]) / 2)
         assert np.allclose(s.widths.sum(), s.edges[-1] - s.edges[0])
+
+    def test_midpoints_past_the_largest_double(self):
+        # The top bin's edges sum past 1.8e308, yet its midpoint is
+        # finite; every other one is (a + b) / 2 to the bit, since
+        # halving a normal double is exact.
+        edges = np.array([-1.7e308, -1.0, 0.5, 3.0, 1.6e308, 1.7e308])
+        s = BinScheme(j=0, edges=edges, bin_of=np.arange(5),
+                      counts=np.ones(5, dtype=np.int64))
+        a, b = s.edges[:-1], s.edges[1:]
+        assert np.all(np.isfinite(s.midpoints))
+        assert np.all((a < s.midpoints) & (s.midpoints < b))
+        assert s.midpoints[-1] == a[-1] / 2 + b[-1] / 2
+        assert np.array_equal(s.midpoints[:-1], (a[:-1] + b[:-1]) / 2)
 
     def test_means_are_the_members_means(self):
         rng = np.random.default_rng(3)

@@ -29,12 +29,11 @@ from atdev import (
     quantile_bins,
     signal_model,
 )
-from atdev.data import bin_index
 from atdev.dependence import DependenceModel
 from atdev.effects import _local_quadratic
 from atdev.errors import DataError
-from helpers import (GivenDependence, inner_mask, max_gap, poly_coeffs,
-                     uncentered_max)
+from helpers import (GivenDependence, bin_index, inner_mask, max_gap,
+                     poly_coeffs, uncentered_max)
 
 
 def uniform_pair(n=50_000, seed=4, slope=0.8, noise=0.1):

@@ -10,6 +10,7 @@ from atdev.data import Dataset
 from atdev.dependence import DependenceModel
 from atdev.errors import DataError, NumericalError
 from atdev.models import Predictor
+from helpers import slopes_at
 
 
 class ScoreOnly(Predictor):
@@ -138,7 +139,7 @@ class TestGradientTable:
 def total_derivatives(m, d, j, dep):
     """The total derivative along the dependence anchored at j, per row:
     the row sum of the integrand G * S the binned curves average."""
-    return (gradient_table(m, d).values * dep.slopes_at(d.column(j))).sum(axis=1)
+    return (gradient_table(m, d).values * slopes_at(dep, d.column(j))).sum(axis=1)
 
 
 class TestTotals:

@@ -287,6 +287,18 @@ class TestFileLayer:
         assert (tmp_path / "m.json").read_bytes() == \
             (json.dumps(payload, indent=1) + "\n").encode()
 
+    @pytest.mark.parametrize("values", [
+        [0.5], (0.25, -3.0), [-0.0, 1e-300, 1.7e308, 5e-324],
+        [i / 7.0 for i in range(9000)], [np.float64(0.1), 2.5]],
+        ids=["one", "tuple", "extremes", "blocks", "float64"])
+    def test_float_lists_are_written_as_dumps_writes_them(self, tmp_path,
+                                                          values):
+        # Plain lists and tuples of floats, alone and mixed with others.
+        payload = {"v": values, "mixed": [values, [1, 2.0], [True, 1.0]]}
+        write_json(tmp_path / "doc.json", payload)
+        assert (tmp_path / "doc.json").read_bytes() == \
+            (json.dumps(payload, indent=1) + "\n").encode()
+
     @settings(max_examples=40, deadline=None)
     @given(st.recursive(
         st.builds(float_array, st.sampled_from(ARRAY_LENGTHS),

@@ -5,14 +5,16 @@ import sys
 from unittest import mock
 
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from atdev import (CurveKind, Dataset, Estimation, ace, ale, atdev,
-                   build_report, center, custom_model, effect_matrix,
-                   le_curve, marginal, models, pdp, wrap_external)
+                   build_report, catalog_model, center, custom_model,
+                   effect_matrix, le_curve, marginal, models, pdp,
+                   wrap_external)
 from atdev.models import ROW_BUDGET, MlpModel, Predictor
-from helpers import scaled
+from helpers import rowwise_curves, scaled, slopes_at
 
 TOL = 1e-12
 
@@ -80,13 +82,60 @@ def test_atdev_integrates_binned_total_derivatives(problem):
         scheme = ctx.bins(j)
         # The total derivative along the dependence: the row sum of G * S.
         per_row = (ctx.table.values
-                   * ctx.dep(j).slopes_at(d.column(j))).sum(axis=1)
+                   * slopes_at(ctx.dep(j), d.column(j))).sum(axis=1)
         means = np.array([per_row[scheme.bin_of == b].mean()
                           for b in range(scheme.k)])
         contrib = means * np.diff(scheme.edges)
         midpoint = np.cumsum(contrib) - contrib / 2.0
         curve = atdev(ctx, j)
         assert close(curve.values, midpoint)
+
+
+def centered_close(got: np.ndarray, want: np.ndarray, counts: np.ndarray) -> bool:
+    """``got`` equals ``want`` centered against ``counts``, within TOL
+    relative to the larger of the two curves' uncentered magnitudes."""
+    ref = want - np.dot(want, counts) / counts.sum()
+    scale = max(float(np.max(np.abs(want))), float(np.max(np.abs(got))))
+    return float(np.max(np.abs(got - ref))) <= TOL * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems(), st.integers(2, 60),
+       st.sampled_from(["linear", "local_linear"]))
+def test_matrix_cells_match_the_rowwise_kernel(problem, k_bins, kind):
+    # Slope table times bin means against the row-wise product G * S
+    # (each row's slope looked up in the dependence edges) averaged per
+    # bin: every ATDEV and LE cell, and every ATDEV total.
+    model, d, _, _ = problem
+    # Away from the subnormals, where a product has no relative precision.
+    assume(all(c == 0.0 or abs(c) > 1e-100 for c, _ in model.terms))
+    ctx = Estimation(model, d, k_bins=k_bins, dependence=kind)
+    em = effect_matrix(ctx, CurveKind.ATDEV)
+    le = effect_matrix(ctx, CurveKind.LE)
+    for j in range(d.p):
+        counts = ctx.bins(j).counts.astype(np.float64)
+        total = rowwise_curves(ctx, j)
+        local = rowwise_curves(ctx, j, integrate=False)
+        assert centered_close(em.totals[j].values, total.sum(axis=1), counts)
+        for i in range(d.p):
+            assert centered_close(em.cells[i][j].values, total[:, i], counts)
+            assert centered_close(le.cells[i][j].values, local[:, i], counts)
+
+
+@pytest.mark.parametrize("kind", ["linear", "local_linear"])
+@pytest.mark.parametrize("k_bins", [7, 100])
+def test_working_scale_cells_match_the_rowwise_kernel(d623, k_bins, kind):
+    # The same at N = 100k on the benchmark's polynomial, where a bin
+    # mean sums about 1000 to 14 000 rows.
+    ctx = Estimation(catalog_model("case_623"), d623, k_bins=k_bins,
+                     dependence=kind)
+    em = effect_matrix(ctx, CurveKind.ATDEV)
+    for j in range(d623.p):
+        counts = ctx.bins(j).counts.astype(np.float64)
+        total = rowwise_curves(ctx, j)
+        assert centered_close(em.totals[j].values, total.sum(axis=1), counts)
+        for i in range(d623.p):
+            assert centered_close(em.cells[i][j].values, total[:, i], counts)
 
 
 @settings(max_examples=40, deadline=None)
@@ -100,7 +149,7 @@ def test_local_linear_slopes_are_constant_on_every_curve_bin(problem, k_bins):
     for j in range(d.p):
         scheme, dep = ctx.bins(j), ctx.dep(j)
         assert np.all(np.isin(dep.edges, scheme.edges))
-        slopes = dep.slopes_at(scheme.midpoints)
+        slopes = slopes_at(dep, scheme.midpoints)
         means = scheme.means(ctx.table.values.T)
         for k in range(d.p):
             if k == j:
