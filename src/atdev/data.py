@@ -16,7 +16,7 @@ import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Iterable
 
@@ -131,6 +131,21 @@ class Dataset:
             return self.names.index(name)
         except ValueError:
             raise DataError(f"no variable named {name!r}") from None
+
+    @cached_property
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(cov, e)``: the p x p covariance over N of the columns scaled
+        by 2**-e, e_k the exponent of column k's largest |value| (no moment
+        overflows), built when first asked. Each entry is numpy's pairwise
+        sum of a product, not a BLAS dot, whose order follows its threads."""
+        c, (n, p) = self._x.T.copy(), self._x.shape  # p x N
+        e = np.frexp(np.maximum(c.max(axis=1), -c.min(axis=1)))[1]
+        np.ldexp(c, -e[:, None], out=c)
+        c -= c.mean(axis=1, keepdims=True)
+        cov = np.empty((p, p))
+        for a, b in zip(*np.triu_indices(p)):
+            cov[a, b] = cov[b, a] = np.add.reduce(c[a] * c[b]) / n
+        return cov, e
 
 
 @dataclass(frozen=True)

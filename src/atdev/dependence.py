@@ -3,14 +3,15 @@
 For cross effects we need the slope of the conditional mean of one
 predictor given another, dm_k/dx_j, on the anchor's curve bins: one OLS
 line (``linear``), or slopes over runs of ceil(K / 20) curve bins
-(``local_linear``) for dependence that bends. Also a Pearson correlation matrix.
+(``local_linear``) for dependence that bends; and Pearson correlations.
+Every OLS slope and correlation reads one covariance table of the data,
+``Dataset.moments``: the last bits may differ from one ``np.cov`` a pair.
 
 Per-bin slopes fitted independently are noisy where two columns are only
 weakly related, and that noise compounds into a random walk once the
-slopes enter an integral. The local_linear fit therefore takes difference
-quotients of the binned conditional means (centered where possible,
-one-sided at the ends): integrating such slopes telescopes back to the
-level profile, so level errors stay bounded instead of accumulating.
+slopes enter an integral. So local_linear takes difference quotients of
+the binned conditional means (centered, one-sided at the ends), whose
+integral telescopes back to the level profile: level errors stay bounded.
 """
 
 from __future__ import annotations
@@ -63,17 +64,12 @@ def ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 @dataclass(frozen=True)
 class DependenceModel:
     """Fitted conditional-mean slopes dm_k/dx_j of every column k on the
-    anchor column j, as one slope table.
-
-    ``slopes`` is B x p: row b holds for x_j in bin b of the B + 1
-    ``edges``. ``linear`` is the one-bin case, one OLS slope per column
-    between the anchor's min and max; ``local_linear`` has one row per
-    run of ceil(K / 20) of the anchor's K curve bins (difference
-    quotients of the binned conditional means, one-sided at the ends),
-    falling back to the OLS slope where the anchor is locally constant.
-    Either way a slope is one number on each curve bin, and ``per_bin``
-    gives the estimators that K x p table; no row is looked up.
-    """
+    anchor column j, as one B x p table: row b holds for x_j in bin b of
+    the B + 1 ``edges``. ``linear`` is the one-bin case, the OLS slopes
+    between the anchor's min and max; ``local_linear`` has a row per run
+    of ceil(K / 20) of the anchor's K curve bins, falling back to the OLS
+    slope where the anchor is locally constant. Either way a slope is one
+    number on each curve bin: ``per_bin`` gives the K x p table."""
 
     j: int
     edges: np.ndarray   # B + 1 anchor bin edges
@@ -81,9 +77,9 @@ class DependenceModel:
 
     def per_bin(self, scheme: BinScheme) -> np.ndarray:
         """dm_k/dx_j for every column k on each of the anchor's K curve
-        bins (K x p): the row of the slope bin that holds the curve bin's
-        left edge, which is row b // ceil(K / 20) under ``local_linear``
-        and the one row under ``linear``. The own column is exactly 1."""
+        bins (K x p): row b // ceil(K / 20) under ``local_linear``, the
+        slope bin holding the curve bin's left edge, and the one row under
+        ``linear``. The own column is exactly 1."""
         rows = np.searchsorted(self.edges, scheme.edges[:-1], side="right") - 1
         s = self.slopes[np.clip(rows, 0, len(self.slopes) - 1)]
         s[:, self.j] = 1.0
@@ -97,12 +93,13 @@ def fit_dependence(d: Dataset, scheme: BinScheme,
         raise DataError(f"unknown dependence kind {kind!r}; "
                         f"choose from {DEPENDENCE_KINDS}")
     j = scheme.j
-    # Contiguous copies: each column is read several times below, and a
-    # read of a column view of the shared row matrix moves all p columns.
-    xj = np.ascontiguousarray(d.column(j))
-    slopes = np.array([1.0 if k == j else
-                       ols_line(xj, np.ascontiguousarray(d.column(k)))[0]
-                       for k in range(d.p)])
+    cov, e = d.moments
+    # OLS slopes of every column on x_j from the covariance table, scaled
+    # back; the anchor fills two bins, so cov_jj > 0 and its own slope is 1.
+    with np.errstate(over="ignore"):
+        slopes = np.ldexp(cov[j] / cov[j, j], e - e[j])
+    if not np.all(np.isfinite(slopes)):
+        raise NumericalError(f"dependence slope on {d.names[j]!r} is not finite")
     if kind == "linear":
         return DependenceModel(j=j, edges=scheme.edges[[0, -1]], slopes=slopes[None, :])
 
@@ -112,34 +109,27 @@ def fit_dependence(d: Dataset, scheme: BinScheme,
     runs = BinScheme(j, np.r_[scheme.edges[starts], scheme.edges[-1]],
                      scheme.bin_of // step, np.add.reduceat(scheme.counts, starts))
     levels = runs.means(map(d.column, range(d.p)))
-    kb = runs.k
-    lo = np.maximum(np.arange(kb) - 1, 0)
-    hi = np.minimum(np.arange(kb) + 1, kb - 1)
+    b = np.arange(runs.k)
+    rise = levels[np.minimum(b + 1, runs.k - 1)] - levels[np.maximum(b - 1, 0)]
     # Knot abscissa is the bin mean of x_j (not the midpoint) so that on
     # exactly linear data every difference quotient reproduces the global
-    # OLS slope to machine precision.
-    run = levels[hi, j] - levels[lo, j]
-    ok = run != 0.0
-    bin_slopes = np.tile(slopes, (kb, 1))
-    for k in range(d.p):
-        if k != j:
-            bin_slopes[ok, k] = (levels[hi, k] - levels[lo, k])[ok] / run[ok]
+    # OLS slope to machine precision. Column j's quotient is exactly 1.
+    ok = rise[:, j] != 0.0
+    bin_slopes = np.tile(slopes, (runs.k, 1))
+    bin_slopes[ok] = rise[ok] / rise[ok, j, None]
     return DependenceModel(j=j, edges=runs.edges, slopes=bin_slopes)
 
 
 def corr_matrix(d: Dataset) -> np.ndarray:
-    """The p x p Pearson correlations between all predictor pairs, in the
-    order of ``d.names``, computed on the columns scaled by powers of two
-    so that no moment overflows. Constant columns (min == max) have no
-    defined correlation and are rejected."""
-    x = d.matrix()
-    constant = np.flatnonzero(x.min(axis=0) == x.max(axis=0))
+    """The p x p Pearson correlations of the predictors, in the order of
+    ``d.names``, from their covariance table. Constant columns (min ==
+    max) have no defined correlation and are rejected."""
+    constant = np.flatnonzero(np.ptp(d.matrix(), axis=0) == 0.0)
     if len(constant):
         raise DataError(f"degenerate variable {d.names[constant[0]]!r}: "
                         f"constant column")
-    c = np.eye(d.p)
-    for a in range(d.p):
-        for b in range(a + 1, d.p):
-            r = np.corrcoef(_pow2_scaled(x[:, a])[0], _pow2_scaled(x[:, b])[0])
-            c[a, b] = c[b, a] = float(r[0, 1])
+    cov = d.moments[0]
+    s = np.sqrt(np.diag(cov))
+    c = np.clip(cov / np.outer(s, s), -1.0, 1.0)
+    np.fill_diagonal(c, 1.0)
     return c

@@ -11,20 +11,18 @@ Six curves over a shared quantile-bin grid of the variable of interest:
 - ``atdev``: ale plus all ace terms, the total-derivative effect.
 - ``le_curve``: per-bin mean of a partial derivative, not integrated.
 
-Every one of them, and ``effect_matrix``, reads a run's facts from one
-``Estimation``: f at the observed rows, the gradient table G (N x p),
-the bins of x_j and the dependence slopes S[b, k] = dm_k/dx_j on each
-curve bin b (S[:, j] = 1). The context builds each fact once, when first
-asked.
+Each reads a run's facts from one ``Estimation``: f at the observed
+rows, the gradient table G (N x p), and for an anchor x_j its bins, the
+K x p bin means of G and the slopes S[b, k] = dm_k/dx_j on each curve
+bin b (S[:, j] = 1), which come from the data's one covariance table. A
+polynomial model forms powers of 3 or more as products, so its f and G
+may differ from ``x ** a`` in the last bits.
 
-The four derivative curves are one quantity. A slope is one number on
-each curve bin, so the per-bin mean of g_k * S_k is S[b, k] times the
-per-bin mean of g_k: one kernel, ``_anchor_curves``, takes the K x p bin
-means (``BinScheme.means``) of G's columns over the x_j bins and
-multiplies them by the K x p slope table, with no N x p product.
-Column k integrated along the bins is ale (k = j) or ace through x_k;
-atdev is their sum; not integrated, with S = 1, it is le_curve.
-``effect_matrix`` is that kernel run once per anchor.
+The four derivative curves are one kernel, ``_anchor_curves``: S is one
+number on each curve bin, so the bin mean of g_k * S_k is S[b, k] times
+the bin mean of g_k. Column k integrated along the bins is ale (k = j)
+or ace through x_k; atdev is their sum; not integrated, with S = 1, it
+is le_curve. ``effect_matrix`` runs the kernel once per anchor.
 
 Integration is a cumulative midpoint rule from the observed minimum: the
 value at a bin midpoint is the full-width sum over earlier bins plus half
@@ -63,19 +61,18 @@ DEFAULT_BINS = 100
 
 
 class Estimation:
-    """The facts of one run that every estimator reads, each built once
-    and only when first asked: f at the observed rows (one ``predict``
-    call), the gradient table, and the ``k_bins`` quantile bins and the
-    ``dependence`` fit of an anchor, kept for the last anchor asked for.
-    ``fd_step`` overrides the table's finite-difference step (see
-    ``gradient_table``)."""
+    """The facts of one run that every estimator reads, each built once,
+    when first asked: f at the observed rows (one ``predict`` call), the
+    gradient table, and for the last anchor asked for its ``k_bins``
+    quantile bins, the table's bin means and the ``dependence`` fit.
+    ``fd_step`` overrides the table's finite-difference step."""
 
     def __init__(self, model: Predictor, data: Dataset,
                  k_bins: int = DEFAULT_BINS, dependence: str = "linear",
                  fd_step: float | None = None):
         self.model, self.data = model, data
         self.k_bins, self.dependence, self.fd_step = k_bins, dependence, fd_step
-        self._fx = self._table = self._bins = self._dep = None
+        self._fx = self._table = self._bins = self._means = self._dep = None
 
     @property
     def fx(self) -> np.ndarray:
@@ -97,6 +94,14 @@ class Estimation:
             self._bins = quantile_bins(self.data, j, self.k_bins)
         return self._bins
 
+    def bin_means(self, j: int) -> np.ndarray:
+        """K x p per-bin means of the gradient table over the bins of x_j,
+        a column at a time: no N x p copy of the table is made."""
+        scheme = self.bins(j)
+        if self._means is None or self._means[0] is not scheme:
+            self._means = scheme, scheme.means(self.table.values.T)
+        return self._means[1]
+
     def dep(self, j: int) -> DependenceModel:
         scheme = self.bins(j)
         if self._dep is None or self._dep.j != j:
@@ -105,9 +110,8 @@ class Estimation:
 
 
 def _kind(p: int, j: int, k: int, integrate: bool) -> CurveKind:
-    """The naming rule of kernel column k for anchor j: ALE (k = j) or
-    ACE when integrated, LE or LEcross when not. k must be a column
-    index."""
+    """The naming rule of kernel column k, a column index, for anchor j:
+    ALE (k = j) or ACE when integrated, LE or LEcross when not."""
     _check_index(k, p)
     if integrate:
         return CurveKind.ALE if k == j else CurveKind.ACE
@@ -118,16 +122,13 @@ def _anchor_curves(ctx: Estimation, j: int, ks: list[int] | range,
                    integrate: bool = True
                    ) -> tuple[list[EffectCurve], np.ndarray, BinScheme]:
     """The one entry behind every derivative curve of anchor j: the
-    per-bin means of columns ``ks`` of the gradient table over the bins
-    of x_j, times the bin's dependence slope when an integrated column
-    crosses to k != j (by 1 otherwise), accumulated along the bins when
-    ``integrate``. Returns a curve per k named by ``_kind``, the K x
-    len(ks) array of values and the bins."""
+    context's bin means of columns ``ks`` of the gradient table, times
+    the bin's dependence slope when an integrated column crosses to
+    k != j, accumulated along the bins when ``integrate``. Returns a
+    curve per k named by ``_kind``, the K x len(ks) values and the bins."""
     kinds = [_kind(ctx.data.p, j, k, integrate) for k in ks]
     scheme = ctx.bins(j)
-    # A generator, column by column: a whole N x m copy of the table costs
-    # more to allocate than the per-column loop costs to run.
-    acc = scheme.means(ctx.table.values[:, k] for k in ks)
+    acc = ctx.bin_means(j)[:, ks]
     if integrate:
         if any(k != j for k in ks):
             acc = acc * ctx.dep(j).per_bin(scheme)[:, ks]
@@ -162,13 +163,11 @@ def pdp(ctx: Estimation, j: int) -> EffectCurve:
 
 def marginal(ctx: Estimation, j: int, smooth: int = 0) -> EffectCurve:
     """Per-bin mean of predictions at the observed rows (no synthetic
-    points), placed at bin midpoints.
-
-    ``smooth`` > 0 replaces each bin mean with a count-weighted local
-    quadratic fit over a window of that many bins on each side. The fit
-    is exact for polynomial conditional means up to cubic on interior
-    windows, so it cuts per-bin sampling noise without flattening shape.
-    """
+    points), placed at bin midpoints. ``smooth`` > 0 replaces each bin
+    mean with a count-weighted local quadratic fit over a window of that
+    many bins on each side, exact for polynomial conditional means up to
+    cubic on interior windows: it cuts per-bin sampling noise without
+    flattening shape."""
     scheme = ctx.bins(j)
     values = scheme.means([ctx.fx])[:, 0]
     if smooth > 0:
@@ -179,24 +178,18 @@ def marginal(ctx: Estimation, j: int, smooth: int = 0) -> EffectCurve:
 
 def _local_quadratic(grid: np.ndarray, values: np.ndarray, counts: np.ndarray,
                      half_window: int) -> np.ndarray:
-    out = values.copy()
-    k = len(grid)
+    out, k = values.copy(), len(grid)
     for b in range(k):
-        lo = max(0, b - half_window)
-        hi = min(k, b + half_window + 1)
+        lo, hi = max(0, b - half_window), min(k, b + half_window + 1)
         if hi - lo < 4:
             continue
         t = grid[lo:hi] - grid[b]
-        w = counts[lo:hi]
         basis = np.column_stack([np.ones_like(t), t, t * t])
-        bw = basis * w[:, None]
-        gram = basis.T @ bw
-        rhs = bw.T @ values[lo:hi]
+        bw = basis * counts[lo:hi, None]
         try:
-            coef = np.linalg.solve(gram, rhs)
+            out[b] = np.linalg.solve(basis.T @ bw, bw.T @ values[lo:hi])[0]
         except np.linalg.LinAlgError:
-            continue
-        out[b] = coef[0]
+            pass
     return out
 
 
@@ -208,8 +201,7 @@ def ale(ctx: Estimation, j: int) -> EffectCurve:
 
 def ace(ctx: Estimation, k: int, j: int) -> EffectCurve:
     """Cross-effect curve: the part of x_j's effect transmitted through
-    the dependent variable x_k. Per-bin mean of
-    (d f / d x_k) * (d m_k / d x_j), accumulated as in ale."""
+    x_k, the per-bin mean of (df/dx_k)(dm_k/dx_j) accumulated as in ale."""
     if k == j:
         raise DataError("cross effect needs k != j")
     return _anchor_curves(ctx, j, [k])[0][0]
@@ -231,22 +223,19 @@ def atdev(ctx: Estimation, j: int) -> EffectCurve:
 
 
 def le_curve(ctx: Estimation, k: int, j: int) -> EffectCurve:
-    """Per-bin mean of d f / d x_k conditioned on x_j bins, reported on
-    the derivative scale (no integration). k = j is the own-derivative
-    profile; k != j reads out interactions and transferred effects."""
+    """Per-bin mean of df/dx_k over the bins of x_j, not integrated: the
+    own-derivative profile for k = j, else interactions and transfers."""
     return _anchor_curves(ctx, j, [k], integrate=False)[0][0]
 
 
 @dataclass(frozen=True)
 class EffectMatrix:
     """p x p grid of centered curves, column j conditioned on variable j.
-
-    For the total-derivative kind the diagonal holds own effects (ale)
-    and cell (i, j) holds the cross effect of x_j through x_i; ``totals``
-    holds each column's centered atdev curve, the pointwise sum of its
-    cells. For the local-effects kind the cells are conditional mean
-    derivatives and ``totals`` is None.
-    """
+    For the total-derivative kind the diagonal holds own effects (ale),
+    cell (i, j) the cross effect of x_j through x_i, and ``totals`` each
+    column's centered atdev curve, the pointwise sum of its cells. For
+    the local-effects kind the cells are conditional mean derivatives
+    and ``totals`` is None."""
 
     kind: CurveKind
     names: tuple[str, ...]

@@ -19,7 +19,7 @@ import time
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from pathlib import Path
 from typing import ClassVar
 
@@ -248,7 +248,7 @@ class AnalyticModel(Predictor):
         for coef, powers in self.terms:
             t = np.full(len(x), coef)
             for j, a in powers.items():
-                t *= x[:, j] ** a
+                t *= _power(x[:, j], a)
             out += t
         return out
 
@@ -257,10 +257,10 @@ class AnalyticModel(Predictor):
         for coef, powers in self.terms:
             for j, a in powers.items():
                 t = np.full(len(x), coef * a)
-                t *= x[:, j] ** (a - 1)
+                t *= _power(x[:, j], a - 1)
                 for m, b in powers.items():
                     if m != j:
-                        t *= x[:, m] ** b
+                        t *= _power(x[:, m], b)
                 g[:, j] += t
         return g
 
@@ -277,13 +277,19 @@ class AnalyticModel(Predictor):
             rest = 1.0
             for m, b in powers.items():
                 if m != j:
-                    rest = rest * x[:, m] ** b
+                    rest = rest * _power(x[:, m], b)
             a = powers.get(j, 0)
             c[a] = c.get(a, 0.0) + coef * float(np.mean(rest))
         values = np.zeros(len(grid))
         for a in sorted(c):
-            values += c[a] * grid ** a
+            values += c[a] * _power(grid, a)
         return values
+
+
+def _power(v: np.ndarray, a: int) -> np.ndarray:
+    """v ** a (a >= 0) as 1.0 times a copies of v, left to right: ``**``'s
+    bytes for a <= 2, and from 3 on a tenth of pow's cost, last bits aside."""
+    return reduce(np.multiply, [v] * a, 1.0)
 
 
 def _t(coef: float, *pairs: tuple[int, int]) -> Term:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from atdev import (Estimation, SimSpec, catalog_model, corr_matrix,
                    fit_dependence, generate, quantile_bins)
+import atdev.cli
 from atdev.data import Dataset
 from atdev.dependence import ols_line
 from atdev.errors import DataError, NumericalError
@@ -310,4 +311,58 @@ def test_linear_slope_table_is_the_ols_slopes_broadcast(seed, p, scales):
         got = slopes_at(fit(d, j), d.column(j))
         want = [1.0 if k == j else ols_line(d.column(j), d.column(k))[0]
                 for k in range(p)]
-        assert np.array_equal(got, np.broadcast_to(want, (d.n, p)))
+        # One covariance table per run, not one np.cov a pair: the same
+        # slopes in another order of arithmetic, within 1e-12 of the
+        # pair's scale (the ratio of the columns' ranges), not of the
+        # slope: one that cancels to near 0 (-3.2e-5 at seed 353, p = 4)
+        # moves by 1.1e-12 of itself, each fit within 7.2e-13 of exact.
+        scale = np.ptp(d.matrix(), axis=0) / np.ptp(d.column(j))
+        assert np.all(np.abs(got - np.array(want)) <= 1e-12 * scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300),
+       p=st.integers(2, 5), scales=st.lists(st.floats(-150.0, 150.0),
+                                            min_size=5, max_size=5))
+def test_correlations_are_numpys_from_one_covariance_table(seed, n, p, scales):
+    # Mixed columns at independent magnitudes from 1e-150 to 1e150; a
+    # repeated column gives a correlation of exactly +-1 up to rounding.
+    # The reference is np.corrcoef in extended precision: in float64 its
+    # BLAS dot is itself off by 1.2e-15 at n = 182 (seed 887039984, p = 5,
+    # unscaled), where the one-table value is the exact correlation.
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, p)) @ rng.uniform(-1, 1, (p, p))
+    x[:, -1] = rng.choice([-1.0, 1.0]) * x[:, 0]
+    x *= 10.0 ** np.array(scales[:p])
+    assume(np.all(np.ptp(x, axis=0) > 0))
+    d = Dataset(names=[f"x{i}" for i in range(p)], columns=x)
+    c = corr_matrix(d)
+    want = np.corrcoef(x.astype(np.longdouble), rowvar=False)
+    assert np.all(np.abs(c - want) <= 1e-15)
+    assert np.array_equal(c, c.T)
+    assert np.all(np.diag(c) == 1.0)
+    assert np.all(np.abs(c) <= 1.0)
+    x[:, rng.integers(p)] = x[0, 0]
+    with pytest.raises(DataError, match="constant column"):
+        corr_matrix(Dataset(names=d.names, columns=x))
+
+
+def test_one_moment_table_per_run(tmp_path, monkeypatch):
+    """Every dependence slope and correlation of a run reads one
+    covariance table: one effects run on all columns (five anchors), one
+    importance run and one heatmap run (correlations too) build it once
+    each, under either dependence kind."""
+    built, build = [], Dataset.moments.func
+    monkeypatch.setattr(Dataset.moments, "func",
+                        lambda d: built.append(d) or build(d))
+    data = tmp_path / "complex_623.csv"
+    assert atdev.cli.main(["simulate", "--case", "complex_623", "--n", "2000",
+                           "--out-dir", str(tmp_path)]) == 0
+    for kind in ("linear", "local_linear"):
+        for command in ("effects", "importance", "heatmap"):
+            built.clear()
+            assert atdev.cli.main([
+                command, "--data", str(data), "--response", "y",
+                "--model-id", "case_623", "--k-bins", "20",
+                "--dependence", kind, "--out-dir", str(tmp_path / "out")]) == 0
+            assert len(built) == 1, (command, kind)

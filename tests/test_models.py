@@ -278,6 +278,60 @@ class TestPartialDependence:
         assert recorded(tmp_path) == []
 
 
+def power_reference(model: AnalyticModel, x: np.ndarray):
+    """f and its gradient at the rows of x with every power taken by
+    numpy's ``**``, each with the sum of its terms' magnitudes, which
+    bounds the rounding of any order of the same products."""
+    f, f_scale = np.zeros(len(x)), np.zeros(len(x))
+    g, g_scale = np.zeros(x.shape), np.zeros(x.shape)
+    for coef, powers in model.terms:
+        t = coef * np.prod([x[:, j] ** a for j, a in powers.items()], axis=0)
+        f, f_scale = f + t, f_scale + np.abs(t)
+        for j, a in powers.items():
+            d = coef * a * x[:, j] ** (a - 1) * np.prod(
+                [x[:, m] ** b for m, b in powers.items() if m != j], axis=0)
+            g[:, j] += d
+            g_scale[:, j] += np.abs(d)
+    return f, f_scale, g, g_scale
+
+
+def signed_values(rng, shape) -> np.ndarray:
+    """Values of either sign from 1e-3 to 1e4 in magnitude, a tenth of
+    them 0: powers up to 8 of them times coefficients up to 1e100 stay
+    far from overflow and from subnormal results."""
+    magnitude = rng.uniform(1.0, 10.0, shape) * 10.0 ** rng.integers(-3, 4, shape)
+    return rng.choice([-1.0, 0.0, 1.0], shape, p=[0.45, 0.1, 0.45]) * magnitude
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(1.0, 10.0),
+                          st.integers(-100, 100),
+                          st.dictionaries(st.integers(0, 2), st.integers(1, 8),
+                                          max_size=3)),
+                min_size=1, max_size=4),
+       st.integers(1, 20), st.integers(0, 2**32 - 1))
+def test_polynomial_powers_match_the_pow_reference(terms, n, seed):
+    # Powers are products, left to right, so from 3 on they may differ
+    # from libm's pow in the last bits, but only within rounding. Every
+    # coefficient is 1 to 10 times a power of ten from 1e-100 to 1e100,
+    # so no term's value comes near the subnormals.
+    model = custom_model(3, [(sign * m * 10.0 ** e, pw)
+                             for sign, m, e, pw in terms])
+    rng = np.random.default_rng(seed)
+    x = signed_values(rng, (n, 3))
+    f, f_scale, g, g_scale = power_reference(model, x)
+    assert np.all(np.abs(model.predict(x) - f) <= 1e-12 * f_scale)
+    assert np.all(np.abs(model.gradient(x) - g) <= 1e-12 * g_scale)
+    grid = np.unique(signed_values(rng, 4))
+    for j in range(3):
+        got = model.partial_dependence(x, j, grid)
+        for z, value in zip(grid, got):
+            swept = x.copy()
+            swept[:, j] = z
+            want, scale = power_reference(model, swept)[:2]
+            assert abs(value - want.mean()) <= 1e-12 * scale.mean()
+
+
 class TestMlp:
     def test_validation_quality_on_additive_benchmark(self, mlp61):
         _, report, _ = mlp61
@@ -566,18 +620,23 @@ class TestRowBudget:
                                                               seed):
         model = custom_model(3, terms)
         x = np.random.default_rng(seed).uniform(-2.0, 2.0, (n, 3))
+
+        def power(v, a):
+            # v ** a as the kernel forms it: a - 1 products, left to right
+            return np.prod([v] * a, axis=0)
+
         f, g = np.zeros(n), np.zeros((n, 3))
         for coef, powers in model.terms:
             t = np.full(n, coef)
             for j, a in powers.items():
-                t *= x[:, j] ** a
+                t *= power(x[:, j], a)
             f += t
             for j, a in powers.items():
                 t = np.full(n, coef * a)
-                t *= x[:, j] ** (a - 1)
+                t *= power(x[:, j], a - 1)
                 for m, b in powers.items():
                     if m != j:
-                        t *= x[:, m] ** b
+                        t *= power(x[:, m], b)
                 g[:, j] += t
         assert model.predict(x).tobytes() == f.tobytes()
         assert model.gradient(x).tobytes() == g.tobytes()
