@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import os
 import tempfile
 import time
@@ -133,19 +134,28 @@ class Dataset:
             raise DataError(f"no variable named {name!r}") from None
 
     @cached_property
-    def moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(cov, e)``: the p x p covariance over N of the columns scaled
-        by 2**-e, e_k the exponent of column k's largest |value| (no moment
-        overflows), built when first asked. Each entry is numpy's pairwise
-        sum of a product, not a BLAS dot, whose order follows its threads."""
-        c, (n, p) = self._x.T.copy(), self._x.shape  # p x N
-        e = np.frexp(np.maximum(c.max(axis=1), -c.min(axis=1)))[1]
-        np.ldexp(c, -e[:, None], out=c)
-        c -= c.mean(axis=1, keepdims=True)
+    def moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(cov, e, mean)``: the p x p covariance over N and the means
+        of the columns scaled by 2**-e (``_pow2_scaled``), built when first
+        asked. Each entry is numpy's pairwise sum of a product, not a BLAS
+        dot, whose order follows its threads."""
+        c, e = _pow2_scaled(self._x.T.copy())  # p x N, C order
+        mean = c.mean(axis=1)
+        c -= mean[:, None]
+        n, p = self._x.shape
         cov = np.empty((p, p))
         for a, b in zip(*np.triu_indices(p)):
             cov[a, b] = cov[b, a] = np.add.reduce(c[a] * c[b]) / n
-        return cov, e
+        return cov, e, mean
+
+
+def _pow2_scaled(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """v with its rows (last axis) divided in place by 2**e, e the
+    exponent of each row's largest |value|, and e: below 1 in magnitude,
+    no moment of them overflows, and short of subnormal results a moment
+    of them scales back exactly to the same double."""
+    e = np.frexp(np.maximum(v.max(axis=-1), -v.min(axis=-1)))[1]
+    return np.ldexp(v, -e[..., None], out=v), e
 
 
 @dataclass(frozen=True)
@@ -220,6 +230,10 @@ class EffectCurve:
             raise DataError("negative bin count")
         if not self.counts.sum() > 0:
             raise DataError("curve bin counts must total more than 0")
+        # Python ints, so that a numpy integer index is written as JSON.
+        object.__setattr__(self, "j", operator.index(self.j))
+        if self.k is not None:
+            object.__setattr__(self, "k", operator.index(self.k))
 
     def weighted_mean(self) -> float:
         """Mean of the values against the counts."""
@@ -254,10 +268,11 @@ def quantile_bins(d: Dataset, j: int, k: int) -> BinScheme:
     every surviving bin has at least one member. A column whose values
     fill fewer than two bins, such as a 0/1 indicator, is rejected.
 
-    One sort does the work: the edges are the quantiles of the sorted
-    column (the same order statistics, so the same doubles), each bin's
-    count is where its left edge falls in it, and the rows take their
-    bin numbers back through the sort order.
+    One sort does the work: the edges are read from the sorted column
+    (the values of numpy's ``unique(quantile(x, q))``, but for the sign
+    of a zero edge, which no bin reads), each bin's count is where its left
+    edge falls in it, and the rows take their bin numbers back through
+    the sort order.
     """
     _check_index(j, d.p)
     if k < 2:
@@ -267,8 +282,14 @@ def quantile_bins(d: Dataset, j: int, k: int) -> BinScheme:
     x = np.ascontiguousarray(d.column(j))
     order = np.argsort(x)
     x = x[order]
-    edges = np.quantile(x, np.linspace(0.0, 1.0, k + 1))
-    edges = np.unique(edges)  # sorted, exact duplicates merged
+    # numpy's default quantile rule and arithmetic: between the order
+    # statistics a, b at (n - 1) q, a + (b - a) t below t = 0.5, else
+    # b - (b - a)(1 - t).
+    at = (len(x) - 1) * np.linspace(0.0, 1.0, k + 1)
+    lo = np.floor(at).astype(np.intp)
+    a, b, t = x[lo], x[np.minimum(lo + 1, len(x) - 1)], at - lo
+    edges = np.sort(np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t))
+    edges = edges[np.r_[True, edges[1:] != edges[:-1]]]  # ties merged
     if len(edges) < 2:
         raise DataError(f"degenerate variable {d.names[j]!r}: constant column")
     # Bin b is [e_b, e_{b+1}), the last closed: its members start at the

@@ -4,8 +4,10 @@ For cross effects we need the slope of the conditional mean of one
 predictor given another, dm_k/dx_j, on the anchor's curve bins: one OLS
 line (``linear``), or slopes over runs of ceil(K / 20) curve bins
 (``local_linear``) for dependence that bends; and Pearson correlations.
-Every OLS slope and correlation reads one covariance table of the data,
-``Dataset.moments``: the last bits may differ from one ``np.cov`` a pair.
+Every OLS slope and correlation reads the data's one moment table,
+``Dataset.moments``, as do the reference curves' lines
+(``simgen.params_from_data``): the last bits may differ from one
+``np.cov`` a pair.
 
 Per-bin slopes fitted independently are noisy where two columns are only
 weakly related, and that noise compounds into a random walk once the
@@ -16,7 +18,6 @@ integral telescopes back to the level profile: level errors stay bounded.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,37 +29,9 @@ __all__ = [
     "DependenceModel",
     "fit_dependence",
     "corr_matrix",
-    "ols_line",
 ]
 
 DEPENDENCE_KINDS = ("linear", "local_linear")
-
-
-def _pow2_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
-    """v divided by 2**e, with e the exponent of its largest |v|, and e.
-    The scaled values lie below 1 in magnitude, so no moment of them
-    overflows, and short of subnormal results the scaling is exact: a
-    moment of the scaled values scales back to the same double."""
-    e = int(np.frexp(np.max(np.abs(v)))[1])
-    return np.ldexp(v, -e), e
-
-
-def ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares (slope, intercept) of y on x; slope 0 when x is
-    constant (min == max). The line is fitted on x and y scaled by
-    powers of two and scaled back, so it is the unscaled fit's pair of
-    doubles wherever that fit's moments are finite, and stays finite at
-    any scale where they overflow. A slope or intercept that is not
-    finite is a NumericalError."""
-    (xs, ex), (ys, ey) = _pow2_scaled(x), _pow2_scaled(y)
-    with np.errstate(all="ignore"):
-        slope = (0.0 if np.min(x) == np.max(x)
-                 else np.cov(xs, ys, bias=True)[0, 1] / np.var(xs))
-        intercept = float(np.ldexp(np.mean(ys) - slope * np.mean(xs), ey))
-        slope = float(np.ldexp(slope, ey - ex))
-    if not (math.isfinite(slope) and math.isfinite(intercept)):
-        raise NumericalError("least-squares line of y on x is not finite")
-    return slope, intercept
 
 
 @dataclass(frozen=True)
@@ -93,7 +66,7 @@ def fit_dependence(d: Dataset, scheme: BinScheme,
         raise DataError(f"unknown dependence kind {kind!r}; "
                         f"choose from {DEPENDENCE_KINDS}")
     j = scheme.j
-    cov, e = d.moments
+    cov, e, _ = d.moments
     # OLS slopes of every column on x_j from the covariance table, scaled
     # back; the anchor fills two bins, so cov_jj > 0 and its own slope is 1.
     with np.errstate(over="ignore"):

@@ -1,9 +1,10 @@
 """Per-sample partial derivatives over a dataset.
 
 Backends with analytic gradients are used as-is; anything else goes
-through central finite differences with a per-column step tied to the
-column's spread. Derivatives are evaluated only at observed rows, never
-on synthetic grids. A pointwise self-check compares the two routes.
+through central finite differences with a per-column step of 1e-4 of
+the column's standard deviation, read from the data's moment table
+(``Dataset.moments``). Derivatives are evaluated only at observed rows,
+never on synthetic grids. A pointwise self-check compares the two routes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .dependence import _pow2_scaled
 from .errors import DataError, NumericalError
 from .models import Predictor
 
@@ -24,12 +24,6 @@ __all__ = [
     "fd_step",
     "check_gradient",
 ]
-
-
-def _rows(d: Dataset | np.ndarray) -> np.ndarray:
-    if isinstance(d, Dataset):
-        return d.matrix()
-    return np.asarray(d, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -50,24 +44,20 @@ class GradientTable:
 FD_SPAN_RTOL = 1e-6
 
 
-def fd_step(x: np.ndarray, j: int) -> float:
-    """Central-difference step for column j: 1e-4 of its spread, floored
-    so constant columns still get a usable step.
-
-    The spread is taken of the column divided by the power of two nearest
-    its largest |x|, then scaled back, so it is finite for a column near
-    the largest double. Scaling by a power of two is exact: wherever the
-    column's own spread is finite, the step is the same double."""
-    scaled, e = _pow2_scaled(x[:, j])
-    return max(1e-4 * float(np.ldexp(np.std(scaled), e)), 1e-8)
+def fd_step(d: Dataset, j: int) -> float:
+    """Central-difference step for column j: 1e-4 of its standard
+    deviation, floored so constant columns still get a usable step. The
+    deviation, read from the moment table, is finite for a column near
+    the largest double, and is numpy's ``std`` wherever that is finite."""
+    cov, e, _ = d.moments
+    return max(1e-4 * float(np.ldexp(np.sqrt(cov[j, j]), e[j])), 1e-8)
 
 
 def _check_span(x: np.ndarray, j: int, h: float, label: str) -> None:
     """DataError when some row's probes x_j +- h are not 2h apart within
     FD_SPAN_RTOL, the step lost to rounding or overflowing at the column's
     magnitude: the difference quotient would be wrong."""
-    # x_j +- h may pass the largest double, and h is infinite when the
-    # column's spread overflows; neither span is kept.
+    # x_j +- h may pass the largest double; such a span is not kept.
     with np.errstate(over="ignore", invalid="ignore"):
         span = (x[:, j] + h) - (x[:, j] - h)
         kept = np.abs(span - 2.0 * h) <= FD_SPAN_RTOL * 2.0 * h
@@ -119,32 +109,30 @@ def _central_differences(model: Predictor, x: np.ndarray,
     return g
 
 
-def gradient_table(model: Predictor, d: Dataset | np.ndarray,
+def gradient_table(model: Predictor, d: Dataset,
                    h: float | None = None) -> GradientTable:
     """All partials at once; finite differences cost one sweep of 2Np
     rows, scored in the chunks the model plans (``Predictor._chunks``).
     ``h`` overrides the automatic per-column step (FD path only). A step
     that rounding loses or that overflows at some row is a DataError,
     raised before any scoring call."""
-    x = _rows(d)
+    x = d.matrix()
     if model.has_analytic_gradient:
         g = model.gradient(x)
         if not np.all(np.isfinite(g)):
             raise NumericalError("non-finite analytic gradient")
         return GradientTable(values=g, method="analytic")
-    p = x.shape[1]
     if h is None:
-        steps = np.array([fd_step(x, j) for j in range(p)])
+        steps = np.array([fd_step(d, j) for j in range(d.p)])
     else:
-        steps = np.full(p, float(h))
-    for j in range(p):
-        _check_span(x, j, steps[j],
-                    repr(d.names[j]) if isinstance(d, Dataset) else str(j))
+        steps = np.full(d.p, float(h))
+    for j in range(d.p):
+        _check_span(x, j, steps[j], repr(d.names[j]))
     return GradientTable(values=_central_differences(model, x, steps),
                          method="central_fd", steps=steps)
 
 
-def check_gradient(model: Predictor, d: Dataset | np.ndarray, rows: int = 100,
+def check_gradient(model: Predictor, d: Dataset, rows: int = 100,
                    tol: float = 1e-4, seed: int = 0) -> float:
     """Compare analytic partials against pointwise central differences on
     a row sample; returns the worst relative error and raises if it
@@ -156,7 +144,7 @@ def check_gradient(model: Predictor, d: Dataset | np.ndarray, rows: int = 100,
     """
     if not model.has_analytic_gradient:
         raise NumericalError("check_gradient needs an analytic backend")
-    x = _rows(d)
+    x = d.matrix()
     rng = np.random.default_rng(seed)
     take = rng.choice(len(x), size=min(rows, len(x)), replace=False)
     xs = x[take]

@@ -13,22 +13,23 @@ c_mj + b_mj x_j: the Marginal and ATDEV are f itself, ALE integrates
 df/dx_j and the ACE through x_k integrates b_kj df/dx_k. Under
 independence every other x_m^a is averaged out to its sample moment:
 PD is f and LE or LEcross is df/dx_k. PD, Marginal and ATDEV drop
-their constant, as curves are compared after centering. Slopes, intercepts and moments
-are taken from the dataset under test, so estimator and reference see
-the same finite-sample dependence structure. ``_COVERAGE`` declares the
-(case, kind) pairs answered; every other pair raises, never guesses.
+their constant, as curves are compared after centering. Slopes,
+intercepts and moments are read from the moment table of the dataset
+under test, as ``fit_dependence`` reads its slopes, so estimator and
+reference see the same finite-sample dependence structure. ``_COVERAGE``
+declares the (case, kind) pairs answered; every other pair raises.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CurveKind, Dataset, _check_index
-from .dependence import _pow2_scaled, ols_line
-from .errors import DataError, NoOracleError
+from .data import CurveKind, Dataset, _check_index, _pow2_scaled
+from .errors import DataError, NoOracleError, NumericalError
 from .models import AnalyticModel, catalog_model
 
 __all__ = [
@@ -141,10 +142,8 @@ def generate(spec: SimSpec) -> Dataset:
 
 def _signal_variance(spec: SimSpec) -> tuple[float, int]:
     """Var f(X) / 4^e and e, exact: the case's recipe run on a tensor
-    Gauss rule, with f - E f divided by 2^e, e the exponent of its largest
-    magnitude, so the variance is finite wherever f is. Scaling by a power
-    of two is exact: 4^e times the first is Var f, the same double,
-    wherever that is finite.
+    Gauss rule, with f - E f scaled by 2^-e (``data._pow2_scaled``), so
+    the variance is finite wherever f is; 4^e times it is Var f.
 
     Draw d puts 6 nodes on axis -1 - d (Gauss-Legendre for ``u``,
     Gauss-Hermite for ``e``, scaled by noise_sd, and for ``z``), so the
@@ -169,7 +168,7 @@ def _signal_variance(spec: SimSpec) -> tuple[float, int]:
     with np.errstate(over="ignore", invalid="ignore"):
         f = signal_model(spec).predict(x)
         centred, e = _pow2_scaled(f - float(w.ravel() @ f))
-        return float(w.ravel() @ centred ** 2), e
+        return float(w.ravel() @ centred ** 2), int(e)
 
 
 def theoretical_r2(spec: SimSpec) -> float:
@@ -198,16 +197,21 @@ class OracleParams:
 
 
 def params_from_data(d: Dataset) -> OracleParams:
-    beta: dict[tuple[int, int], float] = {}
-    c: dict[tuple[int, int], float] = {}
-    for j in range(d.p):
-        for k in range(d.p):
-            if k != j:
-                beta[(k, j)], c[(k, j)] = ols_line(d.column(j), d.column(k))
-    return OracleParams(
-        beta=beta, c=c,
-        mu=tuple(float(np.mean(col)) for col in d.columns),
-        m2=tuple(float(np.mean(col ** 2)) for col in d.columns))
+    """Every line and moment from the data's moment table: the slope of
+    x_k on x_j is cov_jk / cov_jj, or 0 where x_j is constant (min ==
+    max). A line that is not finite is a NumericalError."""
+    cov, e, m = d.moments
+    constant = np.ptp(d.matrix(), axis=0) == 0.0
+    beta, c = {}, {}
+    with np.errstate(all="ignore"):  # scaled back, checked below
+        for j, k in itertools.permutations(range(d.p), 2):
+            b = 0.0 if constant[j] else cov[j, k] / cov[j, j]
+            beta[(k, j)] = float(np.ldexp(b, e[k] - e[j]))
+            c[(k, j)] = float(np.ldexp(m[k] - b * m[j], e[k]))
+        mu, m2 = np.ldexp(m, e), np.ldexp(np.diag(cov) + m * m, 2 * e)
+    if not all(map(math.isfinite, [*beta.values(), *c.values()])):
+        raise NumericalError("least-squares line is not finite")
+    return OracleParams(beta, c, tuple(mu.tolist()), tuple(m2.tolist()))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Shared test utilities: polynomial fits on curve grids, support masks,
-curve comparison, dataset slicing, estimation contexts with a given
-dependence fit, scaled polynomials, reading written JSON files, and
-row-wise references for the binning and the derivative-curve kernel."""
+curve comparison, datasets from arrays and row slices, estimation
+contexts with a given dependence fit, scaled polynomials, reading written
+JSON files, and references for the finite-difference step, the binning
+and the derivative-curve kernel."""
 
 import json
 
@@ -9,6 +10,19 @@ import numpy as np
 
 from atdev import AnalyticModel, Estimation, center
 from atdev.data import Dataset
+
+
+def frame(x: np.ndarray) -> Dataset:
+    """An N x p array as a Dataset with columns x0, x1, ..."""
+    return Dataset(names=[f"x{i}" for i in range(x.shape[1])], columns=x)
+
+
+def reference_fd_step(x: np.ndarray, j: int) -> float:
+    """The finite-difference step as it was taken from the column alone:
+    1e-4 of ``np.std`` of column j scaled by 2^-e, e the exponent of its
+    largest |value|, scaled back and floored at 1e-8."""
+    e = int(np.frexp(np.max(np.abs(x[:, j])))[1])
+    return max(1e-4 * float(np.ldexp(np.std(np.ldexp(x[:, j], -e)), e)), 1e-8)
 
 
 def take(d: Dataset, rows) -> Dataset:

@@ -1,7 +1,9 @@
-"""``ols_line`` as it was written before it fitted every line on
-power-of-two-scaled columns: the unscaled moments, with the scaled fit
-only as a fallback where they overflow. Kept verbatim as the reference
-that the one-path fit must match bit for bit."""
+"""The least-squares line as the package once fitted it, one pair at a
+time: the unscaled moments of ``np.cov``, with a fit on columns scaled by
+powers of two only as a fallback where they overflow. Kept verbatim as
+the reference that the lines read from the data's moment table
+(``fit_dependence``'s slopes and ``params_from_data``) must match within
+1e-12 of each pair's scale."""
 
 import math
 

@@ -826,6 +826,21 @@ class TestSubprocessEntry:
         assert run.returncode == 0, run.stderr
         assert json.loads(run.stdout) == [tasks, given]
 
+    def test_estimation_commands_leave_numpy_ma_unloaded(self, data622,
+                                                          tmp_path):
+        # np.unique imported numpy.ma (10-18 ms, 1.3 MB) into every run
+        # that binned a column.
+        code = ("import sys; from atdev.cli import main; "
+                "code = main(sys.argv[1:]); print(code, 'numpy.ma' in sys.modules)")
+        for command in (["effects"], ["importance"], ["heatmap"],
+                        ["matrix", "--kind", "ATDEV"]):
+            run = subprocess.run(
+                [sys.executable, "-c", code, *command, "--data", data622,
+                 "--response", "y", "--model-id", "case_622", "--k-bins",
+                 "20", "--out-dir", str(tmp_path / command[0])],
+                capture_output=True, text=True, timeout=120)
+            assert run.stdout.split() == ["0", "False"], (command, run.stderr)
+
     def test_module_invocation(self, tmp_path):
         run = subprocess.run(
             [sys.executable, "-m", "atdev.cli", "simulate", "--case",

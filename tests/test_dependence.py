@@ -7,11 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from atdev import (Estimation, SimSpec, catalog_model, corr_matrix,
-                   fit_dependence, generate, quantile_bins)
+from atdev import (CASES, Estimation, SimSpec, catalog_model, corr_matrix,
+                   fit_dependence, generate, params_from_data, quantile_bins)
 import atdev.cli
 from atdev.data import Dataset
-from atdev.dependence import ols_line
 from atdev.errors import DataError, NumericalError
 from helpers import slopes_at
 from ols_reference import reference_ols_line
@@ -38,7 +37,7 @@ class TestLinearFit:
     def test_exact_line_recovered(self):
         d = paired(slope=0.8)
         slope = fit(d, 0).slopes[0, 1]
-        intercept = ols_line(d.column(0), d.column(1))[1]
+        intercept = params_from_data(d).c[(1, 0)]
         assert abs(slope - 0.8) < 1e-10
         assert abs(intercept) < 1e-10
         resid = d.column(1) - (slope * d.column(0) + intercept)
@@ -57,7 +56,7 @@ class TestLinearFit:
         d = generate(SimSpec(case="additive_621", n=40_000, seed=2))
         dep = fit(d, 0)
         for k in (1, 2):
-            intercept = ols_line(d.column(0), d.column(k))[1]
+            intercept = params_from_data(d).c[(k, 0)]
             resid = d.column(k) - (dep.slopes[0, k] * d.column(0) + intercept)
             assert abs(float(np.dot(resid, d.column(0)))) < 1e-8 * d.n
 
@@ -68,7 +67,7 @@ class TestLinearFit:
         y = rng.uniform(-1, 1, n)
         d = Dataset(names=["a", "b"], columns=[x, y])
         dep = fit(d, 0)
-        resid = y - (dep.slopes[0, 1] * x + ols_line(x, y)[1])
+        resid = y - (dep.slopes[0, 1] * x + params_from_data(d).c[(1, 0)])
         se = float(np.std(resid) / (np.std(x) * np.sqrt(n)))
         assert abs(dep.slopes[0, 1]) < 3.0 * se
 
@@ -204,7 +203,8 @@ class TestConstantColumns:
             context(d).dep(0)
         with pytest.raises(DataError, match="'c': constant column"):
             corr_matrix(d)
-        assert ols_line(c, b) == (0.0, float(np.mean(b)))
+        P = params_from_data(d)
+        assert (P.beta[(1, 0)], P.c[(1, 0)]) == (0.0, float(np.mean(b)))
 
     @pytest.mark.parametrize("kind", ["linear", "local_linear"])
     def test_underflowing_variance_is_not_constant(self, kind):
@@ -216,7 +216,7 @@ class TestConstantColumns:
         d = Dataset(names=["a", "b"], columns=[a, b])
         dep = fit(d, 0, kind)
         assert np.all(np.isfinite(dep.slopes))
-        assert abs(ols_line(a, b)[0] / 1e170 - 1.0) < 0.05
+        assert abs(params_from_data(d).beta[(1, 0)] / 1e170 - 1.0) < 0.05
         want = np.corrcoef(a * 1e170, b)[0, 1]
         assert abs(corr_matrix(d)[0, 1] - want) < 1e-12
 
@@ -234,23 +234,32 @@ class TestExtremeScales:
         dep = fit(d, j, kind)
         k = 1 - j
         want = 1e-160 if j == 0 else 1e160
-        assert abs(ols_line(d.column(j), d.column(k))[0] / want - 1.0) < 0.01
+        assert abs(params_from_data(d).beta[(k, j)] / want - 1.0) < 0.01
         assert np.all(np.isfinite(slopes_at(dep, d.column(j))))
 
 
-class TestOlsLine:
+def line(x, y):
+    """(slope, intercept) of y on x as the reference curves read them."""
+    P = params_from_data(Dataset(names=["x", "y"], columns=[x, y]))
+    return P.beta[(1, 0)], P.c[(1, 0)]
+
+
+class TestOracleLines:
+    """``params_from_data``'s lines: the OLS fit of every column on every
+    other, read from the data's moment table."""
+
     def test_constant_x(self):
-        a, b = ols_line(np.ones(5), np.arange(5.0))
+        a, b = line(np.ones(5), np.arange(5.0))
         assert a == 0.0 and b == 2.0
 
     def test_recovers_line(self):
         x = np.arange(10.0)
-        a, b = ols_line(x, 3.0 * x - 1.0)
+        a, b = line(x, 3.0 * x - 1.0)
         assert np.isclose(a, 3.0) and np.isclose(b, -1.0)
 
-    def test_overflowing_moments_are_refitted_on_scaled_columns(self):
+    def test_overflowing_moments_are_fitted_on_scaled_columns(self):
         # np.var of a column at 1e160 overflows; the slope of a column
-        # tied to it (true slope 1e-160) read 0 before
+        # tied to it (true slope 1e-160) once read 0
         rng = np.random.default_rng(0)
         x1 = rng.uniform(-1e160, 1e160, 1000)
         x2 = 1e-160 * x1 + rng.normal(0.0, 0.01, 1000)
@@ -259,34 +268,57 @@ class TestOlsLine:
         dep = fit(d, 0)
         assert dep.slopes[0, 0] == 1.0
         assert abs(dep.slopes[0, 1] / 1e-160 - slope) < 1e-9
-        assert abs(ols_line(x1, x2)[1] - intercept) < 1e-12
+        assert abs(line(x1, x2)[1] - intercept) < 1e-12
         # x at 1e150 and y at 1e200: only the covariance overflows
-        a, b = ols_line(x1 * 1e-10, x2 * 1e200)
+        a, b = line(x1 * 1e-10, x2 * 1e200)
         assert abs(a / 1e50 - slope) < 1e-9
         assert abs(b / 1e200 - intercept) < 1e-12
 
-    def test_finite_moments_keep_their_arithmetic(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=1000)
-        y = 0.3 * x + rng.normal(size=1000)
-        slope = float(np.cov(x, y, bias=True)[0, 1]) / float(np.var(x))
-        assert ols_line(x, y) == (
-            slope, float(np.mean(y) - slope * np.mean(x)))
+    def test_the_reference_reads_the_estimators_slopes(self):
+        # One table for the oracle and the estimator: the same doubles.
+        d = generate(SimSpec(case="complex_623", n=3000, seed=2))
+        P = params_from_data(d)
+        for j in range(d.p):
+            slopes = fit(d, j).slopes[0]
+            assert all(P.beta[(k, j)] == slopes[k]
+                       for k in range(d.p) if k != j)
 
     def test_line_that_is_not_finite_is_a_numerical_error(self):
-        # a slope of 1e310 from finite moments, and an infinite x
+        # a slope of 1e310 from finite moments
         small = np.array([1e-10, -1e-10, 2e-10])
-        for x, y in ((small, 1e10 * small * 1e300),
-                     (np.array([1e308, -1e308, np.inf]), small)):
-            with pytest.raises(NumericalError, match="not finite"):
-                ols_line(x, y)
+        with pytest.raises(NumericalError, match="not finite"):
+            line(small, 1e10 * small * 1e300)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_every_simulated_case_matches_the_reference(self, case):
+        # Within 1e-12 of each pair's scale: the slope's is the ratio of
+        # the columns' ranges, the intercept's the larger of |y| and
+        # |slope x|.
+        for seed in range(5):
+            d = generate(SimSpec(case=case, n=5000, seed=seed))
+            P = params_from_data(d)
+            for j in range(d.p):
+                for k in range(d.p):
+                    if k != j:
+                        close_to_reference(P.beta[(k, j)], P.c[(k, j)],
+                                           d.column(j), d.column(k))
+
+
+def close_to_reference(slope, intercept, x, y):
+    """(slope, intercept) is ``reference_ols_line(x, y)`` within 1e-12 of
+    the pair's scale."""
+    want_slope, want_intercept = reference_ols_line(x, y)
+    scale = np.ptp(y) / np.ptp(x)
+    assert abs(slope - want_slope) <= 1e-12 * scale
+    reach = max(np.max(np.abs(y)), abs(want_slope) * np.max(np.abs(x)))
+    assert abs(intercept - want_intercept) <= 1e-12 * reach
 
 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60),
        ex=st.floats(-150.0, 150.0), ey=st.floats(-150.0, 150.0),
        shift=st.floats(-1e3, 1e3))
-def test_one_path_line_matches_the_two_branch_reference(seed, n, ex, ey, shift):
+def test_table_line_matches_the_two_branch_reference(seed, n, ex, ey, shift):
     # x and y at independent magnitudes from 1e-150 to 1e150, x off
     # center by up to 1e3 of its spread. (A constant x is where the two
     # differ on purpose: TestConstantColumns.)
@@ -294,9 +326,9 @@ def test_one_path_line_matches_the_two_branch_reference(seed, n, ex, ey, shift):
     x = rng.normal(shift, 1.0, n) * 10.0 ** ex
     y = (rng.normal() * x / 10.0 ** ex + rng.normal(size=n)) * 10.0 ** ey
     with np.errstate(over="ignore", invalid="ignore"):
-        assume(np.isfinite(np.var(x))
+        assume(np.ptp(x) > 0 and np.isfinite(np.var(x))
                and np.isfinite(np.cov(x, y, bias=True)[0, 1]))
-    assert ols_line(x, y) == reference_ols_line(x, y)
+    close_to_reference(*line(x, y), x, y)
 
 
 @settings(max_examples=60, deadline=None)
@@ -309,7 +341,8 @@ def test_linear_slope_table_is_the_ols_slopes_broadcast(seed, p, scales):
                 columns=[x[:, i] * 10.0 ** scales[i] for i in range(p)])
     for j in range(p):
         got = slopes_at(fit(d, j), d.column(j))
-        want = [1.0 if k == j else ols_line(d.column(j), d.column(k))[0]
+        want = [1.0 if k == j
+                else reference_ols_line(d.column(j), d.column(k))[0]
                 for k in range(p)]
         # One covariance table per run, not one np.cov a pair: the same
         # slopes in another order of arithmetic, within 1e-12 of the

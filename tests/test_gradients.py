@@ -3,14 +3,17 @@ along fitted dependence, and the self-check."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atdev import (SimSpec, catalog_model, check_gradient, custom_model,
                    fit_dependence, generate, gradient_table, quantile_bins)
 from atdev.data import Dataset
 from atdev.dependence import DependenceModel
 from atdev.errors import DataError, NumericalError
+from atdev.gradients import fd_step
 from atdev.models import Predictor
-from helpers import slopes_at
+from helpers import reference_fd_step, slopes_at
 
 
 class ScoreOnly(Predictor):
@@ -53,7 +56,8 @@ class TestPartials:
 
     def test_product_gradient_is_other_coordinate(self):
         m = catalog_model("multiplicative")
-        f = gradient_table(m, np.array([[0.5, -0.2]])).values[:, 0]
+        d = Dataset(names=["x1", "x2"], columns=np.array([[0.5, -0.2]]))
+        f = gradient_table(m, d).values[:, 0]
         assert np.isclose(f[0], -0.2)
 
     def test_cubic_term_analytic(self):
@@ -110,8 +114,6 @@ class TestGradientTable:
         m = Counting(custom_model(2, [(3.0, {0: 1}), (2.0, {1: 1})]))
         with pytest.raises(DataError, match="column 'x2' is lost to rounding"):
             gradient_table(m, d)
-        with pytest.raises(DataError, match="column 1 is lost"):
-            gradient_table(m, d.matrix())
         assert m.rows == []
 
     def test_step_large_enough_for_the_magnitude_is_kept(self):
@@ -134,6 +136,26 @@ class TestGradientTable:
         t = gradient_table(m, d)
         assert np.all(np.isfinite(t.steps))
         assert np.max(np.abs(t.values[:, 1] - 0.5)) < 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3000),
+       shape=st.sampled_from(["normal", "span", "constant", "levels"]),
+       scale=st.floats(-300.0, 300.0))
+def test_fd_step_is_the_columns_own_step(seed, n, shape, scale):
+    # Columns at 1e-300 to 1e300, spans of +-1.7e308 (where np.std of the
+    # column itself overflows), constant and three-level columns: the
+    # step read from the moment table is the column's own, bit for bit.
+    rng = np.random.default_rng(seed)
+    col = {"normal": lambda: rng.normal(size=n) * 10.0 ** scale,
+           "span": lambda: 1.7e308 * rng.uniform(-1.0, 1.0, n),
+           "constant": lambda: np.full(n, rng.normal() * 10.0 ** scale),
+           "levels": lambda: rng.choice([-1.0, 0.5, 3.0], n) * 10.0 ** scale,
+           }[shape]()
+    x = np.column_stack([rng.uniform(-1.0, 1.0, n), col])
+    d = Dataset(names=["a", "b"], columns=x)
+    assert [fd_step(d, j) for j in range(2)] == \
+        [reference_fd_step(x, j) for j in range(2)]
 
 
 def total_derivatives(m, d, j, dep):

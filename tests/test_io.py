@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atdev import CurveKind, Dataset, EffectCurve, Estimation, catalog_model, \
-    center, corr_matrix, effect_matrix
+from atdev import CurveKind, Dataset, EffectCurve, EffectMatrix, Estimation, \
+    ace, ale, catalog_model, center, corr_matrix, effect_matrix, le_curve, pdp
 from atdev.errors import DataError, NumericalError
 from atdev.importance import ImportanceReport
 from atdev.io import (
@@ -182,6 +182,29 @@ class TestMatrixBundle:
                                  histograms=[{"j": 0}])
         assert payload["scatter"] == [{"i": 0, "j": 1}]
         assert payload["derivative_histograms"] == [{"j": 0}]
+
+
+class TestNumpyIndices:
+    def test_curves_and_matrices_of_numpy_indices_are_written(self, tmp_path):
+        # A numpy integer is a valid column index; a curve keeps it as a
+        # Python int, which JSON can hold.
+        rng = np.random.default_rng(3)
+        d = Dataset(names=["x1", "x2"],
+                    columns=[rng.uniform(-1, 1, 500) for _ in range(2)])
+        ctx = Estimation(catalog_model("quad_plus_interaction"), d, k_bins=10)
+        i0, i1 = np.int64(0), np.int64(1)
+        for n, c in enumerate([pdp(ctx, i0), ale(ctx, i1), ace(ctx, i0, i1),
+                               le_curve(ctx, i1, i0)]):
+            assert type(c.j) is int and (c.k is None or type(c.k) is int)
+            back = load_json(write_json(tmp_path / f"c{n}.json",
+                                        curve_to_dict(c)))
+            assert (back["j"], back["k"]) == (c.j, c.k)
+            assert back["values"] == c.values.tolist()
+        em = EffectMatrix(CurveKind.ATDEV, ("x1", "x2"), cells=(
+            (ale(ctx, i0), ace(ctx, i0, i1)), (ace(ctx, i1, i0), ale(ctx, i1))))
+        back = load_json(write_json(tmp_path / "m.json", matrix_to_dict(em)))
+        assert [[(c["j"], c["k"]) for c in row] for row in back["cells"]] == \
+            [[(0, None), (1, 0)], [(0, 1), (1, None)]]
 
 
 class TestHeatMap:

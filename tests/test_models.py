@@ -26,7 +26,7 @@ from atdev.io import write_json
 from atdev.models import (CATALOG_IDS, ROW_BUDGET, AnalyticModel,
                           ExternalModel, MlpModel, Predictor, _parse_scores,
                           _row_template, _write_swept)
-from helpers import failing_open, take
+from helpers import failing_open, frame, take
 from mlp_reference import reference_fit_mlp
 
 
@@ -677,7 +677,8 @@ class TestRowBudget:
         # derivative 3 x1^2 at x1 = -0.0 is 0 all the same
         x[4] = TestWire.EXTREMES[0], TestWire.EXTREMES[3]
         table = gradient_table(
-            recording_scorer(scorer_path, tmp_path, p=2, mode=("cube",)), x)
+            recording_scorer(scorer_path, tmp_path, p=2, mode=("cube",)),
+            frame(x))
         # 2Np = 40 probe rows in one sweep: ⌈40 / 14⌉ = 3 spawns rounded
         # up to 4, so that two scorers share the table, of 10 rows each.
         assert sorted(len(parse_request(r)) for r in recorded(tmp_path)) \
@@ -695,7 +696,7 @@ class TestRowBudget:
         model = Placed(random_network(rng, 3, 8))
         n = ROW_BUDGET // 2 + 5
         x = rng.uniform(-1.0, 1.0, (n, 3))
-        table = gradient_table(model, x)
+        table = gradient_table(model, frame(x))
         assert table.values.tobytes() == \
             chunked_differences(model, x, table.steps).tobytes()
 
@@ -723,7 +724,7 @@ class TestRowBudget:
                 "placed": lambda: Placed(random_network(rng, p, 5)),
                 "external": lambda: recording_scorer(scorer_path, log, p=p),
             }[backend]()
-            table = gradient_table(model, x)
+            table = gradient_table(model, frame(x))
             if backend == "external":
                 chunks = request_chunks(stacked_probes(x, table.steps))
                 assert recorded(log) == sorted(map(per_cell_writer, chunks))
@@ -742,7 +743,7 @@ class TestRowBudget:
         ext = recording_scorer(scorer_path, tmp_path, p=2,
                                mode=("failat", "3.0"))
         with pytest.raises(ModelError, match="scorer exited 9: refusing"):
-            gradient_table(ext, x, h=0.5)
+            gradient_table(ext, frame(x), h=0.5)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         firsts = sorted(parse_request(r)[0, 0] for r in recorded(tmp_path))
@@ -757,7 +758,7 @@ class TestRowBudget:
         rng = np.random.default_rng(7)
         above_output, sizes = [], (2 * ROW_BUDGET, 8 * ROW_BUDGET)
         for n in sizes:
-            x = rng.uniform(-1.0, 1.0, (n, 5))
+            x = frame(rng.uniform(-1.0, 1.0, (n, 5)))
             tracemalloc.start()
             try:
                 table = gradient_table(model, x)
@@ -948,7 +949,7 @@ class TestExternal:
     def test_fd_probes_share_one_call(self, scorer_path, tmp_path):
         ext = wrap_external([sys.executable, scorer_path, "cube"], p=3)
         x = np.random.default_rng(2).uniform(-1.0, 1.0, (50, 3))
-        steps = [fd_step(x, j) for j in range(3)]
+        steps = [fd_step(frame(x), j) for j in range(3)]
         separate, probes = [], []
         for j, h in enumerate(steps):
             up, dn = x.copy(), x.copy()
@@ -957,7 +958,8 @@ class TestExternal:
             separate.append((ext.predict(up) - ext.predict(dn)) / (2.0 * h))
             probes.append(np.concatenate([up, dn]))
         table = gradient_table(
-            recording_scorer(scorer_path, tmp_path, p=3, mode=("cube",)), x)
+            recording_scorer(scorer_path, tmp_path, p=3, mode=("cube",)),
+            frame(x))
         # 2Np = 300 probe rows: one spawn for all three columns
         assert recorded(tmp_path) == [per_cell_writer(np.concatenate(probes))]
         assert np.array_equal(table.values, np.column_stack(separate))

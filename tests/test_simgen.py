@@ -14,7 +14,6 @@ from atdev import (
     signal_model,
     theoretical_r2,
 )
-from atdev.dependence import ols_line
 from atdev.errors import DataError, NoOracleError
 from atdev.simgen import _signal_variance
 
