@@ -345,7 +345,8 @@ def _custom_terms(terms: list) -> list[tuple[float, dict[int, int]]]:
 
 def _estimation(body: Callable) -> Callable:
     """The run step of the estimation commands (``_RUNS``): check the
-    options, load the dataset, resolve effects' ``columns`` to indices,
+    options, load the dataset and drop its response, which no command
+    reads, resolve effects' ``columns`` to indices,
     build the model, open the emitter and build the run's context and its
     gradient table; ``body(s, ctx, em)`` then only computes and writes."""
 
@@ -377,6 +378,11 @@ def _estimation(body: Callable) -> Callable:
         terms = _custom_terms(s.terms) if custom else None
         d = load_csv(s.data, has_response=s.response is not None,
                      response_name=s.response)
+        if d.response is not None:
+            # No command reads the response: drop it, and keep the one
+            # predictor matrix (from its columns, Dataset would stack a
+            # copy).
+            d = Dataset(names=d.names, columns=d.matrix())
         if hasattr(s, "columns"):
             # effects writes files named after its variables: resolve and
             # check the names before anything is scored.

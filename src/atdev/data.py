@@ -138,14 +138,28 @@ class Dataset:
         """``(cov, e, mean)``: the p x p covariance over N and the means
         of the columns scaled by 2**-e (``_pow2_scaled``), built when first
         asked. Each entry is numpy's pairwise sum of a product, not a BLAS
-        dot, whose order follows its threads."""
-        c, e = _pow2_scaled(self._x.T.copy())  # p x N, C order
-        mean = c.mean(axis=1)
-        c -= mean[:, None]
+        dot, whose order follows its threads.
+
+        At most two scaled, centred columns are alive at once: column a,
+        and a fresh column b that takes the product in its own buffer, so
+        no p x N copy is made; p (p + 1) / 2 column builds in all."""
         n, p = self._x.shape
-        cov = np.empty((p, p))
-        for a, b in zip(*np.triu_indices(p)):
-            cov[a, b] = cov[b, a] = np.add.reduce(c[a] * c[b]) / n
+        cov, e, mean = np.empty((p, p)), np.empty(p, np.intc), np.empty(p)
+
+        def centred(k: int) -> np.ndarray:
+            c, e[k] = _pow2_scaled(self._x[:, k].copy())
+            mean[k] = c.mean()
+            c -= mean[k]
+            return c
+
+        def mean_product(ca: np.ndarray, cb: np.ndarray) -> float:
+            return np.add.reduce(np.multiply(ca, cb, out=cb)) / n
+
+        for a in range(p):
+            ca = centred(a)
+            for b in range(a + 1, p):
+                cov[a, b] = cov[b, a] = mean_product(ca, centred(b))
+            cov[a, a] = mean_product(ca, ca)
         return cov, e, mean
 
 
@@ -288,7 +302,14 @@ def quantile_bins(d: Dataset, j: int, k: int) -> BinScheme:
     at = (len(x) - 1) * np.linspace(0.0, 1.0, k + 1)
     lo = np.floor(at).astype(np.intp)
     a, b, t = x[lo], x[np.minimum(lo + 1, len(x) - 1)], at - lo
-    edges = np.sort(np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        edges = np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+    if not np.all(np.isfinite(edges)):
+        # b - a overflowed, so the rule gives an infinite or NaN edge
+        raise NumericalError(
+            f"variable {d.names[j]!r} cannot be binned: two neighbouring "
+            f"values are more than the largest double apart")
+    edges = np.sort(edges)
     edges = edges[np.r_[True, edges[1:] != edges[:-1]]]  # ties merged
     if len(edges) < 2:
         raise DataError(f"degenerate variable {d.names[j]!r}: constant column")
@@ -298,6 +319,7 @@ def quantile_bins(d: Dataset, j: int, k: int) -> BinScheme:
     # loses its right edge and joins its right neighbour.
     starts = np.searchsorted(x, edges[1:-1], side="left")
     counts = np.diff(np.r_[0, starts, len(x)])
+    del x  # the sorted copy goes before the bin numbers are built
     full = counts > 0
     edges, counts = np.r_[edges[0], edges[1:][full]], counts[full]
     if len(counts) < 2:
@@ -306,7 +328,7 @@ def quantile_bins(d: Dataset, j: int, k: int) -> BinScheme:
         raise DataError(
             f"variable {d.names[j]!r} cannot be binned: its values fill "
             f"only {len(counts)} quantile bin, at least 2 are needed")
-    bin_of = np.empty(len(x), dtype=np.int64)
+    bin_of = np.empty(len(order), dtype=np.int64)
     bin_of[order] = np.repeat(np.arange(len(counts)), counts)
     return BinScheme(j=j, edges=edges, bin_of=bin_of, counts=counts)
 

@@ -65,7 +65,12 @@ class Estimation:
     when first asked: f at the observed rows (one ``predict`` call), the
     gradient table, and for the last anchor asked for its ``k_bins``
     quantile bins, the table's bin means and the ``dependence`` fit.
-    ``fd_step`` overrides the table's finite-difference step."""
+    ``fd_step`` overrides the table's finite-difference step.
+
+    One anchor's state is held at a time: asking for a new anchor drops
+    the old one's bins, means and fit before its bins are built. A run
+    thus holds the data (8p bytes a row), the table (8p), f (8) and one
+    anchor's bin numbers (8), plus at most two N-vectors while it works."""
 
     def __init__(self, model: Predictor, data: Dataset,
                  k_bins: int = DEFAULT_BINS, dependence: str = "linear",
@@ -91,6 +96,9 @@ class Estimation:
         # Checked first: True and 1.0 compare equal to a held anchor of 1.
         _check_index(j, self.data.p)
         if self._bins is None or self._bins.j != j:
+            # The old anchor's state goes first, so that its bin numbers
+            # are not held while the new ones are built.
+            self._bins = self._means = self._dep = None
             self._bins = quantile_bins(self.data, j, self.k_bins)
         return self._bins
 

@@ -23,10 +23,27 @@ __all__ = [
 ]
 
 
+# Rows of the gradient table squared at a time by ``dgsm``.
+_DGSM_ROWS = 1024
+
+
 def dgsm(ctx: Estimation) -> np.ndarray:
     """Mean squared partial derivative per variable, from the gradient
-    table the curve estimators read."""
-    return np.mean(ctx.table.values ** 2, axis=0)
+    table the curve estimators read: ``np.mean(G ** 2, axis=0)`` bit for
+    bit, without its N x p copy of the squares. numpy sums a one-column
+    table pairwise, and a wider (C-order) one down the rows in order;
+    summing a block of squared rows at a time below the sum so far keeps
+    that order."""
+    g = ctx.table.values
+    if g.shape[1] == 1:
+        return np.mean(g ** 2, axis=0)
+    block = np.empty((min(len(g), _DGSM_ROWS) + 1, g.shape[1]))
+    block[0] = 0.0
+    for s in range(0, len(g), _DGSM_ROWS):
+        rows = g[s:s + _DGSM_ROWS]
+        np.square(rows, out=block[1:len(rows) + 1])
+        block[0] = np.add.reduce(block[:len(rows) + 1], axis=0)
+    return block[0] / len(g)
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,8 @@ def write_json(path: str | Path, payload: dict) -> Path:
     """``json.dumps(payload, indent=1)`` and a newline, streamed to the
     file: the document is never held whole in memory. A 1-D float64
     array anywhere in the payload is written as its ``tolist()`` would
-    be, a block of values per format operation. A NaN or infinite float
+    be, a block of values per format operation, and a list or tuple of
+    finite Python floats in one format operation. A NaN or infinite float
     is a NumericalError, and no file is left: JSON has no spelling for
     it. An object JSON cannot hold is a TypeError."""
     path = Path(path)
@@ -77,6 +78,11 @@ def _encode(obj, newline: str):
                 yield _scalar(value)
             sep = "," + inner
         yield newline + "}" if obj else "}"
+    elif isinstance(obj, (list, tuple)) and _finite_floats(obj):
+        # one format operation for the whole list
+        item = "," + inner + "%r"
+        yield ("[" + item[1:] + item * (len(obj) - 1) + newline + "]") \
+            % tuple(obj)
     elif isinstance(obj, (list, tuple)):
         yield "["
         sep = inner
@@ -100,6 +106,13 @@ def _encode(obj, newline: str):
         yield newline + "]" if len(obj) else "]"
     else:
         yield _scalar(obj)
+
+
+def _finite_floats(items) -> bool:
+    """Whether items is not empty and holds finite Python floats only
+    (no subclass such as np.float64, whose repr differs)."""
+    return (len(items) > 0 and set(map(type, items)) == {float}
+            and all(map(math.isfinite, items)))
 
 
 def _scalar(obj) -> str:

@@ -1,14 +1,17 @@
 """Shared test utilities: polynomial fits on curve grids, support masks,
 curve comparison, datasets from arrays and row slices, estimation
 contexts with a given dependence fit, scaled polynomials, reading written
-JSON files, and references for the finite-difference step, the binning
-and the derivative-curve kernel."""
+JSON files, the traced memory of a run per row, and references for the
+finite-difference step, the moment table, the binning and the
+derivative-curve kernel."""
 
 import json
+import tracemalloc
 
 import numpy as np
 
-from atdev import AnalyticModel, Estimation, center
+from atdev import (AnalyticModel, Estimation, SimSpec, catalog_model, center,
+                   generate)
 from atdev.data import Dataset
 
 
@@ -23,6 +26,23 @@ def reference_fd_step(x: np.ndarray, j: int) -> float:
     largest |value|, scaled back and floored at 1e-8."""
     e = int(np.frexp(np.max(np.abs(x[:, j])))[1])
     return max(1e-4 * float(np.ldexp(np.std(np.ldexp(x[:, j], -e)), e)), 1e-8)
+
+
+def reference_moments(x: np.ndarray):
+    """``Dataset.moments`` of an N x p array taken on one p x N copy:
+    every column divided by 2^e, e the exponent of its largest |value|,
+    centred on its mean, and each covariance entry the pairwise sum of
+    one product of two rows over N. Returns (cov, e, mean)."""
+    c = x.T.copy()
+    e = np.frexp(np.maximum(c.max(axis=1), -c.min(axis=1)))[1]
+    c = np.ldexp(c, -e[:, None])
+    mean = c.mean(axis=1)
+    c -= mean[:, None]
+    n, p = x.shape
+    cov = np.empty((p, p))
+    for a, b in zip(*np.triu_indices(p)):
+        cov[a, b] = cov[b, a] = np.add.reduce(c[a] * c[b]) / n
+    return cov, e, mean
 
 
 def take(d: Dataset, rows) -> Dataset:
@@ -176,3 +196,21 @@ def rowwise_curves(ctx: Estimation, j: int, integrate: bool = True) -> np.ndarra
         return means
     contrib = means * np.diff(scheme.edges)[:, None]
     return np.cumsum(contrib, axis=0) - contrib / 2.0
+
+
+def peak_bytes_per_row(work, sizes=(20_000, 80_000)) -> float:
+    """How much the traced peak of ``work(ctx)`` grows per row between
+    the two sizes, ctx a fresh context on complex_623 under its own
+    polynomial; the data (8p bytes a row) is built before tracing
+    starts."""
+    peaks = []
+    for n in sizes:
+        ctx = Estimation(catalog_model("case_623"),
+                         generate(SimSpec(case="complex_623", n=n, seed=1)))
+        tracemalloc.start()
+        try:
+            work(ctx)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return (peaks[1] - peaks[0]) / (sizes[1] - sizes[0])

@@ -1167,3 +1167,48 @@ class TestColumnAtTheDoubleRange:
             for curve in load_json(out / f"curves_{name}.json")["curves"]:
                 grid = np.array(curve["grid"])
                 assert np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)
+
+
+class TestColumnPastTheDoubleRange:
+    """a holds -1.7e308 and 1.7e308, more than the largest double apart:
+    no quantile edge between them is a double. Binning it is exit 3 with
+    one stderr line naming the column, and nothing is written."""
+
+    @pytest.mark.parametrize("command", [["effects"],
+                                         ["importance", "--k-bins", "2"]],
+                             ids=lambda c: c[0])
+    def test_exit_3_naming_the_column(self, tmp_path, capfd, command):
+        data = tmp_path / "two.csv"
+        data.write_text("a,b\n-1.7e308,0.5\n1.7e308,-0.25\n")
+        out = tmp_path / "out"
+        rc = main([*command, "--data", str(data), "--model-id",
+                   "additive_linear", "--out-dir", str(out)])
+        assert rc == 3
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("numerical failure: variable 'a' ")
+        assert "largest double" in err[0]
+        assert not list(out.glob("*"))
+
+
+def test_the_run_holds_no_response(data622, tmp_path, monkeypatch):
+    # No estimation command reads the response column, so the run's
+    # Dataset holds none, and its matrix is the loaded one's, not a copy.
+    built = []
+
+    class Recording(atdev.cli.Estimation):
+        def __init__(self, model, data, **settings):
+            built.append(data)
+            super().__init__(model, data, **settings)
+
+    monkeypatch.setattr(atdev.cli, "Estimation", Recording)
+    loaded = []
+    load = atdev.cli.load_csv
+    monkeypatch.setattr(atdev.cli, "load_csv",
+                        lambda *a, **k: loaded.append(load(*a, **k))
+                        or loaded[-1])
+    assert run_effects(data622, tmp_path / "out") == 0
+    [d] = built
+    assert d.response is None
+    assert loaded[0].response is not None
+    assert np.shares_memory(d.matrix(), loaded[0].matrix())

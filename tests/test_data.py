@@ -9,6 +9,8 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +21,8 @@ import atdev.data
 from atdev import SimSpec, center, generate, load_csv, quantile_bins, save_csv
 from atdev.data import BinScheme, CurveKind, Dataset, EffectCurve
 from atdev.errors import DataError, NumericalError
-from helpers import bin_index, failing_open, reference_bins
+from helpers import (bin_index, failing_open, reference_bins,
+                     reference_moments)
 
 
 def curve(values, counts=None, grid=None):
@@ -574,23 +577,31 @@ class TestQuantileBins:
     def test_edges_are_numpys_unique_quantiles(self, seed, n, k, shape):
         # The edges read from the sorted copy are those of
         # np.unique(np.quantile(x, q)) with empty bins merged, bit for bit:
-        # at 1e-300 to 1e300, on tied levels, and on spans of +-1.7e308,
-        # where neighbours apart by more than the largest double give numpy
-        # an infinite or NaN edge too. Where a column holds both -0.0 and
-        # 0.0, np.quantile's partition picks which one a zero edge is.
+        # at 1e-300 to 1e300, on tied levels, and on spans of +-1.7e308.
+        # Where neighbours are apart by more than the largest double, numpy
+        # gives an infinite or NaN edge, and binning a NumericalError.
+        # Where a column holds both -0.0 and 0.0, np.quantile's partition
+        # picks which one a zero edge is.
         rng = np.random.default_rng(seed)
         x = {"scaled": lambda: rng.normal(size=n) * 10.0 ** rng.uniform(-300, 300),
              "levels": lambda: rng.choice([-1.5, 0.0, 0.25, 3.0], size=n),
              "span": lambda: 1.7e308 * rng.uniform(-1.0, 1.0, n),
              "zeros": lambda: rng.choice([-0.0, 0.0, 1.0], size=n),
              }[shape]()
+        d = Dataset(names=["x"], columns=[x])
         with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.all(np.isfinite(
+                np.quantile(x, np.linspace(0.0, 1.0, k + 1))))
             edges, _, counts = reference_bins(x, k)
-            try:
-                s = quantile_bins(Dataset(names=["x"], columns=[x]), 0, k)
-            except DataError:
-                assert len(counts) < 2
-                return
+        if not finite:
+            with pytest.raises(NumericalError, match="largest double apart"):
+                quantile_bins(d, 0, k)
+            return
+        try:
+            s = quantile_bins(d, 0, k)
+        except DataError:
+            assert len(counts) < 2
+            return
         if shape == "zeros":
             assert np.array_equal(s.edges, edges)
         else:
@@ -655,6 +666,69 @@ class TestQuantileBins:
         for b in range(s.k):
             assert np.allclose(got[b], x[s.bin_of == b].mean(axis=0),
                                rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("k", [2, 3, 100])
+    def test_edge_past_the_largest_double_is_named(self, k):
+        # -1.7e308 and 1.7e308 are 3.4e308 apart: every edge between them
+        # overflows. A NumericalError names the column, with no warning.
+        d = Dataset(names=["w", "a"], columns=[np.array([0.0, 1.0]),
+                                               np.array([-1.7e308, 1.7e308])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="'a' cannot be binned: "
+                               "two neighbouring values are more than the "
+                               "largest double apart"):
+                quantile_bins(d, 1, k)
+
+    def test_the_sorted_copy_is_freed_before_the_bin_numbers(self):
+        # At the scatter only the sort order, the repeated bin numbers
+        # and the bin numbers themselves are alive: three N-vectors, where
+        # keeping the sorted copy would make four.
+        rng = np.random.default_rng(4)
+        d = Dataset(names=["x"], columns=[rng.normal(size=200_000)])
+        tracemalloc.start()
+        try:
+            quantile_bins(d, 0, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 8 * d.n
+
+
+class TestMoments:
+    @st.composite
+    def tables(draw):
+        """N x p tables, N from 1 and p from 1 to 8, whose columns sit at
+        scales from 1e-150 to 1e150, some of them constant."""
+        n, p = draw(st.integers(1, 600)), draw(st.integers(1, 8))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        x = rng.normal(size=(n, p)) + rng.normal(size=p)
+        for j in range(p):
+            x[:, j] *= draw(st.sampled_from([1e-150, 1e-30, 1.0, 3e7, 1e150]))
+            if draw(st.booleans()) and draw(st.booleans()):
+                x[:, j] = x[0, j]
+        return x
+
+    @settings(max_examples=80, deadline=None)
+    @given(tables())
+    def test_equals_the_p_by_n_formula_bit_for_bit(self, x):
+        got = Dataset(names=[f"x{j}" for j in range(x.shape[1])],
+                      columns=x).moments
+        for a, b in zip(got, reference_moments(x)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    def test_holds_two_columns_at_a_time(self):
+        # Two scaled, centred N-vectors, not the p x N copy.
+        rng = np.random.default_rng(5)
+        d = Dataset(names=list("abcdef"), columns=rng.normal(size=(50_000, 6)))
+        tracemalloc.start()
+        try:
+            d.moments
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * d.n
 
 
 class TestCenter:

@@ -2,6 +2,7 @@
 brute-force Monte Carlo draw."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from atdev.dependence import DependenceModel
 from atdev.effects import _local_quadratic
 from atdev.errors import DataError
 from helpers import (GivenDependence, bin_index, inner_mask, max_gap,
-                     poly_coeffs, uncentered_max)
+                     peak_bytes_per_row, poly_coeffs, uncentered_max)
 
 
 def uniform_pair(n=50_000, seed=4, slope=0.8, noise=0.1):
@@ -255,6 +256,25 @@ class TestAtdev:
                 tracemalloc.stop()
         per_row = (peaks[1] - peaks[0]) / (sizes[1] - sizes[0])
         assert per_row < 8 * (5 + 2)
+
+
+class TestEstimationMemory:
+    def test_a_new_anchor_drops_the_old_ones_state(self, d621):
+        ctx = Estimation(catalog_model("case_621"), d621)
+        ctx.bin_means(0), ctx.dep(0)
+        first = weakref.ref(ctx.bins(0))
+        ctx.bins(1)
+        assert first() is None
+
+    def test_effects_work_fits_the_per_row_budget(self):
+        # The gradient table (8p bytes a row), f (8) and one anchor's bin
+        # numbers (8), plus at most two N-vectors while a step works.
+        def effects(ctx):
+            for j in range(ctx.data.p):
+                pdp(ctx, j), marginal(ctx, j), atdev_terms(ctx, j)
+                le_curve(ctx, j, j)
+
+        assert peak_bytes_per_row(effects) <= 8 * (5 + 4)
 
 
 class TestLeCurve:

@@ -3,9 +3,12 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atdev import (
     CurveKind,
@@ -19,11 +22,11 @@ from atdev import (
     dgsm,
     effect_matrix,
 )
-from atdev.dependence import DependenceModel
+from atdev.dependence import DependenceModel, corr_matrix
 from atdev.errors import DataError, NumericalError
 from atdev.importance import ImportanceReport
 from conftest import BRUTEFORCE
-from helpers import GivenDependence, scaled
+from helpers import GivenDependence, peak_bytes_per_row, scaled
 
 DGSM_EXACT = (1.0, 3.0 + 0.64 / 3.0, 36.0 / 5.0 - 6.0 + 2.25, 0.64 / 3.0, 0.0)
 
@@ -139,6 +142,17 @@ class TestDgsm:
         want = np.array([np.mean(d.column(1) ** 2), np.mean(d.column(0) ** 2)])
         assert np.allclose(got, want, atol=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3000), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_equals_the_mean_of_the_squared_table_bit_for_bit(self, n, p,
+                                                               seed):
+        # Across the 1024-row blocks, and for one column, which numpy
+        # sums pairwise.
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-150, 150, p)
+        got = dgsm(SimpleNamespace(table=SimpleNamespace(values=g)))
+        assert got.tobytes() == np.mean(g ** 2, axis=0).tobytes()
+
     def test_bruteforce_script_reproduces_the_targets(self):
         out = subprocess.run(
             [sys.executable, str(BRUTEFORCE), "300000", "7"],
@@ -185,3 +199,11 @@ class TestReport:
         # the interaction pair carries all the importance; x3 is inert
         assert rep.v_plus[0] > 10.0 * rep.v_plus[2]
         assert rep.dgsm[2] == 0.0
+
+
+def test_heatmap_work_fits_the_per_row_budget():
+    # The report and the correlations hold the gradient table (8p bytes a
+    # row) and one anchor's bin numbers (8), plus at most two N-vectors
+    # while a step works: dgsm squares a block of rows at a time.
+    assert peak_bytes_per_row(
+        lambda ctx: (build_report(ctx), corr_matrix(ctx.data))) <= 8 * (5 + 4)

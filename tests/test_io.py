@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import atdev.io
 from atdev import CurveKind, Dataset, EffectCurve, EffectMatrix, Estimation, \
     ace, ale, catalog_model, center, corr_matrix, effect_matrix, le_curve, pdp
 from atdev.errors import DataError, NumericalError
@@ -321,6 +322,20 @@ class TestFileLayer:
         write_json(tmp_path / "doc.json", payload)
         assert (tmp_path / "doc.json").read_bytes() == \
             (json.dumps(payload, indent=1) + "\n").encode()
+
+    def test_a_float_list_is_one_format_operation(self, tmp_path,
+                                                  monkeypatch):
+        # Of a curve's payload only its five scalars go through _scalar,
+        # none of the floats of its grid, values and counts.
+        calls = []
+        scalar = atdev.io._scalar
+        monkeypatch.setattr(atdev.io, "_scalar",
+                            lambda v: calls.append(v) or scalar(v))
+        payload = curve_to_dict(sample_curve(3))
+        write_json(tmp_path / "c.json", payload)
+        assert (tmp_path / "c.json").read_bytes() == \
+            (json.dumps(payload, indent=1) + "\n").encode()
+        assert calls == [SCHEMA, "ALE", 1, None, False]
 
     @settings(max_examples=40, deadline=None)
     @given(st.recursive(
