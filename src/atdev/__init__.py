@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "data": ("BinScheme", "CurveKind", "Dataset", "EffectCurve", "center",
              "load_csv", "quantile_bins", "save_csv"),
-    "dependence": ("DependenceModel", "corr_matrix", "fit_dependence"),
+    "dependence": ("corr_matrix", "fit_dependence"),
     "effects": ("DEFAULT_BINS", "EffectMatrix", "Estimation", "ace", "ale",
                 "atdev", "atdev_terms", "effect_matrix", "le_curve",
                 "marginal", "pdp"),

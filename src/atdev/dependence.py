@@ -18,15 +18,12 @@ integral telescopes back to the level profile: level errors stay bounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import BinScheme, Dataset
 from .errors import DataError, NumericalError
 
 __all__ = [
-    "DependenceModel",
     "fit_dependence",
     "corr_matrix",
 ]
@@ -34,34 +31,14 @@ __all__ = [
 DEPENDENCE_KINDS = ("linear", "local_linear")
 
 
-@dataclass(frozen=True)
-class DependenceModel:
-    """Fitted conditional-mean slopes dm_k/dx_j of every column k on the
-    anchor column j, as one B x p table: row b holds for x_j in bin b of
-    the B + 1 ``edges``. ``linear`` is the one-bin case, the OLS slopes
-    between the anchor's min and max; ``local_linear`` has a row per run
-    of ceil(K / 20) of the anchor's K curve bins, falling back to the OLS
-    slope where the anchor is locally constant. Either way a slope is one
-    number on each curve bin: ``per_bin`` gives the K x p table."""
-
-    j: int
-    edges: np.ndarray   # B + 1 anchor bin edges
-    slopes: np.ndarray  # B x p
-
-    def per_bin(self, scheme: BinScheme) -> np.ndarray:
-        """dm_k/dx_j for every column k on each of the anchor's K curve
-        bins (K x p): row b // ceil(K / 20) under ``local_linear``, the
-        slope bin holding the curve bin's left edge, and the one row under
-        ``linear``. The own column is exactly 1."""
-        rows = np.searchsorted(self.edges, scheme.edges[:-1], side="right") - 1
-        s = self.slopes[np.clip(rows, 0, len(self.slopes) - 1)]
-        s[:, self.j] = 1.0
-        return s
-
-
 def fit_dependence(d: Dataset, scheme: BinScheme,
-                   kind: str = "linear") -> DependenceModel:
-    """Fit dm_k/dx_j for all k against the anchor of its curve bins ``scheme``."""
+                   kind: str = "linear") -> np.ndarray:
+    """dm_k/dx_j for every column k on each of the anchor's K curve bins
+    ``scheme``, as one K x p table: ``linear`` puts the OLS slopes on
+    every row; ``local_linear`` repeats each run's difference quotients
+    over its ceil(K / 20) curve bins (the last run maybe short), falling
+    back to the OLS slopes where the anchor is locally constant. The own
+    column is exactly 1 as fitted (x / x)."""
     if kind not in DEPENDENCE_KINDS:
         raise DataError(f"unknown dependence kind {kind!r}; "
                         f"choose from {DEPENDENCE_KINDS}")
@@ -74,9 +51,9 @@ def fit_dependence(d: Dataset, scheme: BinScheme,
     if not np.all(np.isfinite(slopes)):
         raise NumericalError(f"dependence slope on {d.names[j]!r} is not finite")
     if kind == "linear":
-        return DependenceModel(j=j, edges=scheme.edges[[0, -1]], slopes=slopes[None, :])
+        return np.tile(slopes, (scheme.k, 1))
 
-    # Runs of ceil(K / 20) curve bins, the last maybe short: edges are curve edges.
+    # Runs of ceil(K / 20) curve bins, the last maybe short.
     step = -(-scheme.k // 20)
     starts = np.arange(0, scheme.k, step)
     runs = BinScheme(j, np.r_[scheme.edges[starts], scheme.edges[-1]],
@@ -86,11 +63,12 @@ def fit_dependence(d: Dataset, scheme: BinScheme,
     rise = levels[np.minimum(b + 1, runs.k - 1)] - levels[np.maximum(b - 1, 0)]
     # Knot abscissa is the bin mean of x_j (not the midpoint) so that on
     # exactly linear data every difference quotient reproduces the global
-    # OLS slope to machine precision. Column j's quotient is exactly 1.
-    ok = rise[:, j] != 0.0
-    bin_slopes = np.tile(slopes, (runs.k, 1))
-    bin_slopes[ok] = rise[ok] / rise[ok, j, None]
-    return DependenceModel(j=j, edges=runs.edges, slopes=bin_slopes)
+    # OLS slope to machine precision. Column j's quotient is exactly 1:
+    # a rise of x_j that is 0 or overflows keeps the OLS row.
+    ok = np.isfinite(rise[:, j]) & (rise[:, j] != 0.0)
+    run_slopes = np.tile(slopes, (runs.k, 1))
+    run_slopes[ok] = rise[ok] / rise[ok, j, None]
+    return np.repeat(run_slopes, step, axis=0)[:scheme.k]
 
 
 def corr_matrix(d: Dataset) -> np.ndarray:

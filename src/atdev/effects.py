@@ -12,11 +12,13 @@ Six curves over a shared quantile-bin grid of the variable of interest:
 - ``le_curve``: per-bin mean of a partial derivative, not integrated.
 
 Each reads a run's facts from one ``Estimation``: f at the observed
-rows, the gradient table G (N x p), and for an anchor x_j its bins, the
-K x p bin means of G and the slopes S[b, k] = dm_k/dx_j on each curve
-bin b (S[:, j] = 1), which come from the data's one covariance table. A
-polynomial model forms powers of 3 or more as products, so its f and G
-may differ from ``x ** a`` in the last bits.
+rows, the gradient table G (N x p), and for an anchor x_j its bins and
+two K x p tables on them, the bin means of G and the slopes
+S[b, k] = dm_k/dx_j (S[:, j] = 1). S comes from the data's one
+covariance table under ``linear`` and where ``local_linear`` falls back;
+``local_linear`` otherwise reads run means of the columns. A polynomial
+model forms powers of 3 or more as products, so its f and G may differ
+from ``x ** a`` in the last bits.
 
 The four derivative curves are one kernel, ``_anchor_curves``: S is one
 number on each curve bin, so the bin mean of g_k * S_k is S[b, k] times
@@ -37,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (BinScheme, CurveKind, Dataset, EffectCurve, _check_index,
-                   center, quantile_bins)
-from .dependence import DependenceModel, fit_dependence
+                   _pow2_scaled, center, quantile_bins)
+from .dependence import fit_dependence
 from .errors import DataError
 from .gradients import GradientTable, gradient_table
 from .models import Predictor
@@ -64,11 +66,11 @@ class Estimation:
     """The facts of one run that every estimator reads, each built once,
     when first asked: f at the observed rows (one ``predict`` call), the
     gradient table, and for the last anchor asked for its ``k_bins``
-    quantile bins, the table's bin means and the ``dependence`` fit.
+    quantile bins, the table's bin means and the ``dependence`` slopes.
     ``fd_step`` overrides the table's finite-difference step.
 
     One anchor's state is held at a time: asking for a new anchor drops
-    the old one's bins, means and fit before its bins are built. A run
+    the old one's bins, means and slopes before its bins are built. A run
     thus holds the data (8p bytes a row), the table (8p), f (8) and one
     anchor's bin numbers (8), plus at most two N-vectors while it works."""
 
@@ -106,13 +108,14 @@ class Estimation:
         """K x p per-bin means of the gradient table over the bins of x_j,
         a column at a time: no N x p copy of the table is made."""
         scheme = self.bins(j)
-        if self._means is None or self._means[0] is not scheme:
-            self._means = scheme, scheme.means(self.table.values.T)
-        return self._means[1]
+        if self._means is None:
+            self._means = scheme.means(self.table.values.T)
+        return self._means
 
-    def dep(self, j: int) -> DependenceModel:
+    def dep(self, j: int) -> np.ndarray:
+        """K x p dependence slopes dm_k/dx_j on the bins of x_j."""
         scheme = self.bins(j)
-        if self._dep is None or self._dep.j != j:
+        if self._dep is None:
             self._dep = fit_dependence(self.data, scheme, self.dependence)
         return self._dep
 
@@ -139,7 +142,7 @@ def _anchor_curves(ctx: Estimation, j: int, ks: list[int] | range,
     acc = ctx.bin_means(j)[:, ks]
     if integrate:
         if any(k != j for k in ks):
-            acc = acc * ctx.dep(j).per_bin(scheme)[:, ks]
+            acc = acc * ctx.dep(j)[:, ks]
         # Accumulate mean*width from the first edge; midpoint value backs
         # off half of the current bin's full-width contribution.
         contrib = acc * scheme.widths[:, None]
@@ -191,11 +194,14 @@ def _local_quadratic(grid: np.ndarray, values: np.ndarray, counts: np.ndarray,
         lo, hi = max(0, b - half_window), min(k, b + half_window + 1)
         if hi - lo < 4:
             continue
-        t = grid[lo:hi] - grid[b]
+        # Offsets and values over powers of two, so that no square or
+        # moment overflows; the intercept scales back exactly.
+        t = _pow2_scaled(grid[lo:hi] - grid[b])[0]
+        y, e = _pow2_scaled(values[lo:hi].copy())
         basis = np.column_stack([np.ones_like(t), t, t * t])
         bw = basis * counts[lo:hi, None]
         try:
-            out[b] = np.linalg.solve(basis.T @ bw, bw.T @ values[lo:hi])[0]
+            out[b] = np.ldexp(np.linalg.solve(basis.T @ bw, bw.T @ y)[0], e)
         except np.linalg.LinAlgError:
             pass
     return out

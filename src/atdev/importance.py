@@ -77,5 +77,8 @@ def build_report(ctx: Estimation) -> ImportanceReport:
     """Effect-matrix variances and derivative energies from the context's
     one gradient table."""
     cells = effect_matrix(ctx, CurveKind.ATDEV).cells
-    v = np.array([[c.weighted_variance() for c in row] for row in cells])
-    return ImportanceReport(names=tuple(ctx.data.names), v=v, dgsm=dgsm(ctx))
+    # A square that overflows is named by ImportanceReport's check.
+    with np.errstate(over="ignore"):
+        v = np.array([[c.weighted_variance() for c in row] for row in cells])
+        g2 = dgsm(ctx)
+    return ImportanceReport(names=tuple(ctx.data.names), v=v, dgsm=g2)

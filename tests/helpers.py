@@ -54,16 +54,16 @@ def take(d: Dataset, rows) -> Dataset:
 
 
 class GivenDependence(Estimation):
-    """An estimation context whose dependence fit for anchor j is
-    ``fit(j)``: for slope tables its settings do not name, such as a
-    table of zeros."""
+    """An estimation context whose dependence slopes for anchor j are the
+    p-vector ``row(j)`` on every curve bin: for slope tables its settings
+    do not name, such as zeros off the own column."""
 
-    def __init__(self, model, d: Dataset, fit, **settings):
+    def __init__(self, model, d: Dataset, row, **settings):
         super().__init__(model, d, **settings)
-        self.fit = fit
+        self.row = row
 
-    def dep(self, j: int):
-        return self.fit(j)
+    def dep(self, j: int) -> np.ndarray:
+        return np.tile(self.row(j), (self.bins(j).k, 1))
 
 
 def scaled(model: AnalyticModel, c: float) -> AnalyticModel:
@@ -170,26 +170,24 @@ def reference_bins(x: np.ndarray, k: int):
             counts[full].astype(np.int64))
 
 
-def slopes_at(dep, x) -> np.ndarray:
-    """The dependence slopes dm_k/dx_j at x_j values, one row per value
-    (N x p), each looked up in ``dep.edges``; the own column is exactly 1."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    s = dep.slopes[bin_index(dep.edges, x)]
-    s[:, dep.j] = 1.0
-    return s
+def slopes_at(table: np.ndarray, scheme, x) -> np.ndarray:
+    """The rows of a K x p dependence slope table at x_j values, one row
+    per value (N x p), each value looked up in the curve bins' edges by
+    ``bin_index``, not by the bins' own row numbers."""
+    return table[bin_index(scheme.edges, np.atleast_1d(np.asarray(x, float)))]
 
 
 def rowwise_curves(ctx: Estimation, j: int, integrate: bool = True) -> np.ndarray:
     """Every derivative curve of anchor j the row-wise way, as a K x p
-    array: each row's gradient times its own slope row (``slopes_at``,
-    or 1 when not integrated), then each bin's mean over its member
-    rows, accumulated by the midpoint rule when ``integrate``. Column k
-    is ALE (k = j) or the ACE through x_k; not integrated, LE or
-    LEcross."""
+    array: each row's gradient times its own slope row (``slopes_at`` on
+    the anchor's edges, or 1 when not integrated), then each bin's mean
+    over its member rows, accumulated by the midpoint rule when
+    ``integrate``. Column k is ALE (k = j) or the ACE through x_k; not
+    integrated, LE or LEcross."""
     scheme = ctx.bins(j)
     g = ctx.table.values
     if integrate:
-        g = g * slopes_at(ctx.dep(j), ctx.data.column(j))
+        g = g * slopes_at(ctx.dep(j), scheme, ctx.data.column(j))
     means = np.array([g[scheme.bin_of == b].mean(axis=0)
                       for b in range(scheme.k)])
     if not integrate:

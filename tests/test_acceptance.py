@@ -166,7 +166,7 @@ def test_a05_interaction_case_separates_ale_from_sweep(d622, mlp622):
     bends at half the fitted slope while the analytic sweep stays
     linear; the network sweep's curvature is reported, not asserted."""
     ctx = Estimation(catalog_model("case_622"), d622)
-    b = ctx.dep(0).slopes[0, 1]
+    b = ctx.dep(0)[0, 1]
     assert abs(b / 2.0 - (-0.49)) < 0.02  # context for the target below
 
     own = ale(ctx, 0)

@@ -850,6 +850,49 @@ class TestSubprocessEntry:
         assert run.returncode == 0, run.stderr
         assert (tmp_path / "indep_61.meta.json").exists()
 
+    def test_smoothed_marginal_is_the_same_at_any_power_of_two(self,
+                                                              tmp_path):
+        # x1 and x1 * 2^530 (about 1e160): the local quadratic once
+        # squared grid offsets near 1e320, warned and exited 3.
+        x = np.random.default_rng(0).uniform(-1.0, 1.0, (2000, 2))
+        values = {}
+        for scale in (0, 530):
+            data = tmp_path / f"x{scale}.csv"
+            save_csv(Dataset(names=["x1", "x2"],
+                             columns=[np.ldexp(x[:, 0], scale), x[:, 1]]),
+                     data)
+            out = tmp_path / f"out{scale}"
+            run = subprocess.run(
+                [sys.executable, "-m", "atdev.cli", "effects", "--data",
+                 str(data), "--model-id", "additive_linear", "--coeffs", "1",
+                 "0", "--columns", "x1", "--k-bins", "20",
+                 "--smooth-marginal", "5", "--out-dir", str(out)],
+                capture_output=True, text=True, timeout=120)
+            assert (run.returncode, run.stderr) == (0, "")
+            curves = load_json(out / "curves_x1.json")["curves"]
+            values[scale] = next(np.array(c["values"]) for c in curves
+                                 if c["kind"] == "Marginal")
+        assert np.array_equal(np.ldexp(values[0], 530), values[530])
+
+    @pytest.mark.parametrize("command", ["importance", "heatmap"])
+    def test_an_overflowing_variance_is_one_error_line(self, tmp_path,
+                                                       command):
+        # v of the x1 cells squares values near 1e160: no overflow
+        # warning ahead of the one line that names the column.
+        rng = np.random.default_rng(0)
+        data = tmp_path / "wide.csv"
+        save_csv(Dataset(names=["x1", "x2"],
+                         columns=[rng.uniform(-1e160, 1e160, 2000),
+                                  rng.uniform(-1.0, 1.0, 2000)]), data)
+        run = subprocess.run(
+            [sys.executable, "-m", "atdev.cli", command, "--data", str(data),
+             "--model-id", "custom", "--terms",
+             '[[1.0, {"0": 1, "1": 1}], [2.0, {"1": 2}]]', "--k-bins", "20",
+             "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120)
+        assert run.returncode == 3
+        assert run.stderr == "numerical failure: non-finite v for column 'x1'\n"
+
     def test_an_overflowing_response_is_one_error_line(self, tmp_path):
         # x1^2 overflows at sigma 1e200: numpy's overflow warning is not
         # printed ahead of the one error line.

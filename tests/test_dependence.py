@@ -17,8 +17,16 @@ from ols_reference import reference_ols_line
 
 
 def fit(d, j, kind="linear", k_bins=100):
-    """The dependence fit of anchor j on its ``k_bins`` curve bins."""
+    """The K x p dependence slope table of anchor j on its ``k_bins``
+    curve bins."""
     return fit_dependence(d, quantile_bins(d, j, k_bins), kind)
+
+
+def fit_at(d, j, x, kind="linear", k_bins=100):
+    """The rows of that table at x_j values x, each looked up in the
+    curve bins' edges."""
+    scheme = quantile_bins(d, j, k_bins)
+    return slopes_at(fit_dependence(d, scheme, kind), scheme, x)
 
 
 def context(d):
@@ -36,7 +44,7 @@ def paired(n=50_000, seed=0, slope=0.8, noise=0.0):
 class TestLinearFit:
     def test_exact_line_recovered(self):
         d = paired(slope=0.8)
-        slope = fit(d, 0).slopes[0, 1]
+        slope = fit(d, 0)[0, 1]
         intercept = params_from_data(d).c[(1, 0)]
         assert abs(slope - 0.8) < 1e-10
         assert abs(intercept) < 1e-10
@@ -50,14 +58,14 @@ class TestLinearFit:
         d = Dataset(names=["a", "b"], columns=[x, y])
         dep = fit(d, 0)
         want = np.cov(x, y, bias=True)[0, 1] / np.var(x)
-        assert abs(dep.slopes[0, 1] - want) < 1e-10
+        assert abs(dep[0, 1] - want) < 1e-10
 
     def test_residuals_orthogonal_to_anchor(self):
         d = generate(SimSpec(case="additive_621", n=40_000, seed=2))
         dep = fit(d, 0)
         for k in (1, 2):
             intercept = params_from_data(d).c[(k, 0)]
-            resid = d.column(k) - (dep.slopes[0, k] * d.column(0) + intercept)
+            resid = d.column(k) - (dep[0, k] * d.column(0) + intercept)
             assert abs(float(np.dot(resid, d.column(0)))) < 1e-8 * d.n
 
     def test_independent_columns_have_null_slope(self):
@@ -67,19 +75,35 @@ class TestLinearFit:
         y = rng.uniform(-1, 1, n)
         d = Dataset(names=["a", "b"], columns=[x, y])
         dep = fit(d, 0)
-        resid = y - (dep.slopes[0, 1] * x + params_from_data(d).c[(1, 0)])
+        resid = y - (dep[0, 1] * x + params_from_data(d).c[(1, 0)])
         se = float(np.std(resid) / (np.std(x) * np.sqrt(n)))
-        assert abs(dep.slopes[0, 1]) < 3.0 * se
+        assert abs(dep[0, 1]) < 3.0 * se
 
     def test_strongly_anticorrelated_pair(self):
         d = generate(SimSpec(case="interaction_622", n=100_000, seed=5))
         dep = fit(d, 0)
-        assert abs(dep.slopes[0, 1] - (-0.98)) < 0.05
+        assert abs(dep[0, 1] - (-0.98)) < 0.05
 
-    def test_own_column_slope_is_one(self):
-        d = paired(n=1000)
-        dep = fit(d, 0)
-        assert np.all(slopes_at(dep, d.column(0))[:, 0] == 1.0)
+    @pytest.mark.parametrize("kind", ["linear", "local_linear"])
+    def test_own_column_slope_is_one(self, kind):
+        # As fitted (x / x), on every bin: nothing overwrites it.
+        d = paired(n=1000, noise=0.1)
+        assert np.all(fit(d, 0, kind)[:, 0] == 1.0)
+        assert np.all(fit_at(d, 0, d.column(0), kind)[:, 0] == 1.0)
+
+    @pytest.mark.parametrize("kind", ["linear", "local_linear"])
+    def test_one_row_per_curve_bin_of_a_tied_anchor(self, kind):
+        # Five distinct values: 20 quantile bins merge into fewer.
+        rng = np.random.default_rng(9)
+        x = rng.integers(0, 5, 5000).astype(np.float64)
+        d = Dataset(names=["a", "b"],
+                    columns=[x, 0.5 * x + rng.normal(0.0, 0.1, 5000)])
+        ctx = Estimation(catalog_model("additive_linear", p=2), d,
+                         k_bins=20, dependence=kind)
+        assert ctx.bins(0).k < 20
+        assert ctx.dep(0).shape == (ctx.bins(0).k, 2)
+        assert np.all(ctx.dep(0)[:, 0] == 1.0)
+        assert np.all(np.isfinite(ctx.dep(0)))
 
     def test_constant_anchor_rejected(self):
         d = Dataset(names=["a", "b"], columns=[np.ones(50), np.arange(50.0)])
@@ -102,50 +126,54 @@ class TestLocalLinearFit:
     def test_exactly_linear_data_reproduces_global_slope(self):
         d = paired(slope=0.8)
         dep = fit(d, 0, kind="local_linear")
-        assert np.max(np.abs(dep.slopes[:, 1] - 0.8)) < 1e-10
+        assert np.max(np.abs(dep[:, 1] - 0.8)) < 1e-10
         # evaluation anywhere on the support agrees too
         probe = np.linspace(-0.99, 0.99, 57)
-        assert np.max(np.abs(slopes_at(dep, probe)[:, 1] - 0.8)) < 1e-10
+        assert np.max(np.abs(fit_at(d, 0, probe, "local_linear")[:, 1]
+                             - 0.8)) < 1e-10
 
     def test_piecewise_constant_within_bins(self):
+        # Any x_j inside a curve bin reads that bin's row.
         d = generate(SimSpec(case="additive_621", n=30_000, seed=4))
-        dep = fit(d, 0, kind="local_linear", k_bins=10)
-        mids = (dep.edges[:-1] + dep.edges[1:]) / 2.0
+        scheme = quantile_bins(d, 0, 10)
+        dep = fit_dependence(d, scheme, kind="local_linear")
+        assert np.array_equal(slopes_at(dep, scheme, scheme.midpoints), dep)
         for frac in (0.2, 0.45):
-            inside = mids + frac * np.diff(dep.edges)
-            assert np.array_equal(slopes_at(dep, mids)[:, 1],
-                                  slopes_at(dep, inside)[:, 1])
+            inside = scheme.midpoints + frac * scheme.widths
+            assert np.array_equal(slopes_at(dep, scheme, inside), dep)
 
     def test_tracks_a_bending_conditional_mean(self):
         rng = np.random.default_rng(6)
         x = rng.uniform(-1, 1, 80_000)
         y = x * x + rng.normal(0, 0.05, 80_000)
         d = Dataset(names=["a", "b"], columns=[x, y])
-        dep = fit(d, 0, kind="local_linear")
+        at = fit_at(d, 0, [-0.8, 0.8, 0.0], kind="local_linear")[:, 1]
         # slope of E[y|x] = 2x: negative on the left, positive on the right
-        assert slopes_at(dep, -0.8)[0, 1] < -1.2
-        assert slopes_at(dep, 0.8)[0, 1] > 1.2
-        assert abs(slopes_at(dep, 0.0)[0, 1]) < 0.4
+        assert at[0] < -1.2
+        assert at[1] > 1.2
+        assert abs(at[2]) < 0.4
 
     @pytest.mark.parametrize("k_bins, runs", [(100, 20), (50, 17), (30, 15),
                                                (7, 7)])
     def test_one_bin_per_run_of_curve_bins(self, k_bins, runs):
-        # ceil(K / 20) curve bins a run, the last run possibly short
+        # ceil(K / 20) curve bins a run, the last run possibly short: a
+        # row per curve bin, the same on every bin of a run, and a new
+        # row where each run starts.
         d = paired(n=10_000, noise=0.1)
         scheme = quantile_bins(d, 0, k_bins)
         dep = fit_dependence(d, scheme, kind="local_linear")
-        assert len(dep.slopes) == runs
+        assert dep.shape == (scheme.k, 2) and scheme.k == k_bins
         step = -(-k_bins // 20)
-        assert np.array_equal(dep.edges[:-1], scheme.edges[:-1:step])
-        assert dep.edges[-1] == scheme.edges[-1]
+        firsts = dep[::step]
+        assert len(firsts) == runs
+        assert np.array_equal(dep, np.repeat(firsts, step, axis=0)[:scheme.k])
+        assert np.all(np.diff(firsts[:, 1]) != 0.0)
 
     def test_finite_everywhere_on_observed_support(self):
         d = generate(SimSpec(case="complex_623", n=20_000, seed=1))
         for j in range(d.p):
-            dep = fit(d, j, kind="local_linear")
-            for k in range(d.p):
-                vals = slopes_at(dep, d.column(j))[:, k]
-                assert np.all(np.isfinite(vals))
+            vals = fit_at(d, j, d.column(j), kind="local_linear")
+            assert np.all(np.isfinite(vals))
 
 
 class TestCorrMatrix:
@@ -214,8 +242,7 @@ class TestConstantColumns:
         b = 1e170 * a + rng.normal(0.0, 0.1, 1000)
         assert np.var(a) == 0.0
         d = Dataset(names=["a", "b"], columns=[a, b])
-        dep = fit(d, 0, kind)
-        assert np.all(np.isfinite(dep.slopes))
+        assert np.all(np.isfinite(fit(d, 0, kind)))
         assert abs(params_from_data(d).beta[(1, 0)] / 1e170 - 1.0) < 0.05
         want = np.corrcoef(a * 1e170, b)[0, 1]
         assert abs(corr_matrix(d)[0, 1] - want) < 1e-12
@@ -231,11 +258,25 @@ class TestExtremeScales:
         x1 = rng.uniform(-1e160, 1e160, 1000)
         x2 = 1e-160 * x1 + rng.normal(0.0, 0.01, 1000)
         d = Dataset(names=["x1", "x2"], columns=[x1, x2])
-        dep = fit(d, j, kind)
         k = 1 - j
         want = 1e-160 if j == 0 else 1e160
         assert abs(params_from_data(d).beta[(k, j)] / want - 1.0) < 0.01
-        assert np.all(np.isfinite(slopes_at(dep, d.column(j))))
+        assert np.all(np.isfinite(fit_at(d, j, d.column(j), kind)))
+
+    @pytest.mark.parametrize("k_bins", [100, 7, 3])
+    def test_anchor_rise_past_the_largest_double_keeps_the_ols_row(self, k_bins):
+        # An anchor on +-1.7e308: the rise of its run means across the
+        # middle overflows, and rise / rise would be nan, not 1.
+        rng = np.random.default_rng(0)
+        x2 = 1.7e308 * rng.uniform(-1.0, 1.0, 500)
+        x2[:2] = -1.7e308, 1.7e308
+        d = Dataset(names=["x1", "x2"],
+                    columns=[rng.uniform(-1.0, 1.0, 500), x2])
+        with np.errstate(invalid="ignore", over="ignore"):
+            dep = fit(d, 1, "local_linear", k_bins)
+        assert np.all(dep[:, 1] == 1.0)
+        assert np.all(np.isfinite(dep))
+        assert np.any(dep[:, 0] == fit(d, 1)[0, 0])
 
 
 def line(x, y):
@@ -266,8 +307,8 @@ class TestOracleLines:
         d = Dataset(names=["x1", "x2"], columns=[x1, x2])
         slope, intercept = np.polyfit(x1 * 1e-160, x2, 1)
         dep = fit(d, 0)
-        assert dep.slopes[0, 0] == 1.0
-        assert abs(dep.slopes[0, 1] / 1e-160 - slope) < 1e-9
+        assert dep[0, 0] == 1.0
+        assert abs(dep[0, 1] / 1e-160 - slope) < 1e-9
         assert abs(line(x1, x2)[1] - intercept) < 1e-12
         # x at 1e150 and y at 1e200: only the covariance overflows
         a, b = line(x1 * 1e-10, x2 * 1e200)
@@ -279,7 +320,7 @@ class TestOracleLines:
         d = generate(SimSpec(case="complex_623", n=3000, seed=2))
         P = params_from_data(d)
         for j in range(d.p):
-            slopes = fit(d, j).slopes[0]
+            slopes = fit(d, j)[0]
             assert all(P.beta[(k, j)] == slopes[k]
                        for k in range(d.p) if k != j)
 
@@ -340,7 +381,7 @@ def test_linear_slope_table_is_the_ols_slopes_broadcast(seed, p, scales):
     d = Dataset(names=[f"x{i}" for i in range(p)],
                 columns=[x[:, i] * 10.0 ** scales[i] for i in range(p)])
     for j in range(p):
-        got = slopes_at(fit(d, j), d.column(j))
+        got = fit_at(d, j, d.column(j))
         want = [1.0 if k == j
                 else reference_ols_line(d.column(j), d.column(k))[0]
                 for k in range(p)]

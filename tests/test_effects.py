@@ -30,7 +30,6 @@ from atdev import (
     quantile_bins,
     signal_model,
 )
-from atdev.dependence import DependenceModel
 from atdev.effects import _local_quadratic
 from atdev.errors import DataError
 from helpers import (GivenDependence, bin_index, inner_mask, max_gap,
@@ -144,7 +143,7 @@ class TestAle:
         d = uniform_pair()
         ctx = Estimation(catalog_model("multiplicative"), d, k_bins=50)
         curve = ale(ctx, 0)
-        b = ctx.dep(0).slopes[0, 1]
+        b = ctx.dep(0)[0, 1]
         mask = inner_mask(d.column(0), curve.grid)
         coef = poly_coeffs(curve.grid, curve.values, 2, mask)
         assert abs(coef[2] - b / 2.0) < 0.02
@@ -153,7 +152,7 @@ class TestAle:
         d = uniform_pair()
         ctx = Estimation(catalog_model("quad_plus_interaction"), d, k_bins=50)
         curve = ale(ctx, 0)
-        b = ctx.dep(0).slopes[0, 1]
+        b = ctx.dep(0)[0, 1]
         mask = inner_mask(d.column(0), curve.grid)
         coef = poly_coeffs(curve.grid, curve.values, 2, mask)
         assert abs(coef[2] - (1.0 + b / 2.0)) < 0.02
@@ -169,10 +168,8 @@ class TestAle:
 class TestAce:
     def test_zero_dependence_kills_cross_effects(self):
         d = independent_pair(n=2_000)
-        dep = DependenceModel(j=0, edges=np.array([-1.0, 1.0]),
-                              slopes=np.zeros((1, 2)))
         ctx = GivenDependence(catalog_model("quad_plus_interaction"), d,
-                              lambda j: dep)
+                              lambda j: np.eye(2)[j])
         curve = ace(ctx, 1, 0)
         assert np.all(curve.values == 0.0)
 
@@ -183,7 +180,7 @@ class TestAce:
         curve = ace(ctx, 1, 0)
         mask = inner_mask(d.column(0), curve.grid)
         coef = poly_coeffs(curve.grid, curve.values, 2, mask)
-        assert abs(coef[2] - dep.slopes[0, 1] / 2.0) < 0.02
+        assert abs(coef[2] - dep[0, 1] / 2.0) < 0.02
         assert abs(coef[1]) < 0.02
 
     def test_unmodeled_variable_transfers_the_quadratic(self, d621):
@@ -206,9 +203,7 @@ class TestAtdev:
     def test_zero_dependence_collapses_to_own_curve(self):
         d = independent_pair(n=2_000)
         model = catalog_model("quad_plus_interaction")
-        dep = DependenceModel(j=0, edges=np.array([-1.0, 1.0]),
-                              slopes=np.zeros((1, 2)))
-        ctx = GivenDependence(model, d, lambda j: dep, k_bins=20)
+        ctx = GivenDependence(model, d, lambda j: np.eye(2)[j], k_bins=20)
         total = atdev(ctx, 0)
         own = ale(ctx, 0)
         assert np.array_equal(total.values, own.values)
@@ -300,7 +295,7 @@ class TestLeCurve:
     def test_cross_profile_under_strong_dependence(self, d71c):
         model = signal_model(SimSpec(case="le_71_corr", n=1))
         ctx = Estimation(model, d71c)
-        b = ctx.dep(4).slopes[0, 2]
+        b = ctx.dep(4)[0, 2]
         curve = le_curve(ctx, 2, 4)
         mask = inner_mask(d71c.column(4), curve.grid)
         coef = poly_coeffs(curve.grid, curve.values, 2, mask)
@@ -472,7 +467,7 @@ class TestAgainstBruteForce:
         hi = np.minimum(np.arange(scheme.k) + 1, scheme.k - 1)
         quotient = ((means[hi, 1] - means[lo, 1])
                     / (means[hi, 0] - means[lo, 0]))
-        assert np.allclose(dep.slopes[:, 1], quotient, rtol=1e-12)
+        assert np.allclose(dep[:, 1], quotient, rtol=1e-12)
 
         rng = np.random.default_rng(4321)
         z1 = rng.standard_normal(1_000_000)

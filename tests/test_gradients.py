@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from atdev import (SimSpec, catalog_model, check_gradient, custom_model,
                    fit_dependence, generate, gradient_table, quantile_bins)
 from atdev.data import Dataset
-from atdev.dependence import DependenceModel
 from atdev.errors import DataError, NumericalError
 from atdev.gradients import fd_step
 from atdev.models import Predictor
@@ -158,19 +157,21 @@ def test_fd_step_is_the_columns_own_step(seed, n, shape, scale):
         [reference_fd_step(x, j) for j in range(2)]
 
 
-def total_derivatives(m, d, j, dep):
-    """The total derivative along the dependence anchored at j, per row:
-    the row sum of the integrand G * S the binned curves average."""
-    return (gradient_table(m, d).values * slopes_at(dep, d.column(j))).sum(axis=1)
+def total_derivatives(m, d, scheme, dep):
+    """The total derivative along the dependence slopes ``dep`` on the
+    anchor's bins ``scheme``, per row: the row sum of the integrand G * S
+    the binned curves average."""
+    s = slopes_at(dep, scheme, d.column(scheme.j))
+    return (gradient_table(m, d).values * s).sum(axis=1)
 
 
 class TestTotals:
     def test_zero_slopes_collapse_to_partials(self):
         m = catalog_model("case_61")
         d = uniform_dataset(5, seed=4)
-        dep = DependenceModel(j=0, edges=np.array([-1.0, 1.0]),
-                              slopes=np.array([[1.0, 0, 0, 0, 0.0]]))
-        total = total_derivatives(m, d, 0, dep)
+        scheme = quantile_bins(d, 0, 100)
+        dep = np.tile([1.0, 0, 0, 0, 0], (scheme.k, 1))
+        total = total_derivatives(m, d, scheme, dep)
         own = gradient_table(m, d).values[:, 0]
         assert np.array_equal(total, own)
 
@@ -179,8 +180,8 @@ class TestTotals:
         x1 = rng.uniform(-1, 1, 4000)
         d = Dataset(names=["x1", "x2"], columns=[x1, 0.8 * x1])
         m = catalog_model("additive_linear", coeffs=[1.0, 1.0])
-        dep = fit_dependence(d, quantile_bins(d, 0, 100))
-        total = total_derivatives(m, d, 0, dep)
+        scheme = quantile_bins(d, 0, 100)
+        total = total_derivatives(m, d, scheme, fit_dependence(d, scheme))
         assert np.max(np.abs(total - 1.8)) < 1e-10
 
     def test_row_mean_matches_reference_slope_at_mean(self):
@@ -190,8 +191,8 @@ class TestTotals:
         from atdev import oracle, params_from_data
         d = generate(SimSpec(case="additive_621", n=30_000, seed=6))
         m = catalog_model("case_621")
-        dep = fit_dependence(d, quantile_bins(d, 2, 100))
-        total = total_derivatives(m, d, 2, dep)
+        scheme = quantile_bins(d, 2, 100)
+        total = total_derivatives(m, d, scheme, fit_dependence(d, scheme))
         P = params_from_data(d)
         ref = oracle("additive_621", "ATDEV", 2, P)
         mu3 = float(np.mean(d.column(2)))

@@ -22,7 +22,7 @@ from atdev import (
     dgsm,
     effect_matrix,
 )
-from atdev.dependence import DependenceModel, corr_matrix
+from atdev.dependence import corr_matrix
 from atdev.errors import DataError, NumericalError
 from atdev.importance import ImportanceReport
 from conftest import BRUTEFORCE
@@ -76,9 +76,7 @@ class TestMatrixImportance:
     def test_zero_dependence_pushes_everything_to_the_diagonal(self):
         d = uniform_data(3, n=5_000)
         model = catalog_model("case_621")
-        ctx = GivenDependence(model, d, lambda j: DependenceModel(
-            j=j, edges=np.array([-1.0, 1.0]), slopes=np.zeros((1, 3))),
-            k_bins=40)
+        ctx = GivenDependence(model, d, lambda j: np.eye(3)[j], k_bins=40)
         rep = build_report(ctx)
         v = rep.v
         off = v[~np.eye(3, dtype=bool)]
@@ -117,8 +115,7 @@ class TestMatrixImportance:
     def test_v_is_each_cells_weighted_variance(self, d623, dependence):
         model = catalog_model("case_623")
         if dependence == "zero":
-            ctx = GivenDependence(model, d623, lambda j: DependenceModel(
-                j=j, edges=np.array([-10.0, 10.0]), slopes=np.zeros((1, 5))))
+            ctx = GivenDependence(model, d623, lambda j: np.eye(5)[j])
         else:
             ctx = Estimation(model, d623, dependence=dependence)
         cells = effect_matrix(ctx, CurveKind.ATDEV).cells

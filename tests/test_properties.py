@@ -82,7 +82,7 @@ def test_atdev_integrates_binned_total_derivatives(problem):
         scheme = ctx.bins(j)
         # The total derivative along the dependence: the row sum of G * S.
         per_row = (ctx.table.values
-                   * slopes_at(ctx.dep(j), d.column(j))).sum(axis=1)
+                   * slopes_at(ctx.dep(j), scheme, d.column(j))).sum(axis=1)
         means = np.array([per_row[scheme.bin_of == b].mean()
                           for b in range(scheme.k)])
         contrib = means * np.diff(scheme.edges)
@@ -104,7 +104,7 @@ def centered_close(got: np.ndarray, want: np.ndarray, counts: np.ndarray) -> boo
        st.sampled_from(["linear", "local_linear"]))
 def test_matrix_cells_match_the_rowwise_kernel(problem, k_bins, kind):
     # Slope table times bin means against the row-wise product G * S
-    # (each row's slope looked up in the dependence edges) averaged per
+    # (each row's slope looked up in the curve edges) averaged per
     # bin: every ATDEV and LE cell, and every ATDEV total.
     model, d, _, _ = problem
     # Away from the subnormals, where a product has no relative precision.
@@ -141,15 +141,15 @@ def test_working_scale_cells_match_the_rowwise_kernel(d623, k_bins, kind):
 @settings(max_examples=40, deadline=None)
 @given(problems(), st.integers(2, 60))
 def test_local_linear_slopes_are_constant_on_every_curve_bin(problem, k_bins):
-    # One partition per anchor: the dependence edges are curve edges, so
-    # the slope S_k is one number on each curve bin and the ACE through
-    # k is the midpoint cumsum of S_k times the bin mean of g_k.
+    # One partition per anchor: the slope table has a row per curve bin,
+    # so S_k is one number on each curve bin and the ACE through k is the
+    # midpoint cumsum of S_k times the bin mean of g_k.
     model, d, _, _ = problem
     ctx = Estimation(model, d, k_bins=k_bins, dependence="local_linear")
     for j in range(d.p):
         scheme, dep = ctx.bins(j), ctx.dep(j)
-        assert np.all(np.isin(dep.edges, scheme.edges))
-        slopes = slopes_at(dep, scheme.midpoints)
+        assert dep.shape == (scheme.k, d.p)
+        slopes = slopes_at(dep, scheme, scheme.midpoints)
         means = scheme.means(ctx.table.values.T)
         for k in range(d.p):
             if k == j:
